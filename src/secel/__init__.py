@@ -14,8 +14,6 @@ from .algebra import (
     PrimeModulus,
     SymBivarPoly,
     UniPoly,
-    decode_gradient,
-    encode_gradient,
     lagrange_at,
     lagrange_at_zero,
 )
@@ -23,7 +21,7 @@ from .errors import SecelError
 from .fedlearn import TrainConfig, dropout_experiment, secure_global_aggregate, train
 from .group_variant import DEFAULT_GROUP, TOY_GROUP, GroupParams
 from .protocol import RoundSpec, RoundState, ScenarioResult, run_rounds, run_setup
-from .simnet import Fault, SimConfig, Transcript, derive_seed, run_scenario
+from .simnet import Fault, SimConfig, Transcript, derive_seed
 
 __version__ = "0.1.0"
 
@@ -46,14 +44,11 @@ __all__ = [
     "TrainConfig",
     "Transcript",
     "UniPoly",
-    "decode_gradient",
     "derive_seed",
     "dropout_experiment",
-    "encode_gradient",
     "lagrange_at",
     "lagrange_at_zero",
     "run_rounds",
-    "run_scenario",
     "run_setup",
     "secure_global_aggregate",
     "train",

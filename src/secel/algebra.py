@@ -24,12 +24,9 @@ __all__ = [
     "UniPoly",
     "SymBivarPoly",
     "FixedPointCodec",
-    "field_inv",
     "lagrange_at_zero",
     "lagrange_at",
     "lagrange_coeffs_at",
-    "encode_gradient",
-    "decode_gradient",
     "is_probable_prime",
     "DEFAULT_PRIME",
     "MERSENNE_61",
@@ -193,11 +190,6 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({self.value} mod {self.modulus.p})"
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse in Z_p; raises ZeroInverse on a == 0."""
-    return a.inverse()
 
 
 # ---- univariate polynomials --------------------------------------------------
@@ -479,17 +471,3 @@ class FixedPointCodec:
             f"FixedPointCodec(scale_bits={self.scale_bits}, "
             f"clip_bound={self.clip_bound}, {kind})"
         )
-
-
-def encode_gradient(
-    values: Iterable[float], codec: FixedPointCodec, modulus: PrimeModulus
-) -> list[FieldElement]:
-    """Clip, scale, and lift a real-valued update into the field."""
-    return codec.encode(values, modulus)
-
-
-def decode_gradient(
-    elems: Sequence[FieldElement], codec: FixedPointCodec, m_count: int = 1
-) -> list[float]:
-    """Inverse of :func:`encode_gradient` for a sum of m_count encodings."""
-    return codec.decode(elems, m_count)

@@ -41,8 +41,8 @@ from .maskmac import (
     unmask_vector,
     verify_vector,
 )
-from .protocol import TAMPER_POLICIES, VARIANTS, run_setup
-from .simnet import derive_seed, run_scenario
+from .protocol import TAMPER_POLICIES, VARIANTS, run_rounds, run_setup
+from .simnet import derive_seed
 
 BENCH_HEADER = ("phase", "parties", "gradients", "mean_ms", "throughput_elems_per_s")
 BENCH_PHASES = ("setup", "mask", "agg", "verify", "decrypt")
@@ -104,7 +104,7 @@ def cmd_round(args: argparse.Namespace) -> int:
     if args.tamper is not None:
         doc["tamper"] = args.tamper
     doc["seed"] = resolve_seed(args.seed, doc.get("seed"))
-    result = run_scenario(doc)
+    result = run_rounds(doc)
     for line in result.summary_lines():
         print(line)
     _write_transcript(_ensure_out(args.out), result)
@@ -262,7 +262,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_recover_demo(args: argparse.Namespace) -> int:
     doc = dict(FLAGSHIP_DOC)
     doc["seed"] = resolve_seed(args.seed, None, default=11)
-    result = run_scenario(doc)
+    result = run_rounds(doc)
     state = result.rounds[0]
 
     print("scenario: 7 parties, threshold 3, quorum 3")

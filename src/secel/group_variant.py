@@ -70,12 +70,6 @@ class GroupParams:
         """G^x for an exponent x (reduced mod q)."""
         return pow(self.g, x % self.q, self.p)
 
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def exp(self, base: int, e: int) -> int:
-        return pow(base, e % self.q, self.p)
-
     def inv(self, a: int) -> int:
         return pow(a, self.p - 2, self.p)
 

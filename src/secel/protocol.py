@@ -22,6 +22,13 @@ is never a relay). Everything that flows after shares may have been lost —
 share evaluations for recovery and the decrypted result — uses AEAD channels
 keyed from the dealt polynomials, so a fresh key exists even for a participant
 that lost every received share.
+
+Both variants run one code path. The choice between adding field values and
+multiplying group lifts lives in the per-variant arithmetic object,
+ScalarArith or GroupArith; the leader and the aggregator are written once
+against it. Only setup dealing, the group key refresh, the scalar-only
+`a_evals` field of a share response and where a party keeps its own share
+still look at the variant.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .algebra import (
@@ -87,7 +94,6 @@ from .simnet import (
     channel_key,
     derive_seed,
     secure_recv,
-    secure_send,
 )
 
 VARIANTS = ("scalar", "group")
@@ -141,26 +147,6 @@ def elect_leader(reveals: dict[int, int]) -> int:
         raise RevealTimeout("no valid reveals; cannot elect a leader")
     ids = sorted(reveals)
     return ids[sum(reveals.values()) % len(ids)]
-
-
-def mask_key_note(received_v: dict[int, Any]) -> frozenset[int]:
-    """Bookkeeping note: which dealers' first-round evaluations a holder keeps.
-
-    The leader consults these notes to decide whether a dealer's key material
-    is still reachable after dropouts and share loss.
-    """
-    return frozenset(received_v)
-
-
-def recovery_quorum(
-    notes: dict[int, frozenset[int]], dealer: int, t: int
-) -> list[int]:
-    """Holders able to help rebuild `dealer`'s key material, id-sorted.
-
-    A holder helps iff its note lists the dealer; the dealer itself never
-    counts. Callers compare the length against t.
-    """
-    return sorted(h for h, note in notes.items() if dealer in note and h != dealer)
 
 
 @dataclass
@@ -246,17 +232,12 @@ class RoundSpec:
         return list(range(1, self.n + 1))
 
     def codec(self) -> FixedPointCodec:
-        if self.variant == "group":
-            # shift into [0, 2*clip] so sums stay small enough to brute-decode
-            return FixedPointCodec(
-                scale_bits=self.scale_bits or 10,
-                clip_bound=self.clip_bound,
-                signed=False,
-            )
+        # group: shift into [0, 2*clip] so sums stay small enough to brute-decode
+        group = self.variant == "group"
         return FixedPointCodec(
-            scale_bits=self.scale_bits or 16,
+            scale_bits=self.scale_bits or (10 if group else 16),
             clip_bound=self.clip_bound,
-            signed=True,
+            signed=not group,
         )
 
     def field_modulus(self) -> PrimeModulus:
@@ -305,30 +286,13 @@ class RoundSpec:
             )
 
     _SIM_KEYS = frozenset({"seed", "n", "delay", "budgets", "faults"})
-    _OWN_KEYS = frozenset(
-        {
-            "n",
-            "t",
-            "l",
-            "length",
-            "s_min",
-            "rounds",
-            "variant",
-            "tamper",
-            "share_loss",
-            "gradients",
-            "prime",
-            "group",
-            "scale_bits",
-            "clip_bound",
-        }
-    )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RoundSpec":
         if not isinstance(raw, dict):
             raise ConfigError("round spec must be a JSON object")
-        unknown = set(raw) - cls._OWN_KEYS - cls._SIM_KEYS
+        own = {f.name for f in fields(cls)} | {"l"}  # "l" is short for length
+        unknown = set(raw) - own - cls._SIM_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "n" not in raw:
@@ -415,31 +379,184 @@ class ScenarioResult:
         return lines
 
 
+# ---- per-variant arithmetic ------------------------------------------------------------
+#
+# The leader and the aggregator are written once against these two objects.
+# Values travel as plain ints: field values mod p for the scalar variant,
+# lifts G^x mod P for the group variant. Each object converts to its kernel's
+# types at the call, so the maskmac / group_variant / sharing / algebra calls
+# stay exactly those of the variant.
+
+
+class ScalarArith:
+    """Field values mod p; combining adds, interpolation is plain Lagrange."""
+
+    V_FIELD = "v_evals"  # share_resp key of the held first-row evaluations
+    SHARE_FIELD = "s_v"  # share_resp key of the responder's own share
+
+    def __init__(self, spec: RoundSpec):
+        self.field = spec.field_modulus()
+        self.p = self.q = self.field.p  # values live mod p, exponents mod q
+
+    def lift(self, x: int) -> int:
+        return x
+
+    def combine(self, values) -> int:
+        return sum(values) % self.p
+
+    def interpolate(self, points: list[tuple[int, int]], x: int, t: int) -> int:
+        elem = self.field.element
+        pts = [(elem(j), elem(y)) for j, y in points]
+        value = lagrange_at_zero(pts, t) if x == 0 else lagrange_at(pts, x, t)
+        return value.value
+
+    def recover_lost(self, q: int, held_a: dict, shares: dict, t: int):
+        """s_v of share-loser q from t helpers' second-row evaluations A_q(j)."""
+        elem = self.field.element
+        helpers = {j: elem(a[q]) for j, a in held_a.items() if q in a and j != q}
+        if len(helpers) < t:
+            raise RecoveryQuorumFailure(
+                f"share loser {q}: {len(helpers)} helpers, need {t}"
+            )
+        return recover_lost_share(q, helpers, t).value, sorted(helpers)[:t]
+
+    def pairs(self, wire: list[list[int]], round_no: int) -> list[MaskedPair]:
+        elem = self.field.element
+        return [
+            MaskedPair(elem(a), elem(b), round_no, idx)
+            for idx, (a, b) in enumerate(wire)
+        ]
+
+    def mask(self, values, dealer: DealerState, s: FieldElement, round_no: int):
+        pairs = mask_vector(
+            values,
+            masking_secret=dealer.masking_secret(),
+            self_key=dealer.self_key(),
+            s=s,
+            round_no=round_no,
+        )
+        return [[p.c1.value, p.c2.value] for p in pairs]
+
+    def aggregate(self, wires: list, round_no: int) -> list[list[int]]:
+        agg = aggregate_vectors([self.pairs(w, round_no) for w in wires])
+        return [[p.c1.value, p.c2.value] for p in agg]
+
+    def verify(self, pairs, k: int, s: FieldElement, round_no: int) -> bool:
+        return verify_vector(pairs, self.field.element(k), s, round_no)
+
+    def unmask(self, pairs, pad: int, round_no: int, m_count: int) -> list[int]:
+        return [e.value for e in unmask_vector(pairs, self.field.element(pad), round_no)]
+
+
+class GroupArith:
+    """Lifts G^x mod P; combining multiplies, interpolation runs in the exponent."""
+
+    V_FIELD = "v_lifts"
+    SHARE_FIELD = "share_lift"
+
+    def __init__(self, spec: RoundSpec):
+        self.spec = spec
+        self.group = spec.group
+        self.p, self.q = self.group.p, self.group.q
+
+    def lift(self, x: int) -> int:
+        return self.group.lift(x)
+
+    def combine(self, values) -> int:
+        return combine_key_lifts(list(values), self.group)
+
+    def interpolate(self, points: list[tuple[int, int]], x: int, t: int) -> int:
+        if x == 0:
+            return exp_lagrange_at_zero(points, t, self.group)
+        return exp_lagrange_at(points, x, t, self.group)
+
+    def recover_lost(self, q: int, held_a: dict, shares: dict, t: int):
+        """G^V(q) of share-loser q, interpolated at q from t helpers' G^V(j)."""
+        pts = [(j, shares[j]) for j in sorted(shares) if j != q]
+        if len(pts) < t:
+            raise RecoveryQuorumFailure(f"share loser {q}: {len(pts)} helpers, need {t}")
+        return self.interpolate(pts[:t], q, t), [j for j, _ in pts[:t]]
+
+    def pairs(self, wire: list[list[int]], round_no: int) -> list[GroupMaskedPair]:
+        return [
+            GroupMaskedPair(c1=a, c2=b, round=round_no, index=idx)
+            for idx, (a, b) in enumerate(wire)
+        ]
+
+    def mask(self, values, dealer: DealerState, s: FieldElement, round_no: int):
+        pairs = group_mask_vector(
+            [v.value for v in values],
+            masking_secret=dealer.masking_secret().value,
+            self_key=dealer.self_key().value,
+            s=s.value,
+            round_no=round_no,
+            params=self.group,
+        )
+        return [[p.c1, p.c2] for p in pairs]
+
+    def aggregate(self, wires: list, round_no: int) -> list[list[int]]:
+        agg = group_aggregate([self.pairs(w, round_no) for w in wires], self.group)
+        return [[p.c1, p.c2] for p in agg]
+
+    def verify(self, pairs, k: int, s: FieldElement, round_no: int) -> bool:
+        return group_verify(pairs, k, s.value, round_no, self.group)
+
+    def unmask(self, pairs, pad: int, round_no: int, m_count: int) -> list[int]:
+        lifted_sums = group_unmask(pairs, pad, round_no, self.group)
+        bound = self.spec.decode_bound(m_count)
+        return [bsgs(h, bound, self.group) for h in lifted_sums]
+
+
+ARITH = {"scalar": ScalarArith, "group": GroupArith}
+
+
 # ---- helpers shared by the node implementations --------------------------------------
 
 
-def _fold(values, modulus: PrimeModulus) -> FieldElement:
-    acc = modulus.element(0)
-    for v in values:
-        acc = acc + v
-    return acc
+def _aggregate_problem(body: Any, spec: RoundSpec, p: int) -> str | None:
+    """Why an aggregate broadcast cannot be used, or None if it is well formed.
+
+    The leader's tag check only covers the elements and members it is shown,
+    so the shape is checked first: one pair of ints in [0, p) per vector
+    element, and a contributor set of distinct participant ids that meets
+    the quorum.
+    """
+    if not isinstance(body, dict):
+        return "body is not an object"
+    m, failed, c = body.get("m"), body.get("failed"), body.get("c")
+    if (
+        not isinstance(m, list)
+        or any(type(i) is not int for i in m)
+        or len(set(m)) != len(m)
+        or not set(m) <= set(spec.participant_ids)
+    ):
+        return "m is not a list of distinct participant ids"
+    if len(m) < spec.quorum:
+        return f"|m|={len(m)} is below the quorum {spec.quorum}"
+    if not isinstance(failed, list) or any(type(i) is not int for i in failed):
+        return "failed is not a list of ints"
+    if not isinstance(c, list) or len(c) != spec.length:
+        return f"c does not hold {spec.length} elements"
+    for pair in c:
+        if not (
+            type(pair) is list
+            and len(pair) == 2
+            and type(pair[0]) is int
+            and type(pair[1]) is int
+            and 0 <= pair[0] < p
+            and 0 <= pair[1] < p
+        ):
+            return "an element of c is not a pair of ints in [0, p)"
+    return None
 
 
-def _nudge_nonzero(total: FieldElement) -> FieldElement:
-    # A zero round key would void every tag. All parties share the same view
-    # of the summands, so they all apply the same deterministic fix.
-    if total.value == 0:
-        return total.modulus.element(1)
-    return total
-
-
+@dataclass
 class _LeaderFindings:
     """What the leader knows after recover-and-verify, kept for decryption."""
 
-    def __init__(self) -> None:
-        self.sums: list[int] | None = None  # unmasked field values
-        self.recovered: dict[int, int] = {}  # share-loser -> rebuilt share
-        self.fb_channel: set[int] = set()  # responders reached via fallback keys
+    sums: list[int] | None = None  # unmasked field values
+    recovered: dict[int, int] = field(default_factory=dict)  # share-loser -> rebuilt share
+    fb_channel: set[int] = field(default_factory=set)  # responders reached via fallback keys
 
 
 # ---- participant ----------------------------------------------------------------------
@@ -454,6 +571,7 @@ class ParticipantNode(Node):
         self.rng = rng
         self.modulus = spec.field_modulus()
         self.codec = spec.codec()
+        self.arith = ARITH[spec.variant](spec)
         self.gradients: list[float] = []
         self.keypair: KeyPair | None = None  # group mode unwrapping keys
         self.peer_pks: dict[int, int] = {}
@@ -465,17 +583,17 @@ class ParticipantNode(Node):
     def _reset_setup(self) -> None:
         self.dealer: DealerState | None = None
         self.a_exp = None  # group mode second-row polynomial (random constant)
-        self.received_v: dict[int, FieldElement] = {}
-        self.received_a: dict[int, FieldElement] = {}
+        # dealer -> what this holder received from it, as arith values: the
+        # first-row evaluation V_dealer(id) and the second-row A_dealer(id)
+        # (group mode: everything arrives wrapped, so only lifts exist)
+        self.held_v: dict[int, int] = {}
+        self.held_a: dict[int, int] = {}
         self.chan_keys: dict[int, bytes] = {}
         self.complete = False
         self.s_setup: dict[int, int] = {}
         self.s_own: FieldElement | None = None
         self.s_total: FieldElement | None = None
-        # group-mode holdings: everything arrives wrapped, so only lifts exist
-        self.lift_v: dict[int, int] = {}
-        self.lift_a: dict[int, int] = {}
-        self.share_lift: int | None = None
+        self.share_lift: int | None = None  # group mode own share G^V(id)
 
     def begin_round(self, round_no: int) -> None:
         self.round_no = round_no
@@ -506,17 +624,29 @@ class ParticipantNode(Node):
         party's to keep, and they are exactly what the fallback recovery
         channel and later resubmissions are built from.
         """
-        self.received_v = {}
-        self.received_a = {}
+        self.held_v = {}
+        self.held_a = {}
         self.chan_keys = {}
         self.complete = False
-        self.lift_v = {}
-        self.lift_a = {}
         self.share_lift = None
         if self.dealer is not None:
             # the second row's constant term is the very share being lost
             self.dealer.a_poly = None
             self.dealer.s_v = None
+
+    @property
+    def own_share(self) -> int | None:
+        """This party's persistent share as an arith value: s_v = V(id), or G^V(id)."""
+        if self.spec.variant == "group":
+            return self.share_lift
+        return None if self.dealer.s_v is None else self.dealer.s_v.value
+
+    @own_share.setter
+    def own_share(self, value: int) -> None:
+        if self.spec.variant == "group":
+            self.share_lift = value
+        else:
+            self.dealer.s_v = self._elem(value)
 
     # -- small conveniences --------------------------------------------------------
 
@@ -527,33 +657,46 @@ class ParticipantNode(Node):
     def _elem(self, v: int) -> FieldElement:
         return self.modulus.element(v)
 
+    def _set_round_key(self, shares: dict[int, int]) -> None:
+        total = (self.s_own.value + sum(shares.values())) % self.modulus.p
+        # A zero round key would void every tag. All parties share the same
+        # view of the summands, so they all apply the same deterministic fix.
+        self.s_total = self._elem(total or 1)
+
     def _fallback_key(self, peer: int) -> bytes:
         """AEAD key from the one secret a share-loser still shares with a peer."""
-        if self.spec.variant == "group":
-            value = self.spec.group.lift(self.dealer.v_poly.eval(peer).value)
-        else:
-            value = self.dealer.v_poly.eval(peer).value
+        value = self.arith.lift(self.dealer.v_poly.eval(peer).value)
         return channel_key(value, context=b"fallback")
 
     def _fallback_key_for(self, loser: int) -> bytes | None:
         """The helper-side twin of _fallback_key, from the received copy."""
-        if self.spec.variant == "group":
-            lift = self.lift_v.get(loser)
-            return None if lift is None else channel_key(lift, context=b"fallback")
-        value = self.received_v.get(loser)
-        return None if value is None else channel_key(value.value, context=b"fallback")
+        value = self.held_v.get(loser)
+        return None if value is None else channel_key(value, context=b"fallback")
+
+    def _self_keys(self) -> list[int]:
+        """This contributor's k_i = V_i(i) and pad key V_i(0), as arith values."""
+        lift = self.arith.lift
+        return [lift(self.dealer.self_key().value), lift(self.dealer.masking_secret().value)]
+
+    def _share_body(self, m: list[int]) -> dict:
+        """What an intact holder hands the leader for contributor set m."""
+        arith = self.arith
+        body = {
+            arith.V_FIELD: {str(i): self.held_v[i] for i in m if i in self.held_v},
+            arith.SHARE_FIELD: self.own_share,
+            "self": self._self_keys() if self.id in m else None,
+        }
+        if self.spec.variant == "scalar":
+            # the second-row evaluations that let the leader rebuild a lost s_v
+            body["a_evals"] = {str(q): v for q, v in self.held_a.items()}
+        return body
 
     # -- phase starts ---------------------------------------------------------------
 
     def on_phase_start(self, sim: Simulator, phase: str) -> None:
-        if phase == "setup":
-            self._start_setup(sim)
-        elif phase == "masking":
-            self._start_masking(sim)
-        elif phase == "verification":
-            self._start_verification(sim)
-        elif phase == "decryption":
-            self._start_decryption(sim)
+        start = getattr(self, f"_start_{phase}", None)  # nothing to do at aggregation
+        if start is not None:
+            start(sim)
 
     def _start_setup(self, sim: Simulator) -> None:
         spec = self.spec
@@ -573,10 +716,9 @@ class ParticipantNode(Node):
             sim.send(self.id, j, "setup1", {"v": out[j].value, "s": self.s_own.value})
 
     def _start_masking(self, sim: Simulator) -> None:
-        spec = self.spec
-        if self.dealer is None or (spec.variant == "scalar" and self.s_total is None):
+        if self.dealer is None:
             return  # setup never finished for this party
-        if spec.variant == "group" and self.round_no > 0:
+        if self.spec.variant == "group" and self.round_no > 0:
             # the one-time dealt state is reused; only the round key is fresh
             self.s_own = self.modulus.random_nonzero(self.rng)
             self.s_total = None
@@ -584,32 +726,12 @@ class ParticipantNode(Node):
             window = sim.config.budgets["masking"] // 3
             sim.schedule_timer(self.id, sim.now + window, "submit")
             return
-        if self.s_total is None:
-            return
-        self._submit(sim)
+        if self.s_total is not None:
+            self._submit(sim)
 
     def _submit(self, sim: Simulator) -> None:
-        spec = self.spec
         values = self.codec.encode(self.gradients, self.modulus)
-        if spec.variant == "group":
-            pairs = group_mask_vector(
-                [v.value for v in values],
-                masking_secret=self.dealer.v_poly.constant_term().value,
-                self_key=self.dealer.v_poly.eval(self.id).value,
-                s=self.s_total.value,
-                round_no=self.round_no,
-                params=spec.group,
-            )
-            wire = [[p.c1, p.c2] for p in pairs]
-        else:
-            pairs = mask_vector(
-                values,
-                masking_secret=self.dealer.masking_secret(),
-                self_key=self.dealer.self_key(),
-                s=self.s_total,
-                round_no=self.round_no,
-            )
-            wire = [[p.c1.value, p.c2.value] for p in pairs]
+        wire = self.arith.mask(values, self.dealer, self.s_total, self.round_no)
         sim.send(self.id, AGGREGATOR_ID, "submission", {"c": wire})
 
     def _start_verification(self, sim: Simulator) -> None:
@@ -641,11 +763,7 @@ class ParticipantNode(Node):
         if name == "submit":
             if self.status != "working" or self.s_total is not None:
                 return
-            total = _fold(
-                [self.s_own] + [self._elem(v) for _, v in sorted(self.s_refresh.items())],
-                self.modulus,
-            )
-            self.s_total = _nudge_nonzero(total)
+            self._set_round_key(self.s_refresh)
             self._submit(sim)
         elif name == "reveal":
             if self.elector and self.status == "working":
@@ -677,10 +795,7 @@ class ParticipantNode(Node):
         if self.leader != self.id or self.status != "working":
             return
         try:
-            if self.spec.variant == "group":
-                self._recover_and_verify_group(sim)
-            else:
-                self._recover_and_verify_scalar(sim)
+            self._recover_and_verify(sim)
         except (RecoveryQuorumFailure, VerificationFailed) as exc:
             reason = type(exc).__name__
             self.verdict = False if isinstance(exc, VerificationFailed) else None
@@ -704,23 +819,19 @@ class ParticipantNode(Node):
     # setup (scalar) ...............................................................
 
     def _on_setup1(self, sim: Simulator, env) -> None:
-        self.received_v[env.src] = self._elem(env.body["v"])
+        self.held_v[env.src] = env.body["v"]
         self.s_setup[env.src] = env.body["s"]
-        if len(self.received_v) == self.spec.n - 1:
-            accumulate_sv(self.dealer, self.received_v, self.spec.participant_ids)
-            total = _fold(
-                [self.s_own]
-                + [self._elem(v) for _, v in sorted(self.s_setup.items())],
-                self.modulus,
-            )
-            self.s_total = _nudge_nonzero(total)
+        if len(self.held_v) == self.spec.n - 1:
+            received = {j: self._elem(v) for j, v in self.held_v.items()}
+            accumulate_sv(self.dealer, received, self.spec.participant_ids)
+            self._set_round_key(self.s_setup)
             out = step2_messages(self.dealer, self.spec.participant_ids, self.rng)
             for j in sorted(out):
                 sim.send(self.id, j, "setup2", {"a": out[j].value})
             self._maybe_finish_scalar_setup()
 
     def _on_setup2(self, sim: Simulator, env) -> None:
-        self.received_a[env.src] = self._elem(env.body["a"])
+        self.held_a[env.src] = env.body["a"]
         self._maybe_finish_scalar_setup()
 
     def _maybe_finish_scalar_setup(self) -> None:
@@ -728,10 +839,10 @@ class ParticipantNode(Node):
         # channel keys need both sides, so wait for whichever lands last
         if self.complete or self.dealer is None or self.dealer.a_poly is None:
             return
-        if len(self.received_a) < self.spec.n - 1:
+        if len(self.held_a) < self.spec.n - 1:
             return
         for j in self._peers:
-            shared = pairwise_key(self.dealer, j, self.received_a[j])
+            shared = pairwise_key(self.dealer, j, self._elem(self.held_a[j]))
             self.chan_keys[j] = channel_key(shared.value)
         self.complete = True
 
@@ -760,36 +871,30 @@ class ParticipantNode(Node):
                 )
 
     def _on_gsetup1(self, sim: Simulator, env) -> None:
-        self.lift_v[env.src] = unwrap_share(
+        self.held_v[env.src] = unwrap_share(
             env.body["w"], self.keypair.sk, self.spec.group
         )
         self.s_setup[env.src] = env.body["s"]
         self._maybe_finish_group_setup()
 
     def _on_gsetup2(self, sim: Simulator, env) -> None:
-        self.lift_a[env.src] = unwrap_share(
+        self.held_a[env.src] = unwrap_share(
             env.body["w"], self.keypair.sk, self.spec.group
         )
         self._maybe_finish_group_setup()
 
     def _maybe_finish_group_setup(self) -> None:
         n = self.spec.n
-        if len(self.lift_v) < n - 1 or len(self.lift_a) < n - 1:
+        if len(self.held_v) < n - 1 or len(self.held_a) < n - 1:
             return
         group = self.spec.group
         # persistent share: G^(V(id)) where V is the sum of all dealt rows
-        acc = group.lift(self.dealer.v_poly.eval(self.id).value)
-        for j in sorted(self.lift_v):
-            acc = (acc * self.lift_v[j]) % group.p
-        self.share_lift = acc
-        total = _fold(
-            [self.s_own] + [self._elem(v) for _, v in sorted(self.s_setup.items())],
-            self.modulus,
-        )
-        self.s_total = _nudge_nonzero(total)
+        own = group.lift(self.dealer.v_poly.eval(self.id).value)
+        self.share_lift = self.arith.combine([own, *self.held_v.values()])
+        self._set_round_key(self.s_setup)
         for j in self._peers:
             # Diffie-Hellman on the second rows: G^(A_i(j) * A_j(i)) both ways
-            shared = pow(self.lift_a[j], self.a_exp.eval(j).value, group.p)
+            shared = pow(self.held_a[j], self.a_exp.eval(j).value, group.p)
             self.chan_keys[j] = channel_key(shared, context=b"group")
         self.complete = True
 
@@ -799,6 +904,12 @@ class ParticipantNode(Node):
         self.s_refresh[env.src] = env.body["s"]
 
     def _on_aggregate(self, sim: Simulator, env) -> None:
+        problem = _aggregate_problem(env.body, self.spec, self.arith.p)
+        if problem is not None:
+            sim.log_note("malformed_aggregate", dst=self.id, detail=problem)
+            self.status = "rejected"
+            self.reject_reason = "MalformedAggregate"
+            return
         self.agg = env.body["c"]
         self.m_set = list(env.body["m"])
         self.failed = list(env.body["failed"])
@@ -830,75 +941,41 @@ class ParticipantNode(Node):
         leader = env.src
         self.leader = leader
         m = list(env.body["m"])
-        spec = self.spec
         if self.complete:
-            if spec.variant == "group":
-                body = {
-                    "v_lifts": {str(i): self.lift_v[i] for i in m if i in self.lift_v},
-                    "share_lift": self.share_lift,
-                    "self": self._self_lifts() if self.id in m else None,
-                }
-            else:
-                body = {
-                    "v_evals": {
-                        str(i): self.received_v[i].value
-                        for i in m
-                        if i in self.received_v
-                    },
-                    "a_evals": {str(q): v.value for q, v in self.received_a.items()},
-                    "s_v": self.dealer.s_v.value,
-                    "self": self._self_keys() if self.id in m else None,
-                }
-            secure_send(sim, self.chan_keys[leader], self.id, leader, "share_resp", body)
+            body = self._share_body(m)
+            sim.send(self.id, leader, "share_resp", body, key=self.chan_keys[leader])
         else:
             # every received share is gone; reach the leader over the fallback
             # channel keyed from this party's own surviving first row
             body = {
-                "need": self.share_lift is None
-                if spec.variant == "group"
-                else self.dealer.s_v is None,
-                "self": (
-                    (self._self_lifts() if spec.variant == "group" else self._self_keys())
-                    if self.id in m
-                    else None
-                ),
+                "need": self.own_share is None,
+                "self": self._self_keys() if self.id in m else None,
             }
-            secure_send(
-                sim, self._fallback_key(leader), self.id, leader, "share_resp_fb", body
-            )
+            key = self._fallback_key(leader)
+            sim.send(self.id, leader, "share_resp_fb", body, key=key)
 
-    def _self_keys(self) -> list[int]:
-        return [self.dealer.self_key().value, self.dealer.masking_secret().value]
-
-    def _self_lifts(self) -> list[int]:
-        group = self.spec.group
-        return [
-            group.lift(self.dealer.v_poly.eval(self.id).value),
-            group.lift(self.dealer.v_poly.constant_term().value),
-        ]
-
-    def _on_share_resp(self, sim: Simulator, env) -> None:
-        if self.leader != self.id:
-            return
+    def _open(self, sim: Simulator, key: bytes | None, env) -> dict | None:
+        """The body of a sealed envelope, or None (logged) if it does not open."""
         try:
-            self.resp[env.src] = secure_recv(self.chan_keys[env.src], env)
-        except (AuthFailure, KeyError):
-            sim.log_auth_failure(env)
-
-    def _on_share_resp_fb(self, sim: Simulator, env) -> None:
-        if self.leader != self.id:
-            return
-        key = self._fallback_key_for(env.src)
-        if key is None:
-            sim.log_auth_failure(env)
-            return
-        try:
-            body = secure_recv(key, env)
+            if key is None:
+                raise AuthFailure("no channel key for this sender")
+            return secure_recv(key, env)
         except AuthFailure:
             sim.log_auth_failure(env)
-            return
-        self.resp_fb[env.src] = body
-        self.findings.fb_channel.add(env.src)
+            return None
+
+    def _on_share_resp(self, sim: Simulator, env) -> None:
+        if self.leader == self.id:
+            body = self._open(sim, self.chan_keys.get(env.src), env)
+            if body is not None:
+                self.resp[env.src] = body
+
+    def _on_share_resp_fb(self, sim: Simulator, env) -> None:
+        if self.leader == self.id:
+            body = self._open(sim, self._fallback_key_for(env.src), env)
+            if body is not None:
+                self.resp_fb[env.src] = body
+                self.findings.fb_channel.add(env.src)
 
     def _on_reject(self, sim: Simulator, env) -> None:
         if env.src == self.leader:
@@ -910,18 +987,9 @@ class ParticipantNode(Node):
     def _on_result(self, sim: Simulator, env) -> None:
         if self.leader is None:
             return
-        key = (
-            self.chan_keys.get(env.src)
-            if self.complete
-            else self._fallback_key(env.src)
-        )
-        if key is None:
-            sim.log_auth_failure(env)
-            return
-        try:
-            body = secure_recv(key, env)
-        except AuthFailure:
-            sim.log_auth_failure(env)
+        key = self.chan_keys.get(env.src) if self.complete else self._fallback_key(env.src)
+        body = self._open(sim, key, env)
+        if body is None:
             return
         self._apply_recovered(body.get("recovered"))
         self.field_sum = list(body["sum"])
@@ -933,164 +1001,60 @@ class ParticipantNode(Node):
 
     def _on_round_done(self, sim: Simulator, env) -> None:
         if env.secured:
-            try:
-                body = secure_recv(self._fallback_key(env.src), env)
-            except AuthFailure:
-                sim.log_auth_failure(env)
+            body = self._open(sim, self._fallback_key(env.src), env)
+            if body is None:
                 return
             self._apply_recovered(body.get("recovered"))
         self.status = "done"
 
     def _apply_recovered(self, value) -> None:
-        if value is None:
-            return
-        if self.spec.variant == "group":
-            self.share_lift = value
-        else:
-            self.dealer.s_v = self._elem(value)
+        if value is not None:
+            self.own_share = value
 
     # -- leader: recovery, verification, decryption ------------------------------------
 
-    def _recover_and_verify_scalar(self, sim: Simulator) -> None:
-        spec = self.spec
-        t = spec.t
+    def _recover_and_verify(self, sim: Simulator) -> None:
+        arith = self.arith
+        t = self.spec.t
         m = sorted(self.m_set)
-        # pool the evaluations this leader can see: its own plus each response
-        v_holdings: dict[int, dict[int, FieldElement]] = {
-            self.id: dict(self.received_v)
+        # pool the holdings this leader can see: its own, in the form an
+        # intact holder sends them, plus each response
+        bodies = {self.id: self._share_body(m), **self.resp}
+        held_v = {
+            src: {int(i): v for i, v in body[arith.V_FIELD].items()}
+            for src, body in bodies.items()
         }
-        a_holdings: dict[int, dict[int, FieldElement]] = {
-            self.id: dict(self.received_a)
+        held_a = {
+            src: {int(q): v for q, v in body.get("a_evals", {}).items()}
+            for src, body in bodies.items()
         }
-        sv_map: dict[int, FieldElement] = {}
-        if self.dealer.s_v is not None:
-            sv_map[self.id] = self.dealer.s_v
-        self_kv: dict[int, tuple[FieldElement, FieldElement]] = {}
-        if self.id in m:
-            self_kv[self.id] = (self.dealer.self_key(), self.dealer.masking_secret())
-        need_recovery: set[int] = set()
-        for src, body in self.resp.items():
-            v_holdings[src] = {
-                int(i): self._elem(v) for i, v in body["v_evals"].items()
-            }
-            a_holdings[src] = {
-                int(q): self._elem(v) for q, v in body["a_evals"].items()
-            }
-            if body.get("s_v") is not None:
-                sv_map[src] = self._elem(body["s_v"])
-            if body.get("self") is not None:
-                k, v0 = body["self"]
-                self_kv[src] = (self._elem(k), self._elem(v0))
-        for src, body in self.resp_fb.items():
-            if body.get("self") is not None:
-                k, v0 = body["self"]
-                self_kv[src] = (self._elem(k), self._elem(v0))
-            if body.get("need"):
-                need_recovery.add(src)
+        shares = {
+            src: body[arith.SHARE_FIELD]
+            for src, body in bodies.items()
+            if body.get(arith.SHARE_FIELD) is not None
+        }
+        self_kv = {
+            src: body["self"]
+            for src, body in {**bodies, **self.resp_fb}.items()
+            if body.get("self") is not None
+        }
+        need_recovery = sorted(src for src, body in self.resp_fb.items() if body.get("need"))
 
         # contributor keys: online members vouch for themselves; anyone silent
         # now is rebuilt from t first-row evaluations
-        k_map: dict[int, FieldElement] = {}
-        v0_map: dict[int, FieldElement] = {}
+        k_map: dict[int, int] = {}
+        v0_map: dict[int, int] = {}
         for i in m:
             if i in self_kv:
                 k_map[i], v0_map[i] = self_kv[i]
                 continue
-            pts = [
-                (self._elem(j), v_holdings[j][i])
-                for j in sorted(v_holdings)
-                if i in v_holdings[j]
-            ]
+            pts = [(j, held_v[j][i]) for j in sorted(held_v) if i in held_v[j]]
             if len(pts) < t:
                 raise RecoveryQuorumFailure(
                     f"contributor {i}: {len(pts)} evaluations held, need {t}"
                 )
-            k_map[i] = lagrange_at(pts[:t], i, t)
-            v0_map[i] = lagrange_at_zero(pts[:t], t)
-            sim.log_note(
-                "recover",
-                what="contributor_keys",
-                target=i,
-                helpers=sorted(j for j in v_holdings if i in v_holdings[j])[:t],
-            )
-
-        # share-losers: rebuild s_v from t second-row evaluations
-        for q in sorted(need_recovery):
-            helper_shares = {
-                j: a_holdings[j][q]
-                for j in a_holdings
-                if q in a_holdings[j] and j != q
-            }
-            if len(helper_shares) < t:
-                raise RecoveryQuorumFailure(
-                    f"share loser {q}: {len(helper_shares)} helpers, need {t}"
-                )
-            value = recover_lost_share(q, helper_shares, t)
-            self.findings.recovered[q] = value.value
-            sim.log_note(
-                "recover", what="lost_share", target=q, helpers=sorted(helper_shares)[:t]
-            )
-
-        pairs = [
-            MaskedPair(self._elem(a), self._elem(b), self.round_no, idx)
-            for idx, (a, b) in enumerate(self.agg)
-        ]
-        k = _fold(k_map.values(), self.modulus)
-        if not verify_vector(pairs, k, self.s_total, self.round_no):
-            raise VerificationFailed("aggregate failed the tag check")
-
-        if set(m) == set(spec.participant_ids) and len(sv_map) >= t:
-            # full attendance: the pad is V(0), one interpolation instead of |M|
-            pts = [(self._elem(j), sv_map[j]) for j in sorted(sv_map)[:t]]
-            pad = lagrange_at_zero(pts, t)
-        else:
-            pad = _fold((v0_map[i] for i in m), self.modulus)
-        self.findings.sums = [
-            e.value for e in unmask_vector(pairs, pad, self.round_no)
-        ]
-
-    def _recover_and_verify_group(self, sim: Simulator) -> None:
-        spec = self.spec
-        group = spec.group
-        t = spec.t
-        m = sorted(self.m_set)
-        lift_holdings: dict[int, dict[int, int]] = {self.id: dict(self.lift_v)}
-        share_lifts: dict[int, int] = {}
-        if self.share_lift is not None:
-            share_lifts[self.id] = self.share_lift
-        self_kv: dict[int, tuple[int, int]] = {}
-        if self.id in m:
-            self_kv[self.id] = tuple(self._self_lifts())
-        need_recovery: set[int] = set()
-        for src, body in self.resp.items():
-            lift_holdings[src] = {int(i): v for i, v in body["v_lifts"].items()}
-            if body.get("share_lift") is not None:
-                share_lifts[src] = body["share_lift"]
-            if body.get("self") is not None:
-                self_kv[src] = tuple(body["self"])
-        for src, body in self.resp_fb.items():
-            if body.get("self") is not None:
-                self_kv[src] = tuple(body["self"])
-            if body.get("need"):
-                need_recovery.add(src)
-
-        k_lifts: dict[int, int] = {}
-        v0_lifts: dict[int, int] = {}
-        for i in m:
-            if i in self_kv:
-                k_lifts[i], v0_lifts[i] = self_kv[i]
-                continue
-            pts = [
-                (j, lift_holdings[j][i])
-                for j in sorted(lift_holdings)
-                if i in lift_holdings[j]
-            ]
-            if len(pts) < t:
-                raise RecoveryQuorumFailure(
-                    f"contributor {i}: {len(pts)} lifted evaluations held, need {t}"
-                )
-            k_lifts[i] = exp_lagrange_at(pts[:t], i, t, group)
-            v0_lifts[i] = exp_lagrange_at_zero(pts[:t], t, group)
+            k_map[i] = arith.interpolate(pts[:t], i, t)
+            v0_map[i] = arith.interpolate(pts[:t], 0, t)
             sim.log_note(
                 "recover",
                 what="contributor_keys",
@@ -1098,33 +1062,23 @@ class ParticipantNode(Node):
                 helpers=[j for j, _ in pts[:t]],
             )
 
-        for q in sorted(need_recovery):
-            pts = [(j, share_lifts[j]) for j in sorted(share_lifts) if j != q]
-            if len(pts) < t:
-                raise RecoveryQuorumFailure(
-                    f"share loser {q}: {len(pts)} helpers, need {t}"
-                )
-            self.findings.recovered[q] = exp_lagrange_at(pts[:t], q, t, group)
-            sim.log_note(
-                "recover", what="lost_share", target=q, helpers=[j for j, _ in pts[:t]]
-            )
+        # share-losers: rebuild their share from t helpers
+        for q in need_recovery:
+            value, helpers = arith.recover_lost(q, held_a, shares, t)
+            self.findings.recovered[q] = value
+            sim.log_note("recover", what="lost_share", target=q, helpers=helpers)
 
-        pairs = [
-            GroupMaskedPair(c1=a, c2=b, round=self.round_no, index=idx)
-            for idx, (a, b) in enumerate(self.agg)
-        ]
-        g_k = combine_key_lifts([k_lifts[i] for i in m], group)
-        if not group_verify(pairs, g_k, self.s_total.value, self.round_no, group):
-            raise VerificationFailed("aggregate failed the lifted tag check")
+        pairs = arith.pairs(self.agg, self.round_no)
+        k = arith.combine(k_map[i] for i in m)
+        if not arith.verify(pairs, k, self.s_total, self.round_no):
+            raise VerificationFailed("aggregate failed the tag check")
 
-        if set(m) == set(spec.participant_ids) and len(share_lifts) >= t:
-            pts = [(j, share_lifts[j]) for j in sorted(share_lifts)[:t]]
-            g_pad = exp_lagrange_at_zero(pts, t, group)
+        if set(m) == set(self.spec.participant_ids) and len(shares) >= t:
+            # full attendance: the pad is V(0), one interpolation instead of |M|
+            pad = arith.interpolate([(j, shares[j]) for j in sorted(shares)[:t]], 0, t)
         else:
-            g_pad = combine_key_lifts([v0_lifts[i] for i in m], group)
-        lifted_sums = group_unmask(pairs, g_pad, self.round_no, group)
-        bound = spec.decode_bound(len(m))
-        self.findings.sums = [bsgs(h, bound, group) for h in lifted_sums]
+            pad = arith.combine(v0_map[i] for i in m)
+        self.findings.sums = arith.unmask(pairs, pad, self.round_no, len(m))
 
     def _distribute(self, sim: Simulator) -> None:
         m = sorted(self.m_set)
@@ -1135,34 +1089,25 @@ class ParticipantNode(Node):
                 continue
             recovered = self.findings.recovered.get(u)
             if u in m:
-                body = dict(body_base)
-                if recovered is not None:
-                    body["recovered"] = recovered
+                kind, body = "result", dict(body_base)
                 key = (
                     self._fallback_key_for(u)
                     if u in self.findings.fb_channel
                     else self.chan_keys.get(u)
                 )
-                if key is None:
-                    sim.log_note("undeliverable", dst=u)
-                    continue
-                secure_send(sim, key, self.id, u, "result", body)
             elif recovered is not None:
                 # a share-loser outside M still gets its share back, privately
+                kind, body = "round_done", {"verified": True}
                 key = self._fallback_key_for(u)
-                if key is None:
-                    sim.log_note("undeliverable", dst=u)
-                    continue
-                secure_send(
-                    sim,
-                    key,
-                    self.id,
-                    u,
-                    "round_done",
-                    {"verified": True, "recovered": recovered},
-                )
             else:
                 sim.send(self.id, u, "round_done", {"verified": True})
+                continue
+            if recovered is not None:
+                body["recovered"] = recovered
+            if key is None:
+                sim.log_note("undeliverable", dst=u)
+                continue
+            sim.send(self.id, u, kind, body, key=key)
         if self.id in m:
             self.field_sum = list(sums)
             self.plaintext = [
@@ -1181,7 +1126,7 @@ class AggregatorNode(Node):
         self.id = AGGREGATOR_ID
         self.spec = spec
         self.rng = rng
-        self.modulus = spec.field_modulus()
+        self.arith = ARITH[spec.variant](spec)
         self.begin_round(0)
 
     def begin_round(self, round_no: int) -> None:
@@ -1223,7 +1168,7 @@ class AggregatorNode(Node):
             return
         self.m = sorted(self.received)
         self.failed = sorted(set(spec.participant_ids) - set(self.m))
-        agg = self._aggregate()
+        agg = self.arith.aggregate([self.received[i] for i in self.m], self.round_no)
         agg = self._tamper(agg)
         sim.broadcast(
             self.id,
@@ -1232,71 +1177,26 @@ class AggregatorNode(Node):
             {"m": self.m, "failed": self.failed, "c": agg},
         )
 
-    def _aggregate(self) -> list[list[int]]:
-        spec = self.spec
-        if spec.variant == "group":
-            vectors = [
-                [
-                    GroupMaskedPair(c1=a, c2=b, round=self.round_no, index=idx)
-                    for idx, (a, b) in enumerate(self.received[i])
-                ]
-                for i in self.m
-            ]
-            agg = group_aggregate(vectors, spec.group)
-            return [[p.c1, p.c2] for p in agg]
-        vectors = [
-            [
-                MaskedPair(
-                    self.modulus.element(a),
-                    self.modulus.element(b),
-                    self.round_no,
-                    idx,
-                )
-                for idx, (a, b) in enumerate(self.received[i])
-            ]
-            for i in self.m
-        ]
-        agg = aggregate_vectors(vectors)
-        return [[p.c1.value, p.c2.value] for p in agg]
-
     def _tamper(self, agg: list[list[int]]) -> list[list[int]]:
-        spec = self.spec
-        policy = spec.tamper
-        if policy == "honest":
-            return agg
-        if spec.variant == "group":
-            group = spec.group
-            if policy == "flip_element":
-                agg[0][0] = (agg[0][0] * group.g) % group.p
-            elif policy == "inject_offset":
-                shift = pow(group.g, TAMPER_OFFSET, group.p)
-                agg = [[(a * shift) % group.p, b] for a, b in agg]
-            elif policy == "substitute_all":
-                agg = [
-                    [
-                        group.lift(self.rng.randrange(group.q)),
-                        group.lift(self.rng.randrange(group.q)),
-                    ]
-                    for _ in agg
-                ]
-            return agg
-        p = self.modulus.p
+        # every policy shifts or replaces hidden values: adding a constant to
+        # a field value is multiplying a lift by G^constant
+        arith = self.arith
+        policy = self.spec.tamper
         if policy == "flip_element":
-            agg[0][0] = (agg[0][0] + 1) % p
+            agg[0][0] = arith.combine([agg[0][0], arith.lift(1)])
         elif policy == "inject_offset":
-            agg = [[(a + TAMPER_OFFSET) % p, b] for a, b in agg]
+            shift = arith.lift(TAMPER_OFFSET)
+            agg = [[arith.combine([a, shift]), b] for a, b in agg]
         elif policy == "substitute_all":
-            agg = [[self.rng.randrange(p), self.rng.randrange(p)] for _ in agg]
+            q = arith.q
+            agg = [
+                [arith.lift(self.rng.randrange(q)), arith.lift(self.rng.randrange(q))]
+                for _ in agg
+            ]
         return agg
 
 
 # ---- scenario runner ----------------------------------------------------------------------
-
-
-def _phase_list(spec: RoundSpec, round_no: int) -> tuple[str, ...]:
-    if spec.variant == "group" and round_no > 0:
-        return PHASES[1:]  # the dealt state is reused; only the key refreshes
-    return PHASES
 
 
 def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> ScenarioResult:
@@ -1308,7 +1208,10 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
     rejected — never raised — so multi-round scenarios keep going.
     """
     if isinstance(spec, dict):
-        spec = RoundSpec.from_dict(spec)
+        doc = spec
+        spec = RoundSpec.from_dict(doc)
+        if sim_config is None:
+            sim_config = SimConfig.from_dict(doc)
     spec.validate()
     if sim_config is None:
         sim_config = SimConfig(n=spec.n)
@@ -1340,7 +1243,8 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
         for node in participants.values():
             node.begin_round(r)
         state = RoundState(round=r)
-        phases = _phase_list(spec, r)
+        # group rounds after the first reuse the dealt state; only the key refreshes
+        phases = PHASES[1:] if spec.variant == "group" and r > 0 else PHASES
         if "setup" not in phases:
             state.t_set = sorted(i for i, n in participants.items() if n.complete)
         for phase in phases:
@@ -1382,22 +1286,13 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
                     state.verified = True
                 else:
                     state.leader = candidates[0] if candidates else None
-                    reasons = sorted(
-                        {
-                            n.reject_reason
-                            for n in participants.values()
-                            if n.reject_reason is not None
-                        }
-                    )
-                    if state.leader is not None and (
-                        participants[state.leader].reject_reason is not None
-                    ):
-                        state.error = participants[state.leader].reject_reason
-                    elif reasons:
-                        state.error = reasons[0]
+                    leader = participants.get(state.leader)
+                    if leader is not None and leader.reject_reason is not None:
+                        state.error = leader.reject_reason
                     else:
-                        # the elected leader went silent before finishing
-                        state.error = "BudgetExhausted"
+                        reasons = {n.reject_reason for n in participants.values()}
+                        # no reason at all: the elected leader went silent before finishing
+                        state.error = min(reasons - {None}, default="BudgetExhausted")
                     if state.error == "VerificationFailed":
                         state.verified = False
                     break

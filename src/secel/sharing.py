@@ -12,7 +12,7 @@ A_q(j) values, and pairwise channel keys fall out of the A polynomials.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (
     FieldElement,
@@ -29,9 +29,7 @@ from .errors import (
 )
 
 __all__ = [
-    "Share",
     "DealerState",
-    "ShareBundle",
     "deal_direct",
     "new_dealer",
     "step1_messages",
@@ -40,18 +38,7 @@ __all__ = [
     "reconstruct_secret",
     "recover_lost_share",
     "pairwise_key",
-    "loss_recovery_key",
 ]
-
-
-@dataclass(frozen=True)
-class Share:
-    """One dealt value: dealer's polynomial evaluated at the holder's id."""
-
-    dealer: int
-    holder: int
-    kind: str  # "V" (first round) or "A" (second round)
-    value: FieldElement
 
 
 @dataclass
@@ -71,28 +58,6 @@ class DealerState:
     def self_key(self) -> FieldElement:
         """k_i = V_i(i), the per-dealer verification key share."""
         return self.v_poly.eval(self.id)
-
-
-@dataclass
-class ShareBundle:
-    """Everything a participant received during Setup (loss-prone state)."""
-
-    owner: int
-    received_v: dict[int, FieldElement] = field(default_factory=dict)
-    received_a: dict[int, FieldElement] = field(default_factory=dict)
-    s_v: FieldElement | None = None
-
-    def complete(self, participant_ids) -> bool:
-        ids = set(participant_ids)
-        return (
-            self.s_v is not None
-            and set(self.received_v) >= ids
-            and set(self.received_a) >= ids - {self.owner}
-        )
-
-    def holders_known(self) -> set[int]:
-        """Dealers whose V evaluations this participant can vouch for."""
-        return set(self.received_v)
 
 
 # ---- direct bivariate dealing -------------------------------------------------
@@ -209,27 +174,3 @@ def pairwise_key(
     if received_a_from_peer is None:
         raise MissingShare(f"no A share from {peer_id} was received")
     return own.a_poly.eval(peer_id) + received_a_from_peer
-
-
-def loss_recovery_key(
-    lost: DealerState | None,
-    lost_id: int,
-    helper_bundle_v: FieldElement | None,
-    helper_id: int | None = None,
-) -> FieldElement:
-    """Fallback channel secret V_q(j) between a share-losing q and helper j.
-
-    q lost every received share — and wiped its own second-dealing row with
-    them, since that row's constant term is exactly the value being recovered
-    — so neither k_qj nor A_q(j) is available. Both endpoints still know q's
-    first-dealing row at j: q evaluates v_poly directly, j reads its received
-    copy. Call with `lost` set on q's side, or with the helper's received
-    value on j's side.
-    """
-    if lost is not None:
-        if helper_id is None:
-            raise ValueError("helper_id required on the losing side")
-        return lost.v_poly.eval(helper_id)
-    if helper_bundle_v is None:
-        raise MissingShare(f"helper never received shares from {lost_id}")
-    return helper_bundle_v

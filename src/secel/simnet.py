@@ -20,7 +20,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -243,11 +243,6 @@ def open_sealed(key: bytes, header: dict, blob: bytes) -> dict:
     return json.loads(data)
 
 
-def secure_send(sim: Simulator, key: bytes, src: int, dst: int, kind: str, body: dict) -> None:
-    """Send one sealed envelope over the simulator."""
-    sim.send(src, dst, kind, body, key=key)
-
-
 def secure_recv(key: bytes, env: Envelope) -> dict:
     """Decrypt a delivered envelope; AuthFailure if it was tampered with."""
     if not env.secured:
@@ -302,9 +297,6 @@ class Simulator:
     def node_rng(self, node_id: int) -> random.Random:
         return random.Random(derive_seed(self.config.seed, "node", node_id))
 
-    def online_ids(self) -> list[int]:
-        return sorted(set(self.nodes) - self.offline)
-
     def is_online(self, node_id: int) -> bool:
         return node_id in self.nodes and node_id not in self.offline
 
@@ -355,20 +347,11 @@ class Simulator:
         self.transcript.envelope("send", env, t=self.now)
         self._push(env.deliver_time, ("deliver", env))
 
-    def broadcast(
-        self,
-        src: int,
-        dsts: Iterable[int],
-        kind: str,
-        body_for: Callable[[int], dict] | dict,
-        key_for: Callable[[int], bytes | None] | None = None,
-    ) -> None:
+    def broadcast(self, src: int, dsts: Iterable[int], kind: str, body: dict) -> None:
+        """Send the same plaintext body to every destination but the sender."""
         for dst in sorted(dsts):
-            if dst == src:
-                continue
-            body = body_for(dst) if callable(body_for) else body_for
-            key = key_for(dst) if key_for is not None else None
-            self.send(src, dst, kind, body, key=key)
+            if dst != src:
+                self.send(src, dst, kind, body)
 
     # -- faults ----------------------------------------------------------------------
 
@@ -435,23 +418,3 @@ class Simulator:
 
     def log_auth_failure(self, env: Envelope) -> None:
         self.transcript.envelope("auth_fail", env, t=self.now)
-
-
-def run_scenario(config, round_spec=None):
-    """Execute a full scenario: parse config, drive the round state machines.
-
-    Accepts a SimConfig plus a protocol RoundSpec, or a single flat dict/JSON
-    document carrying both. Returns the protocol's ScenarioResult (final round
-    states + transcript).
-    """
-    from .protocol import RoundSpec, run_rounds
-
-    if isinstance(config, dict):
-        sim_config = SimConfig.from_dict(config)
-        spec = RoundSpec.from_dict(config) if round_spec is None else round_spec
-    else:
-        sim_config = config
-        spec = round_spec
-    if spec is None:
-        raise ConfigError("no round spec supplied")
-    return run_rounds(spec, sim_config)

@@ -19,9 +19,6 @@ from secel.algebra import (
     PrimeModulus,
     SymBivarPoly,
     UniPoly,
-    decode_gradient,
-    encode_gradient,
-    field_inv,
     is_probable_prime,
     lagrange_at,
     lagrange_at_zero,
@@ -63,16 +60,16 @@ def test_field_inv_examples():
     # oracle: exhaustive search over Z_31
     brute = next(b for b in range(31) if (4 * b) % 31 == 1)
     assert brute == 8
-    assert field_inv(F31.element(4)) == 8
-    assert field_inv(F31.element(1)) == 1
+    assert F31.element(4).inverse() == 8
+    assert F31.element(1).inverse() == 1
     # oracle: 30*30 = 900 = 29*31 + 1
     assert (30 * 30) % 31 == 1
-    assert field_inv(F31.element(30)) == 30
+    assert F31.element(30).inverse() == 30
 
 
 def test_field_inv_zero_raises():
     with pytest.raises(ZeroInverse):
-        field_inv(F31.element(0))
+        F31.element(0).inverse()
 
 
 def test_inv_is_multiplicative():
@@ -80,7 +77,7 @@ def test_inv_is_multiplicative():
     for _ in range(200):
         a = F31.random_nonzero(rng)
         b = F31.random_nonzero(rng)
-        assert field_inv(a * b) == field_inv(a) * field_inv(b)
+        assert (a * b).inverse() == a.inverse() * b.inverse()
 
 
 def test_division_and_pow():
@@ -279,7 +276,7 @@ def test_codec_capacity_guard():
 def test_gradient_vector_helpers():
     codec = FixedPointCodec(scale_bits=16, clip_bound=8.0)
     vec = [0.25, -0.5, 7.999]
-    enc = encode_gradient(vec, codec, F130)
-    dec = decode_gradient(enc, codec)
+    enc = codec.encode(vec, F130)
+    dec = codec.decode(enc)
     for orig, back in zip(vec, dec):
         assert abs(orig - back) <= 2 ** -16

@@ -1,0 +1,64 @@
+"""Imports between secel modules point one way only, down the layer order.
+
+Function-local imports count too: they are parsed, not executed.
+"""
+
+import ast
+from pathlib import Path
+
+import secel
+
+# lowest layer first; modules on one layer may not import each other
+LAYERS = (
+    ("errors",),
+    ("algebra",),
+    ("sharing", "maskmac"),
+    ("group_variant",),
+    ("simnet",),
+    ("protocol",),
+    ("fedlearn",),
+    ("cli",),
+)
+RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
+FACADES = {"__init__", "__main__"}  # the package entry points may import anything
+
+SRC = Path(secel.__file__).resolve().parent
+
+
+def secel_imports(tree: ast.AST) -> set[str]:
+    """Names of the secel modules a parsed module imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        elif isinstance(node, ast.ImportFrom) and node.module:  # from .x import y
+            modules = [f"secel.{node.module}"]
+        elif isinstance(node, ast.ImportFrom):  # from . import x
+            modules = [f"secel.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(m.split(".")[1] for m in modules if m.startswith("secel."))
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in SRC.glob("*.py")} - FACADES
+    assert modules == set(RANK)
+
+
+def test_imports_only_point_down():
+    upward = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in FACADES:
+            continue
+        for target in secel_imports(ast.parse(path.read_text())):
+            if RANK[target] >= RANK[path.stem]:
+                upward.append(f"{path.stem} -> {target}")
+    assert upward == []
+
+
+def test_function_local_imports_are_seen():
+    source = "def f():\n    from .protocol import run_rounds\n    import secel.cli\n"
+    assert secel_imports(ast.parse(source)) == {"protocol", "cli"}

@@ -11,12 +11,10 @@ from secel.protocol import (
     RoundSpec,
     ScenarioResult,
     elect_leader,
-    mask_key_note,
-    recovery_quorum,
     run_rounds,
     run_setup,
 )
-from secel.simnet import Fault, SimConfig, run_scenario
+from secel.simnet import Fault, SimConfig, Simulator
 
 
 def field_sum_oracle(result: ScenarioResult, members, round_state=None):
@@ -250,6 +248,33 @@ def test_tampering_is_rejected_without_leaking(variant, tamper):
         assert getattr(node, "plaintext", None) is None
 
 
+MALFORMED_AGGREGATES = {
+    "truncated": lambda body: {**body, "c": body["c"][:1]},
+    "duplicate_member": lambda body: {**body, "m": body["m"] + body["m"][:1]},
+    "non_int_member": lambda body: {**body, "m": [str(body["m"][0])] + body["m"][1:]},
+    "string_element": lambda body: {**body, "c": [["x", body["c"][0][1]]] + body["c"][1:]},
+}
+
+
+@pytest.mark.parametrize("variant", ["scalar", "group"])
+@pytest.mark.parametrize("mutation", sorted(MALFORMED_AGGREGATES))
+def test_malformed_aggregate_is_rejected(monkeypatch, variant, mutation):
+    broadcast = Simulator.broadcast
+
+    def rewrite(sim, src, dsts, kind, body):
+        if kind == "aggregate":
+            body = MALFORMED_AGGREGATES[mutation](body)
+        broadcast(sim, src, dsts, kind, body)
+
+    monkeypatch.setattr(Simulator, "broadcast", rewrite)
+    spec = RoundSpec(n=4, t=2, length=4, variant=variant)
+    result = run_rounds(spec, SimConfig(seed=3, n=4))
+    r = result.rounds[0]
+    assert r.phase == "rejected" and r.error == "MalformedAggregate"
+    assert r.verified is None and r.field_sum is None and r.delivered_to == []
+    assert result.transcript.count(type="note", note="malformed_aggregate") == 4
+
+
 def test_contribution_gating_for_silent_submitters():
     spec = RoundSpec(n=4, t=2, length=3, s_min=2)
     faults = [Fault(id=2, phase="masking", action="drop_outbound")]
@@ -367,22 +392,6 @@ def test_run_setup_share_loss_and_quorum():
         )
 
 
-def test_mask_key_note_and_recovery_quorum():
-    import random
-
-    modulus = PrimeModulus(31)
-    setup = run_setup(
-        [1, 2, 3, 4], t=2, modulus=modulus, rng=random.Random(2), share_loss=(4,)
-    )
-    notes = {h: mask_key_note(setup.received_v[h]) for h in (1, 2, 3, 4)}
-    assert notes[4] == frozenset()
-    # dealer 4's first-round evaluations survive at the other three holders
-    assert recovery_quorum(notes, dealer=4, t=2) == [1, 2, 3]
-    # a dealer never vouches for itself
-    assert 1 not in recovery_quorum(notes, dealer=1, t=2)
-    assert recovery_quorum({1: notes[1]}, dealer=1, t=2) == []
-
-
 # ---- configuration plumbing ------------------------------------------------------------
 
 
@@ -438,7 +447,7 @@ def test_round_spec_from_dict_ignores_sim_keys_and_rejects_unknown():
     assert parsed.group.p == TOY_GROUP.p
 
 
-def test_run_scenario_accepts_one_flat_document():
+def test_run_rounds_accepts_one_flat_document():
     doc = {
         "seed": 11,
         "n": 7,
@@ -452,12 +461,22 @@ def test_run_scenario_accepts_one_flat_document():
             {"id": 7, "phase": "masking", "action": "disconnect"},
         ],
     }
-    result = run_scenario(doc)
+    result = run_rounds(doc)
     r = result.rounds[0]
     assert r.phase == "done" and r.m_set == [1, 2, 4, 5] and r.recovered == [4, 5]
     # flat-document drive equals the explicit two-object drive
     explicit = run_flagship(seed=11)
     assert result.transcript.to_ndjson() == explicit.transcript.to_ndjson()
+
+
+def test_run_rounds_document_seed_picks_the_simulation():
+    first = run_rounds({"n": 3, "seed": 5})
+    assert first.sim_config.seed == 5
+    second = run_rounds({"n": 3, "seed": 9})
+    assert first.transcript.to_ndjson() != second.transcript.to_ndjson()
+    assert run_rounds({"n": 3, "seed": 5}).transcript.to_ndjson() == (
+        first.transcript.to_ndjson()
+    )
 
 
 def test_sim_and_spec_disagreeing_on_n_is_an_error():

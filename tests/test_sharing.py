@@ -27,7 +27,6 @@ from secel.sharing import (
     DealerState,
     accumulate_sv,
     deal_direct,
-    loss_recovery_key,
     new_dealer,
     pairwise_key,
     reconstruct_secret,
@@ -278,25 +277,3 @@ def test_pairwise_key_symmetry_random():
         ki = pairwise_key(di, 2, dj.a_poly.eval(1))
         kj = pairwise_key(dj, 1, di.a_poly.eval(2))
         assert ki == kj
-
-
-def test_loss_recovery_key_both_sides_agree():
-    rng = random.Random(9)
-    for _ in range(100):
-        t = 3
-        lost = _dealer(4, t, [rng.randrange(31) for _ in range(t)])
-        # a share-loser has already wiped its second-dealing row
-        lost.a_poly = None
-        helper_id = rng.choice([1, 2, 3])
-        # helper's received copy of the lost party's dealt value
-        recv_v = lost.v_poly.eval(helper_id)
-        from_lost = loss_recovery_key(lost, 4, None, helper_id=helper_id)
-        from_helper = loss_recovery_key(None, 4, recv_v)
-        assert from_lost == from_helper
-
-
-def test_loss_recovery_key_missing_material():
-    with pytest.raises(MissingShare):
-        loss_recovery_key(None, 4, None)
-    with pytest.raises(ValueError):
-        loss_recovery_key(_dealer(4, 2, [1, 2]), 4, None)

@@ -23,7 +23,6 @@ from secel.simnet import (
     payload_digest,
     seal,
     secure_recv,
-    secure_send,
 )
 
 
@@ -211,7 +210,7 @@ def test_secure_send_and_recv_through_the_simulator():
     class Sender(Recorder):
         def on_phase_start(self, sim, phase):
             if self.id == 1:
-                secure_send(sim, key, 1, 2, "secret", {"v": 99})
+                sim.send(1, 2, "secret", {"v": 99}, key=key)
                 sim.send(1, 2, "open", {"v": 1})
 
     sim = make_sim(n=2, node_cls=Sender)
