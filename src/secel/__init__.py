@@ -9,7 +9,6 @@ and a deterministic multi-party simulator to run full protocol rounds.
 from .algebra import (
     DEFAULT_PRIME,
     MERSENNE_61,
-    FieldElement,
     FixedPointCodec,
     PrimeModulus,
     SymBivarPoly,
@@ -31,7 +30,6 @@ __all__ = [
     "MERSENNE_61",
     "TOY_GROUP",
     "Fault",
-    "FieldElement",
     "FixedPointCodec",
     "GroupParams",
     "PrimeModulus",

@@ -1,7 +1,9 @@
 """Prime-field arithmetic, polynomials, interpolation, and fixed-point codecs.
 
 Everything downstream (sharing, masking, the group variant) is built on the
-types here. Field elements are exact integers mod a pinned prime; gradients
+functions here. Field elements are plain ints in [0, p) for a pinned prime p:
+:class:`PrimeModulus` validates p once and draws uniform elements, and every
+operation that needs the modulus takes it (or p) as an argument. Gradients
 cross into the field through :class:`FixedPointCodec`.
 """
 
@@ -11,16 +13,10 @@ import random
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import (
-    DuplicatePoint,
-    InsufficientShares,
-    ModulusMismatch,
-    ZeroInverse,
-)
+from .errors import DuplicatePoint, InsufficientShares
 
 __all__ = [
     "PrimeModulus",
-    "FieldElement",
     "UniPoly",
     "SymBivarPoly",
     "FixedPointCodec",
@@ -83,113 +79,18 @@ def _checked_prime(p: int) -> int:
 
 
 class PrimeModulus:
-    """A validated odd prime p defining the field Z_p."""
+    """A validated odd prime p defining the field Z_p, and its uniform draws."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
         self.p = _checked_prime(p)
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(value % self.p, self)
+    def random_element(self, rng: random.Random) -> int:
+        return rng.randrange(self.p)
 
-    def random_element(self, rng: random.Random) -> FieldElement:
-        return FieldElement(rng.randrange(self.p), self)
-
-    def random_nonzero(self, rng: random.Random) -> FieldElement:
-        return FieldElement(1 + rng.randrange(self.p - 1), self)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeModulus) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(self.p)
-
-    def __repr__(self) -> str:
-        return f"PrimeModulus({self.p})"
-
-
-class FieldElement:
-    """An element of Z_p. Arithmetic between mismatched moduli raises."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: PrimeModulus):
-        p = modulus.p
-        self.value = value % p
-        self.modulus = modulus
-
-    # int operands are a convenience for literals in tests and callers.
-    def _other_value(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.modulus is not self.modulus and other.modulus.p != self.modulus.p:
-                raise ModulusMismatch(
-                    f"mixed moduli {self.modulus.p} and {other.modulus.p}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._other_value(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value + v) % self.modulus.p, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._other_value(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value - v) % self.modulus.p, self.modulus)
-
-    def __rsub__(self, other):
-        v = self._other_value(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((v - self.value) % self.modulus.p, self.modulus)
-
-    def __mul__(self, other):
-        v = self._other_value(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value * v) % self.modulus.p, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.modulus.p, self.modulus)
-
-    def inverse(self) -> FieldElement:
-        # Fermat: a^(p-2) mod p. Valid because p is prime and a != 0.
-        if self.value == 0:
-            raise ZeroInverse("0 has no multiplicative inverse")
-        p = self.modulus.p
-        return FieldElement(pow(self.value, p - 2, p), self.modulus)
-
-    def __truediv__(self, other):
-        v = self._other_value(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * FieldElement(v, self.modulus).inverse()
-
-    def __pow__(self, exponent: int):
-        return FieldElement(pow(self.value, exponent, self.modulus.p), self.modulus)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return other.modulus.p == self.modulus.p and other.value == self.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.modulus.p))
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value} mod {self.modulus.p})"
+    def random_nonzero(self, rng: random.Random) -> int:
+        return 1 + rng.randrange(self.p - 1)
 
 
 # ---- univariate polynomials --------------------------------------------------
@@ -199,19 +100,12 @@ class UniPoly:
 
     __slots__ = ("coeffs", "modulus")
 
-    def __init__(self, coeffs: Sequence[FieldElement]):
+    def __init__(self, coeffs: Sequence[int], modulus: PrimeModulus):
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
-        modulus = coeffs[0].modulus
-        for c in coeffs[1:]:
-            if c.modulus.p != modulus.p:
-                raise ModulusMismatch("coefficients from different fields")
-        self.coeffs = tuple(coeffs)
+        p = modulus.p
+        self.coeffs = tuple(c % p for c in coeffs)
         self.modulus = modulus
-
-    @classmethod
-    def from_ints(cls, values: Iterable[int], modulus: PrimeModulus) -> UniPoly:
-        return cls([modulus.element(v) for v in values])
 
     @classmethod
     def random(
@@ -219,45 +113,32 @@ class UniPoly:
         degree: int,
         modulus: PrimeModulus,
         rng: random.Random,
-        constant: FieldElement | int | None = None,
+        constant: int | None = None,
     ) -> UniPoly:
-        """Uniform coefficients; optionally pin the constant term."""
+        """Uniform coefficients; optionally pin the constant term.
+
+        The constant is drawn even when it is pinned, so the draw order (and
+        every seeded transcript) does not depend on whether it is.
+        """
         coeffs = [modulus.random_element(rng) for _ in range(degree + 1)]
         if constant is not None:
-            if isinstance(constant, int):
-                constant = modulus.element(constant)
             coeffs[0] = constant
-        return cls(coeffs)
+        return cls(coeffs, modulus)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval(self, x: FieldElement | int) -> FieldElement:
+    def eval(self, x: int) -> int:
         """Horner evaluation."""
         p = self.modulus.p
-        xv = x.value if isinstance(x, FieldElement) else x % p
+        x %= p
         acc = 0
         for c in reversed(self.coeffs):
-            acc = (acc * xv + c.value) % p
-        return FieldElement(acc, self.modulus)
+            acc = (acc * x + c) % p
+        return acc
 
-    def constant_term(self) -> FieldElement:
+    def constant_term(self) -> int:
         return self.coeffs[0]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UniPoly)
-            and self.modulus.p == other.modulus.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.modulus.p))
-
     def __repr__(self) -> str:
-        terms = ", ".join(str(c.value) for c in self.coeffs)
-        return f"UniPoly([{terms}] mod {self.modulus.p})"
+        return f"UniPoly({list(self.coeffs)} mod {self.modulus.p})"
 
 
 # ---- symmetric bivariate polynomials ------------------------------------------
@@ -271,18 +152,14 @@ class SymBivarPoly:
 
     __slots__ = ("t", "coeffs", "modulus")
 
-    def __init__(self, t: int, coeffs: dict[tuple[int, int], FieldElement]):
+    def __init__(self, t: int, coeffs: dict[tuple[int, int], int], modulus: PrimeModulus):
         if t < 1:
             raise ValueError("threshold must be >= 1")
         expected = {(i, j) for i in range(t) for j in range(i, t)}
         if set(coeffs) != expected:
             raise ValueError("coefficient keys must cover the upper triangle")
-        modulus = coeffs[(0, 0)].modulus
-        for c in coeffs.values():
-            if c.modulus.p != modulus.p:
-                raise ModulusMismatch("coefficients from different fields")
         self.t = t
-        self.coeffs = dict(coeffs)
+        self.coeffs = {k: c % modulus.p for k, c in coeffs.items()}
         self.modulus = modulus
 
     @classmethod
@@ -291,45 +168,41 @@ class SymBivarPoly:
         t: int,
         modulus: PrimeModulus,
         rng: random.Random,
-        secret: FieldElement | int | None = None,
+        secret: int | None = None,
     ) -> SymBivarPoly:
+        """Uniform coefficients; the secret, if pinned, still costs its draw."""
         coeffs = {
             (i, j): modulus.random_element(rng)
             for i in range(t)
             for j in range(i, t)
         }
         if secret is not None:
-            if isinstance(secret, int):
-                secret = modulus.element(secret)
             coeffs[(0, 0)] = secret
-        return cls(t, coeffs)
+        return cls(t, coeffs, modulus)
 
-    def coeff(self, i: int, j: int) -> FieldElement:
+    def coeff(self, i: int, j: int) -> int:
         return self.coeffs[(i, j) if i <= j else (j, i)]
 
-    def eval(self, x: FieldElement | int, y: FieldElement | int) -> FieldElement:
+    def eval(self, x: int, y: int) -> int:
         p = self.modulus.p
-        xv = x.value if isinstance(x, FieldElement) else x % p
-        yv = y.value if isinstance(y, FieldElement) else y % p
         acc = 0
         for i in range(self.t):
             for j in range(self.t):
-                acc = (acc + self.coeff(i, j).value * pow(xv, i, p) * pow(yv, j, p)) % p
-        return FieldElement(acc, self.modulus)
+                acc = (acc + self.coeff(i, j) * pow(x, i, p) * pow(y, j, p)) % p
+        return acc
 
-    def row(self, j: FieldElement | int) -> UniPoly:
+    def row(self, j: int) -> UniPoly:
         """F(x, j) as a univariate polynomial in x. By symmetry F(j, y) is the same."""
         p = self.modulus.p
-        jv = j.value if isinstance(j, FieldElement) else j % p
         out = []
         for i in range(self.t):
             acc = 0
             for k in range(self.t):
-                acc = (acc + self.coeff(i, k).value * pow(jv, k, p)) % p
-            out.append(FieldElement(acc, self.modulus))
-        return UniPoly(out)
+                acc = (acc + self.coeff(i, k) * pow(j, k, p)) % p
+            out.append(acc)
+        return UniPoly(out, self.modulus)
 
-    def secret(self) -> FieldElement:
+    def secret(self) -> int:
         return self.coeffs[(0, 0)]
 
 
@@ -355,54 +228,29 @@ def lagrange_coeffs_at(xs: Sequence[int], x0: int, p: int) -> list[int]:
     return out
 
 
-def _check_points(
-    points: Sequence[tuple], t: int, require_nonzero_x: bool
-) -> tuple[list[int], list[int], PrimeModulus]:
+def _interpolate(
+    points: Sequence[tuple[int, int]], x0: int, t: int, p: int, reserve_zero: bool
+) -> int:
     if t < 1:
         raise ValueError("threshold must be >= 1")
     if len(points) < t:
         raise InsufficientShares(f"need {t} points, got {len(points)}")
-    first = points[0][1]
-    modulus = first.modulus if isinstance(first, FieldElement) else None
-    if modulus is None:
-        raise TypeError("points must carry FieldElement values")
-    xs: list[int] = []
-    ys: list[int] = []
-    for x, y in points[:t]:
-        xv = x.value if isinstance(x, FieldElement) else x % modulus.p
-        if isinstance(y, FieldElement):
-            if y.modulus.p != modulus.p:
-                raise ModulusMismatch("points from different fields")
-            yv = y.value
-        else:
-            yv = y % modulus.p
-        if require_nonzero_x and xv == 0:
-            raise ValueError("x = 0 is reserved for the secret")
-        xs.append(xv)
-        ys.append(yv)
-    return xs, ys, modulus
-
-
-def lagrange_at(points: Sequence[tuple], x0: int, t: int) -> FieldElement:
-    """Value at x0 of the unique degree-(t-1) polynomial through the first t points."""
-    xs, ys, modulus = _check_points(points, t, require_nonzero_x=False)
-    p = modulus.p
+    use = points[:t]
+    xs = [x % p for x, _ in use]
+    if reserve_zero and 0 in xs:
+        raise ValueError("x = 0 is reserved for the secret")
     lam = lagrange_coeffs_at(xs, x0 % p, p)
-    acc = 0
-    for li, yi in zip(lam, ys):
-        acc = (acc + li * yi) % p
-    return FieldElement(acc, modulus)
+    return sum(li * y for li, (_, y) in zip(lam, use)) % p
 
 
-def lagrange_at_zero(points: Sequence[tuple], t: int) -> FieldElement:
+def lagrange_at(points: Sequence[tuple[int, int]], x0: int, t: int, p: int) -> int:
+    """Value at x0 of the unique degree-(t-1) polynomial through the first t points."""
+    return _interpolate(points, x0, t, p, reserve_zero=False)
+
+
+def lagrange_at_zero(points: Sequence[tuple[int, int]], t: int, p: int) -> int:
     """Interpolate the constant term (the secret) from the first t shares."""
-    xs, ys, modulus = _check_points(points, t, require_nonzero_x=True)
-    p = modulus.p
-    lam = lagrange_coeffs_at(xs, 0, p)
-    acc = 0
-    for li, yi in zip(lam, ys):
-        acc = (acc + li * yi) % p
-    return FieldElement(acc, modulus)
+    return _interpolate(points, 0, t, p, reserve_zero=True)
 
 
 # ---- fixed-point codec ---------------------------------------------------------
@@ -442,28 +290,28 @@ class FixedPointCodec:
                 f"scale_bits={self.scale_bits}"
             )
 
-    def encode_value(self, v: float, modulus: PrimeModulus) -> FieldElement:
+    def encode_value(self, v: float, modulus: PrimeModulus) -> int:
         clipped = min(max(float(v), -self.clip_bound), self.clip_bound)
         if not self.signed:
             clipped += self.clip_bound
-        return modulus.element(round(clipped * self.scale))
+        return round(clipped * self.scale) % modulus.p
 
-    def decode_sum(self, e: FieldElement, m_count: int = 1) -> float:
-        """Decode a sum of m_count encodings back to a real."""
-        p = e.modulus.p
-        v = e.value
+    def decode_sum(self, v: int, modulus: PrimeModulus, m_count: int = 1) -> float:
+        """Decode a sum of m_count encodings, a value mod p, back to a real."""
         if self.signed:
-            if v > p // 2:
-                v -= p
+            if v > modulus.p // 2:
+                v -= modulus.p
             return v / self.scale
         # shifted: subtract the m_count copies of the clip offset
         return v / self.scale - m_count * self.clip_bound
 
-    def encode(self, values: Iterable[float], modulus: PrimeModulus) -> list[FieldElement]:
+    def encode(self, values: Iterable[float], modulus: PrimeModulus) -> list[int]:
         return [self.encode_value(v, modulus) for v in values]
 
-    def decode(self, elems: Sequence[FieldElement], m_count: int = 1) -> list[float]:
-        return [self.decode_sum(e, m_count) for e in elems]
+    def decode(
+        self, elems: Sequence[int], modulus: PrimeModulus, m_count: int = 1
+    ) -> list[float]:
+        return [self.decode_sum(v, modulus, m_count) for v in elems]
 
     def __repr__(self) -> str:
         kind = "signed" if self.signed else "shifted"

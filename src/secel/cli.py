@@ -26,14 +26,7 @@ import time
 
 from .algebra import DEFAULT_PRIME, PrimeModulus
 from .errors import ConfigError, SecelError
-from .fedlearn import (
-    ACCURACY_HEADER,
-    DEFAULT_FRACTIONS,
-    TrainConfig,
-    dropout_experiment,
-    train,
-    write_accuracy_csv,
-)
+from .fedlearn import DEFAULT_FRACTIONS, TrainConfig, train, write_accuracy_csv
 from .maskmac import (
     aggregate_vectors,
     mask_vector,
@@ -132,23 +125,24 @@ def _bench_kernels(n: int, l: int, seed: int):
     setup = run_setup(ids, t, modulus, rng)
     masking = {i: setup.dealers[i].masking_secret() for i in ids}
     self_keys = {i: setup.dealers[i].self_key() for i in ids}
-    s = sum_auth_keys(modulus.random_nonzero(rng) for _ in ids)
-    k = sum_auth_keys(self_keys.values())
+    p = modulus.p
+    s = sum_auth_keys((modulus.random_nonzero(rng) for _ in ids), p)
+    k = sum_auth_keys(self_keys.values(), p)
     values = {
         i: [modulus.random_element(rng) for _ in range(l)] for i in ids
     }
-    masked = [mask_vector(values[i], masking[i], self_keys[i], s, 1) for i in ids]
-    agg = aggregate_vectors(masked)
-    key_sum = sum_auth_keys(masking.values())
+    masked = [mask_vector(values[i], masking[i], self_keys[i], s, 1, p) for i in ids]
+    agg = aggregate_vectors(masked, p)
+    key_sum = sum_auth_keys(masking.values(), p)
     dealing_rng_seed = derive_seed(seed, "bench-setup", n, l)
     return {
         "setup": lambda: run_setup(ids, t, modulus, random.Random(dealing_rng_seed)),
         "mask": lambda: [
-            mask_vector(values[i], masking[i], self_keys[i], s, 1) for i in ids
+            mask_vector(values[i], masking[i], self_keys[i], s, 1, p) for i in ids
         ],
-        "agg": lambda: aggregate_vectors(masked),
-        "verify": lambda: verify_vector(agg, k, s, 1),
-        "decrypt": lambda: unmask_vector(agg, key_sum, 1),
+        "agg": lambda: aggregate_vectors(masked, p),
+        "verify": lambda: verify_vector(agg, k, s, 1, p),
+        "decrypt": lambda: unmask_vector(agg, key_sum, 1, p),
     }
 
 

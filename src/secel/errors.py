@@ -13,14 +13,6 @@ class SecelError(Exception):
 
 # ---- algebra ----------------------------------------------------------------
 
-class ZeroInverse(SecelError):
-    """Multiplicative inverse of zero requested."""
-
-
-class ModulusMismatch(SecelError):
-    """Two field elements (or polynomials) from different prime fields were mixed."""
-
-
 class InsufficientShares(SecelError):
     """Fewer than t points/shares were supplied to an interpolation."""
 
@@ -50,7 +42,7 @@ class ZeroAuthKey(SecelError):
 
 
 class LabelMismatch(SecelError):
-    """Masked pairs from different rounds or element indices were combined."""
+    """Masked vectors of different lengths (so unmatched labels) were combined."""
 
 
 # ---- group variant ----------------------------------------------------------

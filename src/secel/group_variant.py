@@ -10,7 +10,9 @@ because nothing round-specific ever leaves the exponent except the fresh
 round keys s_i.
 
 Exponent arithmetic lives in Z_q, so this module reuses the scalar masking
-math with q as the field modulus and lifts the results through G^x.
+math with q as the field modulus and lifts the results through G^x. Masked
+vectors use the scalar wire format, a list of [c1, c2] pairs, with both
+components lifted.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from math import isqrt
 from typing import Sequence
 
 from .algebra import PrimeModulus, is_probable_prime, lagrange_coeffs_at
-from .errors import LabelMismatch, NotFound, ZeroAuthKey
-from .maskmac import RoundLabel, label_coeff
+from .errors import LabelMismatch, NotFound
+from .maskmac import RoundLabel, label_coeff, mask_vector
 
 __all__ = [
     "GroupParams",
     "KeyPair",
-    "GroupMaskedPair",
     "TOY_GROUP",
     "DEFAULT_GROUP",
     "wrap_share",
@@ -149,19 +150,6 @@ def exp_lagrange_at_zero(
 
 # ---- masking in the exponent -------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupMaskedPair:
-    """(G^c1, G^c2) for one element, bound to one label."""
-
-    c1: int
-    c2: int
-    round: int
-    index: int
-
-    @property
-    def label(self) -> RoundLabel:
-        return RoundLabel(self.round, self.index)
-
 
 def group_mask_vector(
     values: Sequence[int],
@@ -170,50 +158,36 @@ def group_mask_vector(
     s: int,
     round_no: int,
     params: GroupParams,
-) -> list[GroupMaskedPair]:
-    """Compute the scalar (c1, c2) in Z_q, then lift both into the group.
+) -> list[list[int]]:
+    """The scalar [c1, c2] pairs of mask_vector over Z_q, each lifted to G^c.
 
     The contributor knows all its exponents, so the scalar math runs locally;
     only group elements go on the wire.
     """
-    q = params.q
-    if s % q == 0:
-        raise ZeroAuthKey("round authentication key is zero; resample the round")
-    s_inv = pow(s, q - 2, q)
-    out = []
-    for idx, w in enumerate(values):
-        h = label_coeff(RoundLabel(round_no, idx), q)
-        c1 = (masking_secret * h + w) % q
-        c2 = ((self_key * h - c1) * s_inv) % q
-        out.append(
-            GroupMaskedPair(
-                c1=params.lift(c1), c2=params.lift(c2), round=round_no, index=idx
-            )
-        )
-    return out
+    lift = params.lift
+    return [
+        [lift(c1), lift(c2)]
+        for c1, c2 in mask_vector(values, masking_secret, self_key, s, round_no, params.q)
+    ]
 
 
 def group_aggregate(
-    vectors: Sequence[Sequence[GroupMaskedPair]], params: GroupParams
-) -> list[GroupMaskedPair]:
+    vectors: Sequence[Sequence[Sequence[int]]], params: GroupParams
+) -> list[list[int]]:
     """Componentwise product: multiplying lifts adds the hidden exponents."""
     if not vectors:
         raise ValueError("nothing to aggregate")
     length = len(vectors[0])
-    for v in vectors:
-        if len(v) != length:
-            raise LabelMismatch("vectors of different lengths")
+    if any(len(v) != length for v in vectors):
+        raise LabelMismatch("vectors of different lengths")
+    p = params.p
     out = []
-    for i in range(length):
-        first = vectors[0][i]
-        c1, c2 = first.c1, first.c2
-        for v in vectors[1:]:
-            pair = v[i]
-            if pair.label != first.label:
-                raise LabelMismatch(f"label {pair.label} != {first.label}")
-            c1 = (c1 * pair.c1) % params.p
-            c2 = (c2 * pair.c2) % params.p
-        out.append(GroupMaskedPair(c1=c1, c2=c2, round=first.round, index=first.index))
+    for column in zip(*vectors):
+        c1 = c2 = 1
+        for a, b in column:
+            c1 = (c1 * a) % p
+            c2 = (c2 * b) % p
+        out.append([c1, c2])
     return out
 
 
@@ -226,7 +200,7 @@ def combine_key_lifts(key_lifts: Sequence[int], params: GroupParams) -> int:
 
 
 def group_verify(
-    agg: Sequence[GroupMaskedPair],
+    agg: Sequence[Sequence[int]],
     g_k: int,
     s: int,
     round_no: int,
@@ -237,30 +211,26 @@ def group_verify(
     The right side is (G^k)^H(label): the label coefficient is public, so the
     verifier only needs the recovered lift of the combined key.
     """
-    for idx, pair in enumerate(agg):
-        if pair.label != RoundLabel(round_no, idx):
-            raise LabelMismatch(f"aggregate label {pair.label} out of order")
+    p, s = params.p, s % params.q
+    for idx, (c1, c2) in enumerate(agg):
         h = label_coeff(RoundLabel(round_no, idx), params.q)
-        lhs = (pow(pair.c2, s % params.q, params.p) * pair.c1) % params.p
-        if lhs != pow(g_k, h, params.p):
+        if (pow(c2, s, p) * c1) % p != pow(g_k, h, p):
             return False
     return True
 
 
 def group_unmask(
-    agg: Sequence[GroupMaskedPair],
+    agg: Sequence[Sequence[int]],
     g_pad_base: int,
     round_no: int,
     params: GroupParams,
 ) -> list[int]:
     """Strip the pad: G^(sum w) = c1 / (G^(sum V_i(0)))^H(label), per element."""
     out = []
-    for idx, pair in enumerate(agg):
-        if pair.label != RoundLabel(round_no, idx):
-            raise LabelMismatch(f"aggregate label {pair.label} out of order")
+    for idx, (c1, _) in enumerate(agg):
         h = label_coeff(RoundLabel(round_no, idx), params.q)
         pad = pow(g_pad_base, h, params.p)
-        out.append((pair.c1 * params.inv(pad)) % params.p)
+        out.append((c1 * params.inv(pad)) % params.p)
     return out
 
 

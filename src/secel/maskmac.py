@@ -7,33 +7,28 @@ an untrusted aggregator can add them blind; verifiers then check
 PRG(k, label) == c2 * s + c1 against the recovered k = sum of k_i, and the sum
 of inputs comes back as c1 - PRG(sum of V_i(0), label).
 
-The PRG is key-linear: prg(key, label) = key * H(label) mod p, with H a hash
+The PRG is key-linear: PRG(key, label) = key * H(label) mod p, with H a hash
 of the label pinned into [1, p-1]. Linearity in the key is exactly what makes
 the tags aggregate; it also means this is not a general-purpose PRF, so keys
 must be fresh every round (the protocol layer enforces that).
+
+Everything here is arithmetic on ints mod p, on whole vectors in the wire
+format: a masked vector is a list of [c1, c2] pairs, and the label of a pair
+is (round, its position in the list).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import FieldElement, PrimeModulus
 from .errors import LabelMismatch, ZeroAuthKey
 
 __all__ = [
     "RoundLabel",
-    "MaskedPair",
     "label_coeff",
-    "prg",
-    "mask",
-    "tag",
     "sum_auth_keys",
-    "aggregate",
-    "verify",
-    "unmask",
     "mask_vector",
     "aggregate_vectors",
     "verify_vector",
@@ -59,147 +54,66 @@ def label_coeff(label: RoundLabel, p: int) -> int:
     return 1 + int.from_bytes(digest, "big") % (p - 1)
 
 
-def prg(key: FieldElement, label: RoundLabel, coeff: int | None = None) -> FieldElement:
-    """Key-linear pad: prg(a+b) = prg(a) + prg(b), prg(c*a) = c * prg(a)."""
-    h = label_coeff(label, key.modulus.p) if coeff is None else coeff
-    return key * h
-
-
-def mask(
-    w: FieldElement,
-    masking_secret: FieldElement,
-    label: RoundLabel,
-    coeff: int | None = None,
-) -> FieldElement:
-    """c1 = PRG(V_i(0), label) + w."""
-    return prg(masking_secret, label, coeff) + w
-
-
-def tag(
-    c1: FieldElement,
-    self_key: FieldElement,
-    s: FieldElement,
-    label: RoundLabel,
-    coeff: int | None = None,
-) -> FieldElement:
-    """c2 = (PRG(k_i, label) - c1) / s. Requires the round key s != 0."""
-    if s.value == 0:
-        raise ZeroAuthKey("round authentication key is zero; resample the round")
-    return (prg(self_key, label, coeff) - c1) / s
-
-
-def sum_auth_keys(s_values: Iterable[FieldElement]) -> FieldElement:
-    """s = sum of the per-participant round keys; zero forces a resample."""
-    total = None
-    for v in s_values:
-        total = v if total is None else total + v
-    if total is None:
+def sum_auth_keys(s_values: Iterable[int], p: int) -> int:
+    """s = sum of the per-participant round keys mod p; zero forces a resample."""
+    values = list(s_values)
+    if not values:
         raise ValueError("no round keys supplied")
-    if total.value == 0:
+    total = sum(values) % p
+    if total == 0:
         raise ZeroAuthKey("round authentication key summed to zero")
     return total
 
 
-@dataclass(frozen=True)
-class MaskedPair:
-    """One masked element with its tag, bound to a single label."""
-
-    c1: FieldElement
-    c2: FieldElement
-    round: int
-    index: int
-
-    @property
-    def label(self) -> RoundLabel:
-        return RoundLabel(self.round, self.index)
-
-
-def aggregate(pairs: Sequence[MaskedPair]) -> MaskedPair:
-    """Componentwise sum; all pairs must share one label."""
-    if not pairs:
-        raise ValueError("nothing to aggregate")
-    first = pairs[0]
-    c1, c2 = first.c1, first.c2
-    for p in pairs[1:]:
-        if p.round != first.round or p.index != first.index:
-            raise LabelMismatch(
-                f"label {(p.round, p.index)} != {(first.round, first.index)}"
-            )
-        c1 = c1 + p.c1
-        c2 = c2 + p.c2
-    return MaskedPair(c1=c1, c2=c2, round=first.round, index=first.index)
-
-
-def verify(
-    agg: MaskedPair,
-    k: FieldElement,
-    s: FieldElement,
-    label: RoundLabel,
-    coeff: int | None = None,
-) -> bool:
-    """PRG(k, label) == c2 * s + c1, with k the sum of contributors' k_i."""
-    if agg.label != label:
-        raise LabelMismatch(f"aggregate label {agg.label} != {label}")
-    return prg(k, label, coeff) == agg.c2 * s + agg.c1
-
-
-def unmask(
-    agg: MaskedPair,
-    masking_secret_sum: FieldElement,
-    label: RoundLabel,
-    coeff: int | None = None,
-) -> FieldElement:
-    """Sum of inputs = c1 - PRG(sum of V_i(0), label)."""
-    if agg.label != label:
-        raise LabelMismatch(f"aggregate label {agg.label} != {label}")
-    return agg.c1 - prg(masking_secret_sum, label, coeff)
-
-
-# ---- vector helpers --------------------------------------------------------------
-# The protocol masks whole gradient vectors; these share the per-label hash work.
-
 def mask_vector(
-    values: Sequence[FieldElement],
-    masking_secret: FieldElement,
-    self_key: FieldElement,
-    s: FieldElement,
+    values: Sequence[int],
+    masking_secret: int,
+    self_key: int,
+    s: int,
     round_no: int,
-) -> list[MaskedPair]:
-    if s.value == 0:
+    p: int,
+) -> list[list[int]]:
+    """One contributor's [c1, c2] per element: c1 = PRG(V_i(0), label) + w and
+    c2 = (PRG(k_i, label) - c1) / s. Requires the round key s != 0."""
+    if s % p == 0:
         raise ZeroAuthKey("round authentication key is zero; resample the round")
-    p = masking_secret.modulus.p
-    s_inv = s.inverse()
+    s_inv = pow(s, p - 2, p)
     out = []
     for idx, w in enumerate(values):
         h = label_coeff(RoundLabel(round_no, idx), p)
-        c1 = masking_secret * h + w
-        c2 = (self_key * h - c1) * s_inv
-        out.append(MaskedPair(c1=c1, c2=c2, round=round_no, index=idx))
+        c1 = (masking_secret * h + w) % p
+        out.append([c1, (self_key * h - c1) * s_inv % p])
     return out
 
 
-def aggregate_vectors(vectors: Sequence[Sequence[MaskedPair]]) -> list[MaskedPair]:
+def aggregate_vectors(vectors: Sequence[Sequence[Sequence[int]]], p: int) -> list[list[int]]:
+    """Componentwise sum mod p; every vector must carry the same labels."""
     if not vectors:
         raise ValueError("nothing to aggregate")
     length = len(vectors[0])
-    for v in vectors:
-        if len(v) != length:
-            raise LabelMismatch("vectors of different lengths")
-    return [aggregate([v[i] for v in vectors]) for i in range(length)]
+    if any(len(v) != length for v in vectors):
+        raise LabelMismatch("vectors of different lengths")
+    return [
+        [sum(pair[0] for pair in column) % p, sum(pair[1] for pair in column) % p]
+        for column in zip(*vectors)
+    ]
 
 
 def verify_vector(
-    agg: Sequence[MaskedPair], k: FieldElement, s: FieldElement, round_no: int
+    agg: Sequence[Sequence[int]], k: int, s: int, round_no: int, p: int
 ) -> bool:
+    """PRG(k, label) == c2 * s + c1 for every element, with k the sum of k_i."""
     return all(
-        verify(pair, k, s, RoundLabel(round_no, i)) for i, pair in enumerate(agg)
+        (k * label_coeff(RoundLabel(round_no, idx), p) - c2 * s - c1) % p == 0
+        for idx, (c1, c2) in enumerate(agg)
     )
 
 
 def unmask_vector(
-    agg: Sequence[MaskedPair], masking_secret_sum: FieldElement, round_no: int
-) -> list[FieldElement]:
+    agg: Sequence[Sequence[int]], masking_secret_sum: int, round_no: int, p: int
+) -> list[int]:
+    """Sum of inputs per element = c1 - PRG(sum of V_i(0), label)."""
     return [
-        unmask(pair, masking_secret_sum, RoundLabel(round_no, i))
-        for i, pair in enumerate(agg)
+        (c1 - masking_secret_sum * label_coeff(RoundLabel(round_no, idx), p)) % p
+        for idx, (c1, _) in enumerate(agg)
     ]

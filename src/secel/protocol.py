@@ -41,7 +41,6 @@ from typing import Any
 
 from .algebra import (
     DEFAULT_PRIME,
-    FieldElement,
     FixedPointCodec,
     PrimeModulus,
     UniPoly,
@@ -60,7 +59,6 @@ from .errors import (
 from .group_variant import (
     DEFAULT_GROUP,
     TOY_GROUP,
-    GroupMaskedPair,
     GroupParams,
     KeyPair,
     bsgs,
@@ -74,7 +72,7 @@ from .group_variant import (
     unwrap_share,
     wrap_share,
 )
-from .maskmac import MaskedPair, aggregate_vectors, mask_vector, unmask_vector, verify_vector
+from .maskmac import aggregate_vectors, mask_vector, unmask_vector, verify_vector
 from .sharing import (
     DealerState,
     accumulate_sv,
@@ -154,8 +152,8 @@ class SetupResult:
     """Offline (simulator-free) outcome of a full-attendance two-step dealing."""
 
     dealers: dict[int, DealerState]
-    received_v: dict[int, dict[int, FieldElement]]  # holder -> dealer -> V_dealer(holder)
-    received_a: dict[int, dict[int, FieldElement]]  # holder -> dealer -> A_dealer(holder)
+    received_v: dict[int, dict[int, int]]  # holder -> dealer -> V_dealer(holder)
+    received_a: dict[int, dict[int, int]]  # holder -> dealer -> A_dealer(holder)
     survivors: list[int]  # ids still holding a complete bundle (the set T)
 
 
@@ -177,8 +175,8 @@ def run_setup(
     ids = sorted(ids)
     n = len(ids)
     dealers = {i: new_dealer(i, t, n, modulus, rng) for i in ids}
-    received_v: dict[int, dict[int, FieldElement]] = {i: {} for i in ids}
-    received_a: dict[int, dict[int, FieldElement]] = {i: {} for i in ids}
+    received_v: dict[int, dict[int, int]] = {i: {} for i in ids}
+    received_a: dict[int, dict[int, int]] = {i: {} for i in ids}
     for i in ids:
         for j, value in step1_messages(dealers[i], ids).items():
             received_v[j][i] = value
@@ -383,9 +381,9 @@ class ScenarioResult:
 #
 # The leader and the aggregator are written once against these two objects.
 # Values travel as plain ints: field values mod p for the scalar variant,
-# lifts G^x mod P for the group variant. Each object converts to its kernel's
-# types at the call, so the maskmac / group_variant / sharing / algebra calls
-# stay exactly those of the variant.
+# lifts G^x mod P for the group variant. Masked vectors stay in the wire
+# format, lists of [c1, c2] pairs, from the contributor's mask through the
+# aggregator's sum to the leader's check, so each method is one kernel call.
 
 
 class ScalarArith:
@@ -395,8 +393,7 @@ class ScalarArith:
     SHARE_FIELD = "s_v"  # share_resp key of the responder's own share
 
     def __init__(self, spec: RoundSpec):
-        self.field = spec.field_modulus()
-        self.p = self.q = self.field.p  # values live mod p, exponents mod q
+        self.p = self.q = spec.prime  # values live mod p, exponents mod q
 
     def lift(self, x: int) -> int:
         return x
@@ -405,47 +402,32 @@ class ScalarArith:
         return sum(values) % self.p
 
     def interpolate(self, points: list[tuple[int, int]], x: int, t: int) -> int:
-        elem = self.field.element
-        pts = [(elem(j), elem(y)) for j, y in points]
-        value = lagrange_at_zero(pts, t) if x == 0 else lagrange_at(pts, x, t)
-        return value.value
+        if x == 0:
+            return lagrange_at_zero(points, t, self.p)
+        return lagrange_at(points, x, t, self.p)
 
     def recover_lost(self, q: int, held_a: dict, shares: dict, t: int):
         """s_v of share-loser q from t helpers' second-row evaluations A_q(j)."""
-        elem = self.field.element
-        helpers = {j: elem(a[q]) for j, a in held_a.items() if q in a and j != q}
+        helpers = {j: a[q] for j, a in held_a.items() if q in a and j != q}
         if len(helpers) < t:
             raise RecoveryQuorumFailure(
                 f"share loser {q}: {len(helpers)} helpers, need {t}"
             )
-        return recover_lost_share(q, helpers, t).value, sorted(helpers)[:t]
+        return recover_lost_share(q, helpers, t, self.p), sorted(helpers)[:t]
 
-    def pairs(self, wire: list[list[int]], round_no: int) -> list[MaskedPair]:
-        elem = self.field.element
-        return [
-            MaskedPair(elem(a), elem(b), round_no, idx)
-            for idx, (a, b) in enumerate(wire)
-        ]
-
-    def mask(self, values, dealer: DealerState, s: FieldElement, round_no: int):
-        pairs = mask_vector(
-            values,
-            masking_secret=dealer.masking_secret(),
-            self_key=dealer.self_key(),
-            s=s,
-            round_no=round_no,
+    def mask(self, values, dealer: DealerState, s: int, round_no: int):
+        return mask_vector(
+            values, dealer.masking_secret(), dealer.self_key(), s, round_no, self.p
         )
-        return [[p.c1.value, p.c2.value] for p in pairs]
 
-    def aggregate(self, wires: list, round_no: int) -> list[list[int]]:
-        agg = aggregate_vectors([self.pairs(w, round_no) for w in wires])
-        return [[p.c1.value, p.c2.value] for p in agg]
+    def aggregate(self, wires: list) -> list[list[int]]:
+        return aggregate_vectors(wires, self.p)
 
-    def verify(self, pairs, k: int, s: FieldElement, round_no: int) -> bool:
-        return verify_vector(pairs, self.field.element(k), s, round_no)
+    def verify(self, pairs, k: int, s: int, round_no: int) -> bool:
+        return verify_vector(pairs, k, s, round_no, self.p)
 
     def unmask(self, pairs, pad: int, round_no: int, m_count: int) -> list[int]:
-        return [e.value for e in unmask_vector(pairs, self.field.element(pad), round_no)]
+        return unmask_vector(pairs, pad, round_no, self.p)
 
 
 class GroupArith:
@@ -477,29 +459,16 @@ class GroupArith:
             raise RecoveryQuorumFailure(f"share loser {q}: {len(pts)} helpers, need {t}")
         return self.interpolate(pts[:t], q, t), [j for j, _ in pts[:t]]
 
-    def pairs(self, wire: list[list[int]], round_no: int) -> list[GroupMaskedPair]:
-        return [
-            GroupMaskedPair(c1=a, c2=b, round=round_no, index=idx)
-            for idx, (a, b) in enumerate(wire)
-        ]
-
-    def mask(self, values, dealer: DealerState, s: FieldElement, round_no: int):
-        pairs = group_mask_vector(
-            [v.value for v in values],
-            masking_secret=dealer.masking_secret().value,
-            self_key=dealer.self_key().value,
-            s=s.value,
-            round_no=round_no,
-            params=self.group,
+    def mask(self, values, dealer: DealerState, s: int, round_no: int):
+        return group_mask_vector(
+            values, dealer.masking_secret(), dealer.self_key(), s, round_no, self.group
         )
-        return [[p.c1, p.c2] for p in pairs]
 
-    def aggregate(self, wires: list, round_no: int) -> list[list[int]]:
-        agg = group_aggregate([self.pairs(w, round_no) for w in wires], self.group)
-        return [[p.c1, p.c2] for p in agg]
+    def aggregate(self, wires: list) -> list[list[int]]:
+        return group_aggregate(wires, self.group)
 
-    def verify(self, pairs, k: int, s: FieldElement, round_no: int) -> bool:
-        return group_verify(pairs, k, s.value, round_no, self.group)
+    def verify(self, pairs, k: int, s: int, round_no: int) -> bool:
+        return group_verify(pairs, k, s, round_no, self.group)
 
     def unmask(self, pairs, pad: int, round_no: int, m_count: int) -> list[int]:
         lifted_sums = group_unmask(pairs, pad, round_no, self.group)
@@ -511,6 +480,23 @@ ARITH = {"scalar": ScalarArith, "group": GroupArith}
 
 
 # ---- helpers shared by the node implementations --------------------------------------
+
+
+def _pairs_problem(c: Any, length: int, p: int) -> str | None:
+    """Why c is not a masked vector: exactly `length` pairs of ints in [0, p)."""
+    if not isinstance(c, list) or len(c) != length:
+        return f"c does not hold {length} elements"
+    for pair in c:
+        if not (
+            type(pair) is list
+            and len(pair) == 2
+            and type(pair[0]) is int
+            and type(pair[1]) is int
+            and 0 <= pair[0] < p
+            and 0 <= pair[1] < p
+        ):
+            return "an element of c is not a pair of ints in [0, p)"
+    return None
 
 
 def _aggregate_problem(body: Any, spec: RoundSpec, p: int) -> str | None:
@@ -535,19 +521,7 @@ def _aggregate_problem(body: Any, spec: RoundSpec, p: int) -> str | None:
         return f"|m|={len(m)} is below the quorum {spec.quorum}"
     if not isinstance(failed, list) or any(type(i) is not int for i in failed):
         return "failed is not a list of ints"
-    if not isinstance(c, list) or len(c) != spec.length:
-        return f"c does not hold {spec.length} elements"
-    for pair in c:
-        if not (
-            type(pair) is list
-            and len(pair) == 2
-            and type(pair[0]) is int
-            and type(pair[1]) is int
-            and 0 <= pair[0] < p
-            and 0 <= pair[1] < p
-        ):
-            return "an element of c is not a pair of ints in [0, p)"
-    return None
+    return _pairs_problem(c, spec.length, p)
 
 
 @dataclass
@@ -591,8 +565,8 @@ class ParticipantNode(Node):
         self.chan_keys: dict[int, bytes] = {}
         self.complete = False
         self.s_setup: dict[int, int] = {}
-        self.s_own: FieldElement | None = None
-        self.s_total: FieldElement | None = None
+        self.s_own: int | None = None
+        self.s_total: int | None = None
         self.share_lift: int | None = None  # group mode own share G^V(id)
 
     def begin_round(self, round_no: int) -> None:
@@ -639,14 +613,14 @@ class ParticipantNode(Node):
         """This party's persistent share as an arith value: s_v = V(id), or G^V(id)."""
         if self.spec.variant == "group":
             return self.share_lift
-        return None if self.dealer.s_v is None else self.dealer.s_v.value
+        return self.dealer.s_v
 
     @own_share.setter
     def own_share(self, value: int) -> None:
         if self.spec.variant == "group":
             self.share_lift = value
         else:
-            self.dealer.s_v = self._elem(value)
+            self.dealer.s_v = value
 
     # -- small conveniences --------------------------------------------------------
 
@@ -654,18 +628,15 @@ class ParticipantNode(Node):
     def _peers(self) -> list[int]:
         return [i for i in self.spec.participant_ids if i != self.id]
 
-    def _elem(self, v: int) -> FieldElement:
-        return self.modulus.element(v)
-
     def _set_round_key(self, shares: dict[int, int]) -> None:
-        total = (self.s_own.value + sum(shares.values())) % self.modulus.p
+        total = (self.s_own + sum(shares.values())) % self.modulus.p
         # A zero round key would void every tag. All parties share the same
         # view of the summands, so they all apply the same deterministic fix.
-        self.s_total = self._elem(total or 1)
+        self.s_total = total or 1
 
     def _fallback_key(self, peer: int) -> bytes:
         """AEAD key from the one secret a share-loser still shares with a peer."""
-        value = self.arith.lift(self.dealer.v_poly.eval(peer).value)
+        value = self.arith.lift(self.dealer.v_poly.eval(peer))
         return channel_key(value, context=b"fallback")
 
     def _fallback_key_for(self, loser: int) -> bytes | None:
@@ -676,7 +647,7 @@ class ParticipantNode(Node):
     def _self_keys(self) -> list[int]:
         """This contributor's k_i = V_i(i) and pad key V_i(0), as arith values."""
         lift = self.arith.lift
-        return [lift(self.dealer.self_key().value), lift(self.dealer.masking_secret().value)]
+        return [lift(self.dealer.self_key()), lift(self.dealer.masking_secret())]
 
     def _share_body(self, m: list[int]) -> dict:
         """What an intact holder hands the leader for contributor set m."""
@@ -713,7 +684,7 @@ class ParticipantNode(Node):
             return
         out = step1_messages(self.dealer, spec.participant_ids)
         for j in sorted(out):
-            sim.send(self.id, j, "setup1", {"v": out[j].value, "s": self.s_own.value})
+            sim.send(self.id, j, "setup1", {"v": out[j], "s": self.s_own})
 
     def _start_masking(self, sim: Simulator) -> None:
         if self.dealer is None:
@@ -722,7 +693,7 @@ class ParticipantNode(Node):
             # the one-time dealt state is reused; only the round key is fresh
             self.s_own = self.modulus.random_nonzero(self.rng)
             self.s_total = None
-            sim.broadcast(self.id, self._peers, "refresh", {"s": self.s_own.value})
+            sim.broadcast(self.id, self._peers, "refresh", {"s": self.s_own})
             window = sim.config.budgets["masking"] // 3
             sim.schedule_timer(self.id, sim.now + window, "submit")
             return
@@ -822,12 +793,11 @@ class ParticipantNode(Node):
         self.held_v[env.src] = env.body["v"]
         self.s_setup[env.src] = env.body["s"]
         if len(self.held_v) == self.spec.n - 1:
-            received = {j: self._elem(v) for j, v in self.held_v.items()}
-            accumulate_sv(self.dealer, received, self.spec.participant_ids)
+            accumulate_sv(self.dealer, self.held_v, self.spec.participant_ids)
             self._set_round_key(self.s_setup)
             out = step2_messages(self.dealer, self.spec.participant_ids, self.rng)
             for j in sorted(out):
-                sim.send(self.id, j, "setup2", {"a": out[j].value})
+                sim.send(self.id, j, "setup2", {"a": out[j]})
             self._maybe_finish_scalar_setup()
 
     def _on_setup2(self, sim: Simulator, env) -> None:
@@ -842,8 +812,8 @@ class ParticipantNode(Node):
         if len(self.held_a) < self.spec.n - 1:
             return
         for j in self._peers:
-            shared = pairwise_key(self.dealer, j, self._elem(self.held_a[j]))
-            self.chan_keys[j] = channel_key(shared.value)
+            shared = pairwise_key(self.dealer, j, self.held_a[j])
+            self.chan_keys[j] = channel_key(shared)
         self.complete = True
 
     # setup (group) ................................................................
@@ -859,15 +829,15 @@ class ParticipantNode(Node):
                     j,
                     "gsetup1",
                     {
-                        "w": wrap_share(self.dealer.v_poly.eval(j).value, pk, group),
-                        "s": self.s_own.value,
+                        "w": wrap_share(self.dealer.v_poly.eval(j), pk, group),
+                        "s": self.s_own,
                     },
                 )
                 sim.send(
                     self.id,
                     j,
                     "gsetup2",
-                    {"w": wrap_share(self.a_exp.eval(j).value, pk, group)},
+                    {"w": wrap_share(self.a_exp.eval(j), pk, group)},
                 )
 
     def _on_gsetup1(self, sim: Simulator, env) -> None:
@@ -889,12 +859,12 @@ class ParticipantNode(Node):
             return
         group = self.spec.group
         # persistent share: G^(V(id)) where V is the sum of all dealt rows
-        own = group.lift(self.dealer.v_poly.eval(self.id).value)
+        own = group.lift(self.dealer.v_poly.eval(self.id))
         self.share_lift = self.arith.combine([own, *self.held_v.values()])
         self._set_round_key(self.s_setup)
         for j in self._peers:
             # Diffie-Hellman on the second rows: G^(A_i(j) * A_j(i)) both ways
-            shared = pow(self.held_a[j], self.a_exp.eval(j).value, group.p)
+            shared = pow(self.held_a[j], self.a_exp.eval(j), group.p)
             self.chan_keys[j] = channel_key(shared, context=b"group")
         self.complete = True
 
@@ -995,7 +965,7 @@ class ParticipantNode(Node):
         self.field_sum = list(body["sum"])
         m_count = len(body["m"])
         self.plaintext = [
-            self.codec.decode_sum(self._elem(v), m_count) for v in self.field_sum
+            self.codec.decode_sum(v, self.modulus, m_count) for v in self.field_sum
         ]
         self.status = "done"
 
@@ -1068,9 +1038,8 @@ class ParticipantNode(Node):
             self.findings.recovered[q] = value
             sim.log_note("recover", what="lost_share", target=q, helpers=helpers)
 
-        pairs = arith.pairs(self.agg, self.round_no)
         k = arith.combine(k_map[i] for i in m)
-        if not arith.verify(pairs, k, self.s_total, self.round_no):
+        if not arith.verify(self.agg, k, self.s_total, self.round_no):
             raise VerificationFailed("aggregate failed the tag check")
 
         if set(m) == set(self.spec.participant_ids) and len(shares) >= t:
@@ -1078,7 +1047,7 @@ class ParticipantNode(Node):
             pad = arith.interpolate([(j, shares[j]) for j in sorted(shares)[:t]], 0, t)
         else:
             pad = arith.combine(v0_map[i] for i in m)
-        self.findings.sums = arith.unmask(pairs, pad, self.round_no, len(m))
+        self.findings.sums = arith.unmask(self.agg, pad, self.round_no, len(m))
 
     def _distribute(self, sim: Simulator) -> None:
         m = sorted(self.m_set)
@@ -1111,7 +1080,7 @@ class ParticipantNode(Node):
         if self.id in m:
             self.field_sum = list(sums)
             self.plaintext = [
-                self.codec.decode_sum(self._elem(v), len(m)) for v in sums
+                self.codec.decode_sum(v, self.modulus, len(m)) for v in sums
             ]
         self.status = "done"
 
@@ -1139,14 +1108,11 @@ class AggregatorNode(Node):
     def on_message(self, sim: Simulator, env) -> None:
         if env.kind != "submission" or env.round != self.round_no:
             return
-        body = env.body or {}
-        pairs = body.get("c")
-        if (
-            not isinstance(pairs, list)
-            or len(pairs) != self.spec.length
-            or any(not isinstance(p, list) or len(p) != 2 for p in pairs)
-        ):
-            sim.log_note("malformed_submission", src=env.src)
+        pairs = env.body.get("c") if isinstance(env.body, dict) else None
+        # a submission the sum cannot take is left out of M, like a silent one
+        problem = _pairs_problem(pairs, self.spec.length, self.arith.p)
+        if problem is not None:
+            sim.log_note("malformed_submission", src=env.src, detail=problem)
             return
         self.received[env.src] = pairs
 
@@ -1168,7 +1134,7 @@ class AggregatorNode(Node):
             return
         self.m = sorted(self.received)
         self.failed = sorted(set(spec.participant_ids) - set(self.m))
-        agg = self.arith.aggregate([self.received[i] for i in self.m], self.round_no)
+        agg = self.arith.aggregate([self.received[i] for i in self.m])
         agg = self._tamper(agg)
         sim.broadcast(
             self.id,
@@ -1301,7 +1267,7 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
                 modulus = spec.field_modulus()
                 state.field_sum = list(leader.findings.sums)
                 state.decrypted = [
-                    codec.decode_sum(modulus.element(v), len(state.m_set))
+                    codec.decode_sum(v, modulus, len(state.m_set))
                     for v in state.field_sum
                 ]
                 state.recovered = sorted(leader.findings.recovered)

@@ -14,13 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import (
-    FieldElement,
-    PrimeModulus,
-    SymBivarPoly,
-    UniPoly,
-    lagrange_at_zero,
-)
+from .algebra import PrimeModulus, SymBivarPoly, UniPoly, lagrange_at_zero
 from .errors import (
     InsufficientShares,
     MissingShare,
@@ -49,13 +43,13 @@ class DealerState:
     t: int
     v_poly: UniPoly
     a_poly: UniPoly | None = None
-    s_v: FieldElement | None = None
+    s_v: int | None = None
 
-    def masking_secret(self) -> FieldElement:
+    def masking_secret(self) -> int:
         """V_i(0), the one-time masking key this dealer keeps to itself."""
         return self.v_poly.constant_term()
 
-    def self_key(self) -> FieldElement:
+    def self_key(self) -> int:
         """k_i = V_i(i), the per-dealer verification key share."""
         return self.v_poly.eval(self.id)
 
@@ -85,7 +79,7 @@ def new_dealer(
     n: int,
     modulus: PrimeModulus,
     rng: random.Random,
-    masking_secret: FieldElement | int | None = None,
+    masking_secret: int | None = None,
 ) -> DealerState:
     """Draw the first-round polynomial V_i. The constant term V_i(0) is the
     dealer's private masking key; pass one in to pin it (tests, fedlearn)."""
@@ -99,16 +93,16 @@ def new_dealer(
     return DealerState(id=dealer_id, t=t, v_poly=v)
 
 
-def step1_messages(state: DealerState, recipient_ids: list[int]) -> dict[int, FieldElement]:
+def step1_messages(state: DealerState, recipient_ids: list[int]) -> dict[int, int]:
     """First dealing round: V_i(j) for every other participant j."""
     return {j: state.v_poly.eval(j) for j in recipient_ids if j != state.id}
 
 
 def accumulate_sv(
     state: DealerState,
-    received_v: dict[int, FieldElement],
+    received_v: dict[int, int],
     participant_ids: list[int],
-) -> FieldElement:
+) -> int:
     """Fix s_v_i = sum over all dealers j of V_j(i).
 
     Every first-round share must be present (including the dealer's own
@@ -120,19 +114,16 @@ def accumulate_sv(
     missing = [j for j in participant_ids if j not in values]
     if missing:
         raise MissingStep1Share(f"missing first-round shares from {missing}")
-    total = state.v_poly.modulus.element(0)
-    for j in sorted(values):
-        if j in participant_ids:
-            total = total + values[j]
-    state.s_v = total
-    return total
+    total = sum(v for j, v in values.items() if j in participant_ids)
+    state.s_v = total % state.v_poly.modulus.p
+    return state.s_v
 
 
 def step2_messages(
     state: DealerState,
     recipient_ids: list[int],
     rng: random.Random,
-) -> dict[int, FieldElement]:
+) -> dict[int, int]:
     """Second dealing round: draw A_i with A_i(0) = s_v_i and deal A_i(j)."""
     if state.s_v is None:
         raise MissingStep1Share("accumulate_sv must run before the second round")
@@ -142,17 +133,16 @@ def step2_messages(
 
 # ---- reconstruction and recovery ------------------------------------------------
 
-def reconstruct_secret(shares: dict[int, FieldElement], t: int) -> FieldElement:
+def reconstruct_secret(shares: dict[int, int], t: int, p: int) -> int:
     """Interpolate the constant term from t shares keyed by participant id."""
     if len(shares) < t:
         raise InsufficientShares(f"need {t} shares, got {len(shares)}")
-    pts = [(list(shares.values())[0].modulus.element(j), shares[j]) for j in sorted(shares)]
-    return lagrange_at_zero(pts, t)
+    return lagrange_at_zero([(j, shares[j]) for j in sorted(shares)], t, p)
 
 
 def recover_lost_share(
-    lost_id: int, helper_shares: dict[int, FieldElement], t: int
-) -> FieldElement:
+    lost_id: int, helper_shares: dict[int, int], t: int, p: int
+) -> int:
     """Rebuild s_v_q = V(q) = A_q(0) from t received evaluations A_q(j).
 
     The helpers are participants j that received A_q(j) from dealer q during
@@ -160,17 +150,17 @@ def recover_lost_share(
     """
     if lost_id in helper_shares:
         raise ValueError("the losing participant cannot help recover itself")
-    return reconstruct_secret(helper_shares, t)
+    return reconstruct_secret(helper_shares, t, p)
 
 
 # ---- pairwise channel keys -------------------------------------------------------
 
 def pairwise_key(
-    own: DealerState, peer_id: int, received_a_from_peer: FieldElement | None
-) -> FieldElement:
+    own: DealerState, peer_id: int, received_a_from_peer: int | None
+) -> int:
     """k_ij = A_i(j) + A_j(i): symmetric, derivable by both ends after Setup."""
     if own.a_poly is None:
         raise MissingStep1Share("second dealing round has not run")
     if received_a_from_peer is None:
         raise MissingShare(f"no A share from {peer_id} was received")
-    return own.a_poly.eval(peer_id) + received_a_from_peer
+    return (own.a_poly.eval(peer_id) + received_a_from_peer) % own.a_poly.modulus.p

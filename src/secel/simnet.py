@@ -155,6 +155,7 @@ class Envelope:
     secured: bool
     body: dict | None = None  # plaintext payload
     blob: bytes | None = None  # ciphertext payload
+    digest: str = ""  # payload_digest of the payload bytes, fixed at send
 
     def header(self) -> dict:
         return {
@@ -164,10 +165,6 @@ class Envelope:
             "round": self.round,
             "seq": self.seq,
         }
-
-    def digest(self) -> str:
-        data = self.blob if self.secured else canonical_json(self.body)
-        return payload_digest(data)
 
 
 class Transcript:
@@ -188,7 +185,7 @@ class Transcript:
             "round": env.round,
             "seq": env.seq,
             "secured": env.secured,
-            "digest": env.digest(),
+            "digest": env.digest,
         }
         rec.update(extra)
         self.records.append(rec)
@@ -339,8 +336,10 @@ class Simulator:
         )
         if key is not None:
             env.blob = seal(key, env.header(), body)
+            env.digest = payload_digest(env.blob)
         else:
             env.body = body
+            env.digest = payload_digest(canonical_json(body))
         if src in self.dropping:
             self.transcript.envelope("drop", env, t=self.now, reason="drop_outbound")
             return

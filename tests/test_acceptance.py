@@ -32,12 +32,9 @@ from secel.group_variant import (
     group_verify,
 )
 from secel.maskmac import (
-    MaskedPair,
-    RoundLabel,
     aggregate_vectors,
     mask_vector,
     unmask_vector,
-    verify,
     verify_vector,
 )
 from secel.protocol import RoundSpec, run_rounds, run_setup
@@ -68,7 +65,7 @@ def field_sum_oracle(result, members):
     total = [0] * spec.length
     for i in members:
         for j, e in enumerate(codec.encode(result.inputs[i], modulus)):
-            total[j] = (total[j] + e.value) % modulus.p
+            total[j] = (total[j] + e) % modulus.p
     return total
 
 
@@ -124,9 +121,8 @@ def test_criterion_2_tamper_soundness():
         k = modulus.random_nonzero(rng)
         s = modulus.random_nonzero(rng)
         w = modulus.random_element(rng)
-        pair = mask_vector([w], v0, k, s, round_no=1)[0]
-        label = RoundLabel(1, 0)
-        assert verify(pair, k, s, label)
+        pair = mask_vector([w], v0, k, s, round_no=1, p=modulus.p)[0]
+        assert verify_vector([pair], k, s, 1, modulus.p)
 
         accepts = 0
         analytic = 0
@@ -135,26 +131,24 @@ def test_criterion_2_tamper_soundness():
             d2 = rng.randrange(modulus.p)
             if d1 == 0 and d2 == 0:
                 d2 = 1
-            forged = MaskedPair(
-                c1=pair.c1 + modulus.element(d1),
-                c2=pair.c2 + modulus.element(d2),
-                round=1,
-                index=0,
-            )
-            if verify(forged, k, s, label):
+            forged = [
+                (pair[0] + d1) % modulus.p,
+                (pair[1] + d2) % modulus.p,
+            ]
+            if verify_vector([forged], k, s, 1, modulus.p):
                 accepts += 1
-            if (d1 + s.value * d2) % modulus.p == 0:
+            if (d1 + s * d2) % modulus.p == 0:
                 analytic += 1
         assert accepts == 0, f"{accepts} forged aggregates passed the check"
         assert analytic == accepts  # the accepting line was never sampled
 
         # deliberately constructed on the line: accepted, and shifts the sum
         d2 = modulus.random_nonzero(rng)
-        d1 = -(s * d2)
-        crafted = MaskedPair(c1=pair.c1 + d1, c2=pair.c2 + d2, round=1, index=0)
-        assert verify(crafted, k, s, label)
-        shifted = unmask_vector([crafted], v0, 1)[0]
-        assert shifted == w + d1 and shifted != w
+        d1 = -(s * d2) % modulus.p
+        crafted = [(pair[0] + d1) % modulus.p, (pair[1] + d2) % modulus.p]
+        assert verify_vector([crafted], k, s, 1, modulus.p)
+        shifted = unmask_vector([crafted], v0, 1, modulus.p)[0]
+        assert shifted == (w + d1) % modulus.p and shifted != w
 
 
 # ---- 3: threshold hiding ----------------------------------------------------------------
@@ -232,13 +226,13 @@ def test_criterion_3_threshold_hiding():
         modulus = PrimeModulus(7)
         for _ in range(200):
             f = SymBivarPoly.random(3, modulus, rng)
-            coeff = [[f.coeff(i, j).value for j in range(3)] for i in range(3)]
+            coeff = [[f.coeff(i, j) for j in range(3)] for i in range(3)]
             for jid in range(1, 6):
                 jp = [pow(jid, k, 7) for k in range(3)]
                 mine = [
                     sum(coeff[i][k] * jp[k] for k in range(3)) % 7 for i in range(3)
                 ]
-                assert mine == [c.value for c in f.row(jid).coeffs]
+                assert mine == [c for c in f.row(jid).coeffs]
 
         counts = [
             _check_hiding_point(31, 2, 5),
@@ -310,17 +304,17 @@ def test_criterion_5_dealing_equivalence():
             setup = run_setup(ids, t, modulus, rng)
 
             sum_v0 = sum(
-                setup.dealers[i].masking_secret().value for i in ids
+                setup.dealers[i].masking_secret() for i in ids
             ) % modulus.p
             # two-step reconstruction: t second-round constants interpolate it
             shares = [(i, setup.dealers[i].s_v) for i in ids[:t]]
-            assert lagrange_at_zero(shares, t).value == sum_v0
+            assert lagrange_at_zero(shares, t, modulus.p) == sum_v0
 
             # direct-bivariate oracle dealing the same combined secret
             f = SymBivarPoly.random(t, modulus, rng, secret=sum_v0)
             rows = deal_direct(f, ids)
             direct_shares = [(j, rows[j].constant_term()) for j in ids[:t]]
-            assert lagrange_at_zero(direct_shares, t).value == sum_v0
+            assert lagrange_at_zero(direct_shares, t, modulus.p) == sum_v0
 
             # exact traffic counts: 2N(N-1) field elements vs N(N-1)t
             two_step_elems = sum(len(v) for v in setup.received_v.values()) + sum(
@@ -374,34 +368,34 @@ def test_criterion_6_group_variant():
             ]
             scalar = [
                 mask_vector(
-                    [q_field.element(v) for v in values[i]], v0s[i], keys[i], s, 1
+                    [v % q_field.p for v in values[i]], v0s[i], keys[i], s, 1, q_field.p
                 )
                 for i in range(m)
             ]
             lifted = [
                 group_mask_vector(
-                    values[i], v0s[i].value, keys[i].value, s.value, 1, params
+                    values[i], v0s[i], keys[i], s, 1, params
                 )
                 for i in range(m)
             ]
             for sc_vec, gr_vec in zip(scalar, lifted):
                 for sc, gr in zip(sc_vec, gr_vec):
-                    assert gr.c1 == params.lift(sc.c1.value)
-                    assert gr.c2 == params.lift(sc.c2.value)
+                    assert gr[0] == params.lift(sc[0])
+                    assert gr[1] == params.lift(sc[1])
 
-            agg_s = aggregate_vectors(scalar)
+            agg_s = aggregate_vectors(scalar, q_field.p)
             agg_g = group_aggregate(lifted, params)
             k_sum = sum(keys[1:], keys[0])
             v0_sum = sum(v0s[1:], v0s[0])
-            assert verify_vector(agg_s, k_sum, s, 1)
-            g_k = combine_key_lifts([params.lift(k.value) for k in keys], params)
-            assert group_verify(agg_g, g_k, s.value, 1, params)
+            assert verify_vector(agg_s, k_sum, s, 1, q_field.p)
+            g_k = combine_key_lifts([params.lift(k) for k in keys], params)
+            assert group_verify(agg_g, g_k, s, 1, params)
 
-            plain_s = unmask_vector(agg_s, v0_sum, 1)
-            pads = group_unmask(agg_g, params.lift(v0_sum.value), 1, params)
+            plain_s = unmask_vector(agg_s, v0_sum, 1, q_field.p)
+            pads = group_unmask(agg_g, params.lift(v0_sum), 1, params)
             for j, (sv, gv) in enumerate(zip(plain_s, pads)):
                 expect = sum(values[i][j] for i in range(m))
-                assert sv.value == expect % params.q
+                assert sv == expect % params.q
                 assert bsgs(gv, (m << 10) + 1, params) == expect
 
         elapsed = time.perf_counter() - start

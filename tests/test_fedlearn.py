@@ -107,7 +107,7 @@ def test_secure_aggregate_single_contributor_is_its_quantized_vector():
     assert out.members == [1]
     codec = FixedPointCodec(16, 8.0)
     modulus = PrimeModulus(DEFAULT_PRIME)
-    roundtrip = codec.decode(codec.encode(models[1], modulus))
+    roundtrip = codec.decode(codec.encode(models[1], modulus), modulus)
     assert out.average == roundtrip
     assert max(abs(a - b) for a, b in zip(out.average, models[1])) <= 2**-16
 

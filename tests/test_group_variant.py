@@ -15,7 +15,6 @@ from secel.errors import InsufficientShares, LabelMismatch, NotFound, ZeroAuthKe
 from secel.group_variant import (
     DEFAULT_GROUP,
     TOY_GROUP,
-    GroupMaskedPair,
     GroupParams,
     KeyPair,
     bsgs,
@@ -133,21 +132,19 @@ def test_exp_lagrange_matches_scalar_oracle():
         t = rng.randrange(1, 5)
         f = UniPoly.random(t - 1, F, rng)
         ids = rng.sample(range(1, 10), t)
-        pts = [(i, TOY_GROUP.lift(f.eval(i).value)) for i in ids]
-        assert exp_lagrange_at_zero(pts, t, TOY_GROUP) == TOY_GROUP.lift(
-            f.eval(0).value
-        )
+        pts = [(i, TOY_GROUP.lift(f.eval(i))) for i in ids]
+        assert exp_lagrange_at_zero(pts, t, TOY_GROUP) == TOY_GROUP.lift(f.eval(0))
         x0 = rng.randrange(10, 20)
-        scalar = lagrange_at([(F.element(i), f.eval(i)) for i in ids], x0, t)
-        assert exp_lagrange_at(pts, x0, t, TOY_GROUP) == TOY_GROUP.lift(scalar.value)
+        scalar = lagrange_at([(i, f.eval(i)) for i in ids], x0, t, F.p)
+        assert exp_lagrange_at(pts, x0, t, TOY_GROUP) == TOY_GROUP.lift(scalar)
 
 
 # ---- masking pipeline ----------------------------------------------------------------
 
 
 def _scalar_pipeline(field, grads, vs, ks, s, rnd):
-    vectors = [mask_vector(g, v, k, s, rnd) for g, v, k in zip(grads, vs, ks)]
-    return aggregate_vectors(vectors)
+    vectors = [mask_vector(g, v, k, s, rnd, field.p) for g, v, k in zip(grads, vs, ks)]
+    return aggregate_vectors(vectors, field.p)
 
 
 def test_group_verify_mirrors_scalar_tag_example():
@@ -161,14 +158,7 @@ def test_group_verify_mirrors_scalar_tag_example():
     g_k = TOY_GROUP.lift(ki)
     assert group_verify(pairs, g_k, s, 1, TOY_GROUP)
     # nudging c1 by one factor of G breaks it
-    bad = [
-        GroupMaskedPair(
-            c1=(pairs[0].c1 * TOY_GROUP.g) % TOY_GROUP.p,
-            c2=pairs[0].c2,
-            round=1,
-            index=0,
-        )
-    ]
+    bad = [[(pairs[0][0] * TOY_GROUP.g) % TOY_GROUP.p, pairs[0][1]]]
     assert not group_verify(bad, g_k, s, 1, TOY_GROUP)
     # decode: unmask then discrete-log
     out = group_unmask(pairs, TOY_GROUP.lift(v0), 1, TOY_GROUP)
@@ -185,37 +175,31 @@ def test_group_pipeline_commutes_with_scalar_pipeline():
         rnd = rng.randrange(100)
         vs = [F.random_element(rng) for _ in range(m)]
         ks = [F.random_element(rng) for _ in range(m)]
-        s = sum_auth_keys([F.random_nonzero(rng) for _ in range(m)])
+        s = sum_auth_keys([F.random_nonzero(rng) for _ in range(m)], F.p)
         grads = [[F.random_element(rng) for _ in range(l)] for _ in range(m)]
 
         scalar_agg = _scalar_pipeline(F, grads, vs, ks, s, rnd)
         group_vecs = [
-            group_mask_vector(
-                [g.value for g in grads[i]], vs[i].value, ks[i].value, s.value, rnd, TOY_GROUP
-            )
+            group_mask_vector(grads[i], vs[i], ks[i], s, rnd, TOY_GROUP)
             for i in range(m)
         ]
         group_agg = group_aggregate(group_vecs, TOY_GROUP)
 
         for sc, gr in zip(scalar_agg, group_agg):
-            assert gr.c1 == TOY_GROUP.lift(sc.c1.value)
-            assert gr.c2 == TOY_GROUP.lift(sc.c2.value)
+            assert gr[0] == TOY_GROUP.lift(sc[0])
+            assert gr[1] == TOY_GROUP.lift(sc[1])
 
-        k_sum = ks[0]
-        v_sum = vs[0]
-        for k in ks[1:]:
-            k_sum = k_sum + k
-        for v in vs[1:]:
-            v_sum = v_sum + v
-        g_k = combine_key_lifts([TOY_GROUP.lift(k.value) for k in ks], TOY_GROUP)
-        assert g_k == TOY_GROUP.lift(k_sum.value)
-        assert verify_vector(scalar_agg, k_sum, s, rnd)
-        assert group_verify(group_agg, g_k, s.value, rnd, TOY_GROUP)
+        k_sum = sum(ks) % F.p
+        v_sum = sum(vs) % F.p
+        g_k = combine_key_lifts([TOY_GROUP.lift(k) for k in ks], TOY_GROUP)
+        assert g_k == TOY_GROUP.lift(k_sum)
+        assert verify_vector(scalar_agg, k_sum, s, rnd, F.p)
+        assert group_verify(group_agg, g_k, s, rnd, TOY_GROUP)
 
-        scalar_out = unmask_vector(scalar_agg, v_sum, rnd)
-        group_out = group_unmask(group_agg, TOY_GROUP.lift(v_sum.value), rnd, TOY_GROUP)
+        scalar_out = unmask_vector(scalar_agg, v_sum, rnd, F.p)
+        group_out = group_unmask(group_agg, TOY_GROUP.lift(v_sum), rnd, TOY_GROUP)
         for so, go in zip(scalar_out, group_out):
-            assert go == TOY_GROUP.lift(so.value)
+            assert go == TOY_GROUP.lift(so)
 
 
 def test_group_aggregate_label_guards():

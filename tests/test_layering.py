@@ -62,3 +62,38 @@ def test_imports_only_point_down():
 def test_function_local_imports_are_seen():
     source = "def f():\n    from .protocol import run_rounds\n    import secel.cli\n"
     assert secel_imports(ast.parse(source)) == {"protocol", "cli"}
+
+
+def unused_imports(tree: ast.AST) -> list[str]:
+    """Names a parsed module imports but never refers to."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_every_import_is_used():
+    # __init__ imports only to re-export
+    unused = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        names = unused_imports(ast.parse(path.read_text()))
+        if names:
+            unused[path.stem] = names
+    assert unused == {}
+
+
+def test_unused_import_check_sees_annotations_and_attributes():
+    source = (
+        "from __future__ import annotations\n"
+        "import hashlib\nimport os.path\nfrom .algebra import A, B, C as D\n"
+        "def f(x: A) -> None:\n    return hashlib.sha256(os.sep)\n"
+    )
+    assert unused_imports(ast.parse(source)) == ["B", "D"]

@@ -1,7 +1,9 @@
 """Masking/MAC layer: pad linearity, tag identity, aggregation, tamper detection.
 
-Frozen worked examples use a stubbed label coefficient H=7 over Z_31 so every
+Frozen worked examples stub the label coefficient to H=7 over Z_31 so every
 value is hand-checkable; property tests use the real hash-derived coefficient.
+Masked vectors are in the wire format, a list of [c1, c2] pairs whose label is
+(round, position).
 """
 
 from __future__ import annotations
@@ -10,36 +12,44 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from secel.algebra import DEFAULT_PRIME, PrimeModulus
+from secel import maskmac
+from secel.algebra import DEFAULT_PRIME, MERSENNE_61, PrimeModulus
 from secel.errors import LabelMismatch, ZeroAuthKey
+from secel.group_variant import (
+    TOY_GROUP,
+    combine_key_lifts,
+    group_aggregate,
+    group_mask_vector,
+    group_unmask,
+    group_verify,
+)
 from secel.maskmac import (
-    MaskedPair,
     RoundLabel,
-    aggregate,
     aggregate_vectors,
     label_coeff,
-    mask,
     mask_vector,
-    prg,
     sum_auth_keys,
-    tag,
-    unmask,
     unmask_vector,
-    verify,
     verify_vector,
 )
 
 F31 = PrimeModulus(31)
 F130 = PrimeModulus(DEFAULT_PRIME)
-L = RoundLabel(0, 0)
 H = 7  # stub coefficient for the worked examples
 
 
-def _pair(c1, c2, label=L, modulus=F31):
-    return MaskedPair(
-        c1=modulus.element(c1), c2=modulus.element(c2), round=label.round, index=label.index
-    )
+@pytest.fixture
+def stub_h(monkeypatch):
+    """Every label hashes to H, so the examples below work by hand mod 31."""
+    monkeypatch.setattr(maskmac, "label_coeff", lambda label, p: H)
+
+
+def _pad(key, p, round_no=0, index=0):
+    """PRG(key, (round_no, index)) as the kernel applies it: c1 of w = 0."""
+    return mask_vector([0] * (index + 1), key, 0, 1, round_no, p)[index][0]
 
 
 # ---- label coefficient -----------------------------------------------------------
@@ -61,107 +71,105 @@ def test_label_coeff_domain_and_determinism():
 # ---- prg -------------------------------------------------------------------------
 
 
-def test_prg_examples():
-    assert prg(F31.element(0), L, coeff=H) == 0
-    assert prg(F31.element(5), L, coeff=H) == 4  # 35 mod 31
+def test_prg_examples(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(maskmac, "label_coeff", lambda label, p: H)
+        assert _pad(0, 31) == 0
+        assert _pad(5, 31) == 4  # 35 mod 31
     # key-homomorphism with the real coefficient
     rng = random.Random(10)
+    p = DEFAULT_PRIME
     for _ in range(50):
-        lbl = RoundLabel(rng.randrange(1000), rng.randrange(1000))
+        rnd, idx = rng.randrange(1000), rng.randrange(8)
         a, b = F130.random_element(rng), F130.random_element(rng)
-        assert prg(a, lbl) + prg(b, lbl) == prg(a + b, lbl)
-        c = rng.randrange(DEFAULT_PRIME)
-        assert prg(a, lbl) * c == prg(a * c, lbl)
+        pad_a, pad_b = _pad(a, p, rnd, idx), _pad(b, p, rnd, idx)
+        assert (pad_a + pad_b) % p == _pad((a + b) % p, p, rnd, idx)
+        c = rng.randrange(p)
+        assert pad_a * c % p == _pad(a * c % p, p, rnd, idx)
 
 
 # ---- mask / tag -------------------------------------------------------------------
 
 
-def test_mask_examples():
-    v0 = F31.element(5)
-    c1 = mask(F31.element(9), v0, L, coeff=H)
+def test_mask_examples(stub_h):
+    [[c1, _]] = mask_vector([9], 5, 0, 1, 0, 31)
     assert c1 == 13  # 35+9 = 44 mod 31
-    assert mask(F31.element(0), v0, L, coeff=H) == prg(v0, L, coeff=H)
-    assert c1 - prg(v0, L, coeff=H) == 9
+    assert (c1 - _pad(5, 31)) % 31 == 9
 
 
-def test_tag_examples():
-    c1 = F31.element(13)
-    c2 = tag(c1, F31.element(6), F31.element(4), L, coeff=H)
+def test_tag_examples(stub_h):
+    [[c1, c2]] = mask_vector([9], 5, 6, 4, 0, 31)
+    assert c1 == 13
     assert c2 == 15  # (11-13) * 4^{-1} = 29*8 mod 31
-    assert c2 * F31.element(4) + c1 == 11 == prg(F31.element(6), L, coeff=H)
-    assert tag(prg(F31.element(6), L, coeff=H), F31.element(6), F31.element(4), L, coeff=H) == 0
+    assert (c2 * 4 + c1) % 31 == 11 == _pad(6, 31)
+    # a c1 equal to the key's own pad tags to zero
+    assert mask_vector([11], 0, 6, 4, 0, 31) == [[11, 0]]
     with pytest.raises(ZeroAuthKey):
-        tag(c1, F31.element(6), F31.element(0), L, coeff=H)
+        mask_vector([9], 5, 6, 0, 0, 31)
+    with pytest.raises(ZeroAuthKey):
+        mask_vector([9], 5, 6, 31, 0, 31)
 
 
 def test_sum_auth_keys():
-    assert sum_auth_keys([F31.element(4), F31.element(9)]) == 13
+    assert sum_auth_keys([4, 9], 31) == 13
     with pytest.raises(ZeroAuthKey):
-        sum_auth_keys([F31.element(30), F31.element(1)])
+        sum_auth_keys([30, 1], 31)
     with pytest.raises(ValueError):
-        sum_auth_keys([])
+        sum_auth_keys([], 31)
 
 
 # ---- aggregate --------------------------------------------------------------------
 
 
 def test_aggregate_examples():
-    agg = aggregate([_pair(13, 15), _pair(20, 2)])
-    assert agg.c1 == 2 and agg.c2 == 17  # componentwise mod-31 sums
-    single = _pair(3, 4)
-    assert aggregate([single]) == single
+    agg = aggregate_vectors([[[13, 15]], [[20, 2]]], 31)
+    assert agg == [[2, 17]]  # componentwise mod-31 sums
+    assert aggregate_vectors([[[3, 4], [5, 6]]], 31) == [[3, 4], [5, 6]]
     with pytest.raises(ValueError):
-        aggregate([])
+        aggregate_vectors([], 31)
     with pytest.raises(LabelMismatch):
-        aggregate([_pair(1, 1), _pair(1, 1, RoundLabel(0, 1))])
+        aggregate_vectors([[[1, 1]], [[1, 1], [1, 1]]], 31)
 
 
 # ---- verify ------------------------------------------------------------------------
 
 
-def test_verify_honest_single_party():
-    # the tag example is a one-party aggregate: k = k_i = 6
-    agg = _pair(13, 15)
-    assert verify(agg, F31.element(6), F31.element(4), L, coeff=H)
-    off = _pair(14, 15)
-    assert not verify(off, F31.element(6), F31.element(4), L, coeff=H)
-    with pytest.raises(LabelMismatch):
-        verify(agg, F31.element(6), F31.element(4), RoundLabel(1, 0), coeff=H)
+def test_verify_honest_single_party(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(maskmac, "label_coeff", lambda label, p: H)
+        # the tag example is a one-party aggregate: k = k_i = 6
+        assert verify_vector([[13, 15]], 6, 4, 0, 31)
+        assert not verify_vector([[14, 15]], 6, 4, 0, 31)
+    # with the real coefficient the tag is bound to its round
+    agg = mask_vector([9, 3], 5, 6, 4, 0, DEFAULT_PRIME)
+    assert verify_vector(agg, 6, 4, 0, DEFAULT_PRIME)
+    assert not verify_vector(agg, 6, 4, 1, DEFAULT_PRIME)
 
 
-def test_tamper_acceptance_is_exactly_the_kernel_line():
+def test_tamper_acceptance_is_exactly_the_kernel_line(stub_h):
     # (c1+d1, c2+d2) verifies iff d1 + s*d2 = 0 mod p: exhaustive at p=31
-    s = F31.element(4)
-    k = F31.element(6)
-    agg = _pair(13, 15)
     for d1 in range(31):
         for d2 in range(31):
-            tampered = _pair(13 + d1, 15 + d2)
+            tampered = [[(13 + d1) % 31, (15 + d2) % 31]]
             expected = (d1 + 4 * d2) % 31 == 0
-            assert verify(tampered, k, s, L, coeff=H) is expected
+            assert verify_vector(tampered, 6, 4, 0, 31) is expected
 
 
 # ---- unmask ------------------------------------------------------------------------
 
 
-def test_unmask_examples():
+def test_unmask_examples(stub_h):
     # M=1: the mask example
-    assert unmask(_pair(13, 0), F31.element(5), L, coeff=H) == 9
+    assert unmask_vector([[13, 0]], 5, 0, 31) == [9]
     # two parties: w=3 and w=4, keys 5 and 6 -> c1 = (35+3)+(42+4) = 84 mod 31 = 22
-    a = MaskedPair(c1=mask(F31.element(3), F31.element(5), L, coeff=H), c2=F31.element(0), round=0, index=0)
-    b = MaskedPair(c1=mask(F31.element(4), F31.element(6), L, coeff=H), c2=F31.element(0), round=0, index=0)
-    agg = aggregate([a, b])
-    assert agg.c1 == 22
-    assert unmask(agg, F31.element(11), L, coeff=H) == 7  # 22 - 77 mod 31
+    a = mask_vector([3], 5, 0, 1, 0, 31)
+    b = mask_vector([4], 6, 0, 1, 0, 31)
+    agg = aggregate_vectors([a, b], 31)
+    assert agg[0][0] == 22
+    assert unmask_vector(agg, 11, 0, 31) == [7]  # 22 - 77 mod 31
     # all-zero inputs
-    z = aggregate(
-        [
-            MaskedPair(c1=mask(F31.element(0), F31.element(v), L, coeff=H), c2=F31.element(0), round=0, index=0)
-            for v in (5, 6)
-        ]
-    )
-    assert unmask(z, F31.element(11), L, coeff=H) == 0
+    z = aggregate_vectors([mask_vector([0], v, 0, 1, 0, 31) for v in (5, 6)], 31)
+    assert unmask_vector(z, 11, 0, 31) == [0]
 
 
 # ---- end-to-end invariants ------------------------------------------------------------
@@ -170,48 +178,37 @@ def test_unmask_examples():
 @pytest.mark.parametrize("modulus,trials", [(F31, 500), (F130, 500)])
 def test_end_to_end_exactness_and_completeness(modulus, trials):
     rng = random.Random(11)
+    p = modulus.p
     for trial in range(trials):
         m = rng.randrange(1, 65)
-        lbl = RoundLabel(trial, rng.randrange(8))
+        length = rng.randrange(1, 9)
         keys_v = [modulus.random_element(rng) for _ in range(m)]
         keys_k = [modulus.random_element(rng) for _ in range(m)]
-        ws = [modulus.random_element(rng) for _ in range(m)]
+        ws = [[modulus.random_element(rng) for _ in range(length)] for _ in range(m)]
         while True:  # a zero sum forces a protocol-level resample; mirror that here
             try:
-                s = sum_auth_keys([modulus.random_nonzero(rng) for _ in range(m)])
+                s = sum_auth_keys([modulus.random_nonzero(rng) for _ in range(m)], p)
                 break
             except ZeroAuthKey:
                 continue
 
-        pairs = []
-        for v0, ki, w in zip(keys_v, keys_k, ws):
-            c1 = mask(w, v0, lbl)
-            pairs.append(
-                MaskedPair(c1=c1, c2=tag(c1, ki, s, lbl), round=lbl.round, index=lbl.index)
-            )
-        agg = aggregate(pairs)
+        vectors = [
+            mask_vector(w, v0, ki, s, trial, p) for v0, ki, w in zip(keys_v, keys_k, ws)
+        ]
+        agg = aggregate_vectors(vectors, p)
 
-        k_sum = keys_k[0]
-        for ki in keys_k[1:]:
-            k_sum = k_sum + ki
-        v_sum = keys_v[0]
-        for v in keys_v[1:]:
-            v_sum = v_sum + v
-        w_sum = ws[0]
-        for w in ws[1:]:
-            w_sum = w_sum + w
-
-        assert verify(agg, k_sum, s, lbl)
-        assert unmask(agg, v_sum, lbl) == w_sum
+        assert verify_vector(agg, sum(keys_k) % p, s, trial, p)
+        assert unmask_vector(agg, sum(keys_v) % p, trial, p) == [
+            sum(column) % p for column in zip(*ws)
+        ]
 
 
 def test_hiding_at_toy_scale():
     # over all masking keys, ciphertexts of w=0 and w=1 have identical distributions
-    lbl = RoundLabel(3, 1)
     dists = []
     for w in (0, 1):
         c1s = Counter(
-            mask(F31.element(w), F31.element(key), lbl).value for key in range(31)
+            mask_vector([0, w], key, 0, 1, 3, 31)[1][0] for key in range(31)
         )
         dists.append(c1s)
     assert dists[0] == dists[1]
@@ -219,42 +216,100 @@ def test_hiding_at_toy_scale():
     assert all(n == 1 for n in dists[0].values())
 
 
-# ---- vector helpers -----------------------------------------------------------------
+# ---- vector kernels --------------------------------------------------------------
 
 
 def test_vector_helpers_match_scalar_path():
+    # every pair is the defining formula at its own label (round, position)
     rng = random.Random(12)
     modulus = F130
+    p = modulus.p
     m, l, rnd = 5, 16, 2
     vs = [modulus.random_element(rng) for _ in range(m)]
     ks = [modulus.random_element(rng) for _ in range(m)]
-    s = sum_auth_keys([modulus.random_nonzero(rng) for _ in range(m)])
+    s = sum_auth_keys([modulus.random_nonzero(rng) for _ in range(m)], p)
     grads = [[modulus.random_element(rng) for _ in range(l)] for _ in range(m)]
 
-    vectors = [mask_vector(grads[i], vs[i], ks[i], s, rnd) for i in range(m)]
+    vectors = [mask_vector(grads[i], vs[i], ks[i], s, rnd, p) for i in range(m)]
     for i in range(m):
-        for idx, pair in enumerate(vectors[i]):
-            lbl = RoundLabel(rnd, idx)
-            c1 = mask(grads[i][idx], vs[i], lbl)
-            assert pair.c1 == c1
-            assert pair.c2 == tag(c1, ks[i], s, lbl)
+        for idx, (c1, c2) in enumerate(vectors[i]):
+            h = label_coeff(RoundLabel(rnd, idx), p)
+            assert c1 == (vs[i] * h + grads[i][idx]) % p
+            assert (c2 * s + c1) % p == ks[i] * h % p
 
-    agg = aggregate_vectors(vectors)
-    k_sum = ks[0]
-    for k in ks[1:]:
-        k_sum = k_sum + k
-    v_sum = vs[0]
-    for v in vs[1:]:
-        v_sum = v_sum + v
-    assert verify_vector(agg, k_sum, s, rnd)
-    out = unmask_vector(agg, v_sum, rnd)
-    for idx in range(l):
-        expected = grads[0][idx]
-        for i in range(1, m):
-            expected = expected + grads[i][idx]
-        assert out[idx] == expected
+    agg = aggregate_vectors(vectors, p)
+    assert verify_vector(agg, sum(ks) % p, s, rnd, p)
+    out = unmask_vector(agg, sum(vs) % p, rnd, p)
+    assert out == [sum(g[idx] for g in grads) % p for idx in range(l)]
 
     with pytest.raises(LabelMismatch):
-        aggregate_vectors([vectors[0], vectors[1][:-1]])
+        aggregate_vectors([vectors[0], vectors[1][:-1]], p)
     with pytest.raises(ZeroAuthKey):
-        mask_vector(grads[0], vs[0], ks[0], modulus.element(0), rnd)
+        mask_vector(grads[0], vs[0], ks[0], 0, rnd, p)
+
+
+# ---- property: scalar kernels and their group lifts ------------------------------------
+
+
+@st.composite
+def _masking_round(draw, order):
+    m = draw(st.integers(1, 5))
+    length = draw(st.integers(1, 5))
+    elem = st.integers(0, order - 1)
+    return {
+        "round": draw(st.integers(0, 1 << 20)),
+        "values": [draw(st.lists(elem, min_size=length, max_size=length)) for _ in range(m)],
+        "pads": draw(st.lists(elem, min_size=m, max_size=m)),
+        "keys": draw(st.lists(elem, min_size=m, max_size=m)),
+        "s": draw(st.integers(1, order - 1)),
+        "shift": (draw(st.integers(0, length - 1)), draw(st.integers(1, order - 1))),
+    }
+
+
+def _check_scalar(case, p):
+    rnd, s = case["round"], case["s"]
+    vectors = [
+        mask_vector(w, v0, k, s, rnd, p)
+        for w, v0, k in zip(case["values"], case["pads"], case["keys"])
+    ]
+    agg = aggregate_vectors(vectors, p)
+    k_sum = sum(case["keys"]) % p
+    v_sum = sum(case["pads"]) % p
+    assert verify_vector(agg, k_sum, s, rnd, p)
+    sums = unmask_vector(agg, v_sum, rnd, p)
+    assert sums == [sum(column) % p for column in zip(*case["values"])]
+    idx, d = case["shift"]
+    shifted = [list(pair) for pair in agg]
+    shifted[idx][0] = (shifted[idx][0] + d) % p
+    assert not verify_vector(shifted, k_sum, s, rnd, p)
+    return vectors, agg, sums, k_sum, v_sum
+
+
+@settings(max_examples=200, deadline=None)
+@given(_masking_round(MERSENNE_61))
+def test_property_scalar_kernels_verify_and_unmask(case):
+    _check_scalar(case, MERSENNE_61)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_masking_round(TOY_GROUP.q))
+def test_property_group_kernels_are_the_lifted_scalar_kernels(case):
+    params = TOY_GROUP
+    lift = params.lift
+    rnd, s = case["round"], case["s"]
+    vectors, agg, sums, k_sum, v_sum = _check_scalar(case, params.q)
+    lifted = [
+        group_mask_vector(w, v0, k, s, rnd, params)
+        for w, v0, k in zip(case["values"], case["pads"], case["keys"])
+    ]
+    assert lifted == [[[lift(c1), lift(c2)] for c1, c2 in v] for v in vectors]
+    g_agg = group_aggregate(lifted, params)
+    assert g_agg == [[lift(c1), lift(c2)] for c1, c2 in agg]
+    g_k = combine_key_lifts([lift(k) for k in case["keys"]], params)
+    assert g_k == lift(k_sum)
+    assert group_verify(g_agg, g_k, s, rnd, params)
+    assert group_unmask(g_agg, lift(v_sum), rnd, params) == [lift(x) for x in sums]
+    idx, d = case["shift"]
+    shifted = [list(pair) for pair in g_agg]
+    shifted[idx][0] = shifted[idx][0] * lift(d) % params.p
+    assert not group_verify(shifted, g_k, s, rnd, params)

@@ -25,7 +25,7 @@ def field_sum_oracle(result: ScenarioResult, members, round_state=None):
     total = [0] * spec.length
     for i in members:
         for j, e in enumerate(codec.encode(result.inputs[i], modulus)):
-            total[j] = (total[j] + e.value) % modulus.p
+            total[j] = (total[j] + e) % modulus.p
     return total
 
 
@@ -137,9 +137,9 @@ def test_flagship_restored_share_matches_dealt_polynomials():
         restored = result.nodes[q].dealer.s_v
         assert restored is not None
         expected = sum(
-            result.nodes[i].dealer.v_poly.eval(q).value for i in range(1, 8)
+            result.nodes[i].dealer.v_poly.eval(q) for i in range(1, 8)
         ) % result.spec.field_modulus().p
-        assert restored.value == expected
+        assert restored == expected
 
 
 def test_flagship_plaintext_gating():
@@ -275,6 +275,45 @@ def test_malformed_aggregate_is_rejected(monkeypatch, variant, mutation):
     assert result.transcript.count(type="note", note="malformed_aggregate") == 4
 
 
+def _bound(spec):
+    """Exclusive upper bound of a wire element: p (scalar) or P (group)."""
+    return spec.group.p if spec.variant == "group" else spec.prime
+
+
+MALFORMED_SUBMISSIONS = {
+    "string_element": lambda c, bound: [["x", c[0][1]]] + c[1:],
+    "float_element": lambda c, bound: [[float(c[0][0]), c[0][1]]] + c[1:],
+    "out_of_range_int": lambda c, bound: [[bound, c[0][1]]] + c[1:],
+}
+
+
+@pytest.mark.parametrize("variant", ["scalar", "group"])
+@pytest.mark.parametrize("mutation", sorted(MALFORMED_SUBMISSIONS))
+def test_malformed_submission_is_left_out_of_m(monkeypatch, variant, mutation):
+    send = Simulator.send
+
+    def rewrite(sim, src, dst, kind, body, key=None):
+        if kind == "submission" and src == 1:
+            body = {"c": MALFORMED_SUBMISSIONS[mutation](body["c"], bound)}
+        send(sim, src, dst, kind, body, key=key)
+
+    monkeypatch.setattr(Simulator, "send", rewrite)
+    others = [2, 3, 4]
+    for s_min in (3, 4):
+        spec = RoundSpec(n=4, t=2, length=3, variant=variant, s_min=s_min)
+        bound = _bound(spec)
+        result = run_rounds(spec, SimConfig(seed=3, n=4))
+        r = result.rounds[0]
+        assert result.transcript.count(type="note", note="malformed_submission") == 1
+        if s_min == 3:
+            assert r.phase == "done" and r.verified is True
+            assert r.m_set == others and r.failed == [1]
+            assert r.field_sum == field_sum_oracle(result, others)
+        else:
+            assert r.phase == "rejected" and r.error == "StalenessTimeout"
+            assert r.field_sum is None and r.delivered_to == []
+
+
 def test_contribution_gating_for_silent_submitters():
     spec = RoundSpec(n=4, t=2, length=3, s_min=2)
     faults = [Fault(id=2, phase="masking", action="drop_outbound")]
@@ -327,7 +366,7 @@ def test_group_share_loss_recovers_the_lifted_share():
     assert r.phase == "done" and r.recovered == [4]
     group = spec.group
     exponent = sum(
-        result.nodes[i].dealer.v_poly.eval(4).value for i in range(1, 6)
+        result.nodes[i].dealer.v_poly.eval(4) for i in range(1, 6)
     ) % group.q
     assert result.nodes[4].share_lift == group.lift(exponent)
 

@@ -40,7 +40,7 @@ F130 = PrimeModulus(DEFAULT_PRIME)
 
 
 def _dealer(i, t, coeffs, modulus=F31):
-    return DealerState(id=i, t=t, v_poly=UniPoly.from_ints(coeffs, modulus))
+    return DealerState(id=i, t=t, v_poly=UniPoly(coeffs, modulus))
 
 
 # ---- direct bivariate dealing ---------------------------------------------------
@@ -48,17 +48,15 @@ def _dealer(i, t, coeffs, modulus=F31):
 
 def test_deal_direct_example_row():
     # F_1 = 2 + x + y + 3xy
-    f = SymBivarPoly(
-        2, {(0, 0): F31.element(2), (0, 1): F31.element(1), (1, 1): F31.element(3)}
-    )
+    f = SymBivarPoly(2, {(0, 0): 2, (0, 1): 1, (1, 1): 3}, F31)
     rows = deal_direct(f, [2, 3])
     # oracle: substitute y=2 -> (2+2) + (1+6)x
-    assert rows[2].coeffs == UniPoly.from_ints([4, 7], F31).coeffs
+    assert rows[2].coeffs == (4, 7)
     # symmetry: recipient j's row at dealer's id equals row at dealer evaluated at j
     assert rows[2].eval(3) == rows[3].eval(2)
     # any t recipients' rows at x=0 interpolate to the secret
-    pts = [(F31.element(j), rows[j].eval(0)) for j in (2, 3)]
-    assert lagrange_at_zero(pts, 2) == f.secret() == 2
+    pts = [(j, rows[j].eval(0)) for j in (2, 3)]
+    assert lagrange_at_zero(pts, 2, 31) == f.secret() == 2
 
 
 def test_deal_direct_rejects_reserved_and_duplicate_ids():
@@ -90,8 +88,8 @@ def test_two_step_spec_walkthrough():
     assert s_v[1] == 12 and s_v[2] == 18 and s_v[3] == 24
 
     # V(0) from any two s_v values equals sum of the dealers' constants
-    assert reconstruct_secret({1: s_v[1], 2: s_v[2]}, t=2) == 6
-    assert reconstruct_secret({2: s_v[2], 3: s_v[3]}, t=2) == 6
+    assert reconstruct_secret({1: s_v[1], 2: s_v[2]}, 2, 31) == 6
+    assert reconstruct_secret({2: s_v[2], 3: s_v[3]}, 2, 31) == 6
 
 
 def test_two_step_single_dealer_degenerate():
@@ -99,13 +97,13 @@ def test_two_step_single_dealer_degenerate():
     assert step1_messages(d, [1]) == {}
     s_v = accumulate_sv(d, {}, [1])
     assert s_v == d.v_poly.eval(1) == 9
-    assert reconstruct_secret({1: s_v}, t=1) == d.v_poly.constant_term()
+    assert reconstruct_secret({1: s_v}, 1, 31) == d.v_poly.constant_term()
 
 
 def test_accumulate_requires_all_step1_shares():
     d = _dealer(1, 2, [1, 1])
     with pytest.raises(MissingStep1Share):
-        accumulate_sv(d, {2: F31.element(4)}, [1, 2, 3])
+        accumulate_sv(d, {2: 4}, [1, 2, 3])
 
 
 def test_step2_requires_accumulated_sum():
@@ -117,7 +115,7 @@ def test_step2_requires_accumulated_sum():
 def test_step2_constant_term_is_sv():
     rng = random.Random(3)
     d = _dealer(2, 3, [5, 1, 2])
-    d.s_v = F31.element(21)
+    d.s_v = 21
     msgs = step2_messages(d, [1, 2, 3, 4], rng)
     assert d.a_poly.constant_term() == 21
     assert set(msgs) == {1, 3, 4}
@@ -175,22 +173,20 @@ def test_two_step_equals_direct_oracle():
                 inbox[j][i] = v
         s_v = {i: accumulate_sv(dealers[i], inbox[i], ids) for i in ids}
         take = rng.sample(ids, t)
-        two_step = reconstruct_secret({j: s_v[j] for j in take}, t)
+        two_step = reconstruct_secret({j: s_v[j] for j in take}, t, modulus.p)
 
-        expected = modulus.element(0)
-        for s in secrets:
-            expected = expected + s
+        expected = sum(secrets) % modulus.p
         assert two_step == expected
 
         # direct-bivariate oracle: each dealer's F_i(0,0) = same secret
-        total = modulus.element(0)
+        total = 0
         for i in ids:
             f = SymBivarPoly.random(t, modulus, rng, secret=secrets[i - 1])
             rows = deal_direct(f, [j for j in ids if j != i] or [i + 1])
-            pts = [(modulus.element(j), rows[j].eval(0)) for j in sorted(rows)][:t]
+            pts = [(j, rows[j].eval(0)) for j in sorted(rows)][:t]
             if len(pts) >= t:
-                assert lagrange_at_zero(pts, t) == secrets[i - 1]
-            total = total + f.secret()
+                assert lagrange_at_zero(pts, t, modulus.p) == secrets[i - 1]
+            total = (total + f.secret()) % modulus.p
         assert total == expected
 
 
@@ -199,8 +195,8 @@ def test_two_step_equals_direct_oracle():
 
 def test_recover_lost_share_example():
     # A_q = 4 + 2x: helpers hold A_q(1)=6, A_q(2)=8
-    helpers = {1: F31.element(6), 2: F31.element(8)}
-    assert recover_lost_share(3, helpers, t=2) == 4
+    helpers = {1: 6, 2: 8}
+    assert recover_lost_share(3, helpers, 2, 31) == 4
 
 
 def test_recover_matches_original_sv():
@@ -221,22 +217,22 @@ def test_recover_matches_original_sv():
         q = rng.choice(ids)
         helper_ids = rng.sample([j for j in ids if j != q], t)
         helpers = {j: a_inbox[j][q] for j in helper_ids}
-        recovered = recover_lost_share(q, helpers, t)
+        recovered = recover_lost_share(q, helpers, t, F130.p)
         assert recovered == s_v[q]
         # recovered share slots back into full reconstruction
         others = rng.sample([j for j in ids if j != q], t - 1)
         pool = {j: s_v[j] for j in others}
         pool[q] = recovered
-        assert reconstruct_secret(pool, t) == reconstruct_secret(
-            {j: s_v[j] for j in ids[:t]}, t
+        assert reconstruct_secret(pool, t, F130.p) == reconstruct_secret(
+            {j: s_v[j] for j in ids[:t]}, t, F130.p
         )
 
 
 def test_recover_rejects_self_help_and_shortage():
     with pytest.raises(ValueError):
-        recover_lost_share(1, {1: F31.element(6), 2: F31.element(8)}, t=2)
+        recover_lost_share(1, {1: 6, 2: 8}, 2, 31)
     with pytest.raises(InsufficientShares):
-        recover_lost_share(3, {1: F31.element(6)}, t=2)
+        recover_lost_share(3, {1: 6}, 2, 31)
 
 
 # ---- pairwise keys ---------------------------------------------------------------------
@@ -244,7 +240,7 @@ def test_recover_rejects_self_help_and_shortage():
 
 def _dealer_with_a(i, t, a_coeffs):
     d = _dealer(i, t, [0] * t)
-    d.a_poly = UniPoly.from_ints(a_coeffs, F31)
+    d.a_poly = UniPoly(a_coeffs, F31)
     return d
 
 
