@@ -13,6 +13,14 @@ Exponent arithmetic lives in Z_q, so this module reuses the scalar masking
 math with q as the field modulus and lifts the results through G^x. Masked
 vectors use the scalar wire format, a list of [c1, c2] pairs, with both
 components lifted.
+
+G is fixed, so each GroupParams keeps two tables, both built on first use and
+never by scalar runs. lift reads x mod q a byte at a time from a fixed-base
+window table (HAC 14.6.3; Lim and Lee, CRYPTO 1994): row i, entry d holds
+G^(d * 256^i), so G^x costs one multiplication per non-zero byte instead of a
+full exponentiation; 32 rows of 256 entries (~0.5 MB) on the 256-bit group.
+bsgs keeps its baby-step table {G^j: j < m} and giant step G^(-m) per step
+size m, so decoding a vector builds them once rather than once per element.
 """
 
 from __future__ import annotations
@@ -43,11 +51,14 @@ __all__ = [
     "bsgs",
 ]
 
+WINDOW = 256  # entries per lift table row: the exponent is read a byte at a time
+BABY_STEP_TABLES = 4  # BSGS tables kept per group, one per giant-step size
+
 
 class GroupParams:
-    """A prime-order-q subgroup of Z_P^*, generated by g."""
+    """A prime-order-q subgroup of Z_P^*, generated by g, with its lazy G^x tables."""
 
-    __slots__ = ("p", "q", "g")
+    __slots__ = ("p", "q", "g", "_lift_rows", "_bsgs_tables")
 
     def __init__(self, p: int, q: int, g: int):
         if not is_probable_prime(p):
@@ -62,17 +73,56 @@ class GroupParams:
         self.p = p
         self.q = q
         self.g = g
+        self._lift_rows: list[list[int]] | None = None
+        self._bsgs_tables: dict[int, tuple[dict[int, int], int]] = {}
 
     def exponent_field(self) -> PrimeModulus:
         """Z_q, where all share/key arithmetic for this variant happens."""
         return PrimeModulus(self.q)
 
     def lift(self, x: int) -> int:
-        """G^x for an exponent x (reduced mod q)."""
-        return pow(self.g, x % self.q, self.p)
+        """G^x for an exponent x (reduced mod q).
 
-    def inv(self, a: int) -> int:
-        return pow(a, self.p - 2, self.p)
+        Byte d at position i of x contributes the table entry G^(d * 256^i).
+        """
+        rows = self._lift_rows or self._build_lift_rows()
+        p = self.p
+        acc = 1
+        for row, d in zip(rows, (x % self.q).to_bytes(len(rows), "little")):
+            if d:
+                acc = acc * row[d] % p
+        return acc
+
+    def _build_lift_rows(self) -> list[list[int]]:
+        """Row i, entry d holds G^(d * 256^i), one row per byte of q."""
+        p, base = self.p, self.g
+        rows = []
+        for _ in range((self.q.bit_length() + 7) // 8):
+            row = [1] * WINDOW
+            for d in range(1, WINDOW):
+                row[d] = row[d - 1] * base % p
+            rows.append(row)
+            base = row[-1] * base % p
+        self._lift_rows = rows
+        return rows
+
+    def baby_steps(self, m: int) -> tuple[dict[int, int], int]:
+        """BSGS tables for giant-step size m: {G^j: j for j < m} and G^(-m).
+
+        Built once per m and kept, for the last BABY_STEP_TABLES sizes built.
+        """
+        cached = self._bsgs_tables.get(m)
+        if cached is None:
+            table: dict[int, int] = {}
+            e = 1
+            for j in range(m):
+                table.setdefault(e, j)
+                e = (e * self.g) % self.p
+            cached = (table, self.lift(-m))
+            if len(self._bsgs_tables) >= BABY_STEP_TABLES:
+                del self._bsgs_tables[next(iter(self._bsgs_tables))]
+            self._bsgs_tables[m] = cached
+        return cached
 
     def __repr__(self) -> str:
         return f"GroupParams(p={self.p}, q={self.q}, g={self.g})"
@@ -115,7 +165,7 @@ def wrap_share(exponent_value: int, recipient_pk: int, params: GroupParams) -> i
 
 def unwrap_share(wrapped: int, sk: int, params: GroupParams) -> int:
     """Strip the holder's key: (G^(sk*x))^(sk^-1 mod q) = G^x."""
-    sk_inv = pow(sk, params.q - 2, params.q)
+    sk_inv = pow(sk, -1, params.q)
     return pow(wrapped, sk_inv, params.p)
 
 
@@ -225,12 +275,16 @@ def group_unmask(
     round_no: int,
     params: GroupParams,
 ) -> list[int]:
-    """Strip the pad: G^(sum w) = c1 / (G^(sum V_i(0)))^H(label), per element."""
+    """Strip the pad: G^(sum w) = c1 * (G^(sum V_i(0)))^(q - H(label)).
+
+    The pad base lies in the order-q subgroup, so its (q - h)-th power is the
+    inverse of its h-th power: one exponentiation per element.
+    """
+    p, q = params.p, params.q
     out = []
     for idx, (c1, _) in enumerate(agg):
-        h = label_coeff(RoundLabel(round_no, idx), params.q)
-        pad = pow(g_pad_base, h, params.p)
-        out.append((c1 * params.inv(pad)) % params.p)
+        h = label_coeff(RoundLabel(round_no, idx), q)
+        out.append((c1 * pow(g_pad_base, q - h, p)) % p)
     return out
 
 
@@ -245,13 +299,7 @@ def bsgs(h: int, bound: int, params: GroupParams) -> int:
     if bound > (1 << 32):
         raise ValueError("bound above 2^32; dense decode would be impractical")
     m = isqrt(bound - 1) + 1
-    table: dict[int, int] = {}
-    e = 1
-    for j in range(m):
-        table.setdefault(e, j)
-        e = (e * params.g) % params.p
-    # factor = G^(-m)
-    factor = params.inv(pow(params.g, m, params.p))
+    table, factor = params.baby_steps(m)  # factor = G^(-m)
     gamma = h % params.p
     for i in range(m):
         j = table.get(gamma)

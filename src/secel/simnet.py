@@ -285,6 +285,7 @@ class Simulator:
         self._tick = 0  # heap tie-break, also total event counter
         self._net_rng = random.Random(derive_seed(config.seed, "net"))
         self._pair_seq: dict[tuple[int, int], int] = {}
+        self._broadcast: tuple[dict, str] | None = None  # body in flight, its digest
 
     # -- wiring --------------------------------------------------------------------
 
@@ -339,7 +340,11 @@ class Simulator:
             env.digest = payload_digest(env.blob)
         else:
             env.body = body
-            env.digest = payload_digest(canonical_json(body))
+            shared = self._broadcast
+            if shared is not None and shared[0] is body:
+                env.digest = shared[1]
+            else:
+                env.digest = payload_digest(canonical_json(body))
         if src in self.dropping:
             self.transcript.envelope("drop", env, t=self.now, reason="drop_outbound")
             return
@@ -347,10 +352,17 @@ class Simulator:
         self._push(env.deliver_time, ("deliver", env))
 
     def broadcast(self, src: int, dsts: Iterable[int], kind: str, body: dict) -> None:
-        """Send the same plaintext body to every destination but the sender."""
-        for dst in sorted(dsts):
-            if dst != src:
-                self.send(src, dst, kind, body)
+        """Send the same plaintext body to every destination but the sender.
+
+        The body is encoded for its payload digest once; every send reuses it.
+        """
+        self._broadcast = (body, payload_digest(canonical_json(body)))
+        try:
+            for dst in sorted(dsts):
+                if dst != src:
+                    self.send(src, dst, kind, body)
+        finally:
+            self._broadcast = None
 
     # -- faults ----------------------------------------------------------------------
 

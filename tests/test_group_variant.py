@@ -7,8 +7,11 @@ from __future__ import annotations
 
 import random
 import time
+from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secel.algebra import PrimeModulus, is_probable_prime
 from secel.errors import InsufficientShares, LabelMismatch, NotFound, ZeroAuthKey
@@ -40,6 +43,8 @@ from secel.maskmac import (
 
 # order-101 subgroup of Z_607^* for hand-checkable examples
 G101 = GroupParams(p=607, q=101, g=122)
+# 9-bit order: the lift table's second row holds only the top bit
+G359 = GroupParams(p=719, q=359, g=4)
 
 
 # ---- parameters --------------------------------------------------------------------
@@ -70,6 +75,30 @@ def test_group_params_validation():
 def test_exponent_field_matches_order():
     assert G101.exponent_field().p == 101
     assert G101.lift(6) == pow(122, 6, 607)
+
+
+ALL_GROUPS = pytest.mark.parametrize(
+    "params",
+    [DEFAULT_GROUP, TOY_GROUP, G101, G359],
+    ids=["default", "toy", "g101", "g359"],
+)
+
+
+@ALL_GROUPS
+@settings(max_examples=60, deadline=None)
+@given(x=st.integers(min_value=-(1 << 320), max_value=1 << 320))
+@example(x=0)
+@example(x=-1)
+@example(x=-(1 << 257) - 3)
+@example(x=(1 << 300) + 12345)
+def test_lift_matches_builtin_pow(params, x):
+    assert params.lift(x) == pow(params.g, x % params.q, params.p)
+
+
+@ALL_GROUPS
+def test_lift_at_the_order_and_byte_edges(params):
+    for x in (params.q - 1, params.q, params.q + 1, -params.q, 255, 256):
+        assert params.lift(x) == pow(params.g, x % params.q, params.p)
 
 
 # ---- wrap / unwrap ------------------------------------------------------------------
@@ -238,6 +267,19 @@ def test_setup_reuse_across_ten_rounds():
             assert bsgs(out[idx], 1 << 11, TOY_GROUP) == total
 
 
+@ALL_GROUPS
+def test_group_unmask_is_c1_over_the_pad_power(params):
+    rng = random.Random(28)
+    p, q = params.p, params.q
+    for rnd in range(5):
+        agg = [[params.lift(rng.randrange(q)), 1] for _ in range(6)]
+        pad = params.lift(rng.randrange(q))
+        out = group_unmask(agg, pad, rnd, params)
+        for idx, ((c1, _), got) in enumerate(zip(agg, out)):
+            h = label_coeff(RoundLabel(rnd, idx), q)
+            assert got == c1 * pow(pow(pad, h, p), -1, p) % p
+
+
 # ---- bsgs -----------------------------------------------------------------------------
 
 
@@ -263,6 +305,39 @@ def test_bsgs_random_and_edges():
         assert bsgs(TOY_GROUP.lift(x), 1 << 20, TOY_GROUP) == x
 
 
+def _naive_log(h, bound, params):
+    e = 1
+    for x in range(bound):
+        if e == h:
+            return x
+        e = e * params.g % params.p
+    return None
+
+
+def test_bsgs_matches_naive_log_under_interleaved_bounds():
+    # 1000 and 1001 share m = 32, 2000 has m = 45; 300 (m = 18) runs on two groups
+    queries = [
+        (TOY_GROUP, 1000),
+        (TOY_GROUP, 2000),
+        (TOY_GROUP, 1001),
+        (TOY_GROUP, 300),
+        (G359, 300),
+    ]
+    assert TOY_GROUP.baby_steps(32) is TOY_GROUP.baby_steps(32)
+    assert G359.baby_steps(18)[0] != TOY_GROUP.baby_steps(18)[0]
+    rng = random.Random(29)
+    for _ in range(200):
+        params, bound = rng.choice(queries)
+        x = rng.randrange(bound)
+        h = params.lift(x)
+        assert bsgs(h, bound, params) == _naive_log(h, bound, params) == x
+        m = isqrt(bound - 1) + 1
+        beyond = params.lift(rng.randrange(bound, m * m))
+        with pytest.raises(NotFound):
+            bsgs(beyond, bound, params)
+        assert _naive_log(beyond, bound, params) is None
+
+
 def test_bsgs_runtime_scales_as_square_root():
     # worst-case decodes at three bounds; each 16x bound step ~ 4x work
     def cost(bound, reps=30):
@@ -279,3 +354,28 @@ def test_bsgs_runtime_scales_as_square_root():
     # generous envelope: ratios should sit near 4, far from O(1) or O(bound)=16
     assert 1.5 < c14 / c10 < 12
     assert 1.5 < c18 / c14 < 12
+
+
+# ---- precomputed tables ---------------------------------------------------------------
+
+
+def test_scalar_rounds_build_no_group_table(monkeypatch):
+    from secel.protocol import RoundSpec, SimConfig, run_rounds
+
+    fresh = GroupParams(p=TOY_GROUP.p, q=TOY_GROUP.q, g=TOY_GROUP.g)
+    groups = (TOY_GROUP, DEFAULT_GROUP, fresh)
+    for params in groups:
+        monkeypatch.setattr(params, "_lift_rows", None)
+        monkeypatch.setattr(params, "_bsgs_tables", {})
+    for spec, verified in (
+        (RoundSpec(n=4, t=2, length=8, rounds=2), True),
+        (RoundSpec(n=5, t=2, length=4, rounds=2, share_loss=(2,), group=fresh), True),
+        (RoundSpec(n=4, t=2, tamper="flip_element", group=DEFAULT_GROUP), False),
+    ):
+        result = run_rounds(spec, SimConfig(seed=3, n=spec.n))
+        assert [r.verified for r in result.rounds] == [verified] * spec.rounds
+    for params in groups:
+        assert params._lift_rows is None
+        assert params._bsgs_tables == {}
+    fresh.lift(1)
+    assert len(fresh._lift_rows) == 8  # 61-bit q: one row per byte

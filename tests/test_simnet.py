@@ -281,6 +281,45 @@ def test_transcripts_are_reproducible_and_seed_sensitive():
         assert list(parsed) == sorted(parsed)
 
 
+def test_broadcast_encodes_the_body_once(monkeypatch):
+    import secel.simnet as simnet
+
+    body = {"c": [[i, i + 1] for i in range(64)], "m": [1, 2, 3, 4]}
+
+    class Caster(Recorder):
+        def __init__(self, node_id, fan_out):
+            super().__init__(node_id)
+            self.fan_out = fan_out
+
+        def on_phase_start(self, sim, phase):
+            if self.id == 1:
+                self.fan_out(sim)
+
+    def run(fan_out):
+        sim = Simulator(SimConfig(seed=4, n=5))
+        for i in range(1, 6):
+            sim.add_node(Caster(i, fan_out))
+        sim.run_phase("aggregation", 0)
+        return sim.transcript.records
+
+    def one_by_one(sim):
+        for dst in range(2, 6):
+            sim.send(1, dst, "aggregate", body)
+
+    encoded = []
+
+    def counting(obj):
+        encoded.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(simnet, "canonical_json", counting)
+    sent = run(lambda sim: sim.broadcast(1, range(1, 6), "aggregate", body))
+    assert encoded == [body]
+    assert [r["type"] for r in sent].count("deliver") == 4
+    assert sent == run(one_by_one)
+    assert len(encoded) == 5  # the separate sends encode once per peer
+
+
 def test_timers_fire_in_order_and_skip_offline_nodes():
     sim = make_sim(n=2, node_cls=Recorder)
     sim.schedule_timer(1, 30, "later", {"k": 1})
