@@ -306,12 +306,23 @@ class FixedPointCodec:
         return v / self.scale - m_count * self.clip_bound
 
     def encode(self, values: Iterable[float], modulus: PrimeModulus) -> list[int]:
-        return [self.encode_value(v, modulus) for v in values]
+        """encode_value over a vector, with its per-codec constants read once."""
+        hi = self.clip_bound
+        lo, shift = -hi, 0.0 if self.signed else hi
+        scale, p = self.scale, modulus.p
+        return [round((min(max(float(v), lo), hi) + shift) * scale) % p for v in values]
 
     def decode(
         self, elems: Sequence[int], modulus: PrimeModulus, m_count: int = 1
     ) -> list[float]:
-        return [self.decode_sum(v, modulus, m_count) for v in elems]
+        """decode_sum over a vector, with its per-codec constants read once."""
+        scale = self.scale
+        if self.signed:
+            p = modulus.p
+            half = p // 2
+            return [(v - p if v > half else v) / scale for v in elems]
+        offset = m_count * self.clip_bound
+        return [v / scale - offset for v in elems]
 
     def __repr__(self) -> str:
         kind = "signed" if self.signed else "shifted"

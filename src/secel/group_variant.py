@@ -14,13 +14,20 @@ math with q as the field modulus and lifts the results through G^x. Masked
 vectors use the scalar wire format, a list of [c1, c2] pairs, with both
 components lifted.
 
-G is fixed, so each GroupParams keeps two tables, both built on first use and
-never by scalar runs. lift reads x mod q a byte at a time from a fixed-base
-window table (HAC 14.6.3; Lim and Lee, CRYPTO 1994): row i, entry d holds
-G^(d * 256^i), so G^x costs one multiplication per non-zero byte instead of a
-full exponentiation; 32 rows of 256 entries (~0.5 MB) on the 256-bit group.
-bsgs keeps its baby-step table {G^j: j < m} and giant step G^(-m) per step
-size m, so decoding a vector builds them once rather than once per element.
+Powers of a fixed base come from fixed-base window tables (HAC 14.6.3; Lim
+and Lee, CRYPTO 1994): row i, entry d holds base^(d * 2^(w*i)), so base^e
+costs one multiplication per non-zero w-bit digit of e instead of a full
+exponentiation. G is fixed, so each GroupParams keeps two tables, both built
+on first use and never by scalar runs. lift reads x mod q a byte at a time
+(w = 8: 32 rows of 256 entries, ~0.5 MB, on the 256-bit group). bsgs keeps
+its baby-step table {G^j: j < m} and giant step G^(-m) per step size m, with
+m = 8 * ceil(sqrt(bound)) capped at 2^16, so decoding a vector builds them
+once and each element takes about sqrt(bound) / 8 giant steps.
+
+Within one call, group_verify and group_unmask raise one base, the round's
+G^k or the pad, to a fresh exponent per element, so each builds a 4-bit
+table for that base (64 rows of 16 entries on the 256-bit group) and drops
+it on return.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from math import isqrt
 from typing import Sequence
 
 from .algebra import PrimeModulus, is_probable_prime, lagrange_coeffs_at
-from .errors import LabelMismatch, NotFound
+from .errors import InsufficientShares, LabelMismatch, NotFound
 from .maskmac import RoundLabel, label_coeff, mask_vector
 
 __all__ = [
@@ -51,8 +58,41 @@ __all__ = [
     "bsgs",
 ]
 
-WINDOW = 256  # entries per lift table row: the exponent is read a byte at a time
+LIFT_WINDOW_BITS = 8  # lift reads the exponent a byte at a time
+CALL_WINDOW_BITS = 4  # per-call tables: 15 multiplications per row to build
 BABY_STEP_TABLES = 4  # BSGS tables kept per group, one per giant-step size
+BABY_STEP_WIDTH = 8  # baby steps per sqrt(bound)
+BABY_STEP_CAP = 1 << 16  # sqrt of bsgs's largest bound, so never below sqrt(bound)
+_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def window_rows(base: int, p: int, bits: int, width: int) -> list[list[int]]:
+    """Fixed-base table for exponents below 2^bits, read width (4 or 8) bits at a time.
+
+    Row i, entry d holds base^(d * 2^(width * i)) mod p.
+    """
+    size = 1 << width
+    rows = []
+    for _ in range(-(-bits // width)):
+        row = [1] * size
+        for d in range(1, size):
+            row[d] = row[d - 1] * base % p
+        rows.append(row)
+        base = row[-1] * base % p
+    return rows
+
+
+def window_pow(rows: list[list[int]], e: int, p: int) -> int:
+    """base^e mod p from the window_rows table of base, for 0 <= e < 2^(width*rows)."""
+    if len(rows[0]) == 256:  # 8-bit rows: the bytes of e, least significant first
+        digits = e.to_bytes(len(rows), "little")
+    else:  # 4-bit rows: the hex digits of e, least significant first
+        digits = f"{e:0{len(rows)}x}".encode().translate(_HEX_DIGITS)[::-1]
+    acc = 1
+    for row, d in zip(rows, digits, strict=True):
+        if d:
+            acc = acc * row[d] % p
+    return acc
 
 
 class GroupParams:
@@ -81,30 +121,13 @@ class GroupParams:
         return PrimeModulus(self.q)
 
     def lift(self, x: int) -> int:
-        """G^x for an exponent x (reduced mod q).
-
-        Byte d at position i of x contributes the table entry G^(d * 256^i).
-        """
-        rows = self._lift_rows or self._build_lift_rows()
-        p = self.p
-        acc = 1
-        for row, d in zip(rows, (x % self.q).to_bytes(len(rows), "little")):
-            if d:
-                acc = acc * row[d] % p
-        return acc
-
-    def _build_lift_rows(self) -> list[list[int]]:
-        """Row i, entry d holds G^(d * 256^i), one row per byte of q."""
-        p, base = self.p, self.g
-        rows = []
-        for _ in range((self.q.bit_length() + 7) // 8):
-            row = [1] * WINDOW
-            for d in range(1, WINDOW):
-                row[d] = row[d - 1] * base % p
-            rows.append(row)
-            base = row[-1] * base % p
-        self._lift_rows = rows
-        return rows
+        """G^x for an exponent x (reduced mod q), from the byte-wide table of G."""
+        rows = self._lift_rows
+        if rows is None:
+            rows = self._lift_rows = window_rows(
+                self.g, self.p, self.q.bit_length(), LIFT_WINDOW_BITS
+            )
+        return window_pow(rows, x % self.q, self.p)
 
     def baby_steps(self, m: int) -> tuple[dict[int, int], int]:
         """BSGS tables for giant-step size m: {G^j: j for j < m} and G^(-m).
@@ -177,8 +200,6 @@ def exp_lagrange_at(
     points are (share id, G^(f(id))) pairs; the result is G^(f(x0)).
     """
     if len(points) < t:
-        from .errors import InsufficientShares
-
         raise InsufficientShares(f"need {t} points, got {len(points)}")
     use = list(points[:t])
     xs = [x for x, _ in use]
@@ -259,12 +280,15 @@ def group_verify(
     """Check c2^s * c1 == G^(sum of PRG(k_i, label)) for every element.
 
     The right side is (G^k)^H(label): the label coefficient is public, so the
-    verifier only needs the recovered lift of the combined key.
+    verifier only needs the recovered lift of the combined key. Its powers are
+    read from a window table of G^k built once per call.
     """
-    p, s = params.p, s % params.q
+    p, q = params.p, params.q
+    s %= q
+    g_k_rows = window_rows(g_k, p, q.bit_length(), CALL_WINDOW_BITS)
     for idx, (c1, c2) in enumerate(agg):
-        h = label_coeff(RoundLabel(round_no, idx), params.q)
-        if (pow(c2, s, p) * c1) % p != pow(g_k, h, p):
+        h = label_coeff(RoundLabel(round_no, idx), q)
+        if (pow(c2, s, p) * c1) % p != window_pow(g_k_rows, h, p):
             return False
     return True
 
@@ -278,30 +302,40 @@ def group_unmask(
     """Strip the pad: G^(sum w) = c1 * (G^(sum V_i(0)))^(q - H(label)).
 
     The pad base lies in the order-q subgroup, so its (q - h)-th power is the
-    inverse of its h-th power: one exponentiation per element.
+    inverse of its h-th power: one table read per element.
     """
     p, q = params.p, params.q
+    pad_rows = window_rows(g_pad_base, p, q.bit_length(), CALL_WINDOW_BITS)
     out = []
     for idx, (c1, _) in enumerate(agg):
         h = label_coeff(RoundLabel(round_no, idx), q)
-        out.append((c1 * pow(g_pad_base, q - h, p)) % p)
+        out.append((c1 * window_pow(pad_rows, q - h, p)) % p)
     return out
+
+
+def baby_step_count(bound: int) -> int:
+    """Baby-step table size for bsgs: 8 * ceil(sqrt(bound)), capped at 2^16.
+
+    The table is built once per size and kept, so the wider it is the fewer
+    giant steps each element takes; time and memory still grow as sqrt(bound).
+    """
+    return min(BABY_STEP_WIDTH * (isqrt(bound - 1) + 1), BABY_STEP_CAP)
 
 
 def bsgs(h: int, bound: int, params: GroupParams) -> int:
     """Discrete log of h base G, assuming it lies in [0, bound).
 
-    Classic baby-step giant-step: O(sqrt(bound)) time and memory. Raises
-    NotFound when no exponent below the bound matches.
+    Baby-step giant-step: O(sqrt(bound)) time and memory. Raises NotFound
+    when no exponent below the bound matches.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if bound > (1 << 32):
         raise ValueError("bound above 2^32; dense decode would be impractical")
-    m = isqrt(bound - 1) + 1
+    m = baby_step_count(bound)
     table, factor = params.baby_steps(m)  # factor = G^(-m)
     gamma = h % params.p
-    for i in range(m):
+    for i in range((bound - 1) // m + 1):
         j = table.get(gamma)
         if j is not None:
             x = i * m + j

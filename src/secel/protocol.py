@@ -963,10 +963,7 @@ class ParticipantNode(Node):
             return
         self._apply_recovered(body.get("recovered"))
         self.field_sum = list(body["sum"])
-        m_count = len(body["m"])
-        self.plaintext = [
-            self.codec.decode_sum(v, self.modulus, m_count) for v in self.field_sum
-        ]
+        self.plaintext = self.codec.decode(self.field_sum, self.modulus, len(body["m"]))
         self.status = "done"
 
     def _on_round_done(self, sim: Simulator, env) -> None:
@@ -1079,9 +1076,7 @@ class ParticipantNode(Node):
             sim.send(self.id, u, kind, body, key=key)
         if self.id in m:
             self.field_sum = list(sums)
-            self.plaintext = [
-                self.codec.decode_sum(v, self.modulus, len(m)) for v in sums
-            ]
+            self.plaintext = self.codec.decode(sums, self.modulus, len(m))
         self.status = "done"
 
 
@@ -1266,10 +1261,7 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
                 leader = participants[state.leader]
                 modulus = spec.field_modulus()
                 state.field_sum = list(leader.findings.sums)
-                state.decrypted = [
-                    codec.decode_sum(v, modulus, len(state.m_set))
-                    for v in state.field_sum
-                ]
+                state.decrypted = codec.decode(state.field_sum, modulus, len(state.m_set))
                 state.recovered = sorted(leader.findings.recovered)
         state.delivered_to = sorted(
             i for i, n in participants.items() if n.plaintext is not None

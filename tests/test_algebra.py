@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secel.algebra import (
     DEFAULT_PRIME,
@@ -222,3 +224,29 @@ def test_gradient_vector_helpers():
     dec = codec.decode(enc, F130)
     for orig, back in zip(vec, dec):
         assert abs(orig - back) <= 2 ** -16
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    signed=st.booleans(),
+    scale_bits=st.integers(min_value=1, max_value=20),
+    clip=st.sampled_from([0.5, 1.0, 8.0, 100.0]),
+    vs=st.lists(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+        | st.sampled_from([-8.0, 8.0, -8.000001, 8.000001, -0.0, 1e300, -1e300])
+        | st.integers(min_value=-(1 << 40), max_value=1 << 40),
+        max_size=40,
+    ),
+    m_count=st.integers(min_value=1, max_value=100),
+)
+def test_codec_vector_paths_match_the_per_value_ones(
+    signed, scale_bits, clip, vs, m_count
+):
+    codec = FixedPointCodec(scale_bits=scale_bits, clip_bound=clip, signed=signed)
+    for modulus in (F31, F130):
+        es = codec.encode(vs, modulus)
+        assert es == [codec.encode_value(v, modulus) for v in vs]
+        sums = es + [0, 1, modulus.p // 2, modulus.p // 2 + 1, modulus.p - 1]
+        assert codec.decode(sums, modulus, m_count) == [
+            codec.decode_sum(e, modulus, m_count) for e in sums
+        ]

@@ -20,6 +20,7 @@ from secel.group_variant import (
     TOY_GROUP,
     GroupParams,
     KeyPair,
+    baby_step_count,
     bsgs,
     combine_key_lifts,
     exp_lagrange_at,
@@ -29,6 +30,8 @@ from secel.group_variant import (
     group_unmask,
     group_verify,
     unwrap_share,
+    window_pow,
+    window_rows,
     wrap_share,
 )
 from secel.maskmac import (
@@ -99,6 +102,34 @@ def test_lift_matches_builtin_pow(params, x):
 def test_lift_at_the_order_and_byte_edges(params):
     for x in (params.q - 1, params.q, params.q + 1, -params.q, 255, 256):
         assert params.lift(x) == pow(params.g, x % params.q, params.p)
+
+
+def _table_exponents(params, width):
+    """0, 1, q-1, q-H(label) for real labels, and exponents with the top window set."""
+    q = params.q
+    rows = -(-q.bit_length() // width)
+    top = (1 << width) - 1
+    return [0, 1, q - 1, top << (width * (rows - 1)), (1 << (width * rows)) - 1] + [
+        q - label_coeff(RoundLabel(rnd, idx), q) for rnd in (0, 7) for idx in range(4)
+    ]
+
+
+@ALL_GROUPS
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_window_pow_matches_builtin_pow(params, data):
+    p, bits = params.p, params.q.bit_length()
+    base = data.draw(st.integers(min_value=0, max_value=p - 1), label="base")
+    for width in (4, 8):
+        rows = window_rows(base, p, bits, width)
+        e = data.draw(
+            st.sampled_from(_table_exponents(params, width))
+            | st.integers(min_value=0, max_value=params.q),
+            label=f"e{width}",
+        )
+        assert window_pow(rows, e, p) == pow(base, e, p)
+        with pytest.raises((OverflowError, ValueError)):
+            window_pow(rows, 1 << (width * len(rows)), p)
 
 
 # ---- wrap / unwrap ------------------------------------------------------------------
@@ -231,6 +262,27 @@ def test_group_pipeline_commutes_with_scalar_pipeline():
             assert go == TOY_GROUP.lift(so)
 
 
+def test_group_verify_checks_every_element():
+    # a 64-pair honest aggregate on the 256-bit group; one bad c1 anywhere fails it
+    rng = random.Random(30)
+    params, m, length, rnd = DEFAULT_GROUP, 3, 64, 5
+    q = params.q
+    vs = [rng.randrange(q) for _ in range(m)]
+    ks = [rng.randrange(q) for _ in range(m)]
+    s = sum(rng.randrange(1, q) for _ in range(m)) % q or 1
+    ws = [[rng.randrange(1 << 10) for _ in range(length)] for _ in range(m)]
+    agg = group_aggregate(
+        [group_mask_vector(ws[i], vs[i], ks[i], s, rnd, params) for i in range(m)],
+        params,
+    )
+    g_k = params.lift(sum(ks))
+    assert group_verify(agg, g_k, s, rnd, params)
+    for idx in range(length):
+        bad = [list(pair) for pair in agg]
+        bad[idx][0] = bad[idx][0] * params.g % params.p
+        assert not group_verify(bad, g_k, s, rnd, params), idx
+
+
 def test_group_aggregate_label_guards():
     pairs = group_mask_vector([1, 2], 3, 4, 5, 0, TOY_GROUP)
     other = group_mask_vector([1], 3, 4, 5, 0, TOY_GROUP)
@@ -278,6 +330,7 @@ def test_group_unmask_is_c1_over_the_pad_power(params):
         for idx, ((c1, _), got) in enumerate(zip(agg, out)):
             h = label_coeff(RoundLabel(rnd, idx), q)
             assert got == c1 * pow(pow(pad, h, p), -1, p) % p
+            assert got == c1 * pow(pad, q - h, p) % p
 
 
 # ---- bsgs -----------------------------------------------------------------------------
@@ -303,6 +356,31 @@ def test_bsgs_random_and_edges():
     for _ in range(100):
         x = rng.randrange(1 << 20)
         assert bsgs(TOY_GROUP.lift(x), 1 << 20, TOY_GROUP) == x
+
+
+@pytest.mark.parametrize(
+    "params, bound",
+    [(G359, 300), (TOY_GROUP, 1025), (DEFAULT_GROUP, 163841), (TOY_GROUP, 1 << 16)],
+    ids=["g359-300", "toy-1025", "default-163841", "toy-2^16"],
+)
+def test_bsgs_is_exact_up_to_the_bound(params, bound):
+    for x in (0, 1, bound // 2, bound - 1):
+        assert bsgs(params.lift(x), bound, params) == x
+    with pytest.raises(NotFound):
+        bsgs(params.lift(bound), bound, params)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 300, 1025, 163841, 1 << 16, 1 << 30, 1 << 32])
+def test_baby_step_count_is_about_eight_square_roots(bound):
+    root = isqrt(bound - 1) + 1  # ceil(sqrt(bound))
+    m = baby_step_count(bound)
+    giant_steps = (bound - 1) // m + 1
+    assert root <= m <= max(root, 1 << 16)
+    assert giant_steps * m >= bound
+    if 8 * root <= 1 << 16:
+        assert m == 8 * root and giant_steps <= root // 8 + 1
+    if bound == 1 << 32:
+        assert m == 1 << 16  # sized only: the table is never built here
 
 
 def _naive_log(h, bound, params):
