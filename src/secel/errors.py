@@ -73,6 +73,10 @@ class RecoveryQuorumFailure(SecelError):
     """Fewer than t live share holders exist for a required reconstruction."""
 
 
+class DecodeFailure(SecelError):
+    """An unmasked group element has no discrete log below the decode bound."""
+
+
 class RoundRejected(SecelError):
     """A full protocol round ended without a verified, decrypted aggregate."""
 

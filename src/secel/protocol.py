@@ -23,12 +23,10 @@ share evaluations for recovery and the decrypted result — uses AEAD channels
 keyed from the dealt polynomials, so a fresh key exists even for a participant
 that lost every received share.
 
-Both variants run one code path. The choice between adding field values and
-multiplying group lifts lives in the per-variant arithmetic object,
-ScalarArith or GroupArith; the leader and the aggregator are written once
-against it. Only setup dealing, the group key refresh, the scalar-only
-`a_evals` field of a share response and where a party keeps its own share
-still look at the variant.
+Both variants run one code path. What differs lives in the per-variant
+arithmetic object, ScalarArith or GroupArith, that RoundSpec builds: adding
+field values or multiplying group lifts, and the steps of setup. Nodes and
+the runner are written once against it and never read the variant.
 """
 
 from __future__ import annotations
@@ -51,6 +49,8 @@ from .algebra import (
 from .errors import (
     AuthFailure,
     ConfigError,
+    DecodeFailure,
+    NotFound,
     RecoveryQuorumFailure,
     RevealTimeout,
     SetupQuorumFailure,
@@ -243,6 +243,10 @@ class RoundSpec:
             return self.group.exponent_field()
         return PrimeModulus(self.prime)
 
+    def arith(self) -> ScalarArith | GroupArith:
+        """A fresh arithmetic object for one node: the variant's whole difference."""
+        return GroupArith(self) if self.variant == "group" else ScalarArith(self)
+
     def decode_bound(self, m_count: int) -> int:
         """Largest decodable aggregate in group mode: m parties, full clip range."""
         codec = self.codec()
@@ -379,11 +383,15 @@ class ScenarioResult:
 
 # ---- per-variant arithmetic ------------------------------------------------------------
 #
-# The leader and the aggregator are written once against these two objects.
+# The nodes are written once against these two objects; each node owns one.
 # Values travel as plain ints: field values mod p for the scalar variant,
 # lifts G^x mod P for the group variant. Masked vectors stay in the wire
 # format, lists of [c1, c2] pairs, from the contributor's mask through the
 # aggregator's sum to the leader's check, so each method is one kernel call.
+#
+# Setup runs one way in both (ParticipantNode._on_setup): open_setup sends the
+# OPENING kind, deal_second runs once every peer's opening is in, finish_setup
+# once both rows from every peer are held. SETUP: kind -> (role, dealt field).
 
 
 class ScalarArith:
@@ -391,9 +399,35 @@ class ScalarArith:
 
     V_FIELD = "v_evals"  # share_resp key of the held first-row evaluations
     SHARE_FIELD = "s_v"  # share_resp key of the responder's own share
+    A_FIELD = "a_evals"  # share_resp key of the held second-row evaluations
+    SETUP = {"setup1": ("first_row", "v"), "setup2": ("second_row", "a")}
+    OPENING = "setup1"
+    reuses_setup = False  # every round deals afresh
 
     def __init__(self, spec: RoundSpec):
+        self.ids = spec.participant_ids
         self.p = self.q = spec.prime  # values live mod p, exponents mod q
+
+    def open_setup(self, node: ParticipantNode, sim: Simulator) -> None:
+        """First dealing round: V_i(j) and the round-key summand to each peer."""
+        out = step1_messages(node.dealer, self.ids)
+        for j in sorted(out):
+            sim.send(node.id, j, "setup1", {"v": out[j], "s": node.s_own})
+
+    def deal_second(self, node: ParticipantNode, sim: Simulator) -> None:
+        """Fix s_v = V(id) and the round key, then deal A_i(j) with A_i(0) = s_v."""
+        node.own_share = accumulate_sv(node.dealer, node.held_v, self.ids)
+        node.set_round_key()
+        out = step2_messages(node.dealer, self.ids, node.rng)
+        for j in sorted(out):
+            sim.send(node.id, j, "setup2", {"a": out[j]})
+
+    def unwrap(self, dealt: int) -> int:
+        return dealt
+
+    def finish_setup(self, node: ParticipantNode) -> None:
+        for j in node.peers:
+            node.chan_keys[j] = channel_key(pairwise_key(node.dealer, j, node.held_a[j]))
 
     def lift(self, x: int) -> int:
         return x
@@ -406,9 +440,10 @@ class ScalarArith:
             return lagrange_at_zero(points, t, self.p)
         return lagrange_at(points, x, t, self.p)
 
-    def recover_lost(self, q: int, held_a: dict, shares: dict, t: int):
+    def recover_lost(self, q: int, bodies: dict, shares: dict, t: int):
         """s_v of share-loser q from t helpers' second-row evaluations A_q(j)."""
-        helpers = {j: a[q] for j, a in held_a.items() if q in a and j != q}
+        held_a = {j: body.get(self.A_FIELD, {}) for j, body in bodies.items() if j != q}
+        helpers = {j: a[str(q)] for j, a in held_a.items() if str(q) in a}
         if len(helpers) < t:
             raise RecoveryQuorumFailure(
                 f"share loser {q}: {len(helpers)} helpers, need {t}"
@@ -435,11 +470,44 @@ class GroupArith:
 
     V_FIELD = "v_lifts"
     SHARE_FIELD = "share_lift"
+    A_FIELD = None  # a lost share is rebuilt from share lifts, not second rows
+    SETUP = {"pk": ("key", "pk"), "gsetup1": ("first_row", "w"), "gsetup2": ("second_row", "w")}
+    OPENING = "pk"
+    reuses_setup = True  # later rounds only refresh the round key
 
     def __init__(self, spec: RoundSpec):
         self.spec = spec
         self.group = spec.group
         self.p, self.q = self.group.p, self.group.q
+
+    def open_setup(self, node: ParticipantNode, sim: Simulator) -> None:
+        # the second row only feeds pairwise DH keys here, so its constant
+        # term is free — holders never see scalars to sum into s_v anyway
+        self.a_exp = UniPoly.random(self.spec.t - 1, node.modulus, node.rng)
+        self.keypair = KeyPair.generate(self.group, node.rng)
+        self.peer_pks: dict[int, int] = {}
+        sim.broadcast(node.id, node.peers, "pk", {"pk": self.keypair.pk})
+
+    def deal_second(self, node: ParticipantNode, sim: Simulator) -> None:
+        """Both rows to each peer, wrapped for its key: pk_j^V_i(j), pk_j^A_i(j)."""
+        for j in node.peers:
+            pk = self.peer_pks[j]
+            w = wrap_share(node.dealer.v_poly.eval(j), pk, self.group)
+            sim.send(node.id, j, "gsetup1", {"w": w, "s": node.s_own})
+            sim.send(node.id, j, "gsetup2", {"w": wrap_share(self.a_exp.eval(j), pk, self.group)})
+
+    def unwrap(self, dealt: int) -> int:
+        return unwrap_share(dealt, self.keypair.sk, self.group)
+
+    def finish_setup(self, node: ParticipantNode) -> None:
+        # persistent share: G^(V(id)) where V is the sum of all dealt rows
+        own = self.lift(node.dealer.v_poly.eval(node.id))
+        node.own_share = self.combine([own, *node.held_v.values()])
+        node.set_round_key()
+        for j in node.peers:
+            # Diffie-Hellman on the second rows: G^(A_i(j) * A_j(i)) both ways
+            shared = pow(node.held_a[j], self.a_exp.eval(j), self.p)
+            node.chan_keys[j] = channel_key(shared, context=b"group")
 
     def lift(self, x: int) -> int:
         return self.group.lift(x)
@@ -452,7 +520,7 @@ class GroupArith:
             return exp_lagrange_at_zero(points, t, self.group)
         return exp_lagrange_at(points, x, t, self.group)
 
-    def recover_lost(self, q: int, held_a: dict, shares: dict, t: int):
+    def recover_lost(self, q: int, bodies: dict, shares: dict, t: int):
         """G^V(q) of share-loser q, interpolated at q from t helpers' G^V(j)."""
         pts = [(j, shares[j]) for j in sorted(shares) if j != q]
         if len(pts) < t:
@@ -471,12 +539,14 @@ class GroupArith:
         return group_verify(pairs, k, s, round_no, self.group)
 
     def unmask(self, pairs, pad: int, round_no: int, m_count: int) -> list[int]:
-        lifted_sums = group_unmask(pairs, pad, round_no, self.group)
         bound = self.spec.decode_bound(m_count)
-        return [bsgs(h, bound, self.group) for h in lifted_sums]
-
-
-ARITH = {"scalar": ScalarArith, "group": GroupArith}
+        sums = []
+        for idx, h in enumerate(group_unmask(pairs, pad, round_no, self.group)):
+            try:
+                sums.append(bsgs(h, bound, self.group))
+            except NotFound:
+                raise DecodeFailure(f"element {idx} has no discrete log below {bound}") from None
+        return sums
 
 
 # ---- helpers shared by the node implementations --------------------------------------
@@ -524,13 +594,26 @@ def _aggregate_problem(body: Any, spec: RoundSpec, p: int) -> str | None:
     return _pairs_problem(c, spec.length, p)
 
 
+def _setup_problem(body: Any, role: str, name: str, arith) -> str | None:
+    """Why a dealing body is unusable: dealt value an int in [0, p), s in [0, q)."""
+    if type(body) is not dict:
+        return "body is not an object"
+    value = body.get(name)
+    if type(value) is not int or not 0 <= value < arith.p:
+        return f"{name} is not an int in [0, p)"
+    if role == "first_row":
+        s = body.get("s")
+        if type(s) is not int or not 0 <= s < arith.q:
+            return "s is not an int in [0, q)"
+    return None
+
+
 @dataclass
 class _LeaderFindings:
     """What the leader knows after recover-and-verify, kept for decryption."""
 
     sums: list[int] | None = None  # unmasked field values
     recovered: dict[int, int] = field(default_factory=dict)  # share-loser -> rebuilt share
-    fb_channel: set[int] = field(default_factory=set)  # responders reached via fallback keys
 
 
 # ---- participant ----------------------------------------------------------------------
@@ -545,10 +628,8 @@ class ParticipantNode(Node):
         self.rng = rng
         self.modulus = spec.field_modulus()
         self.codec = spec.codec()
-        self.arith = ARITH[spec.variant](spec)
+        self.arith = spec.arith()
         self.gradients: list[float] = []
-        self.keypair: KeyPair | None = None  # group mode unwrapping keys
-        self.peer_pks: dict[int, int] = {}
         self._reset_setup()
         self.begin_round(0)
 
@@ -556,18 +637,17 @@ class ParticipantNode(Node):
 
     def _reset_setup(self) -> None:
         self.dealer: DealerState | None = None
-        self.a_exp = None  # group mode second-row polynomial (random constant)
         # dealer -> what this holder received from it, as arith values: the
         # first-row evaluation V_dealer(id) and the second-row A_dealer(id)
         # (group mode: everything arrives wrapped, so only lifts exist)
         self.held_v: dict[int, int] = {}
         self.held_a: dict[int, int] = {}
+        self.opened: set[int] = set()  # peers whose opening message is in
         self.chan_keys: dict[int, bytes] = {}
         self.complete = False
-        self.s_setup: dict[int, int] = {}
         self.s_own: int | None = None
         self.s_total: int | None = None
-        self.share_lift: int | None = None  # group mode own share G^V(id)
+        self.own_share: int | None = None  # s_v = V(id), or G^V(id) in the group
 
     def begin_round(self, round_no: int) -> None:
         self.round_no = round_no
@@ -581,7 +661,7 @@ class ParticipantNode(Node):
         self.commits: dict[int, str] = {}
         self.reveals: dict[int, int] = {}
         self.leader: int | None = None
-        self.s_refresh: dict[int, int] = {}
+        self.s_peers: dict[int, int] = {}  # round-key summands, dealt or refreshed
         self.field_sum: list[int] | None = None
         self.plaintext: list[float] | None = None
         self.status = "working"
@@ -602,34 +682,20 @@ class ParticipantNode(Node):
         self.held_a = {}
         self.chan_keys = {}
         self.complete = False
-        self.share_lift = None
+        self.own_share = None
         if self.dealer is not None:
             # the second row's constant term is the very share being lost
             self.dealer.a_poly = None
             self.dealer.s_v = None
 
-    @property
-    def own_share(self) -> int | None:
-        """This party's persistent share as an arith value: s_v = V(id), or G^V(id)."""
-        if self.spec.variant == "group":
-            return self.share_lift
-        return self.dealer.s_v
-
-    @own_share.setter
-    def own_share(self, value: int) -> None:
-        if self.spec.variant == "group":
-            self.share_lift = value
-        else:
-            self.dealer.s_v = value
-
     # -- small conveniences --------------------------------------------------------
 
     @property
-    def _peers(self) -> list[int]:
+    def peers(self) -> list[int]:
         return [i for i in self.spec.participant_ids if i != self.id]
 
-    def _set_round_key(self, shares: dict[int, int]) -> None:
-        total = (self.s_own + sum(shares.values())) % self.modulus.p
+    def set_round_key(self) -> None:
+        total = (self.s_own + sum(self.s_peers.values())) % self.modulus.p
         # A zero round key would void every tag. All parties share the same
         # view of the summands, so they all apply the same deterministic fix.
         self.s_total = total or 1
@@ -657,9 +723,9 @@ class ParticipantNode(Node):
             arith.SHARE_FIELD: self.own_share,
             "self": self._self_keys() if self.id in m else None,
         }
-        if self.spec.variant == "scalar":
+        if arith.A_FIELD:
             # the second-row evaluations that let the leader rebuild a lost s_v
-            body["a_evals"] = {str(q): v for q, v in self.held_a.items()}
+            body[arith.A_FIELD] = {str(q): v for q, v in self.held_a.items()}
         return body
 
     # -- phase starts ---------------------------------------------------------------
@@ -670,30 +736,19 @@ class ParticipantNode(Node):
             start(sim)
 
     def _start_setup(self, sim: Simulator) -> None:
-        spec = self.spec
         self._reset_setup()
-        self.dealer = new_dealer(self.id, spec.t, spec.n, self.modulus, self.rng)
+        self.dealer = new_dealer(self.id, self.spec.t, self.spec.n, self.modulus, self.rng)
         self.s_own = self.modulus.random_nonzero(self.rng)
-        if spec.variant == "group":
-            # the second row only feeds pairwise DH keys here, so its constant
-            # term is free — holders never see scalars to sum into s_v anyway
-            self.a_exp = UniPoly.random(spec.t - 1, self.modulus, self.rng)
-            self.keypair = KeyPair.generate(spec.group, self.rng)
-            self.peer_pks = {}
-            sim.broadcast(self.id, self._peers, "pk", {"pk": self.keypair.pk})
-            return
-        out = step1_messages(self.dealer, spec.participant_ids)
-        for j in sorted(out):
-            sim.send(self.id, j, "setup1", {"v": out[j], "s": self.s_own})
+        self.arith.open_setup(self, sim)
 
     def _start_masking(self, sim: Simulator) -> None:
         if self.dealer is None:
             return  # setup never finished for this party
-        if self.spec.variant == "group" and self.round_no > 0:
+        if self.arith.reuses_setup and self.round_no > 0:
             # the one-time dealt state is reused; only the round key is fresh
             self.s_own = self.modulus.random_nonzero(self.rng)
             self.s_total = None
-            sim.broadcast(self.id, self._peers, "refresh", {"s": self.s_own})
+            sim.broadcast(self.id, self.peers, "refresh", {"s": self.s_own})
             window = sim.config.budgets["masking"] // 3
             sim.schedule_timer(self.id, sim.now + window, "submit")
             return
@@ -717,7 +772,7 @@ class ParticipantNode(Node):
             self.commit_salt = self.rng.getrandbits(64).to_bytes(8, "big")
             digest = _commitment(self.commit_value, self.commit_salt, self.id)
             self.commits[self.id] = digest
-            sim.broadcast(self.id, self._peers, "commit", {"h": digest})
+            sim.broadcast(self.id, self.peers, "commit", {"h": digest})
             sim.schedule_timer(self.id, sim.now + slot, "reveal")
         sim.schedule_timer(self.id, sim.now + 2 * slot, "tally")
         # half a slot of slack so responses sent right after the tally cannot
@@ -734,14 +789,14 @@ class ParticipantNode(Node):
         if name == "submit":
             if self.status != "working" or self.s_total is not None:
                 return
-            self._set_round_key(self.s_refresh)
+            self.set_round_key()
             self._submit(sim)
         elif name == "reveal":
             if self.elector and self.status == "working":
                 self.reveals[self.id] = self.commit_value
                 sim.broadcast(
                     self.id,
-                    self._peers,
+                    self.peers,
                     "reveal",
                     {"v": self.commit_value, "salt": self.commit_salt.hex()},
                 )
@@ -760,20 +815,20 @@ class ParticipantNode(Node):
             return
         self.leader = elect_leader(self.reveals)
         if self.leader == self.id:
-            sim.broadcast(self.id, self._peers, "share_req", {"m": self.m_set})
+            sim.broadcast(self.id, self.peers, "share_req", {"m": self.m_set})
 
     def _lead(self, sim: Simulator) -> None:
         if self.leader != self.id or self.status != "working":
             return
         try:
             self._recover_and_verify(sim)
-        except (RecoveryQuorumFailure, VerificationFailed) as exc:
+        except (RecoveryQuorumFailure, VerificationFailed, DecodeFailure) as exc:
             reason = type(exc).__name__
             self.verdict = False if isinstance(exc, VerificationFailed) else None
             self.status = "rejected"
             self.reject_reason = reason
             sim.log_note("reject", by=self.id, reason=reason, detail=str(exc))
-            sim.broadcast(self.id, self._peers, "reject", {"reason": reason})
+            sim.broadcast(self.id, self.peers, "reject", {"reason": reason})
             return
         self.verdict = True
 
@@ -783,95 +838,49 @@ class ParticipantNode(Node):
         if env.round != self.round_no or PHASE_OF_KIND.get(env.kind) != sim.phase:
             sim.log_note("stale_message", dst=self.id, kind=env.kind, round=env.round)
             return
+        setup = self.arith.SETUP.get(env.kind)
+        if setup is not None:
+            self._on_setup(sim, env, *setup)
+            return
         handler = getattr(self, f"_on_{env.kind}", None)
         if handler is not None:
             handler(sim, env)
 
-    # setup (scalar) ...............................................................
+    # setup ........................................................................
 
-    def _on_setup1(self, sim: Simulator, env) -> None:
-        self.held_v[env.src] = env.body["v"]
-        self.s_setup[env.src] = env.body["s"]
-        if len(self.held_v) == self.spec.n - 1:
-            accumulate_sv(self.dealer, self.held_v, self.spec.participant_ids)
-            self._set_round_key(self.s_setup)
-            out = step2_messages(self.dealer, self.spec.participant_ids, self.rng)
-            for j in sorted(out):
-                sim.send(self.id, j, "setup2", {"a": out[j]})
-            self._maybe_finish_scalar_setup()
+    def _on_setup(self, sim: Simulator, env, role: str, name: str) -> None:
+        """The one receive path of both variants' dealing kinds.
 
-    def _on_setup2(self, sim: Simulator, env) -> None:
-        self.held_a[env.src] = env.body["a"]
-        self._maybe_finish_scalar_setup()
-
-    def _maybe_finish_scalar_setup(self) -> None:
-        # a fast peer's second-round share may outrun this node's own dealing;
-        # channel keys need both sides, so wait for whichever lands last
-        if self.complete or self.dealer is None or self.dealer.a_poly is None:
+        A malformed body is dropped, as if its sender were silent. A party
+        offline when setup opened deals nothing, so it takes nothing either.
+        """
+        if self.dealer is None:
             return
-        if len(self.held_a) < self.spec.n - 1:
+        src, body, arith = env.src, env.body, self.arith
+        problem = _setup_problem(body, role, name, arith)
+        if problem is not None:
+            sim.log_note("malformed_message", dst=self.id, kind=env.kind, src=src, detail=problem)
             return
-        for j in self._peers:
-            shared = pairwise_key(self.dealer, j, self.held_a[j])
-            self.chan_keys[j] = channel_key(shared)
-        self.complete = True
-
-    # setup (group) ................................................................
-
-    def _on_pk(self, sim: Simulator, env) -> None:
-        self.peer_pks[env.src] = env.body["pk"]
-        if len(self.peer_pks) == self.spec.n - 1:
-            group = self.spec.group
-            for j in self._peers:
-                pk = self.peer_pks[j]
-                sim.send(
-                    self.id,
-                    j,
-                    "gsetup1",
-                    {
-                        "w": wrap_share(self.dealer.v_poly.eval(j), pk, group),
-                        "s": self.s_own,
-                    },
-                )
-                sim.send(
-                    self.id,
-                    j,
-                    "gsetup2",
-                    {"w": wrap_share(self.a_exp.eval(j), pk, group)},
-                )
-
-    def _on_gsetup1(self, sim: Simulator, env) -> None:
-        self.held_v[env.src] = unwrap_share(
-            env.body["w"], self.keypair.sk, self.spec.group
-        )
-        self.s_setup[env.src] = env.body["s"]
-        self._maybe_finish_group_setup()
-
-    def _on_gsetup2(self, sim: Simulator, env) -> None:
-        self.held_a[env.src] = unwrap_share(
-            env.body["w"], self.keypair.sk, self.spec.group
-        )
-        self._maybe_finish_group_setup()
-
-    def _maybe_finish_group_setup(self) -> None:
-        n = self.spec.n
-        if len(self.held_v) < n - 1 or len(self.held_a) < n - 1:
-            return
-        group = self.spec.group
-        # persistent share: G^(V(id)) where V is the sum of all dealt rows
-        own = group.lift(self.dealer.v_poly.eval(self.id))
-        self.share_lift = self.arith.combine([own, *self.held_v.values()])
-        self._set_round_key(self.s_setup)
-        for j in self._peers:
-            # Diffie-Hellman on the second rows: G^(A_i(j) * A_j(i)) both ways
-            shared = pow(self.held_a[j], self.a_exp.eval(j), group.p)
-            self.chan_keys[j] = channel_key(shared, context=b"group")
-        self.complete = True
+        if role == "first_row":
+            self.held_v[src] = arith.unwrap(body[name])
+            self.s_peers[src] = body["s"]
+        elif role == "second_row":
+            self.held_a[src] = arith.unwrap(body[name])
+        else:  # a peer's key to wrap its rows for
+            arith.peer_pks[src] = body[name]
+        peers = self.spec.n - 1
+        if env.kind == arith.OPENING:
+            self.opened.add(src)
+            if len(self.opened) == peers:
+                arith.deal_second(self, sim)
+        if not self.complete and len(self.held_v) == peers and len(self.held_a) == peers:
+            arith.finish_setup(self)
+            self.complete = True
 
     # masking / aggregation ..........................................................
 
     def _on_refresh(self, sim: Simulator, env) -> None:
-        self.s_refresh[env.src] = env.body["s"]
+        self.s_peers[env.src] = env.body["s"]
 
     def _on_aggregate(self, sim: Simulator, env) -> None:
         problem = _aggregate_problem(env.body, self.spec, self.arith.p)
@@ -944,8 +953,7 @@ class ParticipantNode(Node):
         if self.leader == self.id:
             body = self._open(sim, self._fallback_key_for(env.src), env)
             if body is not None:
-                self.resp_fb[env.src] = body
-                self.findings.fb_channel.add(env.src)
+                self.resp_fb[env.src] = body  # answered over the fallback channel
 
     def _on_reject(self, sim: Simulator, env) -> None:
         if env.src == self.leader:
@@ -961,7 +969,7 @@ class ParticipantNode(Node):
         body = self._open(sim, key, env)
         if body is None:
             return
-        self._apply_recovered(body.get("recovered"))
+        self.own_share = body.get("recovered", self.own_share)
         self.field_sum = list(body["sum"])
         self.plaintext = self.codec.decode(self.field_sum, self.modulus, len(body["m"]))
         self.status = "done"
@@ -971,12 +979,8 @@ class ParticipantNode(Node):
             body = self._open(sim, self._fallback_key(env.src), env)
             if body is None:
                 return
-            self._apply_recovered(body.get("recovered"))
+            self.own_share = body.get("recovered", self.own_share)
         self.status = "done"
-
-    def _apply_recovered(self, value) -> None:
-        if value is not None:
-            self.own_share = value
 
     # -- leader: recovery, verification, decryption ------------------------------------
 
@@ -989,10 +993,6 @@ class ParticipantNode(Node):
         bodies = {self.id: self._share_body(m), **self.resp}
         held_v = {
             src: {int(i): v for i, v in body[arith.V_FIELD].items()}
-            for src, body in bodies.items()
-        }
-        held_a = {
-            src: {int(q): v for q, v in body.get("a_evals", {}).items()}
             for src, body in bodies.items()
         }
         shares = {
@@ -1031,7 +1031,7 @@ class ParticipantNode(Node):
 
         # share-losers: rebuild their share from t helpers
         for q in need_recovery:
-            value, helpers = arith.recover_lost(q, held_a, shares, t)
+            value, helpers = arith.recover_lost(q, bodies, shares, t)
             self.findings.recovered[q] = value
             sim.log_note("recover", what="lost_share", target=q, helpers=helpers)
 
@@ -1050,17 +1050,13 @@ class ParticipantNode(Node):
         m = sorted(self.m_set)
         sums = self.findings.sums
         body_base = {"sum": sums, "m": m, "failed": sorted(self.failed)}
-        for u in self._peers:
+        for u in self.peers:
             if not sim.is_online(u):
                 continue
             recovered = self.findings.recovered.get(u)
             if u in m:
                 kind, body = "result", dict(body_base)
-                key = (
-                    self._fallback_key_for(u)
-                    if u in self.findings.fb_channel
-                    else self.chan_keys.get(u)
-                )
+                key = self._fallback_key_for(u) if u in self.resp_fb else self.chan_keys.get(u)
             elif recovered is not None:
                 # a share-loser outside M still gets its share back, privately
                 kind, body = "round_done", {"verified": True}
@@ -1090,7 +1086,7 @@ class AggregatorNode(Node):
         self.id = AGGREGATOR_ID
         self.spec = spec
         self.rng = rng
-        self.arith = ARITH[spec.variant](spec)
+        self.arith = spec.arith()
         self.begin_round(0)
 
     def begin_round(self, round_no: int) -> None:
@@ -1204,10 +1200,8 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
         for node in participants.values():
             node.begin_round(r)
         state = RoundState(round=r)
-        # group rounds after the first reuse the dealt state; only the key refreshes
-        phases = PHASES[1:] if spec.variant == "group" and r > 0 else PHASES
-        if "setup" not in phases:
-            state.t_set = sorted(i for i, n in participants.items() if n.complete)
+        # rounds after the first may reuse the dealt state; only the key refreshes
+        phases = PHASES[1:] if aggregator.arith.reuses_setup and r > 0 else PHASES
         for phase in phases:
             state.phase = phase
             sim.run_phase(phase, r)
@@ -1215,10 +1209,7 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
                 for q in spec.share_loss:
                     participants[q].wipe_shares()
                     sim.log_note("share_loss", id=q)
-                state.t_set = sorted(
-                    i for i, n in participants.items() if n.complete
-                )
-                if len(state.t_set) < spec.t:
+                if sum(n.complete for n in participants.values()) < spec.t:
                     state.error = "SetupQuorumFailure"
                     break
             elif phase == "aggregation":
@@ -1263,6 +1254,8 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
                 state.field_sum = list(leader.findings.sums)
                 state.decrypted = codec.decode(state.field_sum, modulus, len(state.m_set))
                 state.recovered = sorted(leader.findings.recovered)
+        # only setup sets or clears `complete`, so this is the post-setup T
+        state.t_set = sorted(i for i, n in participants.items() if n.complete)
         state.delivered_to = sorted(
             i for i, n in participants.items() if n.plaintext is not None
         )

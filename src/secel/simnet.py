@@ -424,8 +424,8 @@ class Simulator:
                 self._apply_fault(item[1])
         self.now = end
 
-    def log_note(self, kind: str, **data: Any) -> None:
-        self.transcript.add(t=self.now, type="note", note=kind, **data)
+    def log_note(self, note: str, /, **data: Any) -> None:
+        self.transcript.add(t=self.now, type="note", note=note, **data)
 
     def log_auth_failure(self, env: Envelope) -> None:
         self.transcript.envelope("auth_fail", env, t=self.now)

@@ -97,3 +97,37 @@ def test_unused_import_check_sees_annotations_and_attributes():
         "def f(x: A) -> None:\n    return hashlib.sha256(os.sep)\n"
     )
     assert unused_imports(ast.parse(source)) == ["B", "D"]
+
+
+# the variant's whole difference lives in the arithmetic object RoundSpec builds
+VARIANT_FREE = ("ParticipantNode", "AggregatorNode", "run_rounds")
+
+
+def variant_reads(tree: ast.AST) -> dict[str, int]:
+    """`.variant` attribute reads inside each top-level class or function named
+    in VARIANT_FREE."""
+    return {
+        node.name: sum(
+            isinstance(sub, ast.Attribute)
+            and sub.attr == "variant"
+            and isinstance(sub.ctx, ast.Load)
+            for sub in ast.walk(node)
+        )
+        for node in tree.body
+        if getattr(node, "name", None) in VARIANT_FREE
+    }
+
+
+def test_nodes_and_runner_never_read_the_variant():
+    reads = variant_reads(ast.parse((SRC / "protocol.py").read_text()))
+    assert reads == dict.fromkeys(VARIANT_FREE, 0)
+
+
+def test_variant_read_check_sees_nested_reads_only_where_it_looks():
+    source = (
+        "class ParticipantNode:\n"
+        "    def f(self):\n        return lambda: self.spec.variant\n"
+        "def run_rounds(spec):\n    spec.variant = 'group'\n"
+        "class RoundSpec:\n    def arith(self):\n        return self.variant\n"
+    )
+    assert variant_reads(ast.parse(source)) == {"ParticipantNode": 1, "run_rounds": 0}

@@ -6,8 +6,9 @@ import pytest
 
 from secel.errors import ConfigError, RevealTimeout, SetupQuorumFailure
 from secel.group_variant import TOY_GROUP
-from secel.algebra import PrimeModulus
+from secel.algebra import DEFAULT_PRIME, PrimeModulus
 from secel.protocol import (
+    GroupArith,
     RoundSpec,
     ScenarioResult,
     elect_leader,
@@ -134,7 +135,7 @@ def test_flagship_share_losers_decrypt_the_same_sum():
 def test_flagship_restored_share_matches_dealt_polynomials():
     result = run_flagship()
     for q in (4, 5):
-        restored = result.nodes[q].dealer.s_v
+        restored = result.nodes[q].own_share
         assert restored is not None
         expected = sum(
             result.nodes[i].dealer.v_poly.eval(q) for i in range(1, 8)
@@ -341,6 +342,113 @@ def test_every_single_fault_schedule_terminates():
                     assert r.field_sum == field_sum_oracle(result, r.m_set)
 
 
+NAMED_REJECTIONS = (
+    "SetupQuorumFailure",
+    "StalenessTimeout",
+    "MalformedAggregate",
+    "RevealTimeout",
+    "VerificationFailed",
+    "RecoveryQuorumFailure",
+    "DecodeFailure",
+    "BudgetExhausted",
+)
+
+MALFORMED_SETUP = {
+    "setup1_string_v": ("setup1", lambda body: {**body, "v": "x"}),
+    "setup2_list_a": ("setup2", lambda body: {**body, "a": [1]}),
+    "pk_string": ("pk", lambda body: {**body, "pk": "x"}),
+    "gsetup1_float_w": ("gsetup1", lambda body: {**body, "w": 1.5}),
+    "gsetup2_empty": ("gsetup2", lambda body: {}),
+    "setup1_v_at_p": ("setup1", lambda body: {**body, "v": DEFAULT_PRIME}),
+    "gsetup1_s_at_q": ("gsetup1", lambda body: {**body, "s": TOY_GROUP.q}),
+}
+
+
+@pytest.mark.parametrize("variant", ["scalar", "group"])
+@pytest.mark.parametrize("rewrite", sorted(MALFORMED_SETUP))
+def test_malformed_setup_body_counts_as_silence(monkeypatch, variant, rewrite):
+    kind, mutate = MALFORMED_SETUP[rewrite]
+    send = Simulator.send
+
+    def rewrite_first(sim, src, dst, k, body, key=None):
+        if k == kind and sim.transcript.count(type="send", kind=kind) == 0:
+            body = mutate(body)
+        send(sim, src, dst, k, body, key=key)
+
+    monkeypatch.setattr(Simulator, "send", rewrite_first)
+    spec = RoundSpec(n=4, t=2, length=3, variant=variant)
+    dealt_here = kind in spec.arith().SETUP
+    for seed in range(4):
+        result = run_rounds(spec, SimConfig(seed=seed, n=4))
+        r = result.rounds[0]
+        assert r.phase == "done" or (r.phase == "rejected" and r.error in NAMED_REJECTIONS)
+        if r.phase == "done":
+            assert r.field_sum == field_sum_oracle(result, r.m_set)
+        notes = result.transcript.count(type="note", note="malformed_message", kind=kind)
+        assert notes == (1 if dealt_here else 0)
+
+
+@pytest.mark.parametrize("variant", ["scalar", "group"])
+def test_party_offline_when_setup_opens_takes_no_dealing(variant):
+    faults = [
+        Fault(id=2, phase="setup", action="disconnect"),
+        Fault(id=2, phase="setup", action="reconnect", offset=1),
+    ]
+    spec = RoundSpec(n=4, t=2, length=3, variant=variant, s_min=3)
+    for seed in range(3):
+        result = run_rounds(spec, SimConfig(seed=seed, n=4, faults=faults))
+        r = result.rounds[0]
+        assert r.phase == "rejected" and r.error == "SetupQuorumFailure"
+        assert result.nodes[2].dealer is None and result.nodes[2].held_v == {}
+
+
+def _negate_first_pair(monkeypatch, spec):
+    """The aggregator swaps pair 0 for [p - c1, p - c2]: an order-2 component
+    that passes the tag check whenever s is odd."""
+    broadcast = Simulator.broadcast
+
+    def rewrite(sim, src, dsts, kind, body):
+        if kind == "aggregate":
+            (c1, c2), *rest = body["c"]
+            p = spec.group.p
+            body = {**body, "c": [[p - c1, p - c2], *rest]}
+        broadcast(sim, src, dsts, kind, body)
+
+    monkeypatch.setattr(Simulator, "broadcast", rewrite)
+
+
+def _shift_one_contribution(monkeypatch, spec):
+    """Contributor 1 shifts its encoded element 0 by 10^30 before masking."""
+    mask = GroupArith.mask
+
+    def shifted(arith, values, dealer, s, round_no):
+        if dealer.id == 1:
+            values = [(values[0] + 10**30) % arith.q, *values[1:]]
+        return mask(arith, values, dealer, s, round_no)
+
+    monkeypatch.setattr(GroupArith, "mask", shifted)
+
+
+@pytest.mark.parametrize("probe", [_negate_first_pair, _shift_one_contribution])
+def test_undecodable_group_sum_is_a_named_rejection(monkeypatch, probe):
+    spec = RoundSpec(n=4, t=2, length=3, variant="group")
+    probe(monkeypatch, spec)
+    errors = set()
+    for seed in range(6):
+        result = run_rounds(spec, SimConfig(seed=seed, n=4))
+        r = result.rounds[0]
+        assert r.phase == "rejected" and r.error in ("DecodeFailure", "VerificationFailed")
+        assert r.field_sum is None and r.delivered_to == []
+        errors.add(r.error)
+        if r.error == "DecodeFailure":
+            [note] = [
+                rec for rec in result.transcript.records
+                if rec.get("note") == "reject" and rec["reason"] == "DecodeFailure"
+            ]
+            assert note["detail"].startswith("element 0 ")
+    assert "DecodeFailure" in errors
+
+
 # ---- group variant -------------------------------------------------------------------
 
 
@@ -368,7 +476,7 @@ def test_group_share_loss_recovers_the_lifted_share():
     exponent = sum(
         result.nodes[i].dealer.v_poly.eval(4) for i in range(1, 6)
     ) % group.q
-    assert result.nodes[4].share_lift == group.lift(exponent)
+    assert result.nodes[4].own_share == group.lift(exponent)
 
 
 def test_group_tamper_grid_rejected():
