@@ -126,13 +126,17 @@ class UniPoly:
         return cls(coeffs, modulus)
 
     def eval(self, x: int) -> int:
-        """Horner evaluation."""
+        """Horner evaluation, reduced once at the end.
+
+        Every caller evaluates at a party id or 0, where the accumulator grows
+        by only a few bits per step.
+        """
         p = self.modulus.p
         x %= p
         acc = 0
         for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
+            acc = acc * x + c
+        return acc % p
 
     def constant_term(self) -> int:
         return self.coeffs[0]

@@ -98,27 +98,7 @@ VARIANTS = ("scalar", "group")
 TAMPER_POLICIES = ("honest", "flip_element", "substitute_all", "inject_offset")
 TAMPER_OFFSET = 3  # additive constant used by the inject_offset policy
 
-# Each message kind is only meaningful inside one phase window; anything that
-# straggles across a boundary (or arrives for the wrong round) is ignored.
-PHASE_OF_KIND = {
-    "setup1": "setup",
-    "setup2": "setup",
-    "pk": "setup",
-    "gsetup1": "setup",
-    "gsetup2": "setup",
-    "refresh": "masking",
-    "submission": "masking",
-    "aggregate": "aggregation",
-    "abort": "aggregation",
-    "commit": "verification",
-    "reveal": "verification",
-    "share_req": "verification",
-    "share_resp": "verification",
-    "share_resp_fb": "verification",
-    "reject": "verification",
-    "result": "decryption",
-    "round_done": "decryption",
-}
+COMMIT_RANGE = 1 << 32  # an elector's commit value is drawn below this
 
 
 # ---- pure protocol operations ---------------------------------------------------
@@ -580,6 +560,18 @@ def _aggregate_problem(body: Any, spec: RoundSpec, p: int) -> str | None:
     if not isinstance(body, dict):
         return "body is not an object"
     m, failed, c = body.get("m"), body.get("failed"), body.get("c")
+    problem = _members_problem(m, spec)
+    if problem is not None:
+        return problem
+    if len(m) < spec.quorum:
+        return f"|m|={len(m)} is below the quorum {spec.quorum}"
+    if not isinstance(failed, list) or any(type(i) is not int for i in failed):
+        return "failed is not a list of ints"
+    return _pairs_problem(c, spec.length, p)
+
+
+def _members_problem(m: Any, spec: RoundSpec) -> str | None:
+    """Why m is not a list of distinct participant ids."""
     if (
         not isinstance(m, list)
         or any(type(i) is not int for i in m)
@@ -587,11 +579,7 @@ def _aggregate_problem(body: Any, spec: RoundSpec, p: int) -> str | None:
         or not set(m) <= set(spec.participant_ids)
     ):
         return "m is not a list of distinct participant ids"
-    if len(m) < spec.quorum:
-        return f"|m|={len(m)} is below the quorum {spec.quorum}"
-    if not isinstance(failed, list) or any(type(i) is not int for i in failed):
-        return "failed is not a list of ints"
-    return _pairs_problem(c, spec.length, p)
+    return None
 
 
 def _setup_problem(body: Any, role: str, name: str, arith) -> str | None:
@@ -605,6 +593,48 @@ def _setup_problem(body: Any, role: str, name: str, arith) -> str | None:
         s = body.get("s")
         if type(s) is not int or not 0 <= s < arith.q:
             return "s is not an int in [0, q)"
+    return None
+
+
+# Body checks of the plaintext peer kinds, run before their handlers: each
+# takes the receiving node and the body and says what is wrong, or None.
+
+
+def _refresh_problem(node: ParticipantNode, body: Any) -> str | None:
+    s = body.get("s") if type(body) is dict else None
+    if type(s) is not int or not 0 <= s < node.arith.q:
+        return "s is not an int in [0, q)"
+    return None
+
+
+def _commit_problem(node: ParticipantNode, body: Any) -> str | None:
+    if type(body) is not dict or type(body.get("h")) is not str:
+        return "h is not a string"
+    return None
+
+
+def _reveal_problem(node: ParticipantNode, body: Any) -> str | None:
+    if type(body) is not dict:
+        return "body is not an object"
+    v, salt = body.get("v"), body.get("salt")
+    if type(v) is not int or not 0 <= v < COMMIT_RANGE:
+        return "v is not an int in [0, 2^32)"
+    try:
+        bytes.fromhex(salt)
+    except (TypeError, ValueError):
+        return "salt is not a hex string"
+    return None
+
+
+def _share_req_problem(node: ParticipantNode, body: Any) -> str | None:
+    if type(body) is not dict:
+        return "body is not an object"
+    return _members_problem(body.get("m"), node.spec)
+
+
+def _reason_problem(node: ParticipantNode, body: Any) -> str | None:
+    if type(body) is not dict or type(body.get("reason")) is not str:
+        return "reason is not a string"
     return None
 
 
@@ -768,7 +798,7 @@ class ParticipantNode(Node):
         if self.complete:
             # intact aggregate-holders form the electorate
             self.elector = True
-            self.commit_value = self.rng.randrange(1 << 32)
+            self.commit_value = self.rng.randrange(COMMIT_RANGE)
             self.commit_salt = self.rng.getrandbits(64).to_bytes(8, "big")
             digest = _commitment(self.commit_value, self.commit_salt, self.id)
             self.commits[self.id] = digest
@@ -835,31 +865,40 @@ class ParticipantNode(Node):
     # -- message handling ---------------------------------------------------------------
 
     def on_message(self, sim: Simulator, env) -> None:
-        if env.round != self.round_no or PHASE_OF_KIND.get(env.kind) != sim.phase:
+        entry = MESSAGE_KINDS.get(env.kind)
+        if entry is None or env.round != self.round_no or entry[0] != sim.phase:
             sim.log_note("stale_message", dst=self.id, kind=env.kind, round=env.round)
             return
-        setup = self.arith.SETUP.get(env.kind)
-        if setup is not None:
-            self._on_setup(sim, env, *setup)
-            return
-        handler = getattr(self, f"_on_{env.kind}", None)
+        _, check, handler = entry
+        if check is not None:
+            problem = check(self, env.body)
+            if problem is not None:
+                self._malformed(sim, env, problem)
+                return
         if handler is not None:
-            handler(sim, env)
+            handler(self, sim, env)
+
+    def _malformed(self, sim: Simulator, env, problem: str) -> None:
+        """Drop an unusable body, as if its sender were silent."""
+        sim.log_note("malformed_message", dst=self.id, kind=env.kind, src=env.src, detail=problem)
 
     # setup ........................................................................
 
-    def _on_setup(self, sim: Simulator, env, role: str, name: str) -> None:
+    def _on_setup(self, sim: Simulator, env) -> None:
         """The one receive path of both variants' dealing kinds.
 
-        A malformed body is dropped, as if its sender were silent. A party
-        offline when setup opened deals nothing, so it takes nothing either.
+        A kind the variant does not deal is ignored. A malformed body is
+        dropped, as if its sender were silent. A party offline when setup
+        opened deals nothing, so it takes nothing either.
         """
-        if self.dealer is None:
+        arith = self.arith
+        setup = arith.SETUP.get(env.kind)
+        if setup is None or self.dealer is None:
             return
-        src, body, arith = env.src, env.body, self.arith
+        (role, name), src, body = setup, env.src, env.body
         problem = _setup_problem(body, role, name, arith)
         if problem is not None:
-            sim.log_note("malformed_message", dst=self.id, kind=env.kind, src=src, detail=problem)
+            self._malformed(sim, env, problem)
             return
         if role == "first_row":
             self.held_v[src] = arith.unwrap(body[name])
@@ -1074,6 +1113,33 @@ class ParticipantNode(Node):
             self.field_sum = list(sums)
             self.plaintext = self.codec.decode(sums, self.modulus, len(m))
         self.status = "done"
+
+
+# Every message kind: the one phase window it is meaningful in (anything that
+# straggles across a boundary, or arrives for the wrong round, is ignored),
+# the check its plaintext body must pass, and the participant handler it is
+# dispatched to. Dealing bodies are checked in _on_setup against the variant's
+# SETUP table; sealed bodies are checked by opening them. Only the aggregator
+# takes submissions.
+MESSAGE_KINDS = {
+    "setup1": ("setup", None, ParticipantNode._on_setup),
+    "setup2": ("setup", None, ParticipantNode._on_setup),
+    "pk": ("setup", None, ParticipantNode._on_setup),
+    "gsetup1": ("setup", None, ParticipantNode._on_setup),
+    "gsetup2": ("setup", None, ParticipantNode._on_setup),
+    "refresh": ("masking", _refresh_problem, ParticipantNode._on_refresh),
+    "submission": ("masking", None, None),
+    "aggregate": ("aggregation", None, ParticipantNode._on_aggregate),
+    "abort": ("aggregation", _reason_problem, ParticipantNode._on_abort),
+    "commit": ("verification", _commit_problem, ParticipantNode._on_commit),
+    "reveal": ("verification", _reveal_problem, ParticipantNode._on_reveal),
+    "share_req": ("verification", _share_req_problem, ParticipantNode._on_share_req),
+    "share_resp": ("verification", None, ParticipantNode._on_share_resp),
+    "share_resp_fb": ("verification", None, ParticipantNode._on_share_resp_fb),
+    "reject": ("verification", _reason_problem, ParticipantNode._on_reject),
+    "result": ("decryption", None, ParticipantNode._on_result),
+    "round_done": ("decryption", None, ParticipantNode._on_round_done),
+}
 
 
 # ---- aggregator -------------------------------------------------------------------------

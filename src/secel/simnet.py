@@ -11,6 +11,15 @@ Messages between participants can ride authenticated channels: AES-GCM with
 the envelope header (src, dst, kind, round, seq) as associated data and a
 deterministic per-(src, dst, seq) nonce. Tampering with the ciphertext or
 re-addressing an envelope raises AuthFailure.
+
+The transcript stores each envelope record (send, deliver, drop, auth_fail)
+as one flat tuple row, (type, src, dst, kind, round, seq, secured, digest, t,
+reason), with reason None when the record has none. A row keeps no reference
+to the envelope or its body, and is less than half the size of the dict it
+stands for. Phase, fault and note records stay dicts. `Transcript.records`
+is a read-only sequence view over the rows that builds each record's dict on
+access, so readers, `count` and the NDJSON see the same records as when
+every row was a dict.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import hashlib
 import heapq
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -45,7 +55,22 @@ AGGREGATOR_ID = 0
 
 
 def canonical_json(obj: Any) -> bytes:
-    """Stable byte encoding: sorted keys, no whitespace."""
+    """Stable byte encoding: sorted keys, no whitespace.
+
+    A flat dict of ints under ASCII identifier keys (every dealing body) is
+    formatted directly, to the same bytes json.dumps gives. Such a key needs
+    no escaping, and sorting the '"key":value' items sorts the keys, because
+    the closing quote sorts below every identifier character.
+    """
+    if type(obj) is dict:
+        items = []
+        for k, v in obj.items():
+            if type(v) is not int or type(k) is not str or not (k.isascii() and k.isidentifier()):
+                break
+            items.append(f'"{k}":{v}')
+        else:
+            items.sort()
+            return ("{" + ",".join(items) + "}").encode()
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -143,7 +168,7 @@ class SimConfig:
 # ---- envelopes and transcript -----------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     src: int
     dst: int
@@ -167,28 +192,63 @@ class Envelope:
         }
 
 
+ENVELOPE_FIELDS = ("type", "src", "dst", "kind", "round", "seq", "secured", "digest", "t")
+
+
+def _as_record(row: tuple | dict) -> dict:
+    """The dict record of one transcript row."""
+    if type(row) is dict:
+        return row
+    rec = dict(zip(ENVELOPE_FIELDS, row))
+    if row[9] is not None:
+        rec["reason"] = row[9]
+    return rec
+
+
+class Records(Sequence):
+    """Read-only view of a transcript's rows as dict records."""
+
+    __slots__ = ("_rows",)
+    __hash__ = None
+
+    def __init__(self, rows: list) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_as_record(row) for row in self._rows[index]]
+        return _as_record(self._rows[index])
+
+    def __iter__(self):
+        return map(_as_record, self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Records, list)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Records({list(self)!r})"
+
+
 class Transcript:
     """Append-only audit log; replay artifact. NDJSON on disk."""
 
     def __init__(self) -> None:
-        self.records: list[dict] = []
+        self._rows: list[tuple | dict] = []
+        self.records = Records(self._rows)
 
     def add(self, **record: Any) -> None:
-        self.records.append(record)
+        self._rows.append(record)
 
-    def envelope(self, rtype: str, env: Envelope, **extra: Any) -> None:
-        rec = {
-            "type": rtype,
-            "src": env.src,
-            "dst": env.dst,
-            "kind": env.kind,
-            "round": env.round,
-            "seq": env.seq,
-            "secured": env.secured,
-            "digest": env.digest,
-        }
-        rec.update(extra)
-        self.records.append(rec)
+    def envelope(self, rtype: str, env: Envelope, t: int, reason: str | None = None) -> None:
+        self._rows.append((
+            rtype, env.src, env.dst, env.kind, env.round, env.seq, env.secured, env.digest,
+            t, reason,
+        ))
 
     def count(self, **match: Any) -> int:
         return sum(
@@ -324,17 +384,17 @@ class Simulator:
             return  # an offline node emits nothing, not even audit records
         seq = self._pair_seq.get((src, dst), 0)
         self._pair_seq[(src, dst)] = seq + 1
-        delay = self._net_rng.randint(self.config.delay_min, self.config.delay_max)
-        env = Envelope(
-            src=src,
-            dst=dst,
-            kind=kind,
-            round=self.round,
-            seq=seq,
-            send_time=self.now,
-            deliver_time=self.now + delay,
-            secured=key is not None,
-        )
+        # the delay, drawn as randint(delay_min, delay_max) draws it: bit_length(width)
+        # bits, redrawn until below width
+        cfg = self.config
+        width = cfg.delay_max - cfg.delay_min + 1
+        bits, getrandbits = width.bit_length(), self._net_rng.getrandbits
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        now = self.now
+        deliver_time = now + cfg.delay_min + r
+        env = Envelope(src, dst, kind, self.round, seq, now, deliver_time, key is not None)
         if key is not None:
             env.blob = seal(key, env.header(), body)
             env.digest = payload_digest(env.blob)
@@ -346,10 +406,10 @@ class Simulator:
             else:
                 env.digest = payload_digest(canonical_json(body))
         if src in self.dropping:
-            self.transcript.envelope("drop", env, t=self.now, reason="drop_outbound")
+            self.transcript.envelope("drop", env, t=now, reason="drop_outbound")
             return
-        self.transcript.envelope("send", env, t=self.now)
-        self._push(env.deliver_time, ("deliver", env))
+        self.transcript.envelope("send", env, t=now)
+        self._push(deliver_time, ("deliver", env))
 
     def broadcast(self, src: int, dsts: Iterable[int], kind: str, body: dict) -> None:
         """Send the same plaintext body to every destination but the sender.

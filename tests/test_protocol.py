@@ -388,6 +388,112 @@ def test_malformed_setup_body_counts_as_silence(monkeypatch, variant, rewrite):
         assert notes == (1 if dealt_here else 0)
 
 
+# rewrite -> (kind, body rewrite, RoundSpec overrides, faults); two rounds so
+# the group variant's later round sends refresh
+MALFORMED_PEER = {
+    "refresh_string_s": ("refresh", lambda body: {**body, "s": "x"}, {}, []),
+    "commit_int_h": ("commit", lambda body: {**body, "h": 5}, {}, []),
+    "reveal_string_v": ("reveal", lambda body: {**body, "v": "x"}, {}, []),
+    "reveal_int_salt": ("reveal", lambda body: {**body, "salt": 7}, {}, []),
+    "reveal_v_at_range": ("reveal", lambda body: {**body, "v": 1 << 32}, {}, []),
+    "share_req_int_m": ("share_req", lambda body: {**body, "m": 5}, {}, []),
+    "share_req_unknown_id": ("share_req", lambda body: {"m": [1, 99]}, {}, []),
+    "reject_no_reason": ("reject", lambda body: {}, {"tamper": "flip_element"}, []),
+    "abort_list_reason": (
+        "abort",
+        lambda body: {"reason": [1]},
+        {"s_min": 4},
+        [Fault(id=4, phase="masking", action="disconnect")],
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", ["scalar", "group"])
+@pytest.mark.parametrize("rewrite", sorted(MALFORMED_PEER))
+def test_malformed_peer_body_counts_as_silence(monkeypatch, variant, rewrite):
+    kind, mutate, overrides, faults = MALFORMED_PEER[rewrite]
+    send = Simulator.send
+
+    def rewrite_first(sim, src, dst, k, body, key=None):
+        if k == kind and sim.transcript.count(type="send", kind=kind) == 0:
+            body = mutate(body)
+        send(sim, src, dst, k, body, key=key)
+
+    monkeypatch.setattr(Simulator, "send", rewrite_first)
+    spec = RoundSpec(n=4, t=2, length=3, variant=variant, rounds=2, **overrides)
+    for seed in range(4):
+        result = run_rounds(spec, SimConfig(seed=seed, n=4, faults=faults))
+        for r in result.rounds:
+            assert r.phase == "done" or (r.phase == "rejected" and r.error in NAMED_REJECTIONS)
+            if r.phase == "done":
+                assert r.field_sum == field_sum_oracle(result, r.m_set)
+        sent = result.transcript.count(type="send", kind=kind)
+        notes = result.transcript.count(type="note", note="malformed_message", kind=kind)
+        assert notes == (1 if sent else 0)
+        if kind != "refresh" or variant == "group":
+            assert sent  # every probe but the scalar refresh rewrites a body
+
+
+def test_transcript_records_view_matches_dict_records(monkeypatch):
+    import secel.simnet as simnet
+    from secel.simnet import Envelope, Transcript
+
+    class DictTranscript(Transcript):
+        """One dict per record, built at write time."""
+
+        def __init__(self):
+            self.records = []
+
+        def add(self, **record):
+            self.records.append(record)
+
+        def envelope(self, rtype, env, **extra):
+            rec = {
+                "type": rtype,
+                "src": env.src,
+                "dst": env.dst,
+                "kind": env.kind,
+                "round": env.round,
+                "seq": env.seq,
+                "secured": env.secured,
+                "digest": env.digest,
+            }
+            rec.update(extra)
+            self.records.append(rec)
+
+    result = run_flagship()
+    monkeypatch.setattr(simnet, "Transcript", DictTranscript)
+    want = run_flagship().transcript
+    assert type(want) is DictTranscript
+    view, dicts = result.transcript.records, want.records
+    assert len(view) == len(dicts) > 100
+    assert view == dicts and dicts == view and list(view) == dicts
+    assert view != dicts[:-1] and view != [*dicts[:-1], {}]
+    for i in (0, 1, len(dicts) // 2, -1):
+        assert view[i] == dicts[i]
+    assert view[3:40] == dicts[3:40] and view[::7] == dicts[::7] and view[-5:] == dicts[-5:]
+    with pytest.raises(IndexError):
+        view[len(dicts)]
+    for match in (
+        {"type": "send"},
+        {"type": "deliver", "kind": "setup1"},
+        {"type": "drop", "reason": "drop_outbound"},
+        {"type": "drop", "reason": "offline_dst"},
+        {"type": "note", "note": "recover"},
+        {"secured": True},
+    ):
+        assert result.transcript.count(**match) == want.count(**match) > 0, match
+    assert result.transcript.to_ndjson() == want.to_ndjson()
+
+    # rows hold plain values: no envelope, no body
+    for row in result.transcript._rows:
+        values = row.values() if type(row) is dict else row
+        for value in values:
+            assert not isinstance(value, (Envelope, dict))
+            if type(row) is tuple:
+                assert value is None or type(value) in (str, int, bool)
+
+
 @pytest.mark.parametrize("variant", ["scalar", "group"])
 def test_party_offline_when_setup_opens_takes_no_dealing(variant):
     faults = [

@@ -2,10 +2,13 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secel.errors import AuthFailure, ConfigError
 from secel.simnet import (
@@ -155,6 +158,77 @@ def test_canonical_json_is_sorted_and_compact():
     digest = payload_digest(b"hello")
     assert len(digest) == 16
     int(digest, 16)  # hex
+
+
+def reference_json(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+WIDE_INTS = st.integers(min_value=-(2**520), max_value=2**520)
+IDENTIFIERS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True)
+KEYS = st.one_of(
+    IDENTIFIERS,  # the fast path's keys
+    st.text(max_size=4),  # quotes, backslashes, control and non-ASCII characters
+    st.sampled_from(["é", "a b", 'q"', "x\\y", "\n", "1", "ab", "a", "_"]),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(WIDE_INTS, st.booleans(), st.none(), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(KEYS, inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(KEYS, st.one_of(WIDE_INTS, st.booleans(), JSON_VALUES), max_size=6))
+@example({})
+@example({"v": 0, "s": -1, "w": 2**400})
+@example({"v": True, "s": False})
+@example({"a": 1, "ab": 2, "a_": 3, "A": 4, "_": 5, "a0": 6})
+@example({"é": 1, "v": 2})
+@example({"x": [1, 2], "y": {}})
+def test_canonical_json_matches_json_dumps(obj):
+    assert canonical_json(obj) == reference_json(obj)
+
+
+@given(st.dictionaries(IDENTIFIERS, WIDE_INTS))
+def test_flat_int_bodies_skip_the_json_encoder(obj):
+    import secel.simnet as simnet
+
+    want = reference_json(obj)
+    dumps = simnet.json.dumps
+    simnet.json.dumps = None  # a call would raise TypeError
+    try:
+        assert canonical_json(obj) == want
+    finally:
+        simnet.json.dumps = dumps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    lo=st.integers(min_value=1, max_value=10**6),
+    extra=st.one_of(st.integers(min_value=0, max_value=70), st.integers(min_value=0, max_value=10**6)),
+)
+@example(seed=0, lo=1, extra=0)
+@example(seed=1, lo=1, extra=4)
+@example(seed=2, lo=3, extra=2**20 - 1)
+def test_delay_draws_match_randint(seed, lo, extra):
+    hi = lo + extra
+    budget = 10 * hi
+    cfg = SimConfig(seed=seed, n=2, delay_min=lo, delay_max=hi, budgets=dict.fromkeys(PHASES, budget))
+    sim = Simulator(cfg)
+    for i in (1, 2):
+        sim.add_node(Recorder(i))
+    for _ in range(8):
+        sim.send(1, 2, "x", {})
+    sim.run_phase("setup", 0)
+    got = sorted(sim.nodes[2].got, key=lambda env: env.seq)
+    rng = random.Random(derive_seed(seed, "net"))
+    assert [env.deliver_time - env.send_time for env in got] == [
+        rng.randint(lo, hi) for _ in range(8)
+    ]
 
 
 # ---- the authenticated channel -------------------------------------------------------
