@@ -24,14 +24,23 @@ its baby-step table {G^j: j < m} and giant step G^(-m) per step size m, with
 m = 8 * ceil(sqrt(bound)) capped at 2^16, so decoding a vector builds them
 once and each element takes about sqrt(bound) / 8 giant steps.
 
-Within one call, group_verify and group_unmask raise one base, the round's
-G^k or the pad, to a fresh exponent per element, so each builds a 4-bit
-table for that base (64 rows of 16 entries on the 256-bit group) and drops
-it on return.
+group_unmask raises one base, the pad, to a fresh exponent per element, so
+it builds a 4-bit table of that base (64 rows of 16 entries on the 256-bit
+group) and drops it on return.
+
+group_verify checks the whole vector at once on safe-prime groups (P = 2q + 1,
+both built-in groups): one small-exponents batch test (Bellare, Garay and
+Rabin, EUROCRYPT 1998) with secret 64-bit weights, whose two products come
+from one multi-exponentiation each (Pippenger's buckets, sharing squarings
+as in HAC 14.6.1), so a round's tag check costs two full-width
+exponentiations whatever its length. A group with
+a larger cofactor keeps the per-element check; group_verify's docstring says
+why.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 from math import isqrt
@@ -63,6 +72,8 @@ CALL_WINDOW_BITS = 4  # per-call tables: 15 multiplications per row to build
 BABY_STEP_TABLES = 4  # BSGS tables kept per group, one per giant-step size
 BABY_STEP_WIDTH = 8  # baby steps per sqrt(bound)
 BABY_STEP_CAP = 1 << 16  # sqrt of bsgs's largest bound, so never below sqrt(bound)
+BATCH_WEIGHT_BYTES = 8  # batch weights r_i lie in [1, 2^64]
+_BATCH_DOMAIN = b"secel/batch-verify/v1"
 _HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
@@ -92,6 +103,34 @@ def window_pow(rows: list[list[int]], e: int, p: int) -> int:
     for row, d in zip(rows, digits, strict=True):
         if d:
             acc = acc * row[d] % p
+    return acc
+
+
+def multi_pow(bases: Sequence[int], exps: Sequence[int], p: int) -> int:
+    """Product of bases[i]^exps[i] mod p for short exponents >= 0.
+
+    Pippenger's bucket method with 4-bit windows, which shares the squarings
+    among all bases as HAC 14.6.1's simultaneous multiple exponentiation
+    does. From the top window down, the accumulator is raised to the 16th
+    power and each base is multiplied into the bucket of its digit there;
+    the sum of d * bucket_d then takes 30 running-product multiplications.
+    A window costs one multiplication per base plus a fixed 35, where
+    separate exponentiations would pay one squaring chain per base.
+    """
+    width = -(-max(exps, default=0).bit_length() // 4)
+    digits = [f"{e:0{width}x}".encode().translate(_HEX_DIGITS) for e in exps]
+    acc = 1
+    for column in zip(*digits):
+        for _ in range(4):
+            acc = acc * acc % p
+        buckets = [1] * 16
+        for base, d in zip(bases, column):
+            buckets[d] = buckets[d] * base % p
+        run = total = 1
+        for d in range(15, 0, -1):
+            run = run * buckets[d] % p
+            total = total * run % p
+        acc = acc * total % p
     return acc
 
 
@@ -270,6 +309,26 @@ def combine_key_lifts(key_lifts: Sequence[int], params: GroupParams) -> int:
     return acc
 
 
+def batch_weights(s: int, round_no: int, length: int, params: GroupParams) -> list[int]:
+    """The batch tag check's weights r_i in [1, 2^64], one per element index.
+
+    r_i = 1 + the first 8 bytes of SHA-256(domain || s || round || i), with s
+    the verifier's secret round key, so the aggregator cannot predict them.
+    """
+    q = params.q
+    prefix = hashlib.sha256(
+        _BATCH_DOMAIN
+        + (s % q).to_bytes(-(-q.bit_length() // 8), "big")
+        + round_no.to_bytes(8, "big")
+    )
+    weights = []
+    for idx in range(length):
+        h = prefix.copy()
+        h.update(idx.to_bytes(8, "big"))
+        weights.append(1 + int.from_bytes(h.digest()[:BATCH_WEIGHT_BYTES], "big"))
+    return weights
+
+
 def group_verify(
     agg: Sequence[Sequence[int]],
     g_k: int,
@@ -279,12 +338,46 @@ def group_verify(
 ) -> bool:
     """Check c2^s * c1 == G^(sum of PRG(k_i, label)) for every element.
 
-    The right side is (G^k)^H(label): the label coefficient is public, so the
-    verifier only needs the recovered lift of the combined key. Its powers are
-    read from a window table of G^k built once per call.
+    The right side is (G^k)^h_i with h_i = H(label_i): the label coefficient
+    is public, so the verifier only needs the recovered lift of the combined
+    key.
+
+    On a safe-prime group (P = 2q + 1) every element is checked at once, by
+    one small-exponents batch test with the secret weights r_i of
+    batch_weights:
+
+        (prod c2_i^r_i)^s * prod c1_i^r_i == (G^k)^(sum r_i * h_i mod q)
+
+    Why that suffices: Z_P^* = {+-1} x QR_P, with QR_P the order-q subgroup.
+    Write e_i = c2_i^s * c1_i / (G^k)^h_i as sign_i * u_i with u_i in QR_P.
+    The test passes iff prod e_i^r_i == 1, which needs prod u_i^r_i == 1. If
+    some u_j != 1, that fixes r_j mod q given the other weights, and an
+    aggregator who does not know s hits it with probability about 2^-64
+    (2^-61 on the toy group, whose q is below 2^64). So a passing batch
+    proves each element's equation up to sign: the QR_P parts of c1_i and
+    c2_i pass the per-element check, and only the signs of the components
+    can be off. Either way the round still ends in one of its two outcomes:
+      - c1 off by sign: unmask yields -G^x, outside the subgroup; the
+        baby-step table holds only subgroup elements, so the decode fails
+        and the round ends in a named DecodeFailure.
+      - c2 alone off by sign: unmask never reads c2, so the decoded sum is
+        exact.
+    A zero component still fails: zero absorbs the product it is in.
+
+    The sign argument needs the cofactor 2, so a group with a larger
+    cofactor checks each element on its own, reading the powers of G^k from
+    a window table built once per call.
     """
     p, q = params.p, params.q
     s %= q
+    if p == 2 * q + 1:
+        weights = batch_weights(s, round_no, len(agg), params)
+        c2_prod = multi_pow([c2 for _, c2 in agg], weights, p)
+        c1_prod = multi_pow([c1 for c1, _ in agg], weights, p)
+        e = sum(
+            r * label_coeff(RoundLabel(round_no, idx), q) for idx, r in enumerate(weights)
+        )
+        return pow(c2_prod, s, p) * c1_prod % p == pow(g_k, e % q, p)
     g_k_rows = window_rows(g_k, p, q.bit_length(), CALL_WINDOW_BITS)
     for idx, (c1, c2) in enumerate(agg):
         h = label_coeff(RoundLabel(round_no, idx), q)

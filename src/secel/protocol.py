@@ -95,7 +95,7 @@ from .simnet import (
 )
 
 VARIANTS = ("scalar", "group")
-TAMPER_POLICIES = ("honest", "flip_element", "substitute_all", "inject_offset")
+TAMPER_POLICIES = ("honest", "flip_element", "substitute_all", "inject_offset", "negate")
 TAMPER_OFFSET = 3  # additive constant used by the inject_offset policy
 
 COMMIT_RANGE = 1 << 32  # an elector's commit value is drawn below this
@@ -570,6 +570,26 @@ def _aggregate_problem(body: Any, spec: RoundSpec, p: int) -> str | None:
     return _pairs_problem(c, spec.length, p)
 
 
+class _AggregateCheck:
+    """_aggregate_problem's verdict on the last aggregate body it saw.
+
+    A broadcast hands every participant the same body object, so one check
+    serves them all. Holding the body keeps its id from passing to another
+    object; a body rewritten for one participant is a new object, checked
+    anew.
+    """
+
+    def __init__(self, spec: RoundSpec, p: int):
+        self.spec, self.p = spec, p
+        self.body: Any = None
+        self.problem: str | None = None
+
+    def __call__(self, body: Any) -> str | None:
+        if body is not self.body:
+            self.body, self.problem = body, _aggregate_problem(body, self.spec, self.p)
+        return self.problem
+
+
 def _members_problem(m: Any, spec: RoundSpec) -> str | None:
     """Why m is not a list of distinct participant ids."""
     if (
@@ -652,13 +672,16 @@ class _LeaderFindings:
 class ParticipantNode(Node):
     """One protocol participant: dealer, contributor, elector, potential leader."""
 
-    def __init__(self, node_id: int, spec: RoundSpec, rng: random.Random):
+    def __init__(
+        self, node_id: int, spec: RoundSpec, rng: random.Random, check: _AggregateCheck
+    ):
         self.id = node_id
         self.spec = spec
         self.rng = rng
         self.modulus = spec.field_modulus()
         self.codec = spec.codec()
         self.arith = spec.arith()
+        self.aggregate_problem = check  # shared by every participant of the run
         self.gradients: list[float] = []
         self._reset_setup()
         self.begin_round(0)
@@ -922,7 +945,7 @@ class ParticipantNode(Node):
         self.s_peers[env.src] = env.body["s"]
 
     def _on_aggregate(self, sim: Simulator, env) -> None:
-        problem = _aggregate_problem(env.body, self.spec, self.arith.p)
+        problem = self.aggregate_problem(env.body)
         if problem is not None:
             sim.log_note("malformed_aggregate", dst=self.id, detail=problem)
             self.status = "rejected"
@@ -1201,8 +1224,8 @@ class AggregatorNode(Node):
         )
 
     def _tamper(self, agg: list[list[int]]) -> list[list[int]]:
-        # every policy shifts or replaces hidden values: adding a constant to
-        # a field value is multiplying a lift by G^constant
+        # every policy shifts, negates or replaces hidden values: adding a
+        # constant to a field value is multiplying a lift by G^constant
         arith = self.arith
         policy = self.spec.tamper
         if policy == "flip_element":
@@ -1210,6 +1233,11 @@ class AggregatorNode(Node):
         elif policy == "inject_offset":
             shift = arith.lift(TAMPER_OFFSET)
             agg = [[arith.combine([a, shift]), b] for a, b in agg]
+        elif policy == "negate":
+            # p - c: a field negation, or in the group the order-2 element -1
+            # times each component, which leaves the subgroup
+            p = arith.p
+            agg[0] = [-agg[0][0] % p, -agg[0][1] % p]
         elif policy == "substitute_all":
             q = arith.q
             agg = [
@@ -1246,8 +1274,9 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
     participants: dict[int, ParticipantNode] = {}
     inputs: dict[int, list[float]] = {}
     codec = spec.codec()
+    check = _AggregateCheck(spec, aggregator.arith.p)
     for i in spec.participant_ids:
-        node = ParticipantNode(i, spec, sim.node_rng(i))
+        node = ParticipantNode(i, spec, sim.node_rng(i), check)
         if spec.gradients is not None:
             node.gradients = list(spec.gradients[i - 1])
         else:

@@ -20,7 +20,7 @@ from secel.algebra import (
     SymBivarPoly,
     lagrange_at_zero,
 )
-from secel.cli import run_bench
+from secel.cli import _bench_kernels
 from secel.fedlearn import DEFAULT_FRACTIONS, TrainConfig, train
 from secel.group_variant import (
     TOY_GROUP,
@@ -405,12 +405,28 @@ def test_criterion_6_group_variant():
 # ---- 7: complexity growth ---------------------------------------------------------------
 
 
-def _growth_measurement(repeat: int):
-    rows = run_bench(("setup", "mask", "agg"), (10,), (512, 1024), repeat, ROOT_SEED)
-    ms = {(r[0], r[2]): r[3] for r in rows}
-    mask_ratio = ms[("mask", 1024)] / ms[("mask", 512)]
-    agg_ratio = ms[("agg", 1024)] / ms[("agg", 512)]
-    setup_pair = sorted((ms[("setup", 512)], ms[("setup", 1024)]))
+def _growth_measurement(windows: int):
+    """Doubling ratios of masking and aggregation, and setup's spread, at n=10.
+
+    The host's speed drifts on its own, so one mean per cell compares two
+    different hosts. Each window instead times one call of every kernel at
+    l=512 and at l=1024, back to back, the length that goes first alternating
+    from window to window, and each (kernel, l) cell keeps its fastest
+    window: both lengths get the same chances at a quiet host.
+    """
+    kernels = {l: _bench_kernels(10, l, ROOT_SEED) for l in (512, 1024)}
+    best: dict[tuple[str, int], float] = {}
+    for w in range(windows):
+        for phase in ("setup", "mask", "agg"):
+            for l in (512, 1024) if w % 2 == 0 else (1024, 512):
+                kernel = kernels[l][phase]
+                t0 = time.perf_counter()
+                kernel()
+                elapsed = time.perf_counter() - t0
+                best[phase, l] = min(elapsed, best.get((phase, l), elapsed))
+    mask_ratio = best["mask", 1024] / best["mask", 512]
+    agg_ratio = best["agg", 1024] / best["agg", 512]
+    setup_pair = sorted((best["setup", 512], best["setup", 1024]))
     setup_spread = setup_pair[1] / setup_pair[0] - 1.0
     return mask_ratio, agg_ratio, setup_spread
 
@@ -420,15 +436,14 @@ def test_criterion_7_complexity_growth():
     in [1.6, 2.4]; setup cost varies < 10% across gradient counts.  Ratios
     only - absolute milliseconds are hardware-bound and never asserted."""
     with criterion(7, "complexity growth"):
-        run_bench(("setup", "mask", "agg"), (10,), (64,), 3, ROOT_SEED)  # warmup
-        mask_ratio, agg_ratio, setup_spread = _growth_measurement(repeat=30)
+        mask_ratio, agg_ratio, setup_spread = _growth_measurement(windows=60)
         ok = (
             1.6 <= mask_ratio <= 2.4
             and 1.6 <= agg_ratio <= 2.4
             and setup_spread < 0.10
         )
-        if not ok:  # one re-measurement with more repetitions to shed scheduler noise
-            mask_ratio, agg_ratio, setup_spread = _growth_measurement(repeat=60)
+        if not ok:  # one re-measurement with more windows to shed scheduler noise
+            mask_ratio, agg_ratio, setup_spread = _growth_measurement(windows=120)
         print(
             f"\n  mask x2 ratio={mask_ratio:.2f}, agg x2 ratio={agg_ratio:.2f}, "
             f"setup spread={setup_spread * 100:.1f}%"

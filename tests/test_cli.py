@@ -42,6 +42,16 @@ def test_round_tamper_flag_exits_two(tmp_path, capsys):
     assert "verified=false" in out and "error=VerificationFailed" in out
 
 
+@pytest.mark.parametrize("variant", ["scalar", "group"])
+def test_round_negate_tamper_exits_two(tmp_path, capsys, variant):
+    cfg = write_config(tmp_path, HONEST_DOC)
+    argv = ["round", "--config", cfg, "--variant", variant, "--tamper", "negate"]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert "status=rejected" in out
+    assert "error=VerificationFailed" in out or "error=DecodeFailure" in out
+
+
 def test_round_missing_config_flag_exits_one_with_usage(capsys):
     assert main(["round"]) == 1
     assert "usage" in capsys.readouterr().err

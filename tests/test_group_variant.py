@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 
 from secel.algebra import PrimeModulus, is_probable_prime
 from secel.errors import InsufficientShares, LabelMismatch, NotFound, ZeroAuthKey
+import secel.group_variant as group_variant
 from secel.group_variant import (
     DEFAULT_GROUP,
     TOY_GROUP,
     GroupParams,
     KeyPair,
     baby_step_count,
+    batch_weights,
     bsgs,
     combine_key_lifts,
     exp_lagrange_at,
@@ -29,6 +31,7 @@ from secel.group_variant import (
     group_mask_vector,
     group_unmask,
     group_verify,
+    multi_pow,
     unwrap_share,
     window_pow,
     window_rows,
@@ -281,6 +284,147 @@ def test_group_verify_checks_every_element():
         bad = [list(pair) for pair in agg]
         bad[idx][0] = bad[idx][0] * params.g % params.p
         assert not group_verify(bad, g_k, s, rnd, params), idx
+
+
+# ---- batched tag check ------------------------------------------------------------
+
+
+def _honest_aggregate(params, rng, length, m=3, rnd=5):
+    """An honest m-contributor aggregate with its G^k, round key and input sums."""
+    q = params.q
+    vs = [rng.randrange(q) for _ in range(m)]
+    ks = [rng.randrange(q) for _ in range(m)]
+    s = sum(rng.randrange(1, q) for _ in range(m)) % q or 1
+    ws = [[rng.randrange(1 << 10) for _ in range(length)] for _ in range(m)]
+    agg = group_aggregate(
+        [group_mask_vector(ws[i], vs[i], ks[i], s, rnd, params) for i in range(m)],
+        params,
+    )
+    sums = [sum(col) for col in zip(*ws)]
+    return agg, params.lift(sum(ks)), s, params.lift(sum(vs)), sums
+
+
+def _verify_each(agg, g_k, s, rnd, params):
+    """Reference: the tag equation checked element by element."""
+    p, q = params.p, params.q
+    return all(
+        pow(c2, s, p) * c1 % p == pow(g_k, label_coeff(RoundLabel(rnd, idx), q), p)
+        for idx, (c1, c2) in enumerate(agg)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=1 << 32),
+    rnd=st.integers(min_value=0, max_value=1 << 32),
+)
+def test_batch_verify_passes_honest_aggregates(length, seed, rnd):
+    agg, g_k, s, _, _ = _honest_aggregate(TOY_GROUP, random.Random(seed), length, rnd=rnd)
+    assert group_verify(agg, g_k, s, rnd, TOY_GROUP)
+
+
+def test_batch_verify_catches_compensating_corruptions():
+    # c1_i * G and c1_j / G keep the unweighted product of the tag equations,
+    # so only the weights tell the two elements apart
+    rng = random.Random(31)
+    params, rnd = DEFAULT_GROUP, 5
+    p, q = params.p, params.q
+    agg, g_k, s, _, _ = _honest_aggregate(params, rng, 16, rnd=rnd)
+    g_inv = params.lift(-1)
+    e_sum = sum(label_coeff(RoundLabel(rnd, idx), q) for idx in range(len(agg)))
+    for i, j in ((0, 1), (3, 15), (7, 2)):
+        bad = [list(pair) for pair in agg]
+        bad[i][0] = bad[i][0] * params.g % p
+        bad[j][0] = bad[j][0] * g_inv % p
+        unweighted = 1
+        for c1, c2 in bad:
+            unweighted = unweighted * pow(c2, s, p) * c1 % p
+        assert unweighted == pow(g_k, e_sum, p)
+        assert not group_verify(bad, g_k, s, rnd, params), (i, j)
+
+
+@pytest.mark.parametrize("component", [0, 1], ids=["c1", "c2"])
+def test_batch_verify_sign_flips_end_in_a_named_outcome(component):
+    # -1 times one component passes the batch only up to sign: a flipped c1
+    # then fails the decode; a flipped c2 leaves the decoded sum exact
+    rng = random.Random(32)
+    params = TOY_GROUP
+    outcomes = set()
+    for rnd in range(24):
+        agg, g_k, s, g_v, sums = _honest_aggregate(params, rng, 4, rnd=rnd)
+        agg[1][component] = params.p - agg[1][component]
+        if not group_verify(agg, g_k, s, rnd, params):
+            outcomes.add("rejected")
+            continue
+        out = group_unmask(agg, g_v, rnd, params)
+        if component == 0:
+            with pytest.raises(NotFound):
+                bsgs(out[1], 3 << 10, params)
+            outcomes.add("undecodable")
+        else:
+            assert [bsgs(h, 3 << 10, params) for h in out] == sums
+            outcomes.add("exact")
+    assert outcomes == {"rejected", "undecodable" if component == 0 else "exact"}
+
+
+def test_cofactor_group_verdicts_match_the_per_element_check():
+    # p - 1 = 6q on G101: the sign argument does not hold, so each element is
+    # checked on its own, and -1-coset perturbations get the reference verdict
+    rng = random.Random(33)
+    params, p = G101, G101.p
+    verdicts = set()
+    for rnd in range(20):
+        agg, g_k, s, _, _ = _honest_aggregate(params, rng, 3, rnd=rnd)
+        assert group_verify(agg, g_k, s, rnd, params)
+        for idx in range(3):
+            for component in (0, 1):
+                bad = [list(pair) for pair in agg]
+                bad[idx][component] = p - bad[idx][component]
+                verdict = group_verify(bad, g_k, s, rnd, params)
+                assert verdict == _verify_each(bad, g_k, s, rnd, params)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_batch_weights_are_a_pure_function_of_key_round_and_index():
+    params = DEFAULT_GROUP
+    s = random.Random(34).randrange(1, params.q)
+    weights = batch_weights(s, 7, 64, params)
+    assert weights == batch_weights(s, 7, 64, params)
+    assert weights[:5] == batch_weights(s, 7, 5, params)
+    assert weights == batch_weights(s + params.q, 7, 64, params)
+    assert len(set(weights)) == 64
+    assert all(1 <= r <= 1 << 64 for r in weights)
+    assert all(r.bit_length() > 32 for r in weights)  # full-width draws, not small ints
+    assert batch_weights(s + 1, 7, 64, params) != weights
+    assert batch_weights(s, 8, 64, params) != weights
+
+
+def test_multi_pow_matches_separate_powers():
+    rng = random.Random(35)
+    p = DEFAULT_GROUP.p
+    assert multi_pow([], [], p) == 1
+    for n in (1, 2, 17, 64):
+        bases = [rng.randrange(p) for _ in range(n)]
+        exps = [rng.choice([0, 1, 15, 16, 1 << 64, rng.randrange(1 << 64)]) for _ in range(n)]
+        expect = 1
+        for b, e in zip(bases, exps):
+            expect = expect * pow(b, e, p) % p
+        assert multi_pow(bases, exps, p) == expect
+
+
+def test_batch_verify_makes_at_most_two_full_width_pow_calls(monkeypatch):
+    agg, g_k, s, _, _ = _honest_aggregate(DEFAULT_GROUP, random.Random(36), 64)
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(group_variant, "pow", counting_pow, raising=False)
+    assert group_verify(agg, g_k, s, 5, DEFAULT_GROUP)
+    assert len(calls) <= 2
 
 
 def test_group_aggregate_label_guards():

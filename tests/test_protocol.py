@@ -276,6 +276,34 @@ def test_malformed_aggregate_is_rejected(monkeypatch, variant, mutation):
     assert result.transcript.count(type="note", note="malformed_aggregate") == 4
 
 
+@pytest.mark.parametrize("variant", ["scalar", "group"])
+@pytest.mark.parametrize("target_bad", [True, False], ids=["bad_for_one", "good_for_one"])
+def test_aggregate_equivocation_is_checked_per_body(monkeypatch, variant, target_bad):
+    # participant 2 gets a different body object from the other three; each
+    # body's own verdict holds for whoever received it
+    broadcast, target = Simulator.broadcast, 2
+
+    def equivocate(sim, src, dsts, kind, body):
+        if kind != "aggregate":
+            return broadcast(sim, src, dsts, kind, body)
+        bad = MALFORMED_AGGREGATES["truncated"](body)
+        shared, own = (body, bad) if target_bad else (bad, body)
+        broadcast(sim, src, [d for d in dsts if d != target], kind, shared)
+        sim.send(src, target, kind, own)
+
+    monkeypatch.setattr(Simulator, "broadcast", equivocate)
+    spec = RoundSpec(n=4, t=2, length=4, variant=variant)
+    result = run_rounds(spec, SimConfig(seed=3, n=4))
+    notes = [rec for rec in result.transcript.records if rec.get("note") == "malformed_aggregate"]
+    rejected = [target] if target_bad else [1, 3, 4]
+    assert sorted(rec["dst"] for rec in notes) == rejected
+    for i, node in result.nodes.items():
+        if i in rejected:
+            assert node.reject_reason == "MalformedAggregate" and not node.has_aggregate
+        elif i != 0:
+            assert node.has_aggregate
+
+
 def _bound(spec):
     """Exclusive upper bound of a wire element: p (scalar) or P (group)."""
     return spec.group.p if spec.variant == "group" else spec.prime
@@ -508,9 +536,26 @@ def test_party_offline_when_setup_opens_takes_no_dealing(variant):
         assert result.nodes[2].dealer is None and result.nodes[2].held_v == {}
 
 
+@pytest.mark.parametrize("variant", ["scalar", "group"])
+def test_negate_tamper_is_a_named_rejection(variant):
+    # pair 0 becomes [p - c1, p - c2]; in the group that passes the batch tag
+    # check only up to sign, so the round ends at the check or at the decode
+    spec = RoundSpec(n=4, t=2, length=3, variant=variant, tamper="negate")
+    errors = set()
+    for seed in range(6):
+        result = run_rounds(spec, SimConfig(seed=seed, n=4))
+        r = result.rounds[0]
+        assert r.phase == "rejected" and r.error in ("VerificationFailed", "DecodeFailure")
+        assert r.field_sum is None and r.delivered_to == []
+        assert result.transcript.count(type="send", kind="result") == 0
+        errors.add(r.error)
+    # a field negation is just a wrong value; only the group's -1 can pass
+    assert "DecodeFailure" in errors if variant == "group" else errors == {"VerificationFailed"}
+
+
 def _negate_first_pair(monkeypatch, spec):
     """The aggregator swaps pair 0 for [p - c1, p - c2]: an order-2 component
-    that passes the tag check whenever s is odd."""
+    that the tag check, which holds only up to sign, may pass."""
     broadcast = Simulator.broadcast
 
     def rewrite(sim, src, dsts, kind, body):
