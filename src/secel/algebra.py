@@ -314,7 +314,10 @@ class FixedPointCodec:
         hi = self.clip_bound
         lo, shift = -hi, 0.0 if self.signed else hi
         scale, p = self.scale, modulus.p
-        return [round((min(max(float(v), lo), hi) + shift) * scale) % p for v in values]
+        return [
+            round(((hi if v > hi else lo if v < lo else v) + shift) * scale) % p
+            for v in map(float, values)
+        ]
 
     def decode(
         self, elems: Sequence[int], modulus: PrimeModulus, m_count: int = 1

@@ -48,7 +48,7 @@ from typing import Sequence
 
 from .algebra import PrimeModulus, is_probable_prime, lagrange_coeffs_at
 from .errors import InsufficientShares, LabelMismatch, NotFound
-from .maskmac import RoundLabel, label_coeff, mask_vector
+from .maskmac import label_coeffs, mask_vector
 
 __all__ = [
     "GroupParams",
@@ -374,13 +374,10 @@ def group_verify(
         weights = batch_weights(s, round_no, len(agg), params)
         c2_prod = multi_pow([c2 for _, c2 in agg], weights, p)
         c1_prod = multi_pow([c1 for c1, _ in agg], weights, p)
-        e = sum(
-            r * label_coeff(RoundLabel(round_no, idx), q) for idx, r in enumerate(weights)
-        )
+        e = sum(r * h for r, h in zip(weights, label_coeffs(round_no, len(agg), q)))
         return pow(c2_prod, s, p) * c1_prod % p == pow(g_k, e % q, p)
     g_k_rows = window_rows(g_k, p, q.bit_length(), CALL_WINDOW_BITS)
-    for idx, (c1, c2) in enumerate(agg):
-        h = label_coeff(RoundLabel(round_no, idx), q)
+    for h, (c1, c2) in zip(label_coeffs(round_no, len(agg), q), agg):
         if (pow(c2, s, p) * c1) % p != window_pow(g_k_rows, h, p):
             return False
     return True
@@ -400,8 +397,7 @@ def group_unmask(
     p, q = params.p, params.q
     pad_rows = window_rows(g_pad_base, p, q.bit_length(), CALL_WINDOW_BITS)
     out = []
-    for idx, (c1, _) in enumerate(agg):
-        h = label_coeff(RoundLabel(round_no, idx), q)
+    for h, (c1, _) in zip(label_coeffs(round_no, len(agg), q), agg):
         out.append((c1 * window_pow(pad_rows, q - h, p)) % p)
     return out
 

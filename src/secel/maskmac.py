@@ -14,20 +14,20 @@ must be fresh every round (the protocol layer enforces that).
 
 Everything here is arithmetic on ints mod p, on whole vectors in the wire
 format: a masked vector is a list of [c1, c2] pairs, and the label of a pair
-is (round, its position in the list).
+is (round, its position in the list). H(label) is computed once per (round,
+length, modulus), as one tuple that every kernel of the round zips over.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import LabelMismatch, ZeroAuthKey
 
 __all__ = [
-    "RoundLabel",
-    "label_coeff",
+    "label_coeffs",
     "sum_auth_keys",
     "mask_vector",
     "aggregate_vectors",
@@ -38,20 +38,13 @@ __all__ = [
 _DOMAIN = b"secel/prg/v1"
 
 
-class RoundLabel(NamedTuple):
-    """One label per (round, element index); never reused across rounds."""
-
-    round: int
-    index: int
-
-
-@lru_cache(maxsize=1 << 16)
-def label_coeff(label: RoundLabel, p: int) -> int:
-    """H(label), hashed into [1, p-1] so the pad never vanishes."""
-    digest = hashlib.sha256(
-        _DOMAIN + label.round.to_bytes(8, "big") + label.index.to_bytes(8, "big")
-    ).digest()
-    return 1 + int.from_bytes(digest, "big") % (p - 1)
+@lru_cache(maxsize=16)
+def label_coeffs(round_no: int, length: int, p: int) -> tuple[int, ...]:
+    """H(label) for the labels (round_no, 0) .. (round_no, length - 1), each hashed
+    into [1, p-1] so the pad never vanishes; labels never repeat across rounds."""
+    head = _DOMAIN + round_no.to_bytes(8, "big")
+    digests = (hashlib.sha256(head + i.to_bytes(8, "big")).digest() for i in range(length))
+    return tuple(1 + int.from_bytes(d, "big") % (p - 1) for d in digests)
 
 
 def sum_auth_keys(s_values: Iterable[int], p: int) -> int:
@@ -79,8 +72,7 @@ def mask_vector(
         raise ZeroAuthKey("round authentication key is zero; resample the round")
     s_inv = pow(s, p - 2, p)
     out = []
-    for idx, w in enumerate(values):
-        h = label_coeff(RoundLabel(round_no, idx), p)
+    for w, h in zip(values, label_coeffs(round_no, len(values), p)):
         c1 = (masking_secret * h + w) % p
         out.append([c1, (self_key * h - c1) * s_inv % p])
     return out
@@ -93,10 +85,9 @@ def aggregate_vectors(vectors: Sequence[Sequence[Sequence[int]]], p: int) -> lis
     length = len(vectors[0])
     if any(len(v) != length for v in vectors):
         raise LabelMismatch("vectors of different lengths")
-    return [
-        [sum(pair[0] for pair in column) % p, sum(pair[1] for pair in column) % p]
-        for column in zip(*vectors)
-    ]
+    c1_cols = zip(*[[pair[0] for pair in v] for v in vectors])
+    c2_cols = zip(*[[pair[1] for pair in v] for v in vectors])
+    return [[c1 % p, c2 % p] for c1, c2 in zip(map(sum, c1_cols), map(sum, c2_cols))]
 
 
 def verify_vector(
@@ -104,8 +95,8 @@ def verify_vector(
 ) -> bool:
     """PRG(k, label) == c2 * s + c1 for every element, with k the sum of k_i."""
     return all(
-        (k * label_coeff(RoundLabel(round_no, idx), p) - c2 * s - c1) % p == 0
-        for idx, (c1, c2) in enumerate(agg)
+        (k * h - c2 * s - c1) % p == 0
+        for h, (c1, c2) in zip(label_coeffs(round_no, len(agg), p), agg)
     )
 
 
@@ -114,6 +105,6 @@ def unmask_vector(
 ) -> list[int]:
     """Sum of inputs per element = c1 - PRG(sum of V_i(0), label)."""
     return [
-        (c1 - masking_secret_sum * label_coeff(RoundLabel(round_no, idx), p)) % p
-        for idx, (c1, _) in enumerate(agg)
+        (c1 - masking_secret_sum * h) % p
+        for h, (c1, _) in zip(label_coeffs(round_no, len(agg), p), agg)
     ]

@@ -349,7 +349,7 @@ class ScenarioResult:
     def summary_lines(self) -> list[str]:
         lines = []
         for r in self.rounds:
-            verified = "true" if r.verified else "false"
+            verified = "none" if r.verified is None else "true" if r.verified else "false"
             if r.phase == "done":
                 body = f"decrypted={r.decrypted}"
             else:

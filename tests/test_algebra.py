@@ -7,6 +7,7 @@ library is never its own referee.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -250,3 +251,27 @@ def test_codec_vector_paths_match_the_per_value_ones(
         assert codec.decode(sums, modulus, m_count) == [
             codec.decode_sum(e, modulus, m_count) for e in sums
         ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    signed=st.booleans(),
+    scale_bits=st.integers(min_value=1, max_value=20),
+    clip=st.sampled_from([0.5, 1.0, 8.0, 100.0]),
+)
+def test_codec_encode_clips_like_encode_value(data, signed, scale_bits, clip):
+    codec = FixedPointCodec(scale_bits=scale_bits, clip_bound=clip, signed=signed)
+    value = (
+        st.floats(allow_nan=False)
+        | st.sampled_from([0.0, -0.0, math.inf, -math.inf, clip, -clip])
+        | st.integers(min_value=-(1 << 60), max_value=1 << 60)
+    )
+    vs = data.draw(st.lists(value, max_size=40), label="values")
+    nan_at = data.draw(st.integers(min_value=0, max_value=len(vs)), label="nan_at")
+    for modulus in (F31, F130):
+        assert codec.encode(vs, modulus) == [codec.encode_value(v, modulus) for v in vs]
+        with pytest.raises(ValueError):
+            codec.encode(vs[:nan_at] + [math.nan] + vs[nan_at:], modulus)
+        with pytest.raises(ValueError):
+            codec.encode_value(math.nan, modulus)

@@ -52,6 +52,16 @@ def test_round_negate_tamper_exits_two(tmp_path, capsys, variant):
     assert "error=VerificationFailed" in out or "error=DecodeFailure" in out
 
 
+def test_round_decode_failure_prints_verified_none(tmp_path, capsys):
+    # a negated group aggregate passes the batched tag check up to sign and then
+    # fails to decode: the round is rejected without a verdict, not as unverified
+    cfg = write_config(tmp_path, {**HONEST_DOC, "seed": 0})
+    argv = ["round", "--config", cfg, "--variant", "group", "--tamper", "negate"]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert "status=rejected verified=none" in out and "error=DecodeFailure" in out
+
+
 def test_round_missing_config_flag_exits_one_with_usage(capsys):
     assert main(["round"]) == 1
     assert "usage" in capsys.readouterr().err

@@ -38,9 +38,8 @@ from secel.group_variant import (
     wrap_share,
 )
 from secel.maskmac import (
-    RoundLabel,
     aggregate_vectors,
-    label_coeff,
+    label_coeffs,
     mask_vector,
     sum_auth_keys,
     unmask_vector,
@@ -113,7 +112,7 @@ def _table_exponents(params, width):
     rows = -(-q.bit_length() // width)
     top = (1 << width) - 1
     return [0, 1, q - 1, top << (width * (rows - 1)), (1 << (width * rows)) - 1] + [
-        q - label_coeff(RoundLabel(rnd, idx), q) for rnd in (0, 7) for idx in range(4)
+        q - h for rnd in (0, 7) for h in label_coeffs(rnd, 4, q)
     ]
 
 
@@ -308,8 +307,8 @@ def _verify_each(agg, g_k, s, rnd, params):
     """Reference: the tag equation checked element by element."""
     p, q = params.p, params.q
     return all(
-        pow(c2, s, p) * c1 % p == pow(g_k, label_coeff(RoundLabel(rnd, idx), q), p)
-        for idx, (c1, c2) in enumerate(agg)
+        pow(c2, s, p) * c1 % p == pow(g_k, h, p)
+        for h, (c1, c2) in zip(label_coeffs(rnd, len(agg), q), agg)
     )
 
 
@@ -332,7 +331,7 @@ def test_batch_verify_catches_compensating_corruptions():
     p, q = params.p, params.q
     agg, g_k, s, _, _ = _honest_aggregate(params, rng, 16, rnd=rnd)
     g_inv = params.lift(-1)
-    e_sum = sum(label_coeff(RoundLabel(rnd, idx), q) for idx in range(len(agg)))
+    e_sum = sum(label_coeffs(rnd, len(agg), q))
     for i, j in ((0, 1), (3, 15), (7, 2)):
         bad = [list(pair) for pair in agg]
         bad[i][0] = bad[i][0] * params.g % p
@@ -472,7 +471,7 @@ def test_group_unmask_is_c1_over_the_pad_power(params):
         pad = params.lift(rng.randrange(q))
         out = group_unmask(agg, pad, rnd, params)
         for idx, ((c1, _), got) in enumerate(zip(agg, out)):
-            h = label_coeff(RoundLabel(rnd, idx), q)
+            h = label_coeffs(rnd, len(agg), q)[idx]
             assert got == c1 * pow(pow(pad, h, p), -1, p) % p
             assert got == c1 * pow(pad, q - h, p) % p
 

@@ -8,6 +8,7 @@ Masked vectors are in the wire format, a list of [c1, c2] pairs whose label is
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
@@ -19,6 +20,7 @@ from secel import maskmac
 from secel.algebra import DEFAULT_PRIME, MERSENNE_61, PrimeModulus
 from secel.errors import LabelMismatch, ZeroAuthKey
 from secel.group_variant import (
+    DEFAULT_GROUP,
     TOY_GROUP,
     combine_key_lifts,
     group_aggregate,
@@ -27,9 +29,8 @@ from secel.group_variant import (
     group_verify,
 )
 from secel.maskmac import (
-    RoundLabel,
     aggregate_vectors,
-    label_coeff,
+    label_coeffs,
     mask_vector,
     sum_auth_keys,
     unmask_vector,
@@ -44,7 +45,7 @@ H = 7  # stub coefficient for the worked examples
 @pytest.fixture
 def stub_h(monkeypatch):
     """Every label hashes to H, so the examples below work by hand mod 31."""
-    monkeypatch.setattr(maskmac, "label_coeff", lambda label, p: H)
+    monkeypatch.setattr(maskmac, "label_coeffs", lambda r, length, p: (H,) * length)
 
 
 def _pad(key, p, round_no=0, index=0):
@@ -59,13 +60,40 @@ def test_label_coeff_domain_and_determinism():
     for p in (31, DEFAULT_PRIME):
         seen = set()
         for r in range(4):
-            for i in range(4):
-                h = label_coeff(RoundLabel(r, i), p)
+            for h in label_coeffs(r, 4, p):
                 assert 1 <= h <= p - 1
                 seen.add(h)
-        assert label_coeff(RoundLabel(0, 0), p) == label_coeff(RoundLabel(0, 0), p)
+        assert label_coeffs(0, 1, p) == label_coeffs(0, 1, p)
     # distinct labels almost surely map to distinct coefficients at 130 bits
     assert len(seen) == 16
+
+
+def _reference_coeffs(round_no, length, p):
+    """H(label) from its definition: SHA-256 of the domain, the 8-byte round and
+    the 8-byte index, read big-endian and pinned into [1, p-1]."""
+    return tuple(
+        1
+        + int.from_bytes(
+            hashlib.sha256(
+                b"secel/prg/v1" + round_no.to_bytes(8, "big") + idx.to_bytes(8, "big")
+            ).digest(),
+            "big",
+        )
+        % (p - 1)
+        for idx in range(length)
+    )
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, DEFAULT_GROUP.q], ids=["scalar", "group"])
+def test_label_coeffs_match_the_sha256_definition(p):
+    for rnd in (0, 1, 2, 7, 1 << 20, (1 << 64) - 1):
+        reference = _reference_coeffs(rnd, 64, p)
+        for length in range(1, 65):
+            coeffs = label_coeffs(rnd, length, p)
+            assert type(coeffs) is tuple
+            assert coeffs == reference[:length]  # a shorter vector reads a prefix
+    assert label_coeffs(0, 0, p) == ()
+    assert label_coeffs.cache_info().maxsize <= 16
 
 
 # ---- prg -------------------------------------------------------------------------
@@ -73,7 +101,7 @@ def test_label_coeff_domain_and_determinism():
 
 def test_prg_examples(monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(maskmac, "label_coeff", lambda label, p: H)
+        patch.setattr(maskmac, "label_coeffs", lambda r, length, p: (H,) * length)
         assert _pad(0, 31) == 0
         assert _pad(5, 31) == 4  # 35 mod 31
     # key-homomorphism with the real coefficient
@@ -131,12 +159,30 @@ def test_aggregate_examples():
         aggregate_vectors([[[1, 1]], [[1, 1], [1, 1]]], 31)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), p=st.sampled_from([31, MERSENNE_61, DEFAULT_PRIME]))
+def test_property_aggregate_is_the_column_sum(data, p):
+    count = data.draw(st.integers(min_value=1, max_value=12), label="count")
+    length = data.draw(st.integers(min_value=0, max_value=32), label="length")
+    pair = st.lists(st.integers(min_value=0, max_value=p - 1), min_size=2, max_size=2)
+    vector = st.lists(pair, min_size=length, max_size=length)
+    vectors = data.draw(st.lists(vector, min_size=count, max_size=count), label="vectors")
+    assert aggregate_vectors(vectors, p) == [
+        [sum(v[idx][0] for v in vectors) % p, sum(v[idx][1] for v in vectors) % p]
+        for idx in range(length)
+    ]
+    with pytest.raises(ValueError):
+        aggregate_vectors([], p)
+    with pytest.raises(LabelMismatch):
+        aggregate_vectors(vectors + [vectors[0] + [[0, 0]]], p)
+
+
 # ---- verify ------------------------------------------------------------------------
 
 
 def test_verify_honest_single_party(monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(maskmac, "label_coeff", lambda label, p: H)
+        patch.setattr(maskmac, "label_coeffs", lambda r, length, p: (H,) * length)
         # the tag example is a one-party aggregate: k = k_i = 6
         assert verify_vector([[13, 15]], 6, 4, 0, 31)
         assert not verify_vector([[14, 15]], 6, 4, 0, 31)
@@ -233,7 +279,7 @@ def test_vector_helpers_match_scalar_path():
     vectors = [mask_vector(grads[i], vs[i], ks[i], s, rnd, p) for i in range(m)]
     for i in range(m):
         for idx, (c1, c2) in enumerate(vectors[i]):
-            h = label_coeff(RoundLabel(rnd, idx), p)
+            h = label_coeffs(rnd, l, p)[idx]
             assert c1 == (vs[i] * h + grads[i][idx]) % p
             assert (c2 * s + c1) % p == ks[i] * h % p
 
