@@ -228,7 +228,7 @@ def lagrange_coeffs_at(xs: Sequence[int], x0: int, p: int) -> list[int]:
                 continue
             num = (num * (x0 - xj)) % p
             den = (den * (xi - xj)) % p
-        out.append((num * pow(den, p - 2, p)) % p)
+        out.append((num * pow(den, -1, p)) % p)
     return out
 
 

@@ -31,6 +31,7 @@ the runner are written once against it and never read the variant.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 from collections import Counter
@@ -42,7 +43,7 @@ from .algebra import (
     FixedPointCodec,
     PrimeModulus,
     UniPoly,
-    is_probable_prime,
+    _checked_prime,
     lagrange_at,
     lagrange_at_zero,
 )
@@ -256,8 +257,11 @@ class RoundSpec:
                 len(g) != self.length for g in self.gradients
             ):
                 raise ConfigError("gradients must be an n x length matrix")
-        if self.variant == "scalar" and not is_probable_prime(self.prime):
-            raise ConfigError("prime must be prime")
+        if self.variant == "scalar":
+            try:
+                _checked_prime(self.prime)  # cached per modulus
+            except (TypeError, ValueError):
+                raise ConfigError("prime must be prime") from None
         try:
             self.codec().ensure_capacity(self.n, self.field_modulus())
         except ValueError as exc:
@@ -406,8 +410,9 @@ class ScalarArith:
         return dealt
 
     def finish_setup(self, node: ParticipantNode) -> None:
-        for j in node.peers:
-            node.chan_keys[j] = channel_key(pairwise_key(node.dealer, j, node.held_a[j]))
+        # keys are derived on first use (ParticipantNode.chan_key), from the
+        # second rows as they stand now: a later duplicate setup2 cannot move them
+        node.key_rows = (copy.copy(node.dealer), dict(node.held_a))
 
     def lift(self, x: int) -> int:
         return x
@@ -697,6 +702,9 @@ class ParticipantNode(Node):
         self.held_a: dict[int, int] = {}
         self.opened: set[int] = set()  # peers whose opening message is in
         self.chan_keys: dict[int, bytes] = {}
+        # (dealer, second rows) as held when setup completed: what chan_key
+        # derives the scalar keys from; None once they are lost or not dealt
+        self.key_rows: tuple[DealerState, dict[int, int]] | None = None
         self.complete = False
         self.s_own: int | None = None
         self.s_total: int | None = None
@@ -734,6 +742,7 @@ class ParticipantNode(Node):
         self.held_v = {}
         self.held_a = {}
         self.chan_keys = {}
+        self.key_rows = None
         self.complete = False
         self.own_share = None
         if self.dealer is not None:
@@ -752,6 +761,20 @@ class ParticipantNode(Node):
         # A zero round key would void every tag. All parties share the same
         # view of the summands, so they all apply the same deterministic fix.
         self.s_total = total or 1
+
+    def chan_key(self, peer: int) -> bytes | None:
+        """The pairwise channel key with `peer`, or None if there is none.
+
+        Group keys are all set when setup completes; a scalar key is derived
+        here the first time it is asked for, k_ij = A_i(j) + A_j(i), and kept.
+        """
+        key = self.chan_keys.get(peer)
+        if key is None and self.key_rows is not None:
+            dealer, held_a = self.key_rows
+            if peer in held_a:
+                key = channel_key(pairwise_key(dealer, peer, held_a[peer]))
+                self.chan_keys[peer] = key
+        return key
 
     def _fallback_key(self, peer: int) -> bytes:
         """AEAD key from the one secret a share-loser still shares with a peer."""
@@ -984,7 +1007,7 @@ class ParticipantNode(Node):
         m = list(env.body["m"])
         if self.complete:
             body = self._share_body(m)
-            sim.send(self.id, leader, "share_resp", body, key=self.chan_keys[leader])
+            sim.send(self.id, leader, "share_resp", body, key=self.chan_key(leader))
         else:
             # every received share is gone; reach the leader over the fallback
             # channel keyed from this party's own surviving first row
@@ -1007,7 +1030,7 @@ class ParticipantNode(Node):
 
     def _on_share_resp(self, sim: Simulator, env) -> None:
         if self.leader == self.id:
-            body = self._open(sim, self.chan_keys.get(env.src), env)
+            body = self._open(sim, self.chan_key(env.src), env)
             if body is not None:
                 self.resp[env.src] = body
 
@@ -1027,7 +1050,7 @@ class ParticipantNode(Node):
     def _on_result(self, sim: Simulator, env) -> None:
         if self.leader is None:
             return
-        key = self.chan_keys.get(env.src) if self.complete else self._fallback_key(env.src)
+        key = self.chan_key(env.src) if self.complete else self._fallback_key(env.src)
         body = self._open(sim, key, env)
         if body is None:
             return
@@ -1111,27 +1134,30 @@ class ParticipantNode(Node):
     def _distribute(self, sim: Simulator) -> None:
         m = sorted(self.m_set)
         sums = self.findings.sums
-        body_base = {"sum": sums, "m": m, "failed": sorted(self.failed)}
-        for u in self.peers:
-            if not sim.is_online(u):
-                continue
-            recovered = self.findings.recovered.get(u)
-            if u in m:
-                kind, body = "result", dict(body_base)
-                key = self._fallback_key_for(u) if u in self.resp_fb else self.chan_keys.get(u)
-            elif recovered is not None:
-                # a share-loser outside M still gets its share back, privately
-                kind, body = "round_done", {"verified": True}
-                key = self._fallback_key_for(u)
-            else:
-                sim.send(self.id, u, "round_done", {"verified": True})
-                continue
-            if recovered is not None:
-                body["recovered"] = recovered
-            if key is None:
-                sim.log_note("undeliverable", dst=u)
-                continue
-            sim.send(self.id, u, kind, body, key=key)
+        # one result body for every member without a recovered share, encoded
+        # once and sealed for each under its own key
+        shared = {"sum": sums, "m": m, "failed": sorted(self.failed)}
+        with sim.shared_body(shared):
+            for u in self.peers:
+                if not sim.is_online(u):
+                    continue
+                recovered = self.findings.recovered.get(u)
+                if u in m:
+                    kind, body = "result", shared
+                    key = self._fallback_key_for(u) if u in self.resp_fb else self.chan_key(u)
+                elif recovered is not None:
+                    # a share-loser outside M still gets its share back, privately
+                    kind, body = "round_done", {"verified": True}
+                    key = self._fallback_key_for(u)
+                else:
+                    sim.send(self.id, u, "round_done", {"verified": True})
+                    continue
+                if recovered is not None:
+                    body = {**body, "recovered": recovered}
+                if key is None:
+                    sim.log_note("undeliverable", dst=u)
+                    continue
+                sim.send(self.id, u, kind, body, key=key)
         if self.id in m:
             self.field_sum = list(sums)
             self.plaintext = self.codec.decode(sums, self.modulus, len(m))

@@ -12,6 +12,15 @@ the envelope header (src, dst, kind, round, seq) as associated data and a
 deterministic per-(src, dst, seq) nonce. Tampering with the ciphertext or
 re-addressing an envelope raises AuthFailure.
 
+Pending events wait in per-tick FIFO buckets, {time: [items in scheduling
+order]}, beside a small heap of the distinct pending times (a calendar queue
+in Brown's sense, CACM 1988). Link delays span a few ticks, so only a handful
+of times are ever pending, and taking the next event costs a list step, not a
+sift through every pending event. Delivery order is (time, scheduling order):
+an item scheduled for the tick being processed runs after everything already
+due at that tick, and items past a phase budget wait for the next phase.
+Nothing may be scheduled before the current time.
+
 The transcript stores each envelope record (send, deliver, drop, auth_fail)
 as one flat tuple row, (type, src, dst, kind, round, seq, secured, digest, t,
 reason), with reason None when the record has none. A row keeps no reference
@@ -29,8 +38,10 @@ import heapq
 import json
 import random
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from operator import itemgetter, length_hint
+from typing import Any, Iterable, Iterator
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -54,24 +65,57 @@ AGGREGATOR_ID = 0
 # ---- canonical serialization ---------------------------------------------------------
 
 
+# Sorted keys, no whitespace, check_circular off: a body is a tree of lists,
+# dicts and scalars, so no markers dict is kept for its inner lists.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+FLAT_PLAN_LIMIT = 256  # distinct key tuples whose plan is kept
+_flat_plans: dict[tuple, tuple] = {}
+
+
+def _flat_plan(keys: tuple) -> tuple:
+    """How to format a dict of ints with these keys: (getter, %d template), or ().
+
+    Only ASCII identifier keys are planned: they need no escaping, so the
+    template is the exact json.dumps text with each value replaced by %d.
+    The getter returns the values as a tuple in sorted key order.
+    """
+    if not all(type(k) is str and k.isascii() and k.isidentifier() for k in keys):
+        return ()
+    order = sorted(keys)
+    template = ("{" + ",".join(f'"{k}":%d' for k in order) + "}").encode()
+    if len(order) > 1:
+        return itemgetter(*order), template
+    if order:
+        key = order[0]
+        return (lambda obj: (obj[key],)), template
+    return (lambda obj: ()), template
+
+
 def canonical_json(obj: Any) -> bytes:
     """Stable byte encoding: sorted keys, no whitespace.
 
-    A flat dict of ints under ASCII identifier keys (every dealing body) is
-    formatted directly, to the same bytes json.dumps gives. Such a key needs
-    no escaping, and sorting the '"key":value' items sorts the keys, because
-    the closing quote sorts below every identifier character.
+    A dict of ints under ASCII identifier keys (every dealing body) is
+    formatted from a plan cached per key tuple, to the same bytes json.dumps
+    gives. Past FLAT_PLAN_LIMIT key tuples a plan is computed but not kept.
+    Everything else goes through one shared JSONEncoder.
     """
     if type(obj) is dict:
-        items = []
-        for k, v in obj.items():
-            if type(v) is not int or type(k) is not str or not (k.isascii() and k.isidentifier()):
-                break
-            items.append(f'"{k}":{v}')
-        else:
-            items.sort()
-            return ("{" + ",".join(items) + "}").encode()
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+        keys = tuple(obj)
+        plan = _flat_plans.get(keys)
+        if plan is None:
+            plan = _flat_plan(keys)
+            if len(_flat_plans) < FLAT_PLAN_LIMIT:
+                _flat_plans[keys] = plan
+        if plan:
+            get, template = plan
+            values = get(obj)
+            for v in values:
+                if type(v) is not int:  # bools and floats are not %d
+                    break
+            else:
+                return template % values
+    return _ENCODER.encode(obj).encode()
 
 
 def payload_digest(data: bytes) -> str:
@@ -258,10 +302,8 @@ class Transcript:
         )
 
     def to_ndjson(self) -> str:
-        return "".join(
-            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-            for rec in self.records
-        )
+        encode = _ENCODER.encode
+        return "".join(encode(rec) + "\n" for rec in self.records)
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -282,10 +324,15 @@ def _nonce(src: int, dst: int, seq: int) -> bytes:
     return hashlib.sha256(b"secel/nonce/v1" + raw).digest()[:12]
 
 
-def seal(key: bytes, header: dict, body: dict) -> bytes:
-    """Encrypt-then-authenticate with the envelope header as associated data."""
+def seal(key: bytes, header: dict, body: dict, data: bytes | None = None) -> bytes:
+    """Encrypt-then-authenticate with the envelope header as associated data.
+
+    `data`, when given, is canonical_json(body), already encoded by the caller.
+    """
     nonce = _nonce(header["src"], header["dst"], header["seq"])
-    return AESGCM(key).encrypt(nonce, canonical_json(body), canonical_json(header))
+    if data is None:
+        data = canonical_json(body)
+    return AESGCM(key).encrypt(nonce, data, canonical_json(header))
 
 
 def open_sealed(key: bytes, header: dict, blob: bytes) -> dict:
@@ -341,11 +388,13 @@ class Simulator:
         self.offline: set[int] = set()
         self.dropping: set[int] = set()  # drop_outbound for the current phase
         self.transcript = Transcript()
-        self._heap: list[tuple[int, int, tuple]] = []
-        self._tick = 0  # heap tie-break, also total event counter
+        self._buckets: dict[int, list[tuple]] = {}  # time -> items in scheduling order
+        self._times: list[int] = []  # heap of the times with a bucket
+        self._taking: Iterator[tuple] = iter(())  # the bucket being processed
         self._net_rng = random.Random(derive_seed(config.seed, "net"))
         self._pair_seq: dict[tuple[int, int], int] = {}
-        self._broadcast: tuple[dict, str] | None = None  # body in flight, its digest
+        # the body in flight to several peers: (body, its bytes, their digest)
+        self._shared: tuple[dict, bytes, str] | None = None
 
     # -- wiring --------------------------------------------------------------------
 
@@ -358,17 +407,24 @@ class Simulator:
     def is_online(self, node_id: int) -> bool:
         return node_id in self.nodes and node_id not in self.offline
 
-    # -- event heap ----------------------------------------------------------------
+    # -- event queue ---------------------------------------------------------------
 
     def _push(self, time: int, item: tuple) -> None:
-        self._tick += 1
-        heapq.heappush(self._heap, (time, self._tick, item))
+        if time < self.now:
+            raise ValueError(f"cannot schedule at t={time}, before now={self.now}")
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [item]
+            heapq.heappush(self._times, time)
+        else:
+            bucket.append(item)
 
     def schedule_timer(self, node_id: int, at: int, name: str, data: Any = None) -> None:
         self._push(at, ("timer", node_id, name, data))
 
     def pending_events(self) -> int:
-        return len(self._heap)
+        """Items scheduled and not yet processed, the current tick's rest included."""
+        return sum(map(len, self._buckets.values())) + length_hint(self._taking)
 
     # -- sending -------------------------------------------------------------------
 
@@ -395,14 +451,16 @@ class Simulator:
         now = self.now
         deliver_time = now + cfg.delay_min + r
         env = Envelope(src, dst, kind, self.round, seq, now, deliver_time, key is not None)
+        shared = self._shared
+        if shared is not None and shared[0] is not body:
+            shared = None
         if key is not None:
-            env.blob = seal(key, env.header(), body)
+            env.blob = seal(key, env.header(), body, None if shared is None else shared[1])
             env.digest = payload_digest(env.blob)
         else:
             env.body = body
-            shared = self._broadcast
-            if shared is not None and shared[0] is body:
-                env.digest = shared[1]
+            if shared is not None:
+                env.digest = shared[2]
             else:
                 env.digest = payload_digest(canonical_json(body))
         if src in self.dropping:
@@ -411,18 +469,28 @@ class Simulator:
         self.transcript.envelope("send", env, t=now)
         self._push(deliver_time, ("deliver", env))
 
-    def broadcast(self, src: int, dsts: Iterable[int], kind: str, body: dict) -> None:
-        """Send the same plaintext body to every destination but the sender.
+    @contextmanager
+    def shared_body(self, body: dict) -> Iterator[None]:
+        """Encode `body` once for every send of that very object inside the block.
 
-        The body is encoded for its payload digest once; every send reuses it.
+        A plaintext send reuses the digest, a sealed one the plaintext bytes;
+        each sealed copy still gets its own key, nonce and header. The bytes
+        are dropped when the block ends, so a body changed afterwards is
+        encoded afresh.
         """
-        self._broadcast = (body, payload_digest(canonical_json(body)))
+        data = canonical_json(body)
+        self._shared = (body, data, payload_digest(data))
         try:
+            yield
+        finally:
+            self._shared = None
+
+    def broadcast(self, src: int, dsts: Iterable[int], kind: str, body: dict) -> None:
+        """Send the same plaintext body to every destination but the sender."""
+        with self.shared_body(body):
             for dst in sorted(dsts):
                 if dst != src:
                     self.send(src, dst, kind, body)
-        finally:
-            self._broadcast = None
 
     # -- faults ----------------------------------------------------------------------
 
@@ -466,22 +534,27 @@ class Simulator:
                 self.nodes[node_id].on_phase_start(self, phase)
 
         end = start + budget
-        while self._heap and self._heap[0][0] < end:
-            time, _, item = heapq.heappop(self._heap)
-            self.now = time
-            if item[0] == "deliver":
-                env: Envelope = item[1]
-                if env.dst in self.offline or env.dst not in self.nodes:
-                    self.transcript.envelope("drop", env, t=self.now, reason="offline_dst")
-                    continue
-                self.transcript.envelope("deliver", env, t=self.now)
-                self.nodes[env.dst].on_message(self, env)
-            elif item[0] == "timer":
-                _, node_id, name, data = item
-                if self.is_online(node_id):
-                    self.nodes[node_id].on_timer(self, name, data)
-            elif item[0] == "fault":
-                self._apply_fault(item[1])
+        times, buckets = self._times, self._buckets
+        while times and times[0] < end:
+            # take the earliest tick's bucket out; an item scheduled for this
+            # same tick meanwhile opens a new bucket, processed right after
+            now = heapq.heappop(times)
+            self.now = now
+            self._taking = taking = iter(buckets.pop(now))
+            for item in taking:
+                if item[0] == "deliver":
+                    env: Envelope = item[1]
+                    if env.dst in self.offline or env.dst not in self.nodes:
+                        self.transcript.envelope("drop", env, t=now, reason="offline_dst")
+                        continue
+                    self.transcript.envelope("deliver", env, t=now)
+                    self.nodes[env.dst].on_message(self, env)
+                elif item[0] == "timer":
+                    _, node_id, name, data = item
+                    if self.is_online(node_id):
+                        self.nodes[node_id].on_timer(self, name, data)
+                elif item[0] == "fault":
+                    self._apply_fault(item[1])
         self.now = end
 
     def log_note(self, note: str, /, **data: Any) -> None:

@@ -24,8 +24,10 @@ from secel.algebra import (
     is_probable_prime,
     lagrange_at,
     lagrange_at_zero,
+    lagrange_coeffs_at,
 )
 from secel.errors import DuplicatePoint, InsufficientShares
+from secel.group_variant import DEFAULT_GROUP
 
 F31 = PrimeModulus(31)
 F130 = PrimeModulus(DEFAULT_PRIME)
@@ -89,6 +91,43 @@ def test_lagrange_at_zero_examples():
     extra = pts + [(3, 14)]
     assert lagrange_at_zero(extra, 2, 31) == 5
     assert f.eval(3) == 14
+
+
+def fermat_coeffs(xs, x0, p):
+    """Lagrange basis coefficients with each denominator inverted as den^(p-2)."""
+    out = []
+    for i, xi in enumerate(xs):
+        num = den = 1
+        for j, xj in enumerate(xs):
+            if i != j:
+                num = num * (x0 - xj) % p
+                den = den * (xi - xj) % p
+        out.append(num * pow(den, p - 2, p) % p)
+    return out
+
+
+WIDE = st.integers(min_value=-(2**300), max_value=2**300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([DEFAULT_PRIME, DEFAULT_GROUP.q]),
+    xs=st.lists(st.one_of(st.integers(min_value=-20, max_value=40), WIDE), min_size=1, max_size=12, unique=True),
+    x0=st.one_of(st.integers(min_value=-5, max_value=40), WIDE),
+)
+def test_lagrange_coeffs_match_the_fermat_formula(p, xs, x0):
+    if len({x % p for x in xs}) != len(xs):
+        with pytest.raises(DuplicatePoint):
+            lagrange_coeffs_at(xs, x0, p)
+        return
+    assert lagrange_coeffs_at(xs, x0, p) == fermat_coeffs(xs, x0, p)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, DEFAULT_GROUP.q])
+def test_lagrange_coeffs_reject_points_equal_mod_p(p):
+    for xs in ([3, 3], [1, 2, 1], [5, p + 5], [0, -p]):
+        with pytest.raises(DuplicatePoint):
+            lagrange_coeffs_at(xs, 0, p)
 
 
 def test_lagrange_errors():

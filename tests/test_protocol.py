@@ -1,6 +1,8 @@
 """End-to-end protocol rounds on the simulator: happy paths, faults, recovery."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -8,6 +10,7 @@ from secel.errors import ConfigError, RevealTimeout, SetupQuorumFailure
 from secel.group_variant import TOY_GROUP
 from secel.algebra import DEFAULT_PRIME, PrimeModulus
 from secel.protocol import (
+    VARIANTS,
     GroupArith,
     RoundSpec,
     ScenarioResult,
@@ -15,7 +18,8 @@ from secel.protocol import (
     run_rounds,
     run_setup,
 )
-from secel.simnet import Fault, SimConfig, Simulator
+from secel.sharing import pairwise_key
+from secel.simnet import AGGREGATOR_ID, Fault, SimConfig, Simulator, channel_key
 
 
 def field_sum_oracle(result: ScenarioResult, members, round_state=None):
@@ -717,6 +721,14 @@ def test_round_spec_validation_rejects(kwargs):
         RoundSpec(**{"n": 6, "t": 2, "length": 2, **kwargs}).validate()
 
 
+@pytest.mark.parametrize("prime", [91, DEFAULT_PRIME + 2, (2**61 - 1) * (2**31 - 1)])
+def test_composite_prime_is_rejected_on_every_validate(prime):
+    spec = RoundSpec(n=4, t=2, length=2, prime=prime)
+    for _ in range(2):  # the second check is answered from the cache, alike
+        with pytest.raises(ConfigError, match="prime must be prime"):
+            spec.validate()
+
+
 def test_round_spec_from_dict_ignores_sim_keys_and_rejects_unknown():
     spec = RoundSpec.from_dict(
         {
@@ -788,3 +800,92 @@ def test_summary_lines_mention_verdict():
     assert len(lines) == 1
     assert "verified=true" in lines[0] and "status=done" in lines[0]
     assert result.ok
+
+
+# ---- channel keys and the result multicast ---------------------------------------------
+
+
+def eager_key(node, peer):
+    """The scalar channel key as setup used to derive it for every peer."""
+    return channel_key(pairwise_key(node.dealer, peer, node.held_a[peer]))
+
+
+def participants(result):
+    return [node for i, node in sorted(result.nodes.items()) if i != AGGREGATOR_ID]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [run_flagship, lambda: run_rounds(RoundSpec(n=7, t=3, length=4), SimConfig(seed=5, n=7))],
+    ids=["flagship", "honest_n7"],
+)
+def test_lazy_scalar_channel_keys_equal_the_eager_ones(run):
+    result = run()
+    assert result.ok
+    used = 0
+    for node in participants(result):
+        if not node.complete:  # a share-loser: nothing to derive from
+            assert node.chan_keys == {}
+            assert all(node.chan_key(j) is None for j in node.peers)
+            continue
+        used += len(node.chan_keys)
+        for j, key in node.chan_keys.items():  # derived while the round ran
+            assert key == eager_key(node, j)
+        for j in node.peers:
+            assert node.chan_key(j) == eager_key(node, j)
+    assert used > 0
+
+
+def test_channel_key_ignores_second_rows_that_arrive_after_setup():
+    result = run_rounds(RoundSpec(n=5, t=2, length=3), SimConfig(seed=2, n=5))
+    node = next(n for n in participants(result) if len(n.chan_keys) < len(n.peers))
+    fresh = [j for j in node.peers if j not in node.chan_keys]
+    want = {j: eager_key(node, j) for j in fresh}
+    for j in fresh:
+        node.held_a[j] = (node.held_a[j] + 1) % DEFAULT_PRIME  # what a duplicate setup2 does
+    assert {j: node.chan_key(j) for j in fresh} == want
+
+
+def test_wiped_party_serves_no_channel_key():
+    result = run_rounds(RoundSpec(n=5, t=2, length=3), SimConfig(seed=2, n=5))
+    node = participants(result)[0]
+    assert all(node.chan_key(j) is not None for j in node.peers)
+    node.wipe_shares()
+    assert node.chan_keys == {}
+    assert all(node.chan_key(j) is None for j in node.peers)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_finished_run_is_freed_without_the_collector(variant):
+    spec = RoundSpec(n=5, t=2, length=3, variant=variant, share_loss=(5,), s_min=3)
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_rounds(spec, SimConfig(seed=1, n=5))
+        assert result.ok
+        for node in participants(result):
+            for j in node.peers:
+                node.chan_key(j)  # fill every key store there is
+        refs = [weakref.ref(node) for node in result.nodes.values()]
+        del node, result
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_result_body_is_encoded_once_per_round(monkeypatch):
+    import secel.simnet as simnet
+
+    encoded = []
+    real = simnet.canonical_json
+
+    def counting(obj):
+        if type(obj) is dict and "sum" in obj:
+            encoded.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(simnet, "canonical_json", counting)
+    result = run_rounds(RoundSpec(n=7, t=3, length=5, rounds=2), SimConfig(seed=3, n=7))
+    assert result.ok
+    assert all(r.delivered_to == list(range(1, 8)) for r in result.rounds)
+    assert len(encoded) == 2  # one body per round, sealed for six members

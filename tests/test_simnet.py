@@ -1,5 +1,6 @@
 """Simulator-core checks: config parsing, channels, faults, determinism."""
 
+import heapq
 import json
 import os
 import random
@@ -14,6 +15,8 @@ from secel.errors import AuthFailure, ConfigError
 from secel.simnet import (
     AGGREGATOR_ID,
     DEFAULT_BUDGETS,
+    FAULT_ACTIONS,
+    FLAT_PLAN_LIMIT,
     PHASES,
     Fault,
     Node,
@@ -171,8 +174,9 @@ KEYS = st.one_of(
     st.text(max_size=4),  # quotes, backslashes, control and non-ASCII characters
     st.sampled_from(["é", "a b", 'q"', "x\\y", "\n", "1", "ab", "a", "_"]),
 )
+PAIR_LISTS = st.lists(st.lists(WIDE_INTS, min_size=2, max_size=2), max_size=6)
 JSON_VALUES = st.recursive(
-    st.one_of(WIDE_INTS, st.booleans(), st.none(), st.text(max_size=3)),
+    st.one_of(WIDE_INTS, st.booleans(), st.none(), st.text(max_size=3), st.floats()),
     lambda inner: st.one_of(
         st.lists(inner, max_size=3), st.dictionaries(KEYS, inner, max_size=3)
     ),
@@ -181,15 +185,40 @@ JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(KEYS, st.one_of(WIDE_INTS, st.booleans(), JSON_VALUES), max_size=6))
+@given(
+    st.dictionaries(
+        KEYS, st.one_of(WIDE_INTS, st.booleans(), st.floats(), PAIR_LISTS, JSON_VALUES), max_size=6
+    )
+)
 @example({})
 @example({"v": 0, "s": -1, "w": 2**400})
 @example({"v": True, "s": False})
+@example({"v": 1, "s": 2.0})
 @example({"a": 1, "ab": 2, "a_": 3, "A": 4, "_": 5, "a0": 6})
 @example({"é": 1, "v": 2})
 @example({"x": [1, 2], "y": {}})
+@example({"c": [[1, 2], [3, -4]], "m": [1, 2], "failed": []})
+@example({"sum": [1, 2], "m": [3], "failed": [], "recovered": 2**129})
 def test_canonical_json_matches_json_dumps(obj):
     assert canonical_json(obj) == reference_json(obj)
+
+
+class RefusingEncoder:
+    """Stands in for the general encoder; any call fails the test."""
+
+    def encode(self, obj):
+        raise AssertionError(f"{obj!r} reached the general encoder")
+
+
+class RecordingEncoder:
+    """Wraps the general encoder and notes what reaches it."""
+
+    def __init__(self, inner):
+        self.inner, self.seen = inner, []
+
+    def encode(self, obj):
+        self.seen.append(obj)
+        return self.inner.encode(obj)
 
 
 @given(st.dictionaries(IDENTIFIERS, WIDE_INTS))
@@ -197,12 +226,50 @@ def test_flat_int_bodies_skip_the_json_encoder(obj):
     import secel.simnet as simnet
 
     want = reference_json(obj)
-    dumps = simnet.json.dumps
-    simnet.json.dumps = None  # a call would raise TypeError
+    general = simnet._ENCODER
+    simnet._ENCODER = RefusingEncoder()
     try:
         assert canonical_json(obj) == want
     finally:
-        simnet.json.dumps = dumps
+        simnet._ENCODER = general
+
+
+def test_key_sets_past_the_plan_cache_still_skip_the_json_encoder(monkeypatch):
+    import secel.simnet as simnet
+
+    monkeypatch.setattr(simnet, "_ENCODER", RefusingEncoder())
+    for i in range(FLAT_PLAN_LIMIT + 50):
+        obj = {f"k{i}": i, "a": -(2**200), f"z_{i}": 2**i}
+        for _ in range(2):  # planned afresh, or from the cache
+            assert canonical_json(obj) == reference_json(obj)
+    assert len(simnet._flat_plans) <= FLAT_PLAN_LIMIT
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"v": True},
+        {"v": 1, "s": False},
+        {"v": 1.5},
+        {"v": 2, "s": 2.0},
+        {"v": None},
+        {"v": [1, 2]},
+        {"a b": 1},
+        {"é": 1},
+        {"1": 2},
+        {"q\"": 3},
+        {1: 2},
+    ],
+)
+def test_bodies_that_are_not_flat_ints_fall_through(monkeypatch, obj):
+    import secel.simnet as simnet
+
+    # a flat int body with the same keys first, so a plan is on hand if one exists
+    canonical_json(dict.fromkeys(obj, 7))
+    recorder = RecordingEncoder(simnet._ENCODER)
+    monkeypatch.setattr(simnet, "_ENCODER", recorder)
+    assert canonical_json(obj) == reference_json(obj)
+    assert recorder.seen == [obj]
 
 
 @settings(max_examples=200, deadline=None)
@@ -394,6 +461,63 @@ def test_broadcast_encodes_the_body_once(monkeypatch):
     assert len(encoded) == 5  # the separate sends encode once per peer
 
 
+def test_shared_body_is_encoded_once_and_sealed_per_recipient(monkeypatch):
+    import secel.simnet as simnet
+
+    body = {"sum": [5, 6, 7], "m": [1, 2, 3, 4], "failed": []}
+    keys = {dst: channel_key(100 + dst) for dst in (2, 3, 4)}
+
+    class Leader(Recorder):
+        def on_phase_start(self, sim, phase):
+            if self.id == 1:
+                with sim.shared_body(body):
+                    for dst, key in keys.items():
+                        sim.send(1, dst, "result", body, key=key)
+
+    encoded = []
+
+    def counting(obj):
+        encoded.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(simnet, "canonical_json", counting)
+    sim = make_sim(n=4, node_cls=Leader)
+    sim.run_phase("decryption", 0)
+    monkeypatch.undo()
+    assert sum(obj is body for obj in encoded) == 1
+    blobs = set()
+    for dst, key in keys.items():
+        (env,) = sim.nodes[dst].got
+        blobs.add(env.blob)
+        assert secure_recv(key, env) == body
+        for other in keys:
+            if other != dst:
+                with pytest.raises(AuthFailure):
+                    secure_recv(keys[other], env)
+    assert len(blobs) == 3
+
+
+def test_shared_bytes_do_not_outlive_the_block():
+    body = {"sum": [1, 2]}
+    key = channel_key(5)
+
+    class Leader(Recorder):
+        def on_phase_start(self, sim, phase):
+            if self.id == 1:
+                with sim.shared_body(body):
+                    sim.send(1, 2, "inside", body, key=key)
+                body["sum"][0] = 9
+                sim.send(1, 2, "sealed_after", body, key=key)
+                sim.send(1, 2, "plain_after", body)
+
+    sim = make_sim(n=2, node_cls=Leader)
+    sim.run_phase("decryption", 0)
+    got = {env.kind: env for env in sim.nodes[2].got}
+    assert secure_recv(key, got["inside"]) == {"sum": [1, 2]}
+    assert secure_recv(key, got["sealed_after"]) == {"sum": [9, 2]}
+    assert got["plain_after"].digest == payload_digest(b'{"sum":[9,2]}')
+
+
 def test_timers_fire_in_order_and_skip_offline_nodes():
     sim = make_sim(n=2, node_cls=Recorder)
     sim.schedule_timer(1, 30, "later", {"k": 1})
@@ -469,3 +593,182 @@ def test_offline_sender_produces_no_audit_trail():
     sim.send(1, 2, "ghost", {})
     assert sim.transcript.count(kind="ghost") == 0
     assert sim.pending_events() == 0
+
+
+# ---- the event queue against a (time, tick) heap ----------------------------------------
+
+
+class HeapSimulator(Simulator):
+    """The event loop over one binary heap of (time, tick, item): the reference order."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.heap = []
+        self.tick = 0
+
+    def _push(self, time, item):
+        assert time >= self.now
+        self.tick += 1
+        heapq.heappush(self.heap, (time, self.tick, item))
+
+    def pending_events(self):
+        return len(self.heap)
+
+    def run_phase(self, phase, round_no):
+        self.phase, self.round, self.dropping = phase, round_no, set()
+        start = self.now
+        end = start + self.config.budgets[phase]
+        self.transcript.add(t=start, type="phase", phase=phase, round=round_no)
+        for fault in self.config.faults:
+            if fault.phase == phase:
+                if fault.offset == 0:
+                    self._apply_fault(fault)
+                else:
+                    self._push(start + fault.offset, ("fault", fault))
+        for node_id in sorted(self.nodes):
+            if self.is_online(node_id):
+                self.nodes[node_id].on_phase_start(self, phase)
+        while self.heap and self.heap[0][0] < end:
+            self.now, _, item = heapq.heappop(self.heap)
+            if item[0] == "deliver":
+                env = item[1]
+                if env.dst in self.offline or env.dst not in self.nodes:
+                    self.transcript.envelope("drop", env, t=self.now, reason="offline_dst")
+                    continue
+                self.transcript.envelope("deliver", env, t=self.now)
+                self.nodes[env.dst].on_message(self, env)
+            elif item[0] == "timer":
+                _, node_id, name, data = item
+                if self.is_online(node_id):
+                    self.nodes[node_id].on_timer(self, name, data)
+            else:
+                self._apply_fault(item[1])
+        self.now = end
+
+
+class Scripted(Node):
+    """Acts out a script: timers and messages carry labels, each label has actions.
+
+    An action is ("timer", offset, label), with offset 0 meaning the tick being
+    processed, or ("send", dst, label). Actions under a label only name higher
+    labels, so every script ends.
+    """
+
+    def __init__(self, node_id, script, log):
+        self.id, self.script, self.log = node_id, script, log
+
+    def on_phase_start(self, sim, phase):
+        self.log.append((sim.now, self.id, "start", phase))
+        for offset, label in self.script["start"].get((self.id, phase), ()):
+            sim.schedule_timer(self.id, sim.now + offset, label)
+
+    def on_timer(self, sim, name, data):
+        self.log.append((sim.now, self.id, "timer", name, sim.pending_events()))
+        self.act(sim, name)
+
+    def on_message(self, sim, env):
+        self.log.append((sim.now, self.id, "msg", env.src, env.seq, env.body["label"]))
+        self.act(sim, env.body["label"])
+
+    def act(self, sim, label):
+        for what, arg, child in self.script["actions"].get(label, ()):
+            if what == "timer":
+                sim.schedule_timer(self.id, sim.now + arg, child)
+            else:
+                sim.send(self.id, arg, "m", {"label": child})
+
+
+QUEUE_PHASES = PHASES[:3]
+QUEUE_BUDGET = 60  # offsets reach past it, so items carry into later phases
+
+
+@st.composite
+def queue_scenarios(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    labels = 6
+    nodes = st.integers(min_value=1, max_value=n)
+    actions = {}
+    for label in range(labels - 1):
+        child = st.integers(min_value=label + 1, max_value=labels - 1)
+        action = st.one_of(
+            st.tuples(st.just("timer"), st.sampled_from([0, 0, 1, 2, 5, 40, 90]), child),
+            st.tuples(st.just("send"), nodes, child),
+        )
+        actions[label] = draw(st.lists(action, max_size=2))
+    start = draw(
+        st.dictionaries(
+            st.tuples(nodes, st.sampled_from(QUEUE_PHASES)),
+            st.lists(
+                st.tuples(st.integers(min_value=0, max_value=130), st.integers(0, labels - 1)),
+                max_size=3,
+            ),
+            max_size=5,
+        )
+    )
+    faults = draw(
+        st.lists(
+            st.builds(
+                Fault,
+                id=nodes,
+                phase=st.sampled_from(QUEUE_PHASES),
+                action=st.sampled_from(FAULT_ACTIONS),
+                offset=st.integers(min_value=0, max_value=70),
+            ),
+            max_size=3,
+        )
+    )
+    delay_max = draw(st.integers(min_value=1, max_value=6))
+    delay_min = draw(st.integers(min_value=1, max_value=delay_max))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    config = dict(
+        seed=seed,
+        n=n,
+        delay_min=delay_min,
+        delay_max=delay_max,
+        budgets=dict.fromkeys(PHASES, QUEUE_BUDGET),
+        faults=faults,
+    )
+    return config, {"start": start, "actions": actions}
+
+
+def replay(sim_cls, config, script):
+    log = []
+    sim = sim_cls(SimConfig(**config))
+    for i in range(1, config["n"] + 1):
+        sim.add_node(Scripted(i, script, log))
+    pending = []
+    for phase in QUEUE_PHASES:
+        sim.run_phase(phase, 0)
+        pending.append(sim.pending_events())
+    return log, pending, sim.transcript.to_ndjson()
+
+
+@settings(max_examples=200, deadline=None)
+@given(queue_scenarios())
+def test_event_buckets_deliver_in_heap_order(scenario):
+    config, script = scenario
+    assert replay(Simulator, config, script) == replay(HeapSimulator, config, script)
+
+
+def test_a_same_tick_push_runs_after_the_tick_and_leftovers_carry_over():
+    script = {
+        "start": {(1, "setup"): [(3, 0), (3, 1), (75, 4)]},
+        "actions": {0: [("timer", 0, 2), ("timer", 58, 3)], 2: [("timer", 0, 5)]},
+    }
+    config = dict(seed=1, n=1, budgets=dict.fromkeys(PHASES, QUEUE_BUDGET))
+    log, pending, _ = replay(Simulator, config, script)
+    timers = [(entry[0], entry[3]) for entry in log if entry[2] == "timer"]
+    # 0 and 1 were due at t=3 first; 2 was pushed for t=3 while it ran, 5 from 2
+    assert timers == [(3, 0), (3, 1), (3, 2), (3, 5), (61, 3), (75, 4)]
+    assert pending == [2, 0, 0]  # after setup: 3 at t=61 and 4 at t=75 carried over
+    assert (log, pending) == replay(HeapSimulator, config, script)[:2]
+
+
+def test_scheduling_before_now_is_refused():
+    sim = make_sim(n=1, node_cls=Recorder)
+    sim.run_phase("setup", 0)
+    with pytest.raises(ValueError):
+        sim.schedule_timer(1, sim.now - 1, "late")
+    assert sim.pending_events() == 0
+    sim.schedule_timer(1, sim.now, "due now")  # the current tick itself is fine
+    assert sim.pending_events() == 1
