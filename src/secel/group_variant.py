@@ -1,13 +1,18 @@
 """Masking in the exponent of a prime-order group, for reusable setups.
 
 Shares are wrapped as pk_j^x = G^(sk_j * x) so the dealer never ships bare
-exponents; holders unwrap with sk_j^-1 mod q. Reconstruction happens in the
-exponent (products of powers with Lagrange coefficients), verification checks
-c2^s * c1 == G^(sum of PRG(k_i, label)), and the aggregate comes back as
-G^(sum of inputs), decoded by baby-step giant-step while the sum stays below a
-known bound. The point of the exercise: Setup can run once and be reused,
-because nothing round-specific ever leaves the exponent except the fresh
-round keys s_i.
+exponents. Holders unwrap first rows with sk_j^-1 mod q, computed once per
+keypair, and keep second rows wrapped: those only feed the pairwise
+Diffie-Hellman key, so w = G^(sk_j * A) is raised to sk_j^-1 * A' mod P - 1 in
+one power. Reducing mod P - 1, not q, keeps that equal to unwrapping and then
+raising for every w in [0, P), in the subgroup or not (Fermat). Dealing costs
+four full-width exponentiations per ordered pair: two wraps, one unwrap, one
+DH power. Reconstruction happens in the exponent (products of powers with
+Lagrange coefficients), verification checks c2^s * c1 == G^(sum of PRG(k_i,
+label)), and the aggregate comes back as G^(sum of inputs), decoded by
+baby-step giant-step while the sum stays below a known bound. The point of the
+exercise: Setup can run once and be reused, because nothing round-specific
+ever leaves the exponent except the fresh round keys s_i.
 
 Exponent arithmetic lives in Z_q, so this module reuses the scalar masking
 math with q as the field modulus and lifts the results through G^x. Masked
@@ -209,15 +214,16 @@ DEFAULT_GROUP = GroupParams(
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Unwrapping keypair: sk in [1, q-1], pk = G^sk."""
+    """Unwrapping keypair: sk in [1, q-1], pk = G^sk, sk_inv = sk^-1 mod q."""
 
     sk: int
     pk: int
+    sk_inv: int
 
     @classmethod
     def generate(cls, params: GroupParams, rng: random.Random) -> KeyPair:
         sk = 1 + rng.randrange(params.q - 1)
-        return cls(sk=sk, pk=params.lift(sk))
+        return cls(sk=sk, pk=params.lift(sk), sk_inv=pow(sk, -1, params.q))
 
 
 def wrap_share(exponent_value: int, recipient_pk: int, params: GroupParams) -> int:
@@ -225,9 +231,8 @@ def wrap_share(exponent_value: int, recipient_pk: int, params: GroupParams) -> i
     return pow(recipient_pk, exponent_value % params.q, params.p)
 
 
-def unwrap_share(wrapped: int, sk: int, params: GroupParams) -> int:
-    """Strip the holder's key: (G^(sk*x))^(sk^-1 mod q) = G^x."""
-    sk_inv = pow(sk, -1, params.q)
+def unwrap_share(wrapped: int, sk_inv: int, params: GroupParams) -> int:
+    """Strip the holder's key with its KeyPair.sk_inv: (G^(sk*x))^(sk^-1 mod q) = G^x."""
     return pow(wrapped, sk_inv, params.p)
 
 

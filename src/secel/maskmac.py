@@ -70,7 +70,7 @@ def mask_vector(
     c2 = (PRG(k_i, label) - c1) / s. Requires the round key s != 0."""
     if s % p == 0:
         raise ZeroAuthKey("round authentication key is zero; resample the round")
-    s_inv = pow(s, p - 2, p)
+    s_inv = pow(s, -1, p)
     out = []
     for w, h in zip(values, label_coeffs(round_no, len(values), p)):
         c1 = (masking_secret * h + w) % p

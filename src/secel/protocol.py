@@ -482,16 +482,18 @@ class GroupArith:
             sim.send(node.id, j, "gsetup2", {"w": wrap_share(self.a_exp.eval(j), pk, self.group)})
 
     def unwrap(self, dealt: int) -> int:
-        return unwrap_share(dealt, self.keypair.sk, self.group)
+        return unwrap_share(dealt, self.keypair.sk_inv, self.group)
 
     def finish_setup(self, node: ParticipantNode) -> None:
         # persistent share: G^(V(id)) where V is the sum of all dealt rows
         own = self.lift(node.dealer.v_poly.eval(node.id))
         node.own_share = self.combine([own, *node.held_v.values()])
         node.set_round_key()
+        sk_inv, order = self.keypair.sk_inv, self.p - 1
         for j in node.peers:
-            # Diffie-Hellman on the second rows: G^(A_i(j) * A_j(i)) both ways
-            shared = pow(node.held_a[j], self.a_exp.eval(j), self.p)
+            # Diffie-Hellman on the still-wrapped second rows, unwrapped in the same
+            # power: G^(A_i(j) * A_j(i)) both ways; mod P - 1 holds for any w < P
+            shared = pow(node.held_a[j], sk_inv * self.a_exp.eval(j) % order, self.p)
             node.chan_keys[j] = channel_key(shared, context=b"group")
 
     def lift(self, x: int) -> int:
@@ -695,9 +697,10 @@ class ParticipantNode(Node):
 
     def _reset_setup(self) -> None:
         self.dealer: DealerState | None = None
-        # dealer -> what this holder received from it, as arith values: the
-        # first-row evaluation V_dealer(id) and the second-row A_dealer(id)
-        # (group mode: everything arrives wrapped, so only lifts exist)
+        # dealer -> what this holder received from it, first dealing kept: the
+        # first-row evaluation V_dealer(id) as an arith value (group: unwrapped
+        # to a lift) and the second-row A_dealer(id) as dealt (group: still
+        # wrapped, pk_id^A_dealer(id), since only the DH power reads it)
         self.held_v: dict[int, int] = {}
         self.held_a: dict[int, int] = {}
         self.opened: set[int] = set()  # peers whose opening message is in
@@ -934,8 +937,9 @@ class ParticipantNode(Node):
         """The one receive path of both variants' dealing kinds.
 
         A kind the variant does not deal is ignored. A malformed body is
-        dropped, as if its sender were silent. A party offline when setup
-        opened deals nothing, so it takes nothing either.
+        dropped, as if its sender were silent. A repeated kind keeps its first
+        body and deals nothing again. A party offline when setup opened deals
+        nothing, so it takes nothing either.
         """
         arith = self.arith
         setup = arith.SETUP.get(env.kind)
@@ -947,16 +951,16 @@ class ParticipantNode(Node):
             self._malformed(sim, env, problem)
             return
         if role == "first_row":
-            self.held_v[src] = arith.unwrap(body[name])
-            self.s_peers[src] = body["s"]
+            self.held_v.setdefault(src, arith.unwrap(body[name]))
+            self.s_peers.setdefault(src, body["s"])
         elif role == "second_row":
-            self.held_a[src] = arith.unwrap(body[name])
+            self.held_a.setdefault(src, body[name])
         else:  # a peer's key to wrap its rows for
-            arith.peer_pks[src] = body[name]
+            arith.peer_pks.setdefault(src, body[name])
         peers = self.spec.n - 1
-        if env.kind == arith.OPENING:
+        if env.kind == arith.OPENING and src not in self.opened:
             self.opened.add(src)
-            if len(self.opened) == peers:
+            if len(self.opened) == peers:  # deal once, on the last opening
                 arith.deal_second(self, sim)
         if not self.complete and len(self.held_v) == peers and len(self.held_a) == peers:
             arith.finish_setup(self)

@@ -141,13 +141,13 @@ def test_wrap_unwrap_examples():
     # x=0 wraps to the identity and unwraps to the identity
     kp = KeyPair.generate(G101, random.Random(20))
     assert wrap_share(0, kp.pk, G101) == 1
-    assert unwrap_share(1, kp.sk, G101) == 1
+    assert unwrap_share(1, kp.sk_inv, G101) == 1
 
-    # x=17, sk=5: wrap = G^85, unwrap = G^17
+    # x=17, sk=5 (sk^-1 = 81 mod 101): wrap = G^85, unwrap = G^17
     pk5 = G101.lift(5)
     wrapped = wrap_share(17, pk5, G101)
     assert wrapped == G101.lift(85)
-    assert unwrap_share(wrapped, 5, G101) == G101.lift(17)
+    assert unwrap_share(wrapped, 81, G101) == G101.lift(17)
 
 
 def test_wrap_is_bound_to_the_recipient_key():
@@ -158,8 +158,8 @@ def test_wrap_is_bound_to_the_recipient_key():
     for _ in range(20):
         x = rng.randrange(1, TOY_GROUP.q)
         wrapped = wrap_share(x, a.pk, TOY_GROUP)
-        assert unwrap_share(wrapped, a.sk, TOY_GROUP) == TOY_GROUP.lift(x)
-        assert unwrap_share(wrapped, b.sk, TOY_GROUP) != TOY_GROUP.lift(x)
+        assert unwrap_share(wrapped, a.sk_inv, TOY_GROUP) == TOY_GROUP.lift(x)
+        assert unwrap_share(wrapped, b.sk_inv, TOY_GROUP) != TOY_GROUP.lift(x)
 
 
 def test_keypair_relation():
@@ -168,6 +168,7 @@ def test_keypair_relation():
         kp = KeyPair.generate(TOY_GROUP, rng)
         assert 1 <= kp.sk < TOY_GROUP.q
         assert kp.pk == TOY_GROUP.lift(kp.sk)
+        assert kp.sk * kp.sk_inv % TOY_GROUP.q == 1
 
 
 # ---- interpolation in the exponent -------------------------------------------------

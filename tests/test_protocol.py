@@ -7,7 +7,9 @@ import weakref
 import pytest
 
 from secel.errors import ConfigError, RevealTimeout, SetupQuorumFailure
-from secel.group_variant import TOY_GROUP
+import secel.group_variant as group_variant
+import secel.protocol as protocol
+from secel.group_variant import DEFAULT_GROUP, TOY_GROUP, unwrap_share
 from secel.algebra import DEFAULT_PRIME, PrimeModulus
 from secel.protocol import (
     VARIANTS,
@@ -541,6 +543,26 @@ def test_party_offline_when_setup_opens_takes_no_dealing(variant):
 
 
 @pytest.mark.parametrize("variant", ["scalar", "group"])
+def test_duplicate_opening_deals_the_second_row_once(monkeypatch, variant):
+    spec = RoundSpec(n=4, t=2, length=3, variant=variant)
+    opening, second_row = {"scalar": ("setup1", "setup2"), "group": ("pk", "gsetup2")}[variant]
+    send = Simulator.send
+
+    def send_twice(sim, src, dst, kind, body, key=None):
+        send(sim, src, dst, kind, body, key=key)
+        if (src, dst, kind) == (2, 1, opening):
+            send(sim, src, dst, kind, body, key=key)
+
+    monkeypatch.setattr(Simulator, "send", send_twice)
+    for seed in range(8):
+        result = run_rounds(spec, SimConfig(seed=seed, n=4))
+        assert result.transcript.count(type="send", kind=opening, src=2, dst=1) == 2
+        assert result.transcript.count(type="send", kind=second_row, src=1) == 3
+        r = result.rounds[0]
+        assert r.phase == "done" and r.field_sum == field_sum_oracle(result, r.m_set)
+
+
+@pytest.mark.parametrize("variant", ["scalar", "group"])
 def test_negate_tamper_is_a_named_rejection(variant):
     # pair 0 becomes [p - c1, p - c2]; in the group that passes the batch tag
     # check only up to sign, so the round ends at the check or at the decode
@@ -620,6 +642,72 @@ def test_group_round_and_key_reuse_across_rounds():
     assert result.transcript.count(type="send", kind="pk") == 4 * 3
     assert result.transcript.count(type="send", kind="setup1") == 0
     assert result.transcript.count(type="send", kind="refresh") == 2 * 4 * 3
+
+
+def _two_step_key(node, j):
+    """The group channel key with peer j, unwrapped first and then raised."""
+    arith, group = node.arith, node.arith.group
+    lift = unwrap_share(node.held_a[j], arith.keypair.sk_inv, group)
+    return channel_key(pow(lift, arith.a_exp.eval(j), group.p), context=b"group")
+
+
+@pytest.mark.parametrize("group", [TOY_GROUP, DEFAULT_GROUP], ids=["toy", "default"])
+@pytest.mark.parametrize("n", [4, 10])
+def test_fused_group_key_equals_unwrap_then_raise(group, n):
+    spec = RoundSpec(n=n, t=2, length=2, variant="group", group=group)
+    result = run_rounds(spec, SimConfig(seed=n, n=n))
+    assert result.rounds[0].phase == "done"
+    for node in participants(result):
+        for j in node.peers:
+            assert node.chan_keys[j] == _two_step_key(node, j)
+            assert node.chan_keys[j] == result.nodes[j].chan_keys[node.id]
+
+
+@pytest.mark.parametrize("dealt", ["p_minus_w", "zero", "one"])
+def test_fused_group_key_holds_outside_the_subgroup(monkeypatch, dealt):
+    # a rewritten second row breaks the pair's channel, not the key derivation
+    spec = RoundSpec(n=4, t=2, length=2, variant="group")
+    rewrite = {"p_minus_w": lambda w: spec.group.p - w, "zero": lambda w: 0, "one": lambda w: 1}[dealt]
+    send = Simulator.send
+
+    def rewrite_second_rows(sim, src, dst, kind, body, key=None):
+        if kind == "gsetup2":
+            body = {"w": rewrite(body["w"])}
+        send(sim, src, dst, kind, body, key=key)
+
+    monkeypatch.setattr(Simulator, "send", rewrite_second_rows)
+    result = run_rounds(spec, SimConfig(seed=1, n=4))
+    for node in participants(result):
+        assert len(node.chan_keys) == len(node.peers)
+        for j in node.peers:
+            assert node.chan_keys[j] == _two_step_key(node, j)
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_group_dealing_costs_four_full_width_pows_per_pair(monkeypatch, n):
+    calls = []
+
+    def counting_pow(base, exp, mod=None):
+        calls.append((exp, mod))
+        return pow(base, exp, mod)
+
+    for module in (protocol, group_variant):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    run_phase, setup_calls = Simulator.run_phase, []
+
+    def counted_run_phase(sim, phase, round_no):
+        start = len(calls)
+        run_phase(sim, phase, round_no)
+        if phase == "setup":
+            setup_calls.extend(calls[start:])
+
+    monkeypatch.setattr(Simulator, "run_phase", counted_run_phase)
+    spec = RoundSpec(n=n, t=2, length=2, variant="group", group=DEFAULT_GROUP)
+    result = run_rounds(spec, SimConfig(seed=1, n=n))
+    assert result.rounds[0].phase == "done"
+    full_width = [exp for exp, _ in setup_calls if exp.bit_length() > 64]
+    assert len(full_width) == 4 * n * (n - 1)  # two wraps, one unwrap, one DH power
+    assert [call for call in setup_calls if call[0] == -1] == [(-1, DEFAULT_GROUP.q)] * n
 
 
 def test_group_share_loss_recovers_the_lifted_share():
