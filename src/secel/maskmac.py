@@ -70,12 +70,13 @@ def mask_vector(
     c2 = (PRG(k_i, label) - c1) / s. Requires the round key s != 0."""
     if s % p == 0:
         raise ZeroAuthKey("round authentication key is zero; resample the round")
+    # c2 = (k_i*h - V_i(0)*h - w) / s = a*h - w/s, with a = (k_i - V_i(0)) / s
     s_inv = pow(s, -1, p)
-    out = []
-    for w, h in zip(values, label_coeffs(round_no, len(values), p)):
-        c1 = (masking_secret * h + w) % p
-        out.append([c1, (self_key * h - c1) * s_inv % p])
-    return out
+    a = (self_key - masking_secret) * s_inv % p
+    return [
+        [(masking_secret * h + w) % p, (a * h - s_inv * w) % p]
+        for w, h in zip(values, label_coeffs(round_no, len(values), p))
+    ]
 
 
 def aggregate_vectors(vectors: Sequence[Sequence[Sequence[int]]], p: int) -> list[list[int]]:

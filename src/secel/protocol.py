@@ -36,6 +36,7 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Any
 
 from .algebra import (
@@ -96,7 +97,8 @@ from .simnet import (
 )
 
 VARIANTS = ("scalar", "group")
-TAMPER_POLICIES = ("honest", "flip_element", "substitute_all", "inject_offset", "negate")
+TAMPER_POLICIES = ("honest", "flip_element", "substitute_all", "inject_offset", "negate",
+                   "truncate", "duplicate_member", "malformed")
 TAMPER_OFFSET = 3  # additive constant used by the inject_offset policy
 
 COMMIT_RANGE = 1 << 32  # an elector's commit value is drawn below this
@@ -112,6 +114,12 @@ def _commitment(value: int, salt: bytes, voter: int) -> str:
     h.update(salt)
     h.update(voter.to_bytes(8, "big"))
     return h.hexdigest()
+
+
+@lru_cache(maxsize=256)
+def _revealed_commitment(value: int, salt: str, voter: int) -> str:
+    """_commitment of a revealed triple: public by now, so every receiver shares one hash."""
+    return _commitment(value, bytes.fromhex(salt), voter)
 
 
 def elect_leader(reveals: dict[int, int]) -> int:
@@ -588,7 +596,7 @@ class _AggregateCheck:
 
     def __init__(self, spec: RoundSpec, p: int):
         self.spec, self.p = spec, p
-        self.body: Any = None
+        self.body: Any = object()  # no broadcast body can be this one
         self.problem: str | None = None
 
     def __call__(self, body: Any) -> str | None:
@@ -997,8 +1005,7 @@ class ParticipantNode(Node):
         if expected is None:
             return
         value = env.body["v"]
-        salt = bytes.fromhex(env.body["salt"])
-        if _commitment(value, salt, env.src) == expected:
+        if _revealed_commitment(value, env.body["salt"], env.src) == expected:
             self.reveals[env.src] = value
         else:
             sim.log_note("bad_reveal", voter=env.src, seen_by=self.id)
@@ -1245,24 +1252,21 @@ class AggregatorNode(Node):
         self.m = sorted(self.received)
         self.failed = sorted(set(spec.participant_ids) - set(self.m))
         agg = self.arith.aggregate([self.received[i] for i in self.m])
-        agg = self._tamper(agg)
-        sim.broadcast(
-            self.id,
-            spec.participant_ids,
-            "aggregate",
-            {"m": self.m, "failed": self.failed, "c": agg},
-        )
+        body = self._tamper({"m": self.m, "failed": self.failed, "c": agg})
+        sim.broadcast(self.id, spec.participant_ids, "aggregate", body)
 
-    def _tamper(self, agg: list[list[int]]) -> list[list[int]]:
-        # every policy shifts, negates or replaces hidden values: adding a
-        # constant to a field value is multiplying a lift by G^constant
+    def _tamper(self, body: dict) -> dict:
+        # the first four policies shift, negate or replace hidden values (adding
+        # a constant to a field value is multiplying a lift by G^constant); the
+        # last three break the body's shape
         arith = self.arith
         policy = self.spec.tamper
+        agg = body["c"]
         if policy == "flip_element":
             agg[0][0] = arith.combine([agg[0][0], arith.lift(1)])
         elif policy == "inject_offset":
             shift = arith.lift(TAMPER_OFFSET)
-            agg = [[arith.combine([a, shift]), b] for a, b in agg]
+            body["c"] = [[arith.combine([a, shift]), b] for a, b in agg]
         elif policy == "negate":
             # p - c: a field negation, or in the group the order-2 element -1
             # times each component, which leaves the subgroup
@@ -1270,11 +1274,17 @@ class AggregatorNode(Node):
             agg[0] = [-agg[0][0] % p, -agg[0][1] % p]
         elif policy == "substitute_all":
             q = arith.q
-            agg = [
+            body["c"] = [
                 [arith.lift(self.rng.randrange(q)), arith.lift(self.rng.randrange(q))]
                 for _ in agg
             ]
-        return agg
+        elif policy == "truncate":
+            del agg[-1]
+        elif policy == "duplicate_member":
+            body["m"] = self.m + self.m[:1]
+        elif policy == "malformed":
+            agg[0][0] = str(agg[0][0])
+        return body
 
 
 # ---- scenario runner ----------------------------------------------------------------------

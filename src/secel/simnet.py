@@ -10,7 +10,10 @@ brings a node back at a phase boundary.
 Messages between participants can ride authenticated channels: AES-GCM with
 the envelope header (src, dst, kind, round, seq) as associated data and a
 deterministic per-(src, dst, seq) nonce. Tampering with the ciphertext or
-re-addressing an envelope raises AuthFailure.
+re-addressing an envelope raises AuthFailure. A sealed multicast is encoded
+once and opened per copy: each copy is authenticated under its own key, and
+copies whose plaintext equals the multicast's bytes share one parsed body.
+Bodies handed to receivers, opened or plaintext, are read-only.
 
 Pending events wait in per-tick FIFO buckets, {time: [items in scheduling
 order]}, beside a small heap of the distinct pending times (a calendar queue
@@ -225,6 +228,7 @@ class Envelope:
     body: dict | None = None  # plaintext payload
     blob: bytes | None = None  # ciphertext payload
     digest: str = ""  # payload_digest of the payload bytes, fixed at send
+    shared: list | None = None  # a sealed multicast's [plaintext, parsed body] slot
 
     def header(self) -> dict:
         return {
@@ -335,8 +339,12 @@ def seal(key: bytes, header: dict, body: dict, data: bytes | None = None) -> byt
     return AESGCM(key).encrypt(nonce, data, canonical_json(header))
 
 
-def open_sealed(key: bytes, header: dict, blob: bytes) -> dict:
-    """Inverse of seal; AuthFailure on any mismatch (key, header, ciphertext)."""
+def open_sealed(key: bytes, header: dict, blob: bytes, shared: list | None = None) -> dict:
+    """Inverse of seal; AuthFailure on any mismatch (key, header, ciphertext).
+
+    `shared` is the slot of the multicast a copy belongs to: plaintext equal
+    to its bytes is parsed once, into the body every such copy returns.
+    """
     nonce = _nonce(header["src"], header["dst"], header["seq"])
     try:
         data = AESGCM(key).decrypt(nonce, blob, canonical_json(header))
@@ -344,14 +352,18 @@ def open_sealed(key: bytes, header: dict, blob: bytes) -> dict:
         raise AuthFailure(
             f"envelope {header['kind']} {header['src']}->{header['dst']} failed"
         ) from exc
-    return json.loads(data)
+    if shared is None or data != shared[0]:
+        return json.loads(data)
+    if len(shared) == 1:
+        shared.append(json.loads(data))
+    return shared[1]
 
 
 def secure_recv(key: bytes, env: Envelope) -> dict:
     """Decrypt a delivered envelope; AuthFailure if it was tampered with."""
     if not env.secured:
         raise AuthFailure("envelope is not channel-secured")
-    return open_sealed(key, env.header(), env.blob)
+    return open_sealed(key, env.header(), env.blob, env.shared)
 
 
 # ---- nodes ---------------------------------------------------------------------------
@@ -393,8 +405,9 @@ class Simulator:
         self._taking: Iterator[tuple] = iter(())  # the bucket being processed
         self._net_rng = random.Random(derive_seed(config.seed, "net"))
         self._pair_seq: dict[tuple[int, int], int] = {}
-        # the body in flight to several peers: (body, its bytes, their digest)
-        self._shared: tuple[dict, bytes, str] | None = None
+        # the body in flight to several peers: (body, its bytes, their digest,
+        # the parse slot its sealed copies carry)
+        self._shared: tuple[dict, bytes, str, list] | None = None
 
     # -- wiring --------------------------------------------------------------------
 
@@ -456,6 +469,8 @@ class Simulator:
             shared = None
         if key is not None:
             env.blob = seal(key, env.header(), body, None if shared is None else shared[1])
+            if shared is not None:
+                env.shared = shared[3]
             env.digest = payload_digest(env.blob)
         else:
             env.body = body
@@ -474,12 +489,13 @@ class Simulator:
         """Encode `body` once for every send of that very object inside the block.
 
         A plaintext send reuses the digest, a sealed one the plaintext bytes;
-        each sealed copy still gets its own key, nonce and header. The bytes
-        are dropped when the block ends, so a body changed afterwards is
-        encoded afresh.
+        each sealed copy still gets its own key, nonce and header, and a slot
+        for the one parse of those bytes that its receivers share. The
+        simulator drops the bytes when the block ends, so a body changed
+        afterwards is encoded afresh; the slot lives as long as the copies do.
         """
         data = canonical_json(body)
-        self._shared = (body, data, payload_digest(data))
+        self._shared = (body, data, payload_digest(data), [data])
         try:
             yield
         finally:

@@ -52,6 +52,16 @@ def test_round_negate_tamper_exits_two(tmp_path, capsys, variant):
     assert "error=VerificationFailed" in out or "error=DecodeFailure" in out
 
 
+@pytest.mark.parametrize("variant", ["scalar", "group"])
+@pytest.mark.parametrize("tamper", ["truncate", "duplicate_member", "malformed"])
+def test_round_shape_breaking_tamper_exits_two(tmp_path, capsys, variant, tamper):
+    cfg = write_config(tmp_path, HONEST_DOC)
+    argv = ["round", "--config", cfg, "--variant", variant, "--tamper", tamper]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert "status=rejected" in out and "error=MalformedAggregate" in out
+
+
 def test_round_decode_failure_prints_verified_none(tmp_path, capsys):
     # a negated group aggregate passes the batched tag check up to sign and then
     # fails to decode: the round is rejected without a verdict, not as unverified

@@ -3,10 +3,14 @@
 import gc
 import json
 import weakref
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from secel.errors import ConfigError, RevealTimeout, SetupQuorumFailure
+from secel.errors import AuthFailure, ConfigError, RevealTimeout, SetupQuorumFailure
 import secel.group_variant as group_variant
 import secel.protocol as protocol
 from secel.group_variant import DEFAULT_GROUP, TOY_GROUP, unwrap_share
@@ -260,6 +264,7 @@ MALFORMED_AGGREGATES = {
     "duplicate_member": lambda body: {**body, "m": body["m"] + body["m"][:1]},
     "non_int_member": lambda body: {**body, "m": [str(body["m"][0])] + body["m"][1:]},
     "string_element": lambda body: {**body, "c": [["x", body["c"][0][1]]] + body["c"][1:]},
+    "null_body": lambda body: None,
 }
 
 
@@ -977,3 +982,206 @@ def test_result_body_is_encoded_once_per_round(monkeypatch):
     assert result.ok
     assert all(r.delivered_to == list(range(1, 8)) for r in result.rounds)
     assert len(encoded) == 2  # one body per round, sealed for six members
+
+
+# ---- sealed multicast: authenticated per copy, parsed once ------------------------------
+
+
+def counting_loads(monkeypatch, wrap=lambda body: body):
+    """Every body simnet parses, in order; `wrap` may swap each for another object."""
+    import secel.simnet as simnet
+
+    parsed = []
+
+    def loads(data):
+        parsed.append(wrap(json.loads(data)))
+        return parsed[-1]
+
+    monkeypatch.setattr(simnet, "json", SimpleNamespace(loads=loads))
+    return parsed
+
+
+def test_the_sealed_result_is_parsed_once_for_every_member(monkeypatch):
+    import secel.simnet as simnet
+
+    opened = []
+    real_open = simnet.open_sealed
+    monkeypatch.setattr(
+        simnet, "open_sealed", lambda *args: opened.append(args[1]["kind"]) or real_open(*args)
+    )
+    parsed = counting_loads(monkeypatch)
+    result = run_rounds(RoundSpec(n=10, t=4, length=16), SimConfig(seed=1, n=10))
+    r = result.rounds[0]
+    assert r.phase == "done" and r.delivered_to == list(range(1, 11))
+    # every copy is still opened under its own key; one parse serves nine members
+    assert opened.count("result") == 9 and opened.count("share_resp") == 9
+    assert sum("sum" in body for body in parsed) == 1
+    assert len(parsed) == 10
+    assert all(node.field_sum == r.field_sum for node in participants(result))
+
+
+def test_a_corrupted_copy_fails_after_another_copy_opened(monkeypatch):
+    real = protocol.secure_recv
+    opened, failed = [], []
+
+    def corrupt_second(key, env):
+        if env.kind == "result":
+            opened.append(env.dst)
+            if len(opened) == 2:
+                env.blob = bytes([env.blob[0] ^ 1]) + env.blob[1:]
+        try:
+            return real(key, env)
+        except AuthFailure:
+            failed.append(env.dst)
+            raise
+
+    monkeypatch.setattr(protocol, "secure_recv", corrupt_second)
+    result = run_rounds(RoundSpec(n=10, t=4, length=16), SimConfig(seed=1, n=10))
+    victim = opened[1]
+    assert failed == [victim]
+    fails = [rec for rec in result.transcript.records if rec["type"] == "auth_fail"]
+    assert [(rec["kind"], rec["dst"]) for rec in fails] == [("result", victim)]
+    r = result.rounds[0]
+    assert victim not in r.delivered_to and len(r.delivered_to) == 9
+
+
+def test_a_member_with_a_recovered_share_gets_its_own_result_body(monkeypatch):
+    real = protocol.secure_recv
+    got = {}
+
+    def keep(key, env):
+        body = real(key, env)
+        if env.kind == "result":
+            got[env.dst] = body
+        return body
+
+    monkeypatch.setattr(protocol, "secure_recv", keep)
+    result = run_flagship()
+    r = result.rounds[0]
+    recovered = result.nodes[r.leader].findings.recovered
+    assert sorted(recovered) == [4, 5] and {4, 5} <= set(got)
+    for u, body in got.items():
+        assert body["sum"] == r.field_sum
+        assert body.get("recovered") == recovered.get(u)
+    plain = [body for u, body in got.items() if u not in recovered]
+    assert plain and all(body is plain[0] for body in plain)
+    assert len({id(body) for body in got.values()}) == 3  # 4's, 5's and the shared one
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_opened_body_outlives_the_run(monkeypatch, variant):
+    class Body(dict):
+        """A parsed body that can be weakly referenced."""
+
+    parsed = counting_loads(monkeypatch, wrap=Body)
+    spec = RoundSpec(n=5, t=2, length=3, variant=variant, share_loss=(5,), s_min=3)
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_rounds(spec, SimConfig(seed=1, n=5))
+        assert result.ok and any("sum" in body for body in parsed)
+        refs = [weakref.ref(body) for body in parsed]
+        parsed.clear()
+        del result
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+# ---- commit/reveal: each revealed commitment hashed once ----------------------------------
+
+
+def counting_commitments(monkeypatch):
+    calls = []
+    real = protocol._commitment
+    monkeypatch.setattr(protocol, "_commitment", lambda *args: calls.append(args) or real(*args))
+    protocol._revealed_commitment.cache_clear()
+    return calls
+
+
+def test_each_revealed_commitment_is_hashed_once(monkeypatch):
+    calls = counting_commitments(monkeypatch)
+    result = run_rounds(RoundSpec(n=10, t=4, length=2), SimConfig(seed=1, n=10))
+    assert result.ok
+    electors = result.transcript.count(type="send", kind="reveal") // 9
+    assert electors == 10
+    assert len(calls) == 2 * electors  # its own commitment, then its reveal once for all
+
+
+def test_a_mismatched_reveal_is_noted_by_every_receiver(monkeypatch):
+    counting_commitments(monkeypatch)
+    broadcast = Simulator.broadcast
+
+    def lie(sim, src, dsts, kind, body):
+        if kind == "reveal" and src == 1:
+            body = {**body, "v": (body["v"] + 1) % (1 << 32)}
+        broadcast(sim, src, dsts, kind, body)
+
+    monkeypatch.setattr(Simulator, "broadcast", lie)
+    result = run_rounds(RoundSpec(n=10, t=4, length=2), SimConfig(seed=1, n=10))
+    notes = [rec for rec in result.transcript.records if rec.get("note") == "bad_reveal"]
+    assert sorted(rec["seen_by"] for rec in notes) == list(range(2, 11))
+    assert all(rec["voter"] == 1 for rec in notes)
+    assert all(1 not in node.reveals for node in participants(result) if node.id != 1)
+    assert result.ok
+
+
+# ---- shape-breaking tamper policies and arbitrary aggregate bodies ------------------------
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("tamper", ["truncate", "duplicate_member", "malformed"])
+def test_shape_breaking_tamper_is_a_malformed_aggregate(variant, tamper):
+    spec = RoundSpec(n=4, t=2, length=3, variant=variant, tamper=tamper)
+    for seed in range(6):
+        result = run_rounds(spec, SimConfig(seed=seed, n=4))
+        r = result.rounds[0]
+        assert r.phase == "rejected" and r.error == "MalformedAggregate"
+        assert r.field_sum is None and r.delivered_to == []
+        assert result.transcript.count(type="note", note="malformed_aggregate") == 4
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def rewritten_aggregates(body, p):
+    """The honest aggregate body, replaced or rewritten in one of several ways."""
+    m, c = body["m"], body["c"]
+    entry = st.integers(-1, p) | st.sampled_from([0, 1, p - 1, p]) | JSON_VALUES
+    pair = st.lists(entry, max_size=3)
+    return st.one_of(
+        JSON_VALUES,
+        st.builds(lambda k, v: {**body, k: v}, st.sampled_from(["m", "failed", "c"]), JSON_VALUES),
+        st.sampled_from(["m", "failed", "c"]).map(lambda k: {x: body[x] for x in body if x != k}),
+        st.permutations(m).map(lambda perm: {**body, "m": perm}),
+        st.lists(st.integers(-1, 6), max_size=6).map(lambda ids: {**body, "m": ids}),
+        st.tuples(st.integers(0, len(c) - 1), pair).map(
+            lambda ip: {**body, "c": c[: ip[0]] + [ip[1]] + c[ip[0] + 1 :]}
+        ),
+        st.lists(pair, max_size=5).map(lambda pairs: {**body, "c": pairs}),
+    )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 5))
+def test_any_aggregate_body_ends_done_with_the_exact_sum_or_named(variant, data, seed):
+    spec = RoundSpec(n=4, t=2, length=3, variant=variant, s_min=3)
+    broadcast = Simulator.broadcast
+
+    def inject(sim, src, dsts, kind, body):
+        if kind == "aggregate":
+            body = data.draw(rewritten_aggregates(body, spec.arith().p))
+        broadcast(sim, src, dsts, kind, body)
+
+    with mock.patch.object(Simulator, "broadcast", inject):
+        result = run_rounds(spec, SimConfig(seed=seed, n=4))
+    for r in result.rounds:
+        assert r.phase == "done" or (r.phase == "rejected" and r.error in NAMED_REJECTIONS)
+        if r.phase == "done":
+            claimed = sorted(result.nodes[r.leader].m_set)
+            assert r.field_sum == field_sum_oracle(result, claimed)

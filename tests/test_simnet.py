@@ -518,6 +518,31 @@ def test_shared_bytes_do_not_outlive_the_block():
     assert got["plain_after"].digest == payload_digest(b'{"sum":[9,2]}')
 
 
+def test_sealed_copies_share_one_parse_of_equal_plaintext_only():
+    body = {"sum": [1, 2], "m": [1, 2, 3]}
+    keys = {dst: channel_key(10 + dst) for dst in (2, 3, 4)}
+
+    class Leader(Recorder):
+        def on_phase_start(self, sim, phase):
+            if self.id == 1:
+                with sim.shared_body(body):
+                    for dst, key in keys.items():
+                        sim.send(1, dst, "result", body, key=key)
+
+    sim = make_sim(n=4, node_cls=Leader)
+    sim.run_phase("decryption", 0)
+    (two,), (three,), (four,) = (sim.nodes[dst].got for dst in keys)
+    first = secure_recv(keys[2], two)
+    assert first == body and first is not body
+    assert secure_recv(keys[3], three) is first
+    # a copy resealed over other plaintext is parsed on its own
+    four.blob = seal(keys[4], four.header(), {"sum": [1, 3]})
+    assert secure_recv(keys[4], four) == {"sum": [1, 3]}
+    assert secure_recv(keys[2], two) is first
+    with pytest.raises(AuthFailure):
+        secure_recv(keys[2], three)
+
+
 def test_timers_fire_in_order_and_skip_offline_nodes():
     sim = make_sim(n=2, node_cls=Recorder)
     sim.schedule_timer(1, 30, "later", {"k": 1})
