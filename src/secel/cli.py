@@ -26,7 +26,7 @@ import time
 
 from .algebra import DEFAULT_PRIME, PrimeModulus
 from .errors import ConfigError, SecelError
-from .fedlearn import DEFAULT_FRACTIONS, TrainConfig, train, write_accuracy_csv
+from .fedlearn import DEFAULT_FRACTIONS, TrainConfig, dropout_experiment, write_accuracy_csv
 from .maskmac import (
     aggregate_vectors,
     mask_vector,
@@ -229,13 +229,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=resolve_seed(args.seed, None),
         aggregate="plaintext" if args.plaintext else "secure",
     )
-    if args.f is not None:
-        fractions: tuple[float, ...] = (args.f,)
-    else:
-        fractions = DEFAULT_FRACTIONS
+    fractions = DEFAULT_FRACTIONS if args.f is None else (args.f,)
     rows = []
-    for f in fractions:
-        run = train(TrainConfig(**{**base.__dict__, "dropout": f}))
+    for f, run in zip(fractions, dropout_experiment(base, fractions)):
         rows.extend(run.rows)
         print(
             f"f={f:.4f} rounds={run.config.rounds} final_acc={run.final_accuracy:.4f} "

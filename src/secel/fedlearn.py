@@ -309,21 +309,12 @@ def train(config: TrainConfig) -> TrainRun:
                 average = plaintext_global_aggregate(local, members)
         except RoundRejected:
             rejected.append(r)
-            rows.append(
-                (
-                    config.dropout,
-                    r,
-                    loss(global_w, task.train_points),
-                    accuracy(global_w, task.test_points),
-                )
-            )
-            continue
-
-        global_w = average
-        for i in members:
-            last_global[i] = list(average)
-            last_seen[i] = r
-        max_gap = max(max_gap, max(r - last_seen[i] for i in ids))
+        else:
+            global_w = average
+            for i in members:
+                last_global[i] = list(average)
+                last_seen[i] = r
+            max_gap = max(max_gap, max(r - last_seen[i] for i in ids))
         rows.append(
             (
                 config.dropout,
@@ -349,22 +340,14 @@ ACCURACY_HEADER = ("f", "round", "train_loss", "test_acc")
 
 
 def dropout_experiment(
-    base: TrainConfig,
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
-    csv_path: str | None = None,
-) -> list[tuple[float, int, float, float]]:
-    """Sweep the dropout fraction and collect every run's per-round rows.
+    base: TrainConfig, fractions: tuple[float, ...] = DEFAULT_FRACTIONS
+) -> list[TrainRun]:
+    """Train once per dropout fraction, in order.
 
     All runs share the base seed, so they see the same data and differ only in
-    who goes silent.  Optionally writes the rows as CSV.
+    who goes silent.
     """
-    rows = []
-    for f in fractions:
-        cfg = TrainConfig(**{**base.__dict__, "dropout": f})
-        rows.extend(train(cfg).rows)
-    if csv_path is not None:
-        write_accuracy_csv(csv_path, rows)
-    return rows
+    return [train(TrainConfig(**{**base.__dict__, "dropout": f})) for f in fractions]
 
 
 def write_accuracy_csv(path: str, rows: list[tuple[float, int, float, float]]) -> None:

@@ -383,7 +383,7 @@ class ScenarioResult:
 #
 # Setup runs one way in both (ParticipantNode._on_setup): open_setup sends the
 # OPENING kind, deal_second runs once every peer's opening is in, finish_setup
-# once both rows from every peer are held. SETUP: kind -> (role, dealt field).
+# once both rows from every peer are held. SETUP: kind -> role of its dealt value.
 
 
 class ScalarArith:
@@ -392,7 +392,7 @@ class ScalarArith:
     V_FIELD = "v_evals"  # share_resp key of the held first-row evaluations
     SHARE_FIELD = "s_v"  # share_resp key of the responder's own share
     A_FIELD = "a_evals"  # share_resp key of the held second-row evaluations
-    SETUP = {"setup1": ("first_row", "v"), "setup2": ("second_row", "a")}
+    SETUP = {"setup1": "first_row", "setup2": "second_row"}
     OPENING = "setup1"
     reuses_setup = False  # every round deals afresh
 
@@ -464,7 +464,7 @@ class GroupArith:
     V_FIELD = "v_lifts"
     SHARE_FIELD = "share_lift"
     A_FIELD = None  # a lost share is rebuilt from share lifts, not second rows
-    SETUP = {"pk": ("key", "pk"), "gsetup1": ("first_row", "w"), "gsetup2": ("second_row", "w")}
+    SETUP = {"pk": "key", "gsetup1": "first_row", "gsetup2": "second_row"}
     OPENING = "pk"
     reuses_setup = True  # later rounds only refresh the round key
 
@@ -547,10 +547,11 @@ class GroupArith:
 # ---- helpers shared by the node implementations --------------------------------------
 
 
-def _pairs_problem(c: Any, length: int, p: int) -> str | None:
-    """Why c is not a masked vector: exactly `length` pairs of ints in [0, p)."""
-    if not isinstance(c, list) or len(c) != length:
-        return f"c does not hold {length} elements"
+def _is_pairs(c: Any, node) -> bool:
+    """A masked vector: exactly `length` pairs of ints in [0, p)."""
+    if type(c) is not list or len(c) != node.spec.length:
+        return False
+    p = node.arith.p
     for pair in c:
         if not (
             type(pair) is list
@@ -560,33 +561,67 @@ def _pairs_problem(c: Any, length: int, p: int) -> str | None:
             and 0 <= pair[0] < p
             and 0 <= pair[1] < p
         ):
-            return "an element of c is not a pair of ints in [0, p)"
+            return False
+    return True
+
+
+def _is_members(m: Any, node) -> bool:
+    """A list of distinct participant ids."""
+    n = node.spec.n
+    return (
+        type(m) is list
+        and all(type(i) is int and 0 < i <= n for i in m)
+        and len(set(m)) == len(m)
+    )
+
+
+def _is_hex(salt: Any, node) -> bool:
+    try:
+        bytes.fromhex(salt)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+# Field kind -> (test of a value on the receiving node, what the value must be),
+# bounded by that node's arith and spec. The leader's tag check covers only the
+# elements and members it is shown, so an aggregate's m must meet the quorum.
+FIELD_KINDS = {
+    "int<p>": (lambda v, node: type(v) is int and 0 <= v < node.arith.p, "an int in [0, p)"),
+    "int<q>": (lambda v, node: type(v) is int and 0 <= v < node.arith.q, "an int in [0, q)"),
+    "int<2^32>": (lambda v, node: type(v) is int and 0 <= v < COMMIT_RANGE, "an int in [0, 2^32)"),
+    "str": (lambda v, node: type(v) is str, "a string"),
+    "hex": (_is_hex, "a hex string"),
+    "ints": (lambda v, node: type(v) is list and all(type(i) is int for i in v), "a list of ints"),
+    "members": (_is_members, "a list of distinct participant ids"),
+    "quorum": (
+        lambda v, node: _is_members(v, node) and len(v) >= node.spec.quorum,
+        "a list of at least s_min distinct participant ids",
+    ),
+    "pairs": (_is_pairs, "a list of l pairs of ints in [0, p)"),
+}
+
+
+def _resolve(fields: tuple) -> tuple:
+    """(field, field kind) pairs as the (field, test, text) tuples body_problem reads."""
+    return tuple((name, *FIELD_KINDS[kind]) for name, kind in fields)
+
+
+def body_problem(body: Any, fields: tuple, node) -> str | None:
+    """Why a plaintext body is unusable on `node`, or None if each field passes."""
+    if type(body) is not dict:
+        return "body is not an object"
+    for name, test, text in fields:
+        if not test(body.get(name), node):
+            return f"{name} is not {text}"
     return None
 
 
-def _aggregate_problem(body: Any, spec: RoundSpec, p: int) -> str | None:
-    """Why an aggregate broadcast cannot be used, or None if it is well formed.
-
-    The leader's tag check only covers the elements and members it is shown,
-    so the shape is checked first: one pair of ints in [0, p) per vector
-    element, and a contributor set of distinct participant ids that meets
-    the quorum.
-    """
-    if not isinstance(body, dict):
-        return "body is not an object"
-    m, failed, c = body.get("m"), body.get("failed"), body.get("c")
-    problem = _members_problem(m, spec)
-    if problem is not None:
-        return problem
-    if len(m) < spec.quorum:
-        return f"|m|={len(m)} is below the quorum {spec.quorum}"
-    if not isinstance(failed, list) or any(type(i) is not int for i in failed):
-        return "failed is not a list of ints"
-    return _pairs_problem(c, spec.length, p)
+AGGREGATE_FIELDS = _resolve((("m", "quorum"), ("failed", "ints"), ("c", "pairs")))
 
 
 class _AggregateCheck:
-    """_aggregate_problem's verdict on the last aggregate body it saw.
+    """body_problem's verdict on the last aggregate body it saw.
 
     A broadcast hands every participant the same body object, so one check
     serves them all. Holding the body keeps its id from passing to another
@@ -594,83 +629,13 @@ class _AggregateCheck:
     anew.
     """
 
-    def __init__(self, spec: RoundSpec, p: int):
-        self.spec, self.p = spec, p
-        self.body: Any = object()  # no broadcast body can be this one
-        self.problem: str | None = None
+    body: Any = object()  # no broadcast body can be this one
+    problem: str | None = None
 
-    def __call__(self, body: Any) -> str | None:
+    def __call__(self, body: Any, node: ParticipantNode) -> str | None:
         if body is not self.body:
-            self.body, self.problem = body, _aggregate_problem(body, self.spec, self.p)
+            self.body, self.problem = body, body_problem(body, AGGREGATE_FIELDS, node)
         return self.problem
-
-
-def _members_problem(m: Any, spec: RoundSpec) -> str | None:
-    """Why m is not a list of distinct participant ids."""
-    if (
-        not isinstance(m, list)
-        or any(type(i) is not int for i in m)
-        or len(set(m)) != len(m)
-        or not set(m) <= set(spec.participant_ids)
-    ):
-        return "m is not a list of distinct participant ids"
-    return None
-
-
-def _setup_problem(body: Any, role: str, name: str, arith) -> str | None:
-    """Why a dealing body is unusable: dealt value an int in [0, p), s in [0, q)."""
-    if type(body) is not dict:
-        return "body is not an object"
-    value = body.get(name)
-    if type(value) is not int or not 0 <= value < arith.p:
-        return f"{name} is not an int in [0, p)"
-    if role == "first_row":
-        s = body.get("s")
-        if type(s) is not int or not 0 <= s < arith.q:
-            return "s is not an int in [0, q)"
-    return None
-
-
-# Body checks of the plaintext peer kinds, run before their handlers: each
-# takes the receiving node and the body and says what is wrong, or None.
-
-
-def _refresh_problem(node: ParticipantNode, body: Any) -> str | None:
-    s = body.get("s") if type(body) is dict else None
-    if type(s) is not int or not 0 <= s < node.arith.q:
-        return "s is not an int in [0, q)"
-    return None
-
-
-def _commit_problem(node: ParticipantNode, body: Any) -> str | None:
-    if type(body) is not dict or type(body.get("h")) is not str:
-        return "h is not a string"
-    return None
-
-
-def _reveal_problem(node: ParticipantNode, body: Any) -> str | None:
-    if type(body) is not dict:
-        return "body is not an object"
-    v, salt = body.get("v"), body.get("salt")
-    if type(v) is not int or not 0 <= v < COMMIT_RANGE:
-        return "v is not an int in [0, 2^32)"
-    try:
-        bytes.fromhex(salt)
-    except (TypeError, ValueError):
-        return "salt is not a hex string"
-    return None
-
-
-def _share_req_problem(node: ParticipantNode, body: Any) -> str | None:
-    if type(body) is not dict:
-        return "body is not an object"
-    return _members_problem(body.get("m"), node.spec)
-
-
-def _reason_problem(node: ParticipantNode, body: Any) -> str | None:
-    if type(body) is not dict or type(body.get("reason")) is not str:
-        return "reason is not a string"
-    return None
 
 
 @dataclass
@@ -926,45 +891,40 @@ class ParticipantNode(Node):
         if entry is None or env.round != self.round_no or entry[0] != sim.phase:
             sim.log_note("stale_message", dst=self.id, kind=env.kind, round=env.round)
             return
-        _, check, handler = entry
-        if check is not None:
-            problem = check(self, env.body)
-            if problem is not None:
-                self._malformed(sim, env, problem)
+        _, fields, handler = entry
+        if fields:
+            problem = body_problem(env.body, fields, self)
+            if problem is not None:  # dropped, as if its sender were silent
+                sim.log_note(
+                    "malformed_message", dst=self.id, kind=env.kind, src=env.src, detail=problem
+                )
                 return
         if handler is not None:
             handler(self, sim, env)
-
-    def _malformed(self, sim: Simulator, env, problem: str) -> None:
-        """Drop an unusable body, as if its sender were silent."""
-        sim.log_note("malformed_message", dst=self.id, kind=env.kind, src=env.src, detail=problem)
 
     # setup ........................................................................
 
     def _on_setup(self, sim: Simulator, env) -> None:
         """The one receive path of both variants' dealing kinds.
 
-        A kind the variant does not deal is ignored. A malformed body is
-        dropped, as if its sender were silent. A repeated kind keeps its first
-        body and deals nothing again. A party offline when setup opened deals
-        nothing, so it takes nothing either.
+        The body has passed its kind's field checks. A kind the variant does
+        not deal is ignored. A repeated kind keeps its first body and deals
+        nothing again. A party offline when setup opened deals nothing, so it
+        takes nothing either.
         """
         arith = self.arith
-        setup = arith.SETUP.get(env.kind)
-        if setup is None or self.dealer is None:
+        role = arith.SETUP.get(env.kind)
+        if role is None or self.dealer is None:
             return
-        (role, name), src, body = setup, env.src, env.body
-        problem = _setup_problem(body, role, name, arith)
-        if problem is not None:
-            self._malformed(sim, env, problem)
-            return
+        src, body = env.src, env.body
+        dealt = body[MESSAGE_KINDS[env.kind][1][0][0]]  # the kind's first field
         if role == "first_row":
-            self.held_v.setdefault(src, arith.unwrap(body[name]))
+            self.held_v.setdefault(src, arith.unwrap(dealt))
             self.s_peers.setdefault(src, body["s"])
         elif role == "second_row":
-            self.held_a.setdefault(src, body[name])
+            self.held_a.setdefault(src, dealt)
         else:  # a peer's key to wrap its rows for
-            arith.peer_pks.setdefault(src, body[name])
+            arith.peer_pks.setdefault(src, dealt)
         peers = self.spec.n - 1
         if env.kind == arith.OPENING and src not in self.opened:
             self.opened.add(src)
@@ -980,7 +940,7 @@ class ParticipantNode(Node):
         self.s_peers[env.src] = env.body["s"]
 
     def _on_aggregate(self, sim: Simulator, env) -> None:
-        problem = self.aggregate_problem(env.body)
+        problem = self.aggregate_problem(env.body, self)
         if problem is not None:
             sim.log_note("malformed_aggregate", dst=self.id, detail=problem)
             self.status = "rejected"
@@ -1177,28 +1137,33 @@ class ParticipantNode(Node):
 
 # Every message kind: the one phase window it is meaningful in (anything that
 # straggles across a boundary, or arrives for the wrong round, is ignored),
-# the check its plaintext body must pass, and the participant handler it is
-# dispatched to. Dealing bodies are checked in _on_setup against the variant's
-# SETUP table; sealed bodies are checked by opening them. Only the aggregator
-# takes submissions.
+# the (field, field kind) pairs its plaintext body must pass, dealt value
+# first, and the participant handler it is dispatched to. No fields: sealed
+# kinds are checked by opening them, round_done's handler reads only its
+# sealed form, and aggregate is checked once per body against AGGREGATE_FIELDS.
 MESSAGE_KINDS = {
-    "setup1": ("setup", None, ParticipantNode._on_setup),
-    "setup2": ("setup", None, ParticipantNode._on_setup),
-    "pk": ("setup", None, ParticipantNode._on_setup),
-    "gsetup1": ("setup", None, ParticipantNode._on_setup),
-    "gsetup2": ("setup", None, ParticipantNode._on_setup),
-    "refresh": ("masking", _refresh_problem, ParticipantNode._on_refresh),
-    "submission": ("masking", None, None),
-    "aggregate": ("aggregation", None, ParticipantNode._on_aggregate),
-    "abort": ("aggregation", _reason_problem, ParticipantNode._on_abort),
-    "commit": ("verification", _commit_problem, ParticipantNode._on_commit),
-    "reveal": ("verification", _reveal_problem, ParticipantNode._on_reveal),
-    "share_req": ("verification", _share_req_problem, ParticipantNode._on_share_req),
-    "share_resp": ("verification", None, ParticipantNode._on_share_resp),
-    "share_resp_fb": ("verification", None, ParticipantNode._on_share_resp_fb),
-    "reject": ("verification", _reason_problem, ParticipantNode._on_reject),
-    "result": ("decryption", None, ParticipantNode._on_result),
-    "round_done": ("decryption", None, ParticipantNode._on_round_done),
+    "setup1": ("setup", (("v", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup),
+    "setup2": ("setup", (("a", "int<p>"),), ParticipantNode._on_setup),
+    "pk": ("setup", (("pk", "int<p>"),), ParticipantNode._on_setup),
+    "gsetup1": ("setup", (("w", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup),
+    "gsetup2": ("setup", (("w", "int<p>"),), ParticipantNode._on_setup),
+    "refresh": ("masking", (("s", "int<q>"),), ParticipantNode._on_refresh),
+    "submission": ("masking", (("c", "pairs"),), None),
+    "aggregate": ("aggregation", (), ParticipantNode._on_aggregate),
+    "abort": ("aggregation", (("reason", "str"),), ParticipantNode._on_abort),
+    "commit": ("verification", (("h", "str"),), ParticipantNode._on_commit),
+    "reveal": ("verification", (("v", "int<2^32>"), ("salt", "hex")), ParticipantNode._on_reveal),
+    "share_req": ("verification", (("m", "members"),), ParticipantNode._on_share_req),
+    "share_resp": ("verification", (), ParticipantNode._on_share_resp),
+    "share_resp_fb": ("verification", (), ParticipantNode._on_share_resp_fb),
+    "reject": ("verification", (("reason", "str"),), ParticipantNode._on_reject),
+    "result": ("decryption", (), ParticipantNode._on_result),
+    "round_done": ("decryption", (), ParticipantNode._on_round_done),
+}
+# resolved once, so a body's check is one loop over (field, test, text)
+MESSAGE_KINDS = {
+    kind: (phase, _resolve(fields), handler)
+    for kind, (phase, fields, handler) in MESSAGE_KINDS.items()
 }
 
 
@@ -1225,13 +1190,12 @@ class AggregatorNode(Node):
     def on_message(self, sim: Simulator, env) -> None:
         if env.kind != "submission" or env.round != self.round_no:
             return
-        pairs = env.body.get("c") if isinstance(env.body, dict) else None
         # a submission the sum cannot take is left out of M, like a silent one
-        problem = _pairs_problem(pairs, self.spec.length, self.arith.p)
+        problem = body_problem(env.body, MESSAGE_KINDS["submission"][1], self)
         if problem is not None:
             sim.log_note("malformed_submission", src=env.src, detail=problem)
             return
-        self.received[env.src] = pairs
+        self.received[env.src] = env.body["c"]
 
     def on_phase_start(self, sim: Simulator, phase: str) -> None:
         if phase != "aggregation":
@@ -1314,7 +1278,7 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
     participants: dict[int, ParticipantNode] = {}
     inputs: dict[int, list[float]] = {}
     codec = spec.codec()
-    check = _AggregateCheck(spec, aggregator.arith.p)
+    check = _AggregateCheck()
     for i in spec.participant_ids:
         node = ParticipantNode(i, spec, sim.node_rng(i), check)
         if spec.gradients is not None:

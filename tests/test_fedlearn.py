@@ -23,6 +23,7 @@ from secel.fedlearn import (
     predict_proba,
     secure_global_aggregate,
     train,
+    write_accuracy_csv,
 )
 
 
@@ -240,14 +241,17 @@ def test_training_is_deterministic():
 def test_dropout_experiment_row_shape_and_csv(tmp_path):
     base = TrainConfig(parties=6, rounds=2, s_min=2, seed=4, points_per_party=10)
     path = tmp_path / "accuracy.csv"
-    rows = dropout_experiment(base, csv_path=str(path))
+    runs = dropout_experiment(base)
+    assert [run.config.dropout for run in runs] == list(DEFAULT_FRACTIONS)
+    rows = [row for run in runs for row in run.rows]
     assert len(rows) == len(DEFAULT_FRACTIONS) * 2
     fs = sorted({r[0] for r in rows})
     assert fs == sorted(DEFAULT_FRACTIONS)
+    write_accuracy_csv(str(path), rows)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         body = list(reader)
     assert tuple(header) == ACCURACY_HEADER
     assert len(body) == len(rows)
-    assert dropout_experiment(base) == rows  # deterministic re-run
+    assert dropout_experiment(base) == runs  # deterministic re-run

@@ -3,6 +3,7 @@
 import gc
 import json
 import weakref
+from functools import lru_cache
 from types import SimpleNamespace
 from unittest import mock
 
@@ -26,6 +27,7 @@ from secel.protocol import (
 )
 from secel.sharing import pairwise_key
 from secel.simnet import AGGREGATOR_ID, Fault, SimConfig, Simulator, channel_key
+from test_golden import SCENARIOS
 
 
 def field_sum_oracle(result: ScenarioResult, members, round_state=None):
@@ -1185,3 +1187,74 @@ def test_any_aggregate_body_ends_done_with_the_exact_sum_or_named(variant, data,
         if r.phase == "done":
             claimed = sorted(result.nodes[r.leader].m_set)
             assert r.field_sum == field_sum_oracle(result, claimed)
+
+
+# MESSAGE_KINDS entries whose plaintext body is not checked field by field,
+# each with the reason; a new plaintext kind must name its fields instead
+UNCHECKED_KINDS = {
+    "share_resp": "sealed: a body that does not open under the channel key is dropped",
+    "share_resp_fb": "sealed: a body that does not open under the fallback key is dropped",
+    "result": "sealed: a body that does not open is dropped",
+    "round_done": "its handler reads only the sealed form; a plaintext body is never read",
+    "aggregate": "checked once per broadcast body against AGGREGATE_FIELDS, and rejects",
+}
+
+
+def test_only_sealed_unread_and_aggregate_bodies_skip_the_field_table():
+    unchecked = {kind for kind, (_, fields, _) in protocol.MESSAGE_KINDS.items() if not fields}
+    assert unchecked == set(UNCHECKED_KINDS)
+    assert [name for name, _, _ in protocol.AGGREGATE_FIELDS] == ["m", "failed", "c"]
+
+
+@lru_cache(maxsize=None)
+def plaintext_sends(name: str) -> int:
+    """How many plaintext sends an unmodified run of golden scenario `name` makes."""
+    sends = []
+    send = Simulator.send
+
+    def count(sim, src, dst, kind, body, key=None):
+        if key is None:
+            sends.append(kind)
+        send(sim, src, dst, kind, body, key=key)
+
+    with mock.patch.object(Simulator, "send", count):
+        run_rounds(SCENARIOS[name])
+    return len(sends)
+
+
+def shape_breaking(body: dict, bound: int):
+    """`body` as null, as {}, or with one field replaced by a value of the wrong
+    type or out of range: `bound` is at or above every int field's bound."""
+    wrong = st.sampled_from([1.5, True, ["x"], None, -1]) | st.integers(bound, 2 * bound)
+    rewrites = [st.just(None), st.just({})]
+    for name, value in sorted(body.items()):
+        values = wrong if type(value) is str else wrong | st.just("zz")
+        rewrites.append(values.map(lambda v, name=name: {**body, name: v}))
+    return st.one_of(rewrites)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(SCENARIOS)))
+def test_any_plaintext_body_ends_done_with_the_exact_sum_or_named(data, name):
+    # one plaintext envelope of a golden scenario gets a body of the wrong shape;
+    # sealed envelopes are out of scope, since AES-GCM rejects any rewrite
+    doc = SCENARIOS[name]
+    target = data.draw(st.integers(0, plaintext_sends(name) - 1), label="send")
+    bound = max(RoundSpec.from_dict(doc).arith().p, protocol.COMMIT_RANGE)
+    send, seen = Simulator.send, []
+
+    def rewrite(sim, src, dst, kind, body, key=None):
+        if key is None:
+            if len(seen) == target:
+                body = data.draw(shape_breaking(body, bound), label=kind)
+            seen.append(kind)
+        send(sim, src, dst, kind, body, key=key)
+
+    with mock.patch.object(Simulator, "send", rewrite):
+        result = run_rounds(doc)
+    for r in result.rounds:
+        assert r.phase == "done" or (r.phase == "rejected" and r.error in NAMED_REJECTIONS)
+        if r.phase == "done":
+            # a leader holds a well-formed aggregate, which only the aggregator's
+            # own broadcast is here, so the M it claimed is the round's m_set
+            assert r.field_sum == field_sum_oracle(result, r.m_set)
