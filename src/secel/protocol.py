@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -222,7 +223,7 @@ class RoundSpec:
         # group: shift into [0, 2*clip] so sums stay small enough to brute-decode
         group = self.variant == "group"
         return FixedPointCodec(
-            scale_bits=self.scale_bits or (10 if group else 16),
+            scale_bits=(10 if group else 16) if self.scale_bits is None else self.scale_bits,
             clip_bound=self.clip_bound,
             signed=not group,
         )
@@ -250,26 +251,33 @@ class RoundSpec:
             raise ConfigError("vector length must be a positive integer")
         if not isinstance(self.rounds, int) or self.rounds < 1:
             raise ConfigError("rounds must be a positive integer")
-        if self.s_min is not None and not (1 <= self.s_min <= self.n):
-            raise ConfigError("s_min must lie in [1, n]")
+        if not (self.s_min is None or isinstance(self.s_min, int) and 1 <= self.s_min <= self.n):
+            raise ConfigError("s_min must be an integer in [1, n]")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.tamper not in TAMPER_POLICIES:
             raise ConfigError(f"unknown tamper policy {self.tamper!r}")
-        ids = set(self.participant_ids)
-        losses = list(self.share_loss)
-        if len(set(losses)) != len(losses) or not set(losses) <= ids:
+        losses = self.share_loss
+        if not (isinstance(losses, (tuple, list)) and _is_members(list(losses), self.n)):
             raise ConfigError("share_loss must list distinct participant ids")
-        if self.gradients is not None:
-            if len(self.gradients) != self.n or any(
-                len(g) != self.length for g in self.gradients
-            ):
-                raise ConfigError("gradients must be an n x length matrix")
+        rows = self.gradients
+        if rows is not None:
+            try:
+                shaped = len(rows) == self.n and all(len(g) == self.length for g in rows)
+                nan = any(any(map(math.isnan, g)) for g in rows)
+            except TypeError:  # not a matrix of numbers
+                shaped = False
+            if not shaped or nan:
+                raise ConfigError("gradients must be an n x length matrix of numbers, none NaN")
         if self.variant == "scalar":
             try:
                 _checked_prime(self.prime)  # cached per modulus
             except (TypeError, ValueError):
                 raise ConfigError("prime must be prime") from None
+        if not (self.scale_bits is None or type(self.scale_bits) is int and self.scale_bits >= 1):
+            raise ConfigError("scale_bits must be a positive integer")
+        if not (isinstance(self.clip_bound, (int, float)) and 0 < self.clip_bound < math.inf):
+            raise ConfigError("clip_bound must be a positive finite number")
         try:
             self.codec().ensure_capacity(self.n, self.field_modulus())
         except ValueError as exc:
@@ -285,8 +293,8 @@ class RoundSpec:
     def from_dict(cls, raw: dict) -> "RoundSpec":
         if not isinstance(raw, dict):
             raise ConfigError("round spec must be a JSON object")
-        own = {f.name for f in fields(cls)} | {"l"}  # "l" is short for length
-        unknown = set(raw) - own - cls._SIM_KEYS
+        own = {f.name for f in fields(cls)}
+        unknown = set(raw) - own - {"l"} - cls._SIM_KEYS  # "l" is short for length
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "n" not in raw:
@@ -304,21 +312,11 @@ class RoundSpec:
                 raise ConfigError(f"bad group parameters: {exc}") from exc
         else:
             raise ConfigError("group must be a name or a {p, q, g} object")
-        spec = cls(
-            n=raw["n"],
-            t=raw.get("t", 2),
-            length=raw.get("length", raw.get("l", 4)),
-            s_min=raw.get("s_min"),
-            rounds=raw.get("rounds", 1),
-            variant=raw.get("variant", "scalar"),
-            tamper=raw.get("tamper", "honest"),
-            share_loss=tuple(raw.get("share_loss", ())),
-            gradients=raw.get("gradients"),
-            prime=raw.get("prime", DEFAULT_PRIME),
-            group=group,
-            scale_bits=raw.get("scale_bits"),
-            clip_bound=raw.get("clip_bound", 8.0),
-        )
+        # a key the document leaves out takes the field's default
+        args = {name: raw[name] for name in own & raw.keys()}
+        if "l" in raw:
+            args.setdefault("length", raw["l"])
+        spec = cls(**{**args, "group": group})
         spec.validate()
         return spec
 
@@ -565,9 +563,8 @@ def _is_pairs(c: Any, node) -> bool:
     return True
 
 
-def _is_members(m: Any, node) -> bool:
-    """A list of distinct participant ids."""
-    n = node.spec.n
+def _is_members(m: Any, n: int) -> bool:
+    """A list of distinct participant ids, each in [1, n]."""
     return (
         type(m) is list
         and all(type(i) is int and 0 < i <= n for i in m)
@@ -593,9 +590,9 @@ FIELD_KINDS = {
     "str": (lambda v, node: type(v) is str, "a string"),
     "hex": (_is_hex, "a hex string"),
     "ints": (lambda v, node: type(v) is list and all(type(i) is int for i in v), "a list of ints"),
-    "members": (_is_members, "a list of distinct participant ids"),
+    "members": (lambda v, node: _is_members(v, node.spec.n), "a list of distinct participant ids"),
     "quorum": (
-        lambda v, node: _is_members(v, node) and len(v) >= node.spec.quorum,
+        lambda v, node: _is_members(v, node.spec.n) and len(v) >= node.spec.quorum,
         "a list of at least s_min distinct participant ids",
     ),
     "pairs": (_is_pairs, "a list of l pairs of ints in [0, p)"),
@@ -617,27 +614,6 @@ def body_problem(body: Any, fields: tuple, node) -> str | None:
     return None
 
 
-AGGREGATE_FIELDS = _resolve((("m", "quorum"), ("failed", "ints"), ("c", "pairs")))
-
-
-class _AggregateCheck:
-    """body_problem's verdict on the last aggregate body it saw.
-
-    A broadcast hands every participant the same body object, so one check
-    serves them all. Holding the body keeps its id from passing to another
-    object; a body rewritten for one participant is a new object, checked
-    anew.
-    """
-
-    body: Any = object()  # no broadcast body can be this one
-    problem: str | None = None
-
-    def __call__(self, body: Any, node: ParticipantNode) -> str | None:
-        if body is not self.body:
-            self.body, self.problem = body, body_problem(body, AGGREGATE_FIELDS, node)
-        return self.problem
-
-
 @dataclass
 class _LeaderFindings:
     """What the leader knows after recover-and-verify, kept for decryption."""
@@ -652,16 +628,13 @@ class _LeaderFindings:
 class ParticipantNode(Node):
     """One protocol participant: dealer, contributor, elector, potential leader."""
 
-    def __init__(
-        self, node_id: int, spec: RoundSpec, rng: random.Random, check: _AggregateCheck
-    ):
+    def __init__(self, node_id: int, spec: RoundSpec, rng: random.Random):
         self.id = node_id
         self.spec = spec
         self.rng = rng
         self.modulus = spec.field_modulus()
         self.codec = spec.codec()
         self.arith = spec.arith()
-        self.aggregate_problem = check  # shared by every participant of the run
         self.gradients: list[float] = []
         self._reset_setup()
         self.begin_round(0)
@@ -893,11 +866,26 @@ class ParticipantNode(Node):
             return
         _, fields, handler = entry
         if fields:
-            problem = body_problem(env.body, fields, self)
-            if problem is not None:  # dropped, as if its sender were silent
-                sim.log_note(
-                    "malformed_message", dst=self.id, kind=env.kind, src=env.src, detail=problem
-                )
+            # the check reads only the run's spec and modulus, the same at every
+            # participant, so the copies of one multicast share its verdict
+            slot = env.shared
+            if slot is None:
+                problem = body_problem(env.body, fields, self)
+            elif slot.checked:
+                problem = slot.problem
+            else:
+                problem = slot.problem = body_problem(env.body, fields, self)
+                slot.checked = True
+            if problem is not None:
+                if env.kind == "aggregate":  # the aggregator's: it ends the round
+                    sim.log_note("malformed_aggregate", dst=self.id, detail=problem)
+                    self.status = "rejected"
+                    self.reject_reason = "MalformedAggregate"
+                else:  # dropped, as if its sender were silent
+                    sim.log_note(
+                        "malformed_message", dst=self.id, kind=env.kind, src=env.src,
+                        detail=problem,
+                    )
                 return
         if handler is not None:
             handler(self, sim, env)
@@ -940,12 +928,6 @@ class ParticipantNode(Node):
         self.s_peers[env.src] = env.body["s"]
 
     def _on_aggregate(self, sim: Simulator, env) -> None:
-        problem = self.aggregate_problem(env.body, self)
-        if problem is not None:
-            sim.log_note("malformed_aggregate", dst=self.id, detail=problem)
-            self.status = "rejected"
-            self.reject_reason = "MalformedAggregate"
-            return
         self.agg = env.body["c"]
         self.m_set = list(env.body["m"])
         self.failed = list(env.body["failed"])
@@ -1138,9 +1120,11 @@ class ParticipantNode(Node):
 # Every message kind: the one phase window it is meaningful in (anything that
 # straggles across a boundary, or arrives for the wrong round, is ignored),
 # the (field, field kind) pairs its plaintext body must pass, dealt value
-# first, and the participant handler it is dispatched to. No fields: sealed
-# kinds are checked by opening them, round_done's handler reads only its
-# sealed form, and aggregate is checked once per body against AGGREGATE_FIELDS.
+# first, and the participant handler it is dispatched to. on_message checks
+# the fields once per multicast body and once per point-to-point copy; a
+# failed aggregate rejects the round, any other failed body counts as
+# silence. No fields: sealed kinds are checked by opening them, and
+# round_done's handler reads only its sealed form.
 MESSAGE_KINDS = {
     "setup1": ("setup", (("v", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup),
     "setup2": ("setup", (("a", "int<p>"),), ParticipantNode._on_setup),
@@ -1149,7 +1133,11 @@ MESSAGE_KINDS = {
     "gsetup2": ("setup", (("w", "int<p>"),), ParticipantNode._on_setup),
     "refresh": ("masking", (("s", "int<q>"),), ParticipantNode._on_refresh),
     "submission": ("masking", (("c", "pairs"),), None),
-    "aggregate": ("aggregation", (), ParticipantNode._on_aggregate),
+    "aggregate": (
+        "aggregation",
+        (("m", "quorum"), ("failed", "ints"), ("c", "pairs")),
+        ParticipantNode._on_aggregate,
+    ),
     "abort": ("aggregation", (("reason", "str"),), ParticipantNode._on_abort),
     "commit": ("verification", (("h", "str"),), ParticipantNode._on_commit),
     "reveal": ("verification", (("v", "int<2^32>"), ("salt", "hex")), ParticipantNode._on_reveal),
@@ -1278,9 +1266,8 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
     participants: dict[int, ParticipantNode] = {}
     inputs: dict[int, list[float]] = {}
     codec = spec.codec()
-    check = _AggregateCheck()
     for i in spec.participant_ids:
-        node = ParticipantNode(i, spec, sim.node_rng(i), check)
+        node = ParticipantNode(i, spec, sim.node_rng(i))
         if spec.gradients is not None:
             node.gradients = list(spec.gradients[i - 1])
         else:

@@ -10,9 +10,11 @@ brings a node back at a phase boundary.
 Messages between participants can ride authenticated channels: AES-GCM with
 the envelope header (src, dst, kind, round, seq) as associated data and a
 deterministic per-(src, dst, seq) nonce. Tampering with the ciphertext or
-re-addressing an envelope raises AuthFailure. A sealed multicast is encoded
-once and opened per copy: each copy is authenticated under its own key, and
-copies whose plaintext equals the multicast's bytes share one parsed body.
+re-addressing an envelope raises AuthFailure. A multicast body is encoded
+once, and every copy of it, plaintext or sealed, carries one receive-side
+slot (`Multicast`). A sealed copy is still authenticated under its own key,
+and copies whose plaintext equals the multicast's bytes share one parsed
+body; the receivers of plaintext copies keep their one check verdict there.
 Bodies handed to receivers, opened or plaintext, are read-only.
 
 Pending events wait in per-tick FIFO buckets, {time: [items in scheduling
@@ -160,8 +162,11 @@ class SimConfig:
             raise ConfigError("seed must be a nonnegative integer")
         if not isinstance(self.n, int) or self.n < 1:
             raise ConfigError("n must be a positive integer")
-        if not (1 <= self.delay_min <= self.delay_max):
-            raise ConfigError("need 1 <= delay_min <= delay_max")
+        delays = (self.delay_min, self.delay_max)
+        if not (all(type(d) is int for d in delays) and 1 <= self.delay_min <= self.delay_max):
+            raise ConfigError("need integers 1 <= delay_min <= delay_max")
+        if not isinstance(self.budgets, dict) or not isinstance(self.faults, (list, tuple)):
+            raise ConfigError("budgets must be a mapping and faults a list")
         for name in PHASES:
             budget = self.budgets.get(name)
             if not isinstance(budget, int) or budget <= 0:
@@ -175,44 +180,49 @@ class SimConfig:
                 raise ConfigError(f"unknown phase {f.phase!r} in fault schedule")
             if f.action not in FAULT_ACTIONS:
                 raise ConfigError(f"unknown fault action {f.action!r}")
-            if not (1 <= f.id <= self.n):
-                raise ConfigError(f"fault references unknown participant {f.id}")
-            if f.offset < 0:
-                raise ConfigError("fault offset must be >= 0")
+            if type(f.id) is not int or not (1 <= f.id <= self.n):
+                raise ConfigError(f"fault references unknown participant {f.id!r}")
+            if type(f.offset) is not int or f.offset < 0:
+                raise ConfigError("fault offset must be an integer >= 0")
 
     @classmethod
     def from_dict(cls, raw: dict) -> SimConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        delay = raw.get("delay", {})
-        budgets = dict(DEFAULT_BUDGETS)
-        budgets.update(raw.get("budgets", {}))
+        delay, own, entries = raw.get("delay", {}), raw.get("budgets", {}), raw.get("faults", [])
+        if not (isinstance(delay, dict) and isinstance(own, dict) and isinstance(entries, list)):
+            raise ConfigError("delay and budgets must be objects and faults a list")
         faults = []
-        for entry in raw.get("faults", []):
-            try:
-                faults.append(
-                    Fault(
-                        id=entry["id"],
-                        phase=entry["phase"],
-                        action=entry["action"],
-                        offset=entry.get("offset", 0),
-                    )
-                )
-            except (TypeError, KeyError) as exc:
+        for entry in entries:
+            try:  # a missing, unknown or non-keyword key is a TypeError
+                faults.append(Fault(**entry))
+            except TypeError as exc:
                 raise ConfigError(f"malformed fault entry {entry!r}") from exc
-        cfg = cls(
-            seed=raw.get("seed", 0),
-            n=raw.get("n", 3),
-            delay_min=delay.get("min", 1),
-            delay_max=delay.get("max", 5),
-            budgets=budgets,
-            faults=faults,
-        )
+        # a key the document leaves out takes the field's default
+        args = {name: raw[name] for name in ("seed", "n") if name in raw}
+        args.update((f"delay_{end}", delay[end]) for end in ("min", "max") if end in delay)
+        cfg = cls(budgets={**DEFAULT_BUDGETS, **own}, faults=faults, **args)
         cfg.validate()
         return cfg
 
 
 # ---- envelopes and transcript -----------------------------------------------------
+
+
+@dataclass(slots=True)
+class Multicast:
+    """The receive side of one multicast body, held by every copy of it.
+
+    `data` is the body's canonical bytes; `parsed` is the one body parsed from
+    them for the sealed copies whose plaintext equals them. `checked` and
+    `problem` hold the verdict of the receivers' check of the plaintext body:
+    whoever checks first stores it, the others reuse it.
+    """
+
+    data: bytes
+    parsed: Any = None
+    checked: bool = False
+    problem: str | None = None
 
 
 @dataclass(slots=True)
@@ -228,7 +238,7 @@ class Envelope:
     body: dict | None = None  # plaintext payload
     blob: bytes | None = None  # ciphertext payload
     digest: str = ""  # payload_digest of the payload bytes, fixed at send
-    shared: list | None = None  # a sealed multicast's [plaintext, parsed body] slot
+    shared: Multicast | None = None  # the slot of the multicast this is a copy of
 
     def header(self) -> dict:
         return {
@@ -339,7 +349,7 @@ def seal(key: bytes, header: dict, body: dict, data: bytes | None = None) -> byt
     return AESGCM(key).encrypt(nonce, data, canonical_json(header))
 
 
-def open_sealed(key: bytes, header: dict, blob: bytes, shared: list | None = None) -> dict:
+def open_sealed(key: bytes, header: dict, blob: bytes, shared: Multicast | None = None) -> dict:
     """Inverse of seal; AuthFailure on any mismatch (key, header, ciphertext).
 
     `shared` is the slot of the multicast a copy belongs to: plaintext equal
@@ -352,11 +362,11 @@ def open_sealed(key: bytes, header: dict, blob: bytes, shared: list | None = Non
         raise AuthFailure(
             f"envelope {header['kind']} {header['src']}->{header['dst']} failed"
         ) from exc
-    if shared is None or data != shared[0]:
+    if shared is None or data != shared.data:
         return json.loads(data)
-    if len(shared) == 1:
-        shared.append(json.loads(data))
-    return shared[1]
+    if shared.parsed is None:
+        shared.parsed = json.loads(data)
+    return shared.parsed
 
 
 def secure_recv(key: bytes, env: Envelope) -> dict:
@@ -405,9 +415,9 @@ class Simulator:
         self._taking: Iterator[tuple] = iter(())  # the bucket being processed
         self._net_rng = random.Random(derive_seed(config.seed, "net"))
         self._pair_seq: dict[tuple[int, int], int] = {}
-        # the body in flight to several peers: (body, its bytes, their digest,
-        # the parse slot its sealed copies carry)
-        self._shared: tuple[dict, bytes, str, list] | None = None
+        # the body in flight to several peers: (body, its digest, the slot
+        # every copy carries)
+        self._shared: tuple[dict, str, Multicast] | None = None
 
     # -- wiring --------------------------------------------------------------------
 
@@ -467,17 +477,14 @@ class Simulator:
         shared = self._shared
         if shared is not None and shared[0] is not body:
             shared = None
+        if shared is not None:
+            env.shared = shared[2]
         if key is not None:
-            env.blob = seal(key, env.header(), body, None if shared is None else shared[1])
-            if shared is not None:
-                env.shared = shared[3]
+            env.blob = seal(key, env.header(), body, None if shared is None else shared[2].data)
             env.digest = payload_digest(env.blob)
         else:
             env.body = body
-            if shared is not None:
-                env.digest = shared[2]
-            else:
-                env.digest = payload_digest(canonical_json(body))
+            env.digest = payload_digest(canonical_json(body)) if shared is None else shared[1]
         if src in self.dropping:
             self.transcript.envelope("drop", env, t=now, reason="drop_outbound")
             return
@@ -489,13 +496,15 @@ class Simulator:
         """Encode `body` once for every send of that very object inside the block.
 
         A plaintext send reuses the digest, a sealed one the plaintext bytes;
-        each sealed copy still gets its own key, nonce and header, and a slot
-        for the one parse of those bytes that its receivers share. The
-        simulator drops the bytes when the block ends, so a body changed
-        afterwards is encoded afresh; the slot lives as long as the copies do.
+        each sealed copy still gets its own key, nonce and header. Every copy,
+        plaintext or sealed, carries one `Multicast` slot: the one parse of
+        the bytes that sealed receivers share, and the verdict of the one
+        check of the plaintext body. The simulator drops the encoding when the
+        block ends, so a body changed afterwards is encoded afresh and gets no
+        slot; the slot lives as long as the copies do.
         """
         data = canonical_json(body)
-        self._shared = (body, data, payload_digest(data), [data])
+        self._shared = (body, payload_digest(data), Multicast(data))
         try:
             yield
         finally:

@@ -95,6 +95,12 @@ def test_round_bad_round_config_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_round_malformed_simulator_keys_exit_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"n": 3, "delay": 5})
+    assert main(["round", "--config", cfg]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_round_non_object_config_exits_one(tmp_path, capsys):
     path = tmp_path / "arr.json"
     path.write_text("[1, 2, 3]")

@@ -3,6 +3,7 @@
 import gc
 import json
 import weakref
+from collections import Counter
 from functools import lru_cache
 from types import SimpleNamespace
 from unittest import mock
@@ -809,6 +810,14 @@ def test_run_setup_share_loss_and_quorum():
         {"gradients": [[0.0]]},
         {"prime": 91},
         {"variant": "group", "scale_bits": 30},
+        {"share_loss": 5},
+        {"gradients": 5},
+        {"gradients": [["x", 0.0]] * 6},
+        {"gradients": [[float("nan"), 0.0]] * 6},
+        {"s_min": "2"},
+        {"clip_bound": "x"},
+        {"scale_bits": "x"},
+        {"scale_bits": 0},
     ],
 )
 def test_round_spec_validation_rejects(kwargs):
@@ -1090,6 +1099,51 @@ def test_no_opened_body_outlives_the_run(monkeypatch, variant):
         gc.enable()
 
 
+# ---- plaintext bodies: each multicast checked once ---------------------------------------
+
+BROADCAST_KINDS = ("pk", "refresh", "aggregate", "commit", "reveal", "share_req")
+DEALING_KINDS = ("setup1", "setup2", "gsetup1", "gsetup2")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RoundSpec(n=10, t=4, length=3),
+        RoundSpec(n=5, t=2, length=3, variant="group", rounds=2),
+    ],
+    ids=["scalar", "group"],
+)
+def test_each_multicast_body_is_checked_once(monkeypatch, spec):
+    sent, checked = {}, Counter()
+    send, check = Simulator.send, protocol.body_problem
+
+    def keep(sim, src, dst, kind, body, key=None):
+        if key is None:
+            sent[id(body)] = (kind, body)  # held, so no id is reused
+        send(sim, src, dst, kind, body, key=key)
+
+    def count(body, fields, node):
+        checked[id(body)] += 1
+        return check(body, fields, node)
+
+    monkeypatch.setattr(Simulator, "send", keep)
+    monkeypatch.setattr(protocol, "body_problem", count)
+    result = run_rounds(spec, SimConfig(seed=1, n=spec.n))
+    assert result.ok
+    per_kind = Counter()
+    for key, (kind, _) in sent.items():
+        if kind in BROADCAST_KINDS:
+            assert checked[key] == 1, kind
+        per_kind[kind] += checked[key]
+    dealt = spec.arith().SETUP.keys() & set(DEALING_KINDS)
+    multicast = {"pk", "refresh"} if spec.variant == "group" else set()
+    assert {"aggregate", "commit", "reveal", "share_req", *multicast, *dealt} <= set(per_kind)
+    # every point-to-point dealing copy is still checked on its own
+    for kind in dealt:
+        delivered = result.transcript.count(type="deliver", kind=kind)
+        assert per_kind[kind] == delivered == spec.n * (spec.n - 1)
+
+
 # ---- commit/reveal: each revealed commitment hashed once ----------------------------------
 
 
@@ -1196,14 +1250,14 @@ UNCHECKED_KINDS = {
     "share_resp_fb": "sealed: a body that does not open under the fallback key is dropped",
     "result": "sealed: a body that does not open is dropped",
     "round_done": "its handler reads only the sealed form; a plaintext body is never read",
-    "aggregate": "checked once per broadcast body against AGGREGATE_FIELDS, and rejects",
 }
 
 
-def test_only_sealed_unread_and_aggregate_bodies_skip_the_field_table():
+def test_only_sealed_and_unread_bodies_skip_the_field_table():
     unchecked = {kind for kind, (_, fields, _) in protocol.MESSAGE_KINDS.items() if not fields}
     assert unchecked == set(UNCHECKED_KINDS)
-    assert [name for name, _, _ in protocol.AGGREGATE_FIELDS] == ["m", "failed", "c"]
+    _, fields, _ = protocol.MESSAGE_KINDS["aggregate"]
+    assert [name for name, _, _ in fields] == ["m", "failed", "c"]
 
 
 @lru_cache(maxsize=None)

@@ -91,6 +91,11 @@ def test_default_budgets_cover_all_phases():
         {"faults": [Fault(id=0, phase="setup", action="disconnect")]},
         {"faults": [Fault(id=9, phase="setup", action="disconnect")]},
         {"faults": [Fault(id=1, phase="setup", action="disconnect", offset=-1)]},
+        {"delay_min": "1"},
+        {"budgets": [1]},
+        {"faults": 5},
+        {"faults": [Fault(id="x", phase="setup", action="disconnect")]},
+        {"faults": [Fault(id=1, phase="setup", action="disconnect", offset="x")]},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -121,6 +126,18 @@ def test_config_from_dict_rejects_garbage():
         SimConfig.from_dict("not a dict")
     with pytest.raises(ConfigError):
         SimConfig.from_dict({"n": 3, "faults": [{"id": 1}]})
+    fault = {"id": 1, "phase": "setup", "action": "disconnect"}
+    for garbage in (
+        {"delay": 5},
+        {"delay": {"min": "1"}},
+        {"budgets": [1]},
+        {"faults": 5},
+        {"faults": [{**fault, "id": "x"}]},
+        {"faults": [{**fault, "offset": "x"}]},
+        {"faults": [{**fault, "note": "x"}]},
+    ):
+        with pytest.raises(ConfigError):
+            SimConfig.from_dict({"n": 3, **garbage})
 
 
 # ---- seeds and canonical encoding ---------------------------------------------------
