@@ -79,8 +79,7 @@ def _write_transcript(out: str | None, result) -> None:
     if out is None:
         return
     path = os.path.join(out, "transcript.ndjson")
-    with open(path, "w") as fh:
-        fh.write(result.transcript.to_ndjson())
+    result.transcript.write(path)
     print(f"wrote {path}")
 
 

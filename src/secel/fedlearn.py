@@ -143,7 +143,6 @@ def secure_global_aggregate(
     s_min: int | None = None,
     seed: int = 0,
     dropped: tuple[int, ...] = (),
-    variant: str = "scalar",
 ) -> AggregateOutcome:
     """Average the submitted parameter vectors through one masked round.
 
@@ -162,7 +161,6 @@ def secure_global_aggregate(
         t=t,
         length=dim,
         s_min=s_min,
-        variant=variant,
         gradients=[models[i] for i in ids],
     )
     faults = [Fault(id=i, phase="masking", action="drop_outbound") for i in dropped]

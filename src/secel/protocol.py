@@ -31,7 +31,6 @@ the runner are written once against it and never read the variant.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 import random
@@ -103,6 +102,7 @@ TAMPER_POLICIES = ("honest", "flip_element", "substitute_all", "inject_offset", 
 TAMPER_OFFSET = 3  # additive constant used by the inject_offset policy
 
 COMMIT_RANGE = 1 << 32  # an elector's commit value is drawn below this
+_NUMBERS = frozenset({int, float})  # a config number's exact types: bool is not one
 
 
 # ---- pure protocol operations ---------------------------------------------------
@@ -243,15 +243,15 @@ class RoundSpec:
         return m_count * round(2 * codec.clip_bound * codec.scale) + 1
 
     def validate(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
+        if type(self.n) is not int or self.n < 2:
             raise ConfigError("n must be an integer >= 2")
-        if not isinstance(self.t, int) or not (2 <= self.t <= self.n):
+        if type(self.t) is not int or not (2 <= self.t <= self.n):
             raise ConfigError("threshold t must satisfy 2 <= t <= n")
-        if not isinstance(self.length, int) or self.length < 1:
+        if type(self.length) is not int or self.length < 1:
             raise ConfigError("vector length must be a positive integer")
-        if not isinstance(self.rounds, int) or self.rounds < 1:
+        if type(self.rounds) is not int or self.rounds < 1:
             raise ConfigError("rounds must be a positive integer")
-        if not (self.s_min is None or isinstance(self.s_min, int) and 1 <= self.s_min <= self.n):
+        if not (self.s_min is None or type(self.s_min) is int and 1 <= self.s_min <= self.n):
             raise ConfigError("s_min must be an integer in [1, n]")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
@@ -263,12 +263,14 @@ class RoundSpec:
         rows = self.gradients
         if rows is not None:
             try:
-                shaped = len(rows) == self.n and all(len(g) == self.length for g in rows)
-                nan = any(any(map(math.isnan, g)) for g in rows)
-            except TypeError:  # not a matrix of numbers
+                shaped = len(rows) == self.n and all(
+                    len(g) == self.length and _NUMBERS.issuperset(map(type, g))
+                    and all(map(math.isfinite, g)) for g in rows
+                )
+            except (TypeError, OverflowError):  # not a matrix, or an int past float range
                 shaped = False
-            if not shaped or nan:
-                raise ConfigError("gradients must be an n x length matrix of numbers, none NaN")
+            if not shaped:
+                raise ConfigError("gradients must be an n x length matrix of finite numbers")
         if self.variant == "scalar":
             try:
                 _checked_prime(self.prime)  # cached per modulus
@@ -276,7 +278,7 @@ class RoundSpec:
                 raise ConfigError("prime must be prime") from None
         if not (self.scale_bits is None or type(self.scale_bits) is int and self.scale_bits >= 1):
             raise ConfigError("scale_bits must be a positive integer")
-        if not (isinstance(self.clip_bound, (int, float)) and 0 < self.clip_bound < math.inf):
+        if not (type(self.clip_bound) in _NUMBERS and 0 < self.clip_bound < math.inf):
             raise ConfigError("clip_bound must be a positive finite number")
         try:
             self.codec().ensure_capacity(self.n, self.field_modulus())
@@ -416,9 +418,11 @@ class ScalarArith:
         return dealt
 
     def finish_setup(self, node: ParticipantNode) -> None:
-        # keys are derived on first use (ParticipantNode.chan_key), from the
-        # second rows as they stand now: a later duplicate setup2 cannot move them
-        node.key_rows = (copy.copy(node.dealer), dict(node.held_a))
+        pass  # s_v and the round key are fixed at deal_second; keys come on first use
+
+    def pair_key(self, dealer: DealerState, peer: int, dealt: int) -> bytes:
+        """k_ij = A_i(j) + A_j(i), from A_j(i) as `peer` dealt it."""
+        return channel_key(pairwise_key(dealer, peer, dealt))
 
     def lift(self, x: int) -> int:
         return x
@@ -472,9 +476,7 @@ class GroupArith:
         self.p, self.q = self.group.p, self.group.q
 
     def open_setup(self, node: ParticipantNode, sim: Simulator) -> None:
-        # the second row only feeds pairwise DH keys here, so its constant
-        # term is free — holders never see scalars to sum into s_v anyway
-        self.a_exp = UniPoly.random(self.spec.t - 1, node.modulus, node.rng)
+        node.dealer.a_poly = UniPoly.random(self.spec.t - 1, node.modulus, node.rng)
         self.keypair = KeyPair.generate(self.group, node.rng)
         self.peer_pks: dict[int, int] = {}
         sim.broadcast(node.id, node.peers, "pk", {"pk": self.keypair.pk})
@@ -485,7 +487,8 @@ class GroupArith:
             pk = self.peer_pks[j]
             w = wrap_share(node.dealer.v_poly.eval(j), pk, self.group)
             sim.send(node.id, j, "gsetup1", {"w": w, "s": node.s_own})
-            sim.send(node.id, j, "gsetup2", {"w": wrap_share(self.a_exp.eval(j), pk, self.group)})
+            a = node.dealer.a_poly.eval(j)
+            sim.send(node.id, j, "gsetup2", {"w": wrap_share(a, pk, self.group)})
 
     def unwrap(self, dealt: int) -> int:
         return unwrap_share(dealt, self.keypair.sk_inv, self.group)
@@ -495,12 +498,14 @@ class GroupArith:
         own = self.lift(node.dealer.v_poly.eval(node.id))
         node.own_share = self.combine([own, *node.held_v.values()])
         node.set_round_key()
-        sk_inv, order = self.keypair.sk_inv, self.p - 1
-        for j in node.peers:
-            # Diffie-Hellman on the still-wrapped second rows, unwrapped in the same
-            # power: G^(A_i(j) * A_j(i)) both ways; mod P - 1 holds for any w < P
-            shared = pow(node.held_a[j], sk_inv * self.a_exp.eval(j) % order, self.p)
-            node.chan_keys[j] = channel_key(shared, context=b"group")
+        for j in node.peers:  # every key now: reuse rounds find them ready
+            node.chan_key(j)
+
+    def pair_key(self, dealer: DealerState, peer: int, dealt: int) -> bytes:
+        """G^(A_i(j) * A_j(i)) from w = pk_i^A_j(i): DH and unwrap in one power."""
+        # mod P - 1, not q: equals unwrapping, then raising, for any w < P
+        exp = self.keypair.sk_inv * dealer.a_poly.eval(peer) % (self.p - 1)
+        return channel_key(pow(dealt, exp, self.p), context=b"group")
 
     def lift(self, x: int) -> int:
         return self.group.lift(x)
@@ -650,10 +655,7 @@ class ParticipantNode(Node):
         self.held_v: dict[int, int] = {}
         self.held_a: dict[int, int] = {}
         self.opened: set[int] = set()  # peers whose opening message is in
-        self.chan_keys: dict[int, bytes] = {}
-        # (dealer, second rows) as held when setup completed: what chan_key
-        # derives the scalar keys from; None once they are lost or not dealt
-        self.key_rows: tuple[DealerState, dict[int, int]] | None = None
+        self.chan_keys: dict[int, bytes] = {}  # filled by chan_key alone
         self.complete = False
         self.s_own: int | None = None
         self.s_total: int | None = None
@@ -691,11 +693,10 @@ class ParticipantNode(Node):
         self.held_v = {}
         self.held_a = {}
         self.chan_keys = {}
-        self.key_rows = None
         self.complete = False
         self.own_share = None
         if self.dealer is not None:
-            # the second row's constant term is the very share being lost
+            # the scalar second row's constant term is the very share being lost
             self.dealer.a_poly = None
             self.dealer.s_v = None
 
@@ -714,25 +715,26 @@ class ParticipantNode(Node):
     def chan_key(self, peer: int) -> bytes | None:
         """The pairwise channel key with `peer`, or None if there is none.
 
-        Group keys are all set when setup completes; a scalar key is derived
-        here the first time it is asked for, k_ij = A_i(j) + A_j(i), and kept.
+        Derived from both second rows the first time it is asked for after
+        setup completes, and kept. The rows cannot move by then: each is
+        dealt once and each holder keeps the first copy it received.
         """
         key = self.chan_keys.get(peer)
-        if key is None and self.key_rows is not None:
-            dealer, held_a = self.key_rows
-            if peer in held_a:
-                key = channel_key(pairwise_key(dealer, peer, held_a[peer]))
-                self.chan_keys[peer] = key
+        if key is None and self.complete and peer in self.held_a:
+            key = self.arith.pair_key(self.dealer, peer, self.held_a[peer])
+            self.chan_keys[peer] = key
         return key
 
-    def _fallback_key(self, peer: int) -> bytes:
-        """AEAD key from the one secret a share-loser still shares with a peer."""
-        value = self.arith.lift(self.dealer.v_poly.eval(peer))
-        return channel_key(value, context=b"fallback")
+    def fallback_key(self, peer: int) -> bytes | None:
+        """AEAD key from the one secret a share-loser still shares with a peer.
 
-    def _fallback_key_for(self, loser: int) -> bytes | None:
-        """The helper-side twin of _fallback_key, from the received copy."""
-        value = self.held_v.get(loser)
+        That secret is the loser's first-row value V_loser(peer): a loser
+        reads its own row, an intact party the copy it holds from the loser.
+        """
+        if self.complete:
+            value = self.held_v.get(peer)
+        else:
+            value = self.arith.lift(self.dealer.v_poly.eval(peer))
         return None if value is None else channel_key(value, context=b"fallback")
 
     def _self_keys(self) -> list[int]:
@@ -919,8 +921,8 @@ class ParticipantNode(Node):
             if len(self.opened) == peers:  # deal once, on the last opening
                 arith.deal_second(self, sim)
         if not self.complete and len(self.held_v) == peers and len(self.held_a) == peers:
-            arith.finish_setup(self)
             self.complete = True
+            arith.finish_setup(self)
 
     # masking / aggregation ..........................................................
 
@@ -968,8 +970,7 @@ class ParticipantNode(Node):
                 "need": self.own_share is None,
                 "self": self._self_keys() if self.id in m else None,
             }
-            key = self._fallback_key(leader)
-            sim.send(self.id, leader, "share_resp_fb", body, key=key)
+            sim.send(self.id, leader, "share_resp_fb", body, key=self.fallback_key(leader))
 
     def _open(self, sim: Simulator, key: bytes | None, env) -> dict | None:
         """The body of a sealed envelope, or None (logged) if it does not open."""
@@ -983,15 +984,11 @@ class ParticipantNode(Node):
 
     def _on_share_resp(self, sim: Simulator, env) -> None:
         if self.leader == self.id:
-            body = self._open(sim, self.chan_key(env.src), env)
+            fb = env.kind == "share_resp_fb"  # answered over the fallback channel
+            key = self.fallback_key(env.src) if fb else self.chan_key(env.src)
+            body = self._open(sim, key, env)
             if body is not None:
-                self.resp[env.src] = body
-
-    def _on_share_resp_fb(self, sim: Simulator, env) -> None:
-        if self.leader == self.id:
-            body = self._open(sim, self._fallback_key_for(env.src), env)
-            if body is not None:
-                self.resp_fb[env.src] = body  # answered over the fallback channel
+                (self.resp_fb if fb else self.resp)[env.src] = body
 
     def _on_reject(self, sim: Simulator, env) -> None:
         if env.src == self.leader:
@@ -1003,7 +1000,7 @@ class ParticipantNode(Node):
     def _on_result(self, sim: Simulator, env) -> None:
         if self.leader is None:
             return
-        key = self.chan_key(env.src) if self.complete else self._fallback_key(env.src)
+        key = self.chan_key(env.src) if self.complete else self.fallback_key(env.src)
         body = self._open(sim, key, env)
         if body is None:
             return
@@ -1014,7 +1011,7 @@ class ParticipantNode(Node):
 
     def _on_round_done(self, sim: Simulator, env) -> None:
         if env.secured:
-            body = self._open(sim, self._fallback_key(env.src), env)
+            body = self._open(sim, self.fallback_key(env.src), env)
             if body is None:
                 return
             self.own_share = body.get("recovered", self.own_share)
@@ -1097,11 +1094,11 @@ class ParticipantNode(Node):
                 recovered = self.findings.recovered.get(u)
                 if u in m:
                     kind, body = "result", shared
-                    key = self._fallback_key_for(u) if u in self.resp_fb else self.chan_key(u)
+                    key = self.fallback_key(u) if u in self.resp_fb else self.chan_key(u)
                 elif recovered is not None:
                     # a share-loser outside M still gets its share back, privately
                     kind, body = "round_done", {"verified": True}
-                    key = self._fallback_key_for(u)
+                    key = self.fallback_key(u)
                 else:
                     sim.send(self.id, u, "round_done", {"verified": True})
                     continue
@@ -1143,7 +1140,7 @@ MESSAGE_KINDS = {
     "reveal": ("verification", (("v", "int<2^32>"), ("salt", "hex")), ParticipantNode._on_reveal),
     "share_req": ("verification", (("m", "members"),), ParticipantNode._on_share_req),
     "share_resp": ("verification", (), ParticipantNode._on_share_resp),
-    "share_resp_fb": ("verification", (), ParticipantNode._on_share_resp_fb),
+    "share_resp_fb": ("verification", (), ParticipantNode._on_share_resp),
     "reject": ("verification", (("reason", "str"),), ParticipantNode._on_reject),
     "result": ("decryption", (), ParticipantNode._on_result),
     "round_done": ("decryption", (), ParticipantNode._on_round_done),

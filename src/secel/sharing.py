@@ -42,6 +42,8 @@ class DealerState:
     id: int
     t: int
     v_poly: UniPoly
+    # the second row A_i: scalar A_i(0) = s_v_i; in the group variant it only
+    # feeds the pairwise DH keys, so its A_i(0) is free (drawn at random)
     a_poly: UniPoly | None = None
     s_v: int | None = None
 

@@ -158,9 +158,9 @@ class SimConfig:
     faults: list[Fault] = field(default_factory=list)
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ConfigError("n must be a positive integer")
         delays = (self.delay_min, self.delay_max)
         if not (all(type(d) is int for d in delays) and 1 <= self.delay_min <= self.delay_max):
@@ -169,7 +169,7 @@ class SimConfig:
             raise ConfigError("budgets must be a mapping and faults a list")
         for name in PHASES:
             budget = self.budgets.get(name)
-            if not isinstance(budget, int) or budget <= 0:
+            if type(budget) is not int or budget <= 0:
                 raise ConfigError(f"missing or invalid budget for phase {name!r}")
             if budget < 10 * self.delay_max:
                 raise ConfigError(

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import weakref
 from collections import Counter
 from functools import lru_cache
@@ -20,6 +21,7 @@ from secel.algebra import DEFAULT_PRIME, PrimeModulus
 from secel.protocol import (
     VARIANTS,
     GroupArith,
+    ParticipantNode,
     RoundSpec,
     ScenarioResult,
     elect_leader,
@@ -656,7 +658,7 @@ def _two_step_key(node, j):
     """The group channel key with peer j, unwrapped first and then raised."""
     arith, group = node.arith, node.arith.group
     lift = unwrap_share(node.held_a[j], arith.keypair.sk_inv, group)
-    return channel_key(pow(lift, arith.a_exp.eval(j), group.p), context=b"group")
+    return channel_key(pow(lift, node.dealer.a_poly.eval(j), group.p), context=b"group")
 
 
 @pytest.mark.parametrize("group", [TOY_GROUP, DEFAULT_GROUP], ids=["toy", "default"])
@@ -825,6 +827,25 @@ def test_round_spec_validation_rejects(kwargs):
         RoundSpec(**{"n": 6, "t": 2, "length": 2, **kwargs}).validate()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 3, "l": True},
+        {"n": 3, "rounds": True},
+        {"n": 3, "s_min": True},
+        {"n": 3, "clip_bound": True},
+        {"n": 3, "seed": True},
+        {"n": 3, "l": 2, "gradients": [[True, 0.0], [False, 0.0], [0.0, 0.0]]},
+        {"n": 3, "l": 4, "gradients": [[math.inf] * 4] * 3},
+        {"n": 3, "l": 2, "gradients": [[0.0, -math.inf]] * 3},
+        {"n": 3, "l": 1, "gradients": [[10**400]] * 3},
+    ],
+)
+def test_bools_and_non_finite_numbers_are_config_errors(doc):
+    with pytest.raises(ConfigError):
+        run_rounds(doc)
+
+
 @pytest.mark.parametrize("prime", [91, DEFAULT_PRIME + 2, (2**61 - 1) * (2**31 - 1)])
 def test_composite_prime_is_rejected_on_every_validate(prime):
     spec = RoundSpec(n=4, t=2, length=2, prime=prime)
@@ -910,7 +931,9 @@ def test_summary_lines_mention_verdict():
 
 
 def eager_key(node, peer):
-    """The scalar channel key as setup used to derive it for every peer."""
+    """The channel key with `peer`, from both second rows, outside chan_key."""
+    if node.spec.variant == "group":
+        return _two_step_key(node, peer)
     return channel_key(pairwise_key(node.dealer, peer, node.held_a[peer]))
 
 
@@ -920,8 +943,18 @@ def participants(result):
 
 @pytest.mark.parametrize(
     "run",
-    [run_flagship, lambda: run_rounds(RoundSpec(n=7, t=3, length=4), SimConfig(seed=5, n=7))],
-    ids=["flagship", "honest_n7"],
+    [
+        run_flagship,
+        lambda: run_rounds(RoundSpec(n=7, t=3, length=4), SimConfig(seed=5, n=7)),
+        lambda: run_rounds(
+            RoundSpec(**FLAGSHIP_SPEC, variant="group"),
+            SimConfig(seed=11, n=7, faults=FLAGSHIP_FAULTS),
+        ),
+        lambda: run_rounds(
+            RoundSpec(n=7, t=3, length=4, variant="group", rounds=2), SimConfig(seed=5, n=7)
+        ),
+    ],
+    ids=["flagship", "honest_n7", "group_flagship", "group_n7"],
 )
 def test_lazy_scalar_channel_keys_equal_the_eager_ones(run):
     result = run()
@@ -940,14 +973,33 @@ def test_lazy_scalar_channel_keys_equal_the_eager_ones(run):
     assert used > 0
 
 
-def test_channel_key_ignores_second_rows_that_arrive_after_setup():
-    result = run_rounds(RoundSpec(n=5, t=2, length=3), SimConfig(seed=2, n=5))
-    node = next(n for n in participants(result) if len(n.chan_keys) < len(n.peers))
-    fresh = [j for j in node.peers if j not in node.chan_keys]
-    want = {j: eager_key(node, j) for j in fresh}
-    for j in fresh:
-        node.held_a[j] = (node.held_a[j] + 1) % DEFAULT_PRIME  # what a duplicate setup2 does
-    assert {j: node.chan_key(j) for j in fresh} == want
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_second_row_dealt_again_after_setup_moves_no_key(monkeypatch, variant):
+    spec = RoundSpec(n=5, t=2, length=3, variant=variant)
+    kind, name = {"scalar": ("setup2", "a"), "group": ("gsetup2", "w")}[variant]
+    p = spec.arith().p
+    on_message, resent = ParticipantNode.on_message, []
+
+    def deal_again_once_complete(node, sim, env):
+        was_complete = node.complete
+        on_message(node, sim, env)
+        if node.complete and not was_complete:
+            # every peer's second row arrives once more, altered per holder, while
+            # setup still runs
+            for j in node.peers:
+                sim.send(j, node.id, kind, {name: (node.held_a[j] + node.id) % p})
+                resent.append((j, node.id))
+
+    monkeypatch.setattr(ParticipantNode, "on_message", deal_again_once_complete)
+    result = run_rounds(spec, SimConfig(seed=2, n=5))
+    assert len(resent) == 5 * 4
+    assert result.transcript.count(type="note", note="stale_message") == 0
+    r = result.rounds[0]
+    assert r.phase == "done" and r.field_sum == field_sum_oracle(result, r.m_set)
+    nodes = result.nodes
+    for i, j in resent:
+        assert nodes[i].chan_key(j) is not None
+        assert nodes[i].chan_key(j) == nodes[j].chan_key(i) == eager_key(nodes[j], i)
 
 
 def test_wiped_party_serves_no_channel_key():
