@@ -12,6 +12,15 @@ of the label pinned into [1, p-1]. Linearity in the key is exactly what makes
 the tags aggregate; it also means this is not a general-purpose PRF, so keys
 must be fresh every round (the protocol layer enforces that).
 
+Neither hiding nor binding holds against an aggregator that solves from what
+it sees. For l >= 2, the aggregate it broadcasts reveals s: every element
+satisfies c2 * s + c1 == k * H(label) with H public, so two elements solve
+for s, and adding (d, -d / s) to any element passes `verify_vector`. The
+aggregator alone also unmasks inputs: the pads of two elements of one
+submission differ only by public factors, and w is small. And the leader's
+opened share bodies, which carry each contributor's k_i and V_i(0), unmask
+every input together with the submissions.
+
 Everything here is arithmetic on ints mod p, on whole vectors in the wire
 format: a masked vector is a list of [c1, c2] pairs, and the label of a pair
 is (round, its position in the list). H(label) is computed once per (round,

@@ -1258,6 +1258,9 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
     if sim_config.n != spec.n:
         raise ConfigError(f"sim config n={sim_config.n} != round spec n={spec.n}")
     sim = Simulator(sim_config)
+    # a fault due at or past its phase's end would fire in a later phase, or never
+    if any(f.offset >= sim_config.budgets[f.phase] for f in sim_config.faults):
+        raise ConfigError("fault offset must be below the phase budget")
     aggregator = AggregatorNode(spec, sim.node_rng(AGGREGATOR_ID))
     sim.add_node(aggregator)
     participants: dict[int, ParticipantNode] = {}

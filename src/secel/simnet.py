@@ -38,6 +38,7 @@ every row was a dict.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 import json
@@ -537,50 +538,59 @@ class Simulator:
     # -- phase execution ---------------------------------------------------------------
 
     def run_phase(self, phase: str, round_no: int) -> None:
-        """Open a phase window, drive events to the budget boundary, close it."""
+        """Open a phase window, drive events to the budget boundary, close it.
+
+        The cyclic collector is paused meanwhile: a phase makes no reference cycles.
+        """
         if phase not in PHASES:
             raise ConfigError(f"unknown phase {phase!r}")
-        self.phase = phase
-        self.round = round_no
-        self.dropping = set()
-        start = self.now
-        budget = self.config.budgets[phase]
-        self.transcript.add(t=start, type="phase", phase=phase, round=round_no)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.phase = phase
+            self.round = round_no
+            self.dropping = set()
+            start = self.now
+            budget = self.config.budgets[phase]
+            self.transcript.add(t=start, type="phase", phase=phase, round=round_no)
 
-        for fault in self.config.faults:
-            if fault.phase == phase:
-                if fault.offset == 0:
-                    self._apply_fault(fault)
-                else:
-                    self._push(start + fault.offset, ("fault", fault))
+            for fault in self.config.faults:
+                if fault.phase == phase:
+                    if fault.offset == 0:
+                        self._apply_fault(fault)
+                    else:
+                        self._push(start + fault.offset, ("fault", fault))
 
-        for node_id in sorted(self.nodes):
-            if self.is_online(node_id):
-                self.nodes[node_id].on_phase_start(self, phase)
+            for node_id in sorted(self.nodes):
+                if self.is_online(node_id):
+                    self.nodes[node_id].on_phase_start(self, phase)
 
-        end = start + budget
-        times, buckets = self._times, self._buckets
-        while times and times[0] < end:
-            # take the earliest tick's bucket out; an item scheduled for this
-            # same tick meanwhile opens a new bucket, processed right after
-            now = heapq.heappop(times)
-            self.now = now
-            self._taking = taking = iter(buckets.pop(now))
-            for item in taking:
-                if item[0] == "deliver":
-                    env: Envelope = item[1]
-                    if env.dst in self.offline or env.dst not in self.nodes:
-                        self.transcript.envelope("drop", env, t=now, reason="offline_dst")
-                        continue
-                    self.transcript.envelope("deliver", env, t=now)
-                    self.nodes[env.dst].on_message(self, env)
-                elif item[0] == "timer":
-                    _, node_id, name, data = item
-                    if self.is_online(node_id):
-                        self.nodes[node_id].on_timer(self, name, data)
-                elif item[0] == "fault":
-                    self._apply_fault(item[1])
-        self.now = end
+            end = start + budget
+            times, buckets = self._times, self._buckets
+            while times and times[0] < end:
+                # take the earliest tick's bucket out; an item scheduled for this
+                # same tick meanwhile opens a new bucket, processed right after
+                now = heapq.heappop(times)
+                self.now = now
+                self._taking = taking = iter(buckets.pop(now))
+                for item in taking:
+                    if item[0] == "deliver":
+                        env: Envelope = item[1]
+                        if env.dst in self.offline or env.dst not in self.nodes:
+                            self.transcript.envelope("drop", env, t=now, reason="offline_dst")
+                            continue
+                        self.transcript.envelope("deliver", env, t=now)
+                        self.nodes[env.dst].on_message(self, env)
+                    elif item[0] == "timer":
+                        _, node_id, name, data = item
+                        if self.is_online(node_id):
+                            self.nodes[node_id].on_timer(self, name, data)
+                    elif item[0] == "fault":
+                        self._apply_fault(item[1])
+            self.now = end
+        finally:
+            if collecting:
+                gc.enable()
 
     def log_note(self, note: str, /, **data: Any) -> None:
         self.transcript.add(t=self.now, type="note", note=note, **data)

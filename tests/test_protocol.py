@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from secel.errors import AuthFailure, ConfigError, RevealTimeout, SetupQuorumFailure
 import secel.group_variant as group_variant
 import secel.protocol as protocol
+import secel.simnet as simnet
 from secel.group_variant import DEFAULT_GROUP, TOY_GROUP, unwrap_share
 from secel.algebra import DEFAULT_PRIME, PrimeModulus
+from secel.cli import main as cli_main
 from secel.protocol import (
     VARIANTS,
     GroupArith,
@@ -29,7 +31,16 @@ from secel.protocol import (
     run_setup,
 )
 from secel.sharing import pairwise_key
-from secel.simnet import AGGREGATOR_ID, Fault, SimConfig, Simulator, channel_key
+from secel.simnet import (
+    AGGREGATOR_ID,
+    DEFAULT_BUDGETS,
+    FAULT_ACTIONS,
+    PHASES,
+    Fault,
+    SimConfig,
+    Simulator,
+    channel_key,
+)
 from test_golden import SCENARIOS
 
 
@@ -479,7 +490,6 @@ def test_malformed_peer_body_counts_as_silence(monkeypatch, variant, rewrite):
 
 
 def test_transcript_records_view_matches_dict_records(monkeypatch):
-    import secel.simnet as simnet
     from secel.simnet import Envelope, Transcript
 
     class DictTranscript(Transcript):
@@ -919,6 +929,39 @@ def test_sim_and_spec_disagreeing_on_n_is_an_error():
         run_rounds(RoundSpec(n=3, t=2), SimConfig(seed=1, n=4))
 
 
+LATE_FAULT_BASE = {"n": 4, "t": 2, "l": 2, "seed": 1}
+LATE_FAULT = {"id": 2, "phase": "decryption", "action": "disconnect", "offset": 400}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # fired at t=1100, under aggregation
+        {**LATE_FAULT_BASE, "faults": [{**LATE_FAULT, "phase": "masking", "offset": 600}]},
+        # never fired: the round ended done with budget_exhausted
+        {**LATE_FAULT_BASE, "faults": [LATE_FAULT]},
+        # fired in round 1's masking, which it rejected with StalenessTimeout
+        {**LATE_FAULT_BASE, "rounds": 2, "variant": "group", "faults": [LATE_FAULT]},
+    ],
+)
+def test_a_fault_at_or_past_its_phase_budget_is_a_config_error(tmp_path, capsys, doc):
+    with pytest.raises(ConfigError, match="fault offset must be below the phase budget"):
+        run_rounds(doc)
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["round", "--config", str(path)]) == 1
+    assert "fault offset must be below the phase budget" in capsys.readouterr().err
+
+
+def test_a_fault_on_the_last_tick_of_its_phase_fires_there():
+    last = SimConfig(n=4).budgets["decryption"] - 1
+    result = run_rounds({**LATE_FAULT_BASE, "faults": [{**LATE_FAULT, "offset": last}]})
+    assert not result.budget_exhausted
+    assert [rec["phase"] for rec in result.transcript.records if rec["type"] == "fault"] == [
+        "decryption"
+    ]
+
+
 def test_summary_lines_mention_verdict():
     result = run_rounds(RoundSpec(n=3, t=2, length=2), SimConfig(seed=1, n=3))
     lines = result.summary_lines()
@@ -1030,8 +1073,6 @@ def test_a_finished_run_is_freed_without_the_collector(variant):
 
 
 def test_result_body_is_encoded_once_per_round(monkeypatch):
-    import secel.simnet as simnet
-
     encoded = []
     real = simnet.canonical_json
 
@@ -1052,8 +1093,6 @@ def test_result_body_is_encoded_once_per_round(monkeypatch):
 
 def counting_loads(monkeypatch, wrap=lambda body: body):
     """Every body simnet parses, in order; `wrap` may swap each for another object."""
-    import secel.simnet as simnet
-
     parsed = []
 
     def loads(data):
@@ -1065,8 +1104,6 @@ def counting_loads(monkeypatch, wrap=lambda body: body):
 
 
 def test_the_sealed_result_is_parsed_once_for_every_member(monkeypatch):
-    import secel.simnet as simnet
-
     opened = []
     real_open = simnet.open_sealed
     monkeypatch.setattr(
@@ -1364,3 +1401,86 @@ def test_any_plaintext_body_ends_done_with_the_exact_sum_or_named(data, name):
             # a leader holds a well-formed aggregate, which only the aggregator's
             # own broadcast is here, so the M it claimed is the round's m_set
             assert r.field_sum == field_sum_oracle(result, r.m_set)
+
+
+# ---- the cyclic collector: no run makes reference cycles ----------------------------------
+# Simulator.run_phase pauses the collector, which is sound only while a run frees
+# everything it drops by reference counting alone.
+
+
+def cyclic_garbage(doc, corrupt=False):
+    """Run `doc` with the collector off and drop the result; return its rounds, its
+    auth_fail count and every object left in a reference cycle. `corrupt` flips a
+    bit of the first sealed blob."""
+    real_seal, unflipped = simnet.seal, [corrupt]
+
+    def seal(key, header, body, data=None):
+        blob = real_seal(key, header, body, data)
+        if unflipped[0]:
+            unflipped[0] = False
+            blob = bytes([blob[0] ^ 1]) + blob[1:]
+        return blob
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with mock.patch.object(simnet, "seal", seal):
+            result = run_rounds(doc)
+            rounds, auth_fails = result.rounds, result.transcript.count(type="auth_fail")
+            del result
+            gc.collect()
+            return rounds, auth_fails, list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+@st.composite
+def fault_documents(draw):
+    """A run document over both variants, every tamper policy, share loss,
+    s_min and faults from FAULT_ACTIONS x PHASES at offsets inside the budget."""
+    n = draw(st.integers(3, 6))
+    ids = st.integers(1, n)
+    variant = draw(st.sampled_from(VARIANTS))
+    doc = {
+        "seed": draw(st.integers(0, 2**16)),
+        "n": n,
+        "t": draw(st.integers(2, n)),
+        "l": draw(st.integers(1, 4)),
+        "rounds": draw(st.integers(1, 2)),
+        "variant": variant,
+        "tamper": draw(st.sampled_from(protocol.TAMPER_POLICIES)),
+        "share_loss": draw(st.lists(ids, unique=True, max_size=n)),
+        "s_min": draw(st.none() | st.integers(1, n)),
+        "faults": [
+            {
+                "id": draw(ids),
+                "phase": phase,
+                "action": draw(st.sampled_from(FAULT_ACTIONS)),
+                "offset": draw(st.integers(0, DEFAULT_BUDGETS[phase] - 1)),
+            }
+            for phase in draw(st.lists(st.sampled_from(PHASES), max_size=3))
+        ],
+    }
+    if variant == "group":
+        doc["group"] = draw(st.sampled_from(["toy", "default"]))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=fault_documents(), corrupt=st.booleans())
+def test_no_run_creates_cyclic_garbage(doc, corrupt):
+    rounds, _, garbage = cyclic_garbage(doc, corrupt)
+    assert garbage == []
+    for r in rounds:
+        assert r.phase == "done" or (r.phase == "rejected" and r.error in NAMED_REJECTIONS)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_run_with_auth_failures_creates_no_cyclic_garbage(variant):
+    _, auth_fails, garbage = cyclic_garbage({"seed": 3, "n": 5, "variant": variant}, corrupt=True)
+    assert auth_fails == 1 and garbage == []

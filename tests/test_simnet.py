@@ -1,5 +1,6 @@
 """Simulator-core checks: config parsing, channels, faults, determinism."""
 
+import gc
 import heapq
 import json
 import os
@@ -398,6 +399,44 @@ def test_unknown_phase_rejected():
     sim = make_sim()
     with pytest.raises(ConfigError):
         sim.run_phase("bogus", 0)
+
+
+class CollectorProbe(Recorder):
+    """Notes whether the cyclic collector runs during its handlers; may raise in one."""
+
+    raise_in = None
+
+    def __init__(self, node_id):
+        super().__init__(node_id)
+        self.collecting = []
+
+    def on_phase_start(self, sim, phase):
+        super().on_phase_start(sim, phase)
+        self.collecting.append(gc.isenabled())
+        sim.schedule_timer(self.id, sim.now + 5, "tick")
+
+    def on_timer(self, sim, name, data):
+        self.collecting.append(gc.isenabled())
+        if self.raise_in == sim.phase:
+            raise RuntimeError("handler failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_phase_runs_with_the_collector_paused_and_restores_it(enabled):
+    sim = make_sim(n=2, node_cls=CollectorProbe)
+    sim.nodes[2].raise_in = "masking"
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        sim.run_phase("setup", 0)
+        assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError, match="handler failed"):
+            sim.run_phase("masking", 0)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # two phase starts and two timers each; node 2's masking timer raised
+    assert sim.nodes[1].collecting == sim.nodes[2].collecting == [False] * 4
 
 
 def test_delivery_delays_respect_bounds():
