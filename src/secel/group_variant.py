@@ -12,7 +12,7 @@ Lagrange coefficients), verification checks c2^s * c1 == G^(sum of PRG(k_i,
 label)), and the aggregate comes back as G^(sum of inputs), decoded by
 baby-step giant-step while the sum stays below a known bound. The point of the
 exercise: Setup can run once and be reused, because nothing round-specific
-ever leaves the exponent except the fresh round keys s_i.
+ever leaves the exponent, and each round's key s is derived from the dealt one.
 
 Exponent arithmetic lives in Z_q, so this module reuses the scalar masking
 math with q as the field modulus and lifts the results through G^x. Masked

@@ -9,8 +9,12 @@ of inputs comes back as c1 - PRG(sum of V_i(0), label).
 
 The PRG is key-linear: PRG(key, label) = key * H(label) mod p, with H a hash
 of the label pinned into [1, p-1]. Linearity in the key is exactly what makes
-the tags aggregate; it also means this is not a general-purpose PRF, so keys
-must be fresh every round (the protocol layer enforces that).
+the tags aggregate; it also means this is not a general-purpose PRF, so s must
+be fresh and unpredictable every round. A key the protocol derives by hashing
+the dealt key with the round number is both, while the dealt summands stay
+secret. The dealt key does not stay secret from the aggregator: each aggregate
+reveals its round's s (below), and the dealing round's s is the dealt key, from
+which every later key follows. Deriving keys buys liveness, not secrecy.
 
 Neither hiding nor binding holds against an aggregator that solves from what
 it sees. For l >= 2, the aggregate it broadcasts reveals s: every element

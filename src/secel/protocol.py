@@ -4,7 +4,7 @@ Node 0 is the untrusted aggregator; nodes 1..n are participants. Each round
 walks the fixed phase sequence:
 
   setup         two-step dealing of bivariate-polynomial rows, pairwise channel
-                keys, and the round authentication key (group mode: one-time,
+                keys, and the dealt authentication key (group mode: one-time,
                 wrapped into the group so holders only ever see lifts)
   masking       every participant one-time-pads its encoded gradient vector and
                 submits (c1, c2) pairs to the aggregator in the clear
@@ -22,6 +22,11 @@ is never a relay). Everything that flows after shares may have been lost —
 share evaluations for recovery and the decrypted result — uses AEAD channels
 keyed from the dealt polynomials, so a fresh key exists even for a participant
 that lost every received share.
+
+The round authentication key has one rule in both variants. Each party fixes
+the dealt key, the sum of the n summands s_i dealt with the first rows, once it
+holds them all. The round that dealt uses it as is; a round that reuses the
+dealing (group mode) hashes it with the round number, so no key goes stale.
 
 Both variants run one code path. What differs lives in the per-variant
 arithmetic object, ScalarArith or GroupArith, that RoundSpec builds: adding
@@ -407,9 +412,8 @@ class ScalarArith:
             sim.send(node.id, j, "setup1", {"v": out[j], "s": node.s_own})
 
     def deal_second(self, node: ParticipantNode, sim: Simulator) -> None:
-        """Fix s_v = V(id) and the round key, then deal A_i(j) with A_i(0) = s_v."""
+        """Fix s_v = V(id), then deal A_i(j) with A_i(0) = s_v."""
         node.own_share = accumulate_sv(node.dealer, node.held_v, self.ids)
-        node.set_round_key()
         out = step2_messages(node.dealer, self.ids, node.rng)
         for j in sorted(out):
             sim.send(node.id, j, "setup2", {"a": out[j]})
@@ -418,7 +422,7 @@ class ScalarArith:
         return dealt
 
     def finish_setup(self, node: ParticipantNode) -> None:
-        pass  # s_v and the round key are fixed at deal_second; keys come on first use
+        pass  # s_v is fixed at deal_second; channel keys come on first use
 
     def pair_key(self, dealer: DealerState, peer: int, dealt: int) -> bytes:
         """k_ij = A_i(j) + A_j(i), from A_j(i) as `peer` dealt it."""
@@ -468,7 +472,7 @@ class GroupArith:
     A_FIELD = None  # a lost share is rebuilt from share lifts, not second rows
     SETUP = {"pk": "key", "gsetup1": "first_row", "gsetup2": "second_row"}
     OPENING = "pk"
-    reuses_setup = True  # later rounds only refresh the round key
+    reuses_setup = True  # later rounds derive their round key from the dealt one
 
     def __init__(self, spec: RoundSpec):
         self.spec = spec
@@ -497,7 +501,6 @@ class GroupArith:
         # persistent share: G^(V(id)) where V is the sum of all dealt rows
         own = self.lift(node.dealer.v_poly.eval(node.id))
         node.own_share = self.combine([own, *node.held_v.values()])
-        node.set_round_key()
         for j in node.peers:  # every key now: reuse rounds find them ready
             node.chan_key(j)
 
@@ -658,7 +661,9 @@ class ParticipantNode(Node):
         self.chan_keys: dict[int, bytes] = {}  # filled by chan_key alone
         self.complete = False
         self.s_own: int | None = None
-        self.s_total: int | None = None
+        self.s_peers: dict[int, int] = {}  # dealer -> its round-key summand
+        self.dealt_key: int | None = None  # sum of all n summands, once all are in
+        self.dealt_round: int | None = None
         self.own_share: int | None = None  # s_v = V(id), or G^V(id) in the group
 
     def begin_round(self, round_no: int) -> None:
@@ -673,7 +678,6 @@ class ParticipantNode(Node):
         self.commits: dict[int, str] = {}
         self.reveals: dict[int, int] = {}
         self.leader: int | None = None
-        self.s_peers: dict[int, int] = {}  # round-key summands, dealt or refreshed
         self.field_sum: list[int] | None = None
         self.plaintext: list[float] | None = None
         self.status = "working"
@@ -686,7 +690,7 @@ class ParticipantNode(Node):
     def wipe_shares(self) -> None:
         """Lose every received share plus the second-row material derived from them.
 
-        The own first-row polynomial and the round key survive: they are this
+        The own first-row polynomial and the dealt key survive: they are this
         party's to keep, and they are exactly what the fallback recovery
         channel and later resubmissions are built from.
         """
@@ -706,11 +710,16 @@ class ParticipantNode(Node):
     def peers(self) -> list[int]:
         return [i for i in self.spec.participant_ids if i != self.id]
 
-    def set_round_key(self) -> None:
-        total = (self.s_own + sum(self.s_peers.values())) % self.modulus.p
-        # A zero round key would void every tag. All parties share the same
-        # view of the summands, so they all apply the same deterministic fix.
-        self.s_total = total or 1
+    def round_key(self) -> int:
+        """The dealt key in the round that dealt it, else SHA-256(domain || dealt
+        key || round) mod q; 1 stands in for 0, which would void every tag."""
+        if self.round_no == self.dealt_round:
+            return self.dealt_key
+        q = self.modulus.p
+        h = hashlib.sha256(b"secel/round-key/v1")
+        h.update(self.dealt_key.to_bytes(-(-q.bit_length() // 8), "big"))
+        h.update(self.round_no.to_bytes(8, "big"))
+        return int.from_bytes(h.digest(), "big") % q or 1
 
     def chan_key(self, peer: int) -> bytes | None:
         """The pairwise channel key with `peer`, or None if there is none.
@@ -769,22 +778,10 @@ class ParticipantNode(Node):
         self.arith.open_setup(self, sim)
 
     def _start_masking(self, sim: Simulator) -> None:
-        if self.dealer is None:
-            return  # setup never finished for this party
-        if self.arith.reuses_setup and self.round_no > 0:
-            # the one-time dealt state is reused; only the round key is fresh
-            self.s_own = self.modulus.random_nonzero(self.rng)
-            self.s_total = None
-            sim.broadcast(self.id, self.peers, "refresh", {"s": self.s_own})
-            window = sim.config.budgets["masking"] // 3
-            sim.schedule_timer(self.id, sim.now + window, "submit")
-            return
-        if self.s_total is not None:
-            self._submit(sim)
-
-    def _submit(self, sim: Simulator) -> None:
+        if self.dealt_key is None:
+            return  # setup never brought this party every round-key summand
         values = self.codec.encode(self.gradients, self.modulus)
-        wire = self.arith.mask(values, self.dealer, self.s_total, self.round_no)
+        wire = self.arith.mask(values, self.dealer, self.round_key(), self.round_no)
         sim.send(self.id, AGGREGATOR_ID, "submission", {"c": wire})
 
     def _start_verification(self, sim: Simulator) -> None:
@@ -813,12 +810,7 @@ class ParticipantNode(Node):
     # -- timers ----------------------------------------------------------------------
 
     def on_timer(self, sim: Simulator, name: str, data: Any) -> None:
-        if name == "submit":
-            if self.status != "working" or self.s_total is not None:
-                return
-            self.set_round_key()
-            self._submit(sim)
-        elif name == "reveal":
+        if name == "reveal":
             if self.elector and self.status == "working":
                 self.reveals[self.id] = self.commit_value
                 sim.broadcast(
@@ -908,14 +900,18 @@ class ParticipantNode(Node):
             return
         src, body = env.src, env.body
         dealt = body[MESSAGE_KINDS[env.kind][1][0][0]]  # the kind's first field
+        peers = self.spec.n - 1
         if role == "first_row":
             self.held_v.setdefault(src, arith.unwrap(dealt))
             self.s_peers.setdefault(src, body["s"])
+            if self.dealt_key is None and len(self.s_peers) == peers:
+                # the one place the dealt key is fixed
+                self.dealt_key = (self.s_own + sum(self.s_peers.values())) % self.modulus.p or 1
+                self.dealt_round = self.round_no
         elif role == "second_row":
             self.held_a.setdefault(src, dealt)
         else:  # a peer's key to wrap its rows for
             arith.peer_pks.setdefault(src, dealt)
-        peers = self.spec.n - 1
         if env.kind == arith.OPENING and src not in self.opened:
             self.opened.add(src)
             if len(self.opened) == peers:  # deal once, on the last opening
@@ -926,9 +922,6 @@ class ParticipantNode(Node):
 
     # masking / aggregation ..........................................................
 
-    def _on_refresh(self, sim: Simulator, env) -> None:
-        self.s_peers[env.src] = env.body["s"]
-
     def _on_aggregate(self, sim: Simulator, env) -> None:
         self.agg = env.body["c"]
         self.m_set = list(env.body["m"])
@@ -936,8 +929,9 @@ class ParticipantNode(Node):
         self.has_aggregate = True
 
     def _on_abort(self, sim: Simulator, env) -> None:
+        # an aggregator aborts only for staleness; its own text is not trusted
         self.status = "rejected"
-        self.reject_reason = env.body["reason"]
+        self.reject_reason = "StalenessTimeout"
 
     # verification ...................................................................
 
@@ -1071,7 +1065,7 @@ class ParticipantNode(Node):
             sim.log_note("recover", what="lost_share", target=q, helpers=helpers)
 
         k = arith.combine(k_map[i] for i in m)
-        if not arith.verify(self.agg, k, self.s_total, self.round_no):
+        if not arith.verify(self.agg, k, self.round_key(), self.round_no):
             raise VerificationFailed("aggregate failed the tag check")
 
         if set(m) == set(self.spec.participant_ids) and len(shares) >= t:
@@ -1128,7 +1122,6 @@ MESSAGE_KINDS = {
     "pk": ("setup", (("pk", "int<p>"),), ParticipantNode._on_setup),
     "gsetup1": ("setup", (("w", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup),
     "gsetup2": ("setup", (("w", "int<p>"),), ParticipantNode._on_setup),
-    "refresh": ("masking", (("s", "int<q>"),), ParticipantNode._on_refresh),
     "submission": ("masking", (("c", "pairs"),), None),
     "aggregate": (
         "aggregation",
@@ -1286,7 +1279,7 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
         for node in participants.values():
             node.begin_round(r)
         state = RoundState(round=r)
-        # rounds after the first may reuse the dealt state; only the key refreshes
+        # rounds after the first may reuse the dealt state and derive the key
         phases = PHASES[1:] if aggregator.arith.reuses_setup and r > 0 else PHASES
         for phase in phases:
             state.phase = phase

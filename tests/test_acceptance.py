@@ -345,7 +345,9 @@ def test_criterion_6_group_variant():
             assert all(abs(a - b) <= tol for a, b in zip(r.decrypted, truth))
         assert result.transcript.count(type="send", kind="pk") == 4 * 3
         assert result.transcript.count(type="send", kind="setup1") == 0
-        assert result.transcript.count(type="send", kind="refresh") == 9 * 4 * 3
+        later = {rec["kind"] for rec in result.transcript.records
+                 if rec["type"] == "send" and rec["round"] > 0}
+        assert later.isdisjoint({"pk", "gsetup1", "gsetup2", "refresh"})
 
         # (b) dense discrete-log sweep, exact over the full 16-bit range
         params = TOY_GROUP

@@ -85,14 +85,17 @@ SCENARIOS = {
 # (transcript sha256, round states sha256) per scenario. The four group
 # tamper transcripts moved once, when the group reject note's detail text
 # became the scalar one ("aggregate failed the tag check"); nothing else in
-# them changed.
+# them changed. group/multi_round_loss moved when reuse rounds began to derive
+# their key instead of broadcasting a refreshed summand: its transcript lost
+# those sends, and with no summand drawn from each node's RNG before its commit
+# value, rounds 1 and 2 elect other leaders; nothing else in its states changed.
 GOLDEN = {
     'group/flagship': ('8aa3fc2e274a9d8a3bdd4b6b8dedceef4fc27ac423748190f79637e874472d4c', 'c8b5758e995d75fb495a8c11b63e5a2df443774c20b86206aa6e4d01aa4855af'),
     'group/flagship_tampered': ('edbee3bdd2705d838f819211c64e8bc4b5008752a065badbd10cdf0f2425b6fb', '4cfdbf25804c0732fd7a67f5ac97ef631deb2618d8b303f90dc79a9dd106f63d'),
     'group/flip_element': ('2d587a726147f54a0cc0d8eba7806b4ce891756d4be005aac377b023ca8aabbf', '08e54ba728262229ba2c79e108c1124a0ee27259b94a290a667f83784d3648f9'),
     'group/honest': ('90e10a6ddfd6bb228aabd0604892dc876a4d3f67855df70e76a34359d5dc8670', '121009ffe31d957d5c1263571af5ca520aaeddfee0384fa44c68fc82221f2f7f'),
     'group/inject_offset': ('b5e20e5e886886ced451a818c821bfa6c2909da02eca9d40d229b7134be67d96', '0abb2d8ea7ba07b75aa2bc032eaa6ac092b213028ffee24dd21847d6fc56f4c7'),
-    'group/multi_round_loss': ('e6c12087b425c053b91008240c0de48feaf5ff5836388a580ac702bcd506b0d5', '3664ef9c5614efd0b9b05c9ac26704fc281ba7ae11d3f555e3ab3d0435075d9e'),
+    'group/multi_round_loss': ('4f86db045ed6f3c84b9b43d607a22f7654d871141b8ac03365d12b91b23bb8ea', '33abd6a62eb89abef505f2498f3e891cfaafaa7730cdc6fd161014a3402fb877'),
     'group/reveal_timeout': ('6c1f6021769b7ff5583253e0f307c7784fcb672359d1bc949c9a794855d6e985', '760efd9f04add35fc2747cdd76ac47e182445f62cbc6312afdb4dc3a9e57c664'),
     'group/setup_quorum_failure': ('24d4c39a82b01c83a2eb16ee6f6417ebc3e6f32b47ce236590da52b8900c65b9', '89cddcc3d1cb10d47d49820d8a026df2889301e85362b796371f5ed5c0dc06ce'),
     'group/staleness_timeout': ('ea0a401bbaac95c5b42fa9dc787f6c6dbb802d588e56dd6fb91732c47f75e6ae', '33420a85a4dfa4d3d106f7f2e6c869cb5e89ee9fc0dbb46538444857ae7b12e6'),

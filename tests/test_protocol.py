@@ -10,7 +10,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secel.errors import AuthFailure, ConfigError, RevealTimeout, SetupQuorumFailure
@@ -444,9 +444,8 @@ def test_malformed_setup_body_counts_as_silence(monkeypatch, variant, rewrite):
 
 
 # rewrite -> (kind, body rewrite, RoundSpec overrides, faults); two rounds so
-# the group variant's later round sends refresh
+# the group variant's reuse round runs too
 MALFORMED_PEER = {
-    "refresh_string_s": ("refresh", lambda body: {**body, "s": "x"}, {}, []),
     "commit_int_h": ("commit", lambda body: {**body, "h": 5}, {}, []),
     "reveal_string_v": ("reveal", lambda body: {**body, "v": "x"}, {}, []),
     "reveal_int_salt": ("reveal", lambda body: {**body, "salt": 7}, {}, []),
@@ -484,9 +483,21 @@ def test_malformed_peer_body_counts_as_silence(monkeypatch, variant, rewrite):
                 assert r.field_sum == field_sum_oracle(result, r.m_set)
         sent = result.transcript.count(type="send", kind=kind)
         notes = result.transcript.count(type="note", note="malformed_message", kind=kind)
-        assert notes == (1 if sent else 0)
-        if kind != "refresh" or variant == "group":
-            assert sent  # every probe but the scalar refresh rewrites a body
+        assert sent and notes == 1
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_an_aggregator_abort_is_a_staleness_timeout_whatever_its_reason(variant):
+    broadcast = Simulator.broadcast
+
+    def abort(sim, src, dsts, kind, body):
+        if kind == "aggregate":  # the aggregator aborts instead, naming its own reason
+            kind, body = "abort", {"reason": "bogus"}
+        broadcast(sim, src, dsts, kind, body)
+
+    with mock.patch.object(Simulator, "broadcast", abort):
+        result = run_rounds({"seed": 0, "n": 4, "rounds": 2, "variant": variant})
+    assert [(r.phase, r.error) for r in result.rounds] == [("rejected", "StalenessTimeout")] * 2
 
 
 def test_transcript_records_view_matches_dict_records(monkeypatch):
@@ -658,10 +669,12 @@ def test_group_round_and_key_reuse_across_rounds():
         truth = clipped_float_sum(result, r.m_set)
         tol = len(r.m_set) * 2**-10
         assert all(abs(a - b) <= tol for a, b in zip(r.decrypted, truth))
-    # dealing happened exactly once; later rounds only refresh the round key
+    # dealing happened exactly once; later rounds derive their key with no message
     assert result.transcript.count(type="send", kind="pk") == 4 * 3
     assert result.transcript.count(type="send", kind="setup1") == 0
-    assert result.transcript.count(type="send", kind="refresh") == 2 * 4 * 3
+    later = {rec["kind"] for rec in result.transcript.records
+             if rec["type"] == "send" and rec["round"] > 0}
+    assert later.isdisjoint({"pk", "gsetup1", "gsetup2", "refresh"})
 
 
 def _two_step_key(node, j):
@@ -1190,7 +1203,7 @@ def test_no_opened_body_outlives_the_run(monkeypatch, variant):
 
 # ---- plaintext bodies: each multicast checked once ---------------------------------------
 
-BROADCAST_KINDS = ("pk", "refresh", "aggregate", "commit", "reveal", "share_req")
+BROADCAST_KINDS = ("pk", "aggregate", "commit", "reveal", "share_req")
 DEALING_KINDS = ("setup1", "setup2", "gsetup1", "gsetup2")
 
 
@@ -1225,7 +1238,7 @@ def test_each_multicast_body_is_checked_once(monkeypatch, spec):
             assert checked[key] == 1, kind
         per_kind[kind] += checked[key]
     dealt = spec.arith().SETUP.keys() & set(DEALING_KINDS)
-    multicast = {"pk", "refresh"} if spec.variant == "group" else set()
+    multicast = {"pk"} if spec.variant == "group" else set()
     assert {"aggregate", "commit", "reveal", "share_req", *multicast, *dealt} <= set(per_kind)
     # every point-to-point dealing copy is still checked on its own
     for kind in dealt:
@@ -1440,9 +1453,12 @@ def cyclic_garbage(doc, corrupt=False):
 
 
 @st.composite
-def fault_documents(draw):
-    """A run document over both variants, every tamper policy, share loss,
-    s_min and faults from FAULT_ACTIONS x PHASES at offsets inside the budget."""
+def fault_documents(
+    draw, rounds=st.integers(1, 2), tampers=st.sampled_from(protocol.TAMPER_POLICIES)
+):
+    """A run document over both variants, `rounds` rounds, a tamper policy from
+    `tampers`, share loss, s_min and faults from FAULT_ACTIONS x PHASES at
+    offsets inside the budget."""
     n = draw(st.integers(3, 6))
     ids = st.integers(1, n)
     variant = draw(st.sampled_from(VARIANTS))
@@ -1451,9 +1467,9 @@ def fault_documents(draw):
         "n": n,
         "t": draw(st.integers(2, n)),
         "l": draw(st.integers(1, 4)),
-        "rounds": draw(st.integers(1, 2)),
+        "rounds": draw(rounds),
         "variant": variant,
-        "tamper": draw(st.sampled_from(protocol.TAMPER_POLICIES)),
+        "tamper": draw(tampers),
         "share_loss": draw(st.lists(ids, unique=True, max_size=n)),
         "s_min": draw(st.none() | st.integers(1, n)),
         "faults": [
@@ -1478,6 +1494,36 @@ def test_no_run_creates_cyclic_garbage(doc, corrupt):
     assert garbage == []
     for r in rounds:
         assert r.phase == "done" or (r.phase == "rejected" and r.error in NAMED_REJECTIONS)
+
+
+# an honest aggregator leaves the leader nothing to reject the sum for
+LIVENESS_REJECTIONS = set(NAMED_REJECTIONS) - {
+    "VerificationFailed", "MalformedAggregate", "DecodeFailure"
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=fault_documents(rounds=st.integers(1, 3), tampers=st.just("honest")))
+# a masking-phase drop_outbound at offset 0, then party 5 leads the reuse round
+@example(doc={
+    "n": 7, "t": 3, "l": 3, "s_min": 3, "rounds": 2, "variant": "group", "seed": 355,
+    "faults": [{"id": 5, "phase": "masking", "action": "drop_outbound", "offset": 0}],
+})
+# party 3 is offline when each reuse round's masking starts, then is elected
+@example(doc={
+    "seed": 0, "n": 3, "t": 2, "l": 3, "rounds": 3, "variant": "group", "s_min": 1,
+    "faults": [
+        {"id": 3, "phase": "masking", "action": "reconnect", "offset": 293},
+        {"id": 3, "phase": "decryption", "action": "disconnect", "offset": 154},
+    ],
+})
+def test_honest_rounds_end_done_with_the_exact_sum_or_a_liveness_rejection(doc):
+    result = run_rounds(doc)
+    for r in result.rounds:
+        if r.phase == "done":
+            assert r.verified and r.field_sum == field_sum_oracle(result, r.m_set)
+        else:
+            assert r.phase == "rejected" and r.error in LIVENESS_REJECTIONS, r
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
