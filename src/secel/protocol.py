@@ -31,7 +31,14 @@ dealing (group mode) hashes it with the round number, so no key goes stale.
 Both variants run one code path. What differs lives in the per-variant
 arithmetic object, ScalarArith or GroupArith, that RoundSpec builds: adding
 field values or multiplying group lifts, and the steps of setup. Nodes and
-the runner are written once against it and never read the variant.
+the runner are written once against it and never read the variant, and it
+holds no state of its own.
+
+Participant state has two lifetimes, both started by the runner. Dealing
+state (the dealer, the held rows, keys and the dealt key) is reset for every
+party, online or not, when a round deals: every scalar round, and only the
+first group round. Round state (the aggregate, the election, the leader's
+findings and the plaintext) is reset when any round begins.
 """
 
 from __future__ import annotations
@@ -239,7 +246,7 @@ class RoundSpec:
         return PrimeModulus(self.prime)
 
     def arith(self) -> ScalarArith | GroupArith:
-        """A fresh arithmetic object for one node: the variant's whole difference."""
+        """The variant's arithmetic, its whole difference; it holds no node state."""
         return GroupArith(self) if self.variant == "group" else ScalarArith(self)
 
     def decode_bound(self, m_count: int) -> int:
@@ -388,7 +395,9 @@ class ScenarioResult:
 #
 # Setup runs one way in both (ParticipantNode._on_setup): open_setup sends the
 # OPENING kind, deal_second runs once every peer's opening is in, finish_setup
-# once both rows from every peer are held. SETUP: kind -> role of its dealt value.
+# once both rows from every peer are held. SETUP: kind -> the node's store of
+# its dealt value, one entry per dealer. Neither object keeps dealing state:
+# the methods read and write the node's.
 
 
 class ScalarArith:
@@ -397,7 +406,7 @@ class ScalarArith:
     V_FIELD = "v_evals"  # share_resp key of the held first-row evaluations
     SHARE_FIELD = "s_v"  # share_resp key of the responder's own share
     A_FIELD = "a_evals"  # share_resp key of the held second-row evaluations
-    SETUP = {"setup1": "first_row", "setup2": "second_row"}
+    SETUP = {"setup1": "held_v", "setup2": "held_a"}
     OPENING = "setup1"
     reuses_setup = False  # every round deals afresh
 
@@ -418,15 +427,15 @@ class ScalarArith:
         for j in sorted(out):
             sim.send(node.id, j, "setup2", {"a": out[j]})
 
-    def unwrap(self, dealt: int) -> int:
+    def unwrap(self, node: ParticipantNode, dealt: int) -> int:
         return dealt
 
     def finish_setup(self, node: ParticipantNode) -> None:
         pass  # s_v is fixed at deal_second; channel keys come on first use
 
-    def pair_key(self, dealer: DealerState, peer: int, dealt: int) -> bytes:
+    def pair_key(self, node: ParticipantNode, peer: int, dealt: int) -> bytes:
         """k_ij = A_i(j) + A_j(i), from A_j(i) as `peer` dealt it."""
-        return channel_key(pairwise_key(dealer, peer, dealt))
+        return channel_key(pairwise_key(node.dealer, peer, dealt))
 
     def lift(self, x: int) -> int:
         return x
@@ -470,7 +479,7 @@ class GroupArith:
     V_FIELD = "v_lifts"
     SHARE_FIELD = "share_lift"
     A_FIELD = None  # a lost share is rebuilt from share lifts, not second rows
-    SETUP = {"pk": "key", "gsetup1": "first_row", "gsetup2": "second_row"}
+    SETUP = {"pk": "peer_pks", "gsetup1": "held_v", "gsetup2": "held_a"}
     OPENING = "pk"
     reuses_setup = True  # later rounds derive their round key from the dealt one
 
@@ -481,21 +490,20 @@ class GroupArith:
 
     def open_setup(self, node: ParticipantNode, sim: Simulator) -> None:
         node.dealer.a_poly = UniPoly.random(self.spec.t - 1, node.modulus, node.rng)
-        self.keypair = KeyPair.generate(self.group, node.rng)
-        self.peer_pks: dict[int, int] = {}
-        sim.broadcast(node.id, node.peers, "pk", {"pk": self.keypair.pk})
+        node.keypair = KeyPair.generate(self.group, node.rng)
+        sim.broadcast(node.id, node.peers, "pk", {"pk": node.keypair.pk})
 
     def deal_second(self, node: ParticipantNode, sim: Simulator) -> None:
         """Both rows to each peer, wrapped for its key: pk_j^V_i(j), pk_j^A_i(j)."""
         for j in node.peers:
-            pk = self.peer_pks[j]
+            pk = node.peer_pks[j]
             w = wrap_share(node.dealer.v_poly.eval(j), pk, self.group)
             sim.send(node.id, j, "gsetup1", {"w": w, "s": node.s_own})
             a = node.dealer.a_poly.eval(j)
             sim.send(node.id, j, "gsetup2", {"w": wrap_share(a, pk, self.group)})
 
-    def unwrap(self, dealt: int) -> int:
-        return unwrap_share(dealt, self.keypair.sk_inv, self.group)
+    def unwrap(self, node: ParticipantNode, dealt: int) -> int:
+        return unwrap_share(dealt, node.keypair.sk_inv, self.group)
 
     def finish_setup(self, node: ParticipantNode) -> None:
         # persistent share: G^(V(id)) where V is the sum of all dealt rows
@@ -504,10 +512,10 @@ class GroupArith:
         for j in node.peers:  # every key now: reuse rounds find them ready
             node.chan_key(j)
 
-    def pair_key(self, dealer: DealerState, peer: int, dealt: int) -> bytes:
+    def pair_key(self, node: ParticipantNode, peer: int, dealt: int) -> bytes:
         """G^(A_i(j) * A_j(i)) from w = pk_i^A_j(i): DH and unwrap in one power."""
         # mod P - 1, not q: equals unwrapping, then raising, for any w < P
-        exp = self.keypair.sk_inv * dealer.a_poly.eval(peer) % (self.p - 1)
+        exp = node.keypair.sk_inv * node.dealer.a_poly.eval(peer) % (self.p - 1)
         return channel_key(pow(dealt, exp, self.p), context=b"group")
 
     def lift(self, x: int) -> int:
@@ -622,14 +630,6 @@ def body_problem(body: Any, fields: tuple, node) -> str | None:
     return None
 
 
-@dataclass
-class _LeaderFindings:
-    """What the leader knows after recover-and-verify, kept for decryption."""
-
-    sums: list[int] | None = None  # unmasked field values
-    recovered: dict[int, int] = field(default_factory=dict)  # share-loser -> rebuilt share
-
-
 # ---- participant ----------------------------------------------------------------------
 
 
@@ -644,20 +644,19 @@ class ParticipantNode(Node):
         self.codec = spec.codec()
         self.arith = spec.arith()
         self.gradients: list[float] = []
-        self._reset_setup()
-        self.begin_round(0)
 
-    # -- state lifecycle ---------------------------------------------------------
+    # -- state lifecycle: the runner calls begin_round before every round ---------
 
     def _reset_setup(self) -> None:
-        self.dealer: DealerState | None = None
+        self.dealer: DealerState | None = None  # stays None if offline when setup opens
         # dealer -> what this holder received from it, first dealing kept: the
         # first-row evaluation V_dealer(id) as an arith value (group: unwrapped
         # to a lift) and the second-row A_dealer(id) as dealt (group: still
         # wrapped, pk_id^A_dealer(id), since only the DH power reads it)
         self.held_v: dict[int, int] = {}
         self.held_a: dict[int, int] = {}
-        self.opened: set[int] = set()  # peers whose opening message is in
+        self.keypair: KeyPair | None = None  # group: this holder's unwrapping key
+        self.peer_pks: dict[int, int] = {}  # group: dealer -> the key to wrap its rows for
         self.chan_keys: dict[int, bytes] = {}  # filled by chan_key alone
         self.complete = False
         self.s_own: int | None = None
@@ -666,26 +665,28 @@ class ParticipantNode(Node):
         self.dealt_round: int | None = None
         self.own_share: int | None = None  # s_v = V(id), or G^V(id) in the group
 
-    def begin_round(self, round_no: int) -> None:
+    def begin_round(self, round_no: int, deals: bool) -> None:
+        """Start round state; start dealing state too if this round deals."""
+        if deals:
+            self._reset_setup()
         self.round_no = round_no
-        self.has_aggregate = False
         self.agg: list[list[int]] | None = None
         self.m_set: list[int] = []
         self.failed: list[int] = []
-        self.elector = False
-        self.commit_value: int | None = None
+        self.commit_value: int | None = None  # set only on an elector
         self.commit_salt: bytes | None = None
-        self.commits: dict[int, str] = {}
+        self.commits: dict[int, str] = {}  # peer -> its commitment
         self.reveals: dict[int, int] = {}
         self.leader: int | None = None
-        self.field_sum: list[int] | None = None
         self.plaintext: list[float] | None = None
         self.status = "working"
         self.reject_reason: str | None = None
         self.resp: dict[int, dict] = {}
         self.resp_fb: dict[int, dict] = {}
-        self.verdict: bool | None = None
-        self.findings = _LeaderFindings()
+        # the leader's findings, kept for decryption: the unmasked field values,
+        # set only once the tag check passed, and share-loser -> rebuilt share
+        self.sums: list[int] | None = None
+        self.recovered: dict[int, int] = {}
 
     def wipe_shares(self) -> None:
         """Lose every received share plus the second-row material derived from them.
@@ -730,7 +731,7 @@ class ParticipantNode(Node):
         """
         key = self.chan_keys.get(peer)
         if key is None and self.complete and peer in self.held_a:
-            key = self.arith.pair_key(self.dealer, peer, self.held_a[peer])
+            key = self.arith.pair_key(self, peer, self.held_a[peer])
             self.chan_keys[peer] = key
         return key
 
@@ -772,7 +773,6 @@ class ParticipantNode(Node):
             start(sim)
 
     def _start_setup(self, sim: Simulator) -> None:
-        self._reset_setup()
         self.dealer = new_dealer(self.id, self.spec.t, self.spec.n, self.modulus, self.rng)
         self.s_own = self.modulus.random_nonzero(self.rng)
         self.arith.open_setup(self, sim)
@@ -785,17 +785,15 @@ class ParticipantNode(Node):
         sim.send(self.id, AGGREGATOR_ID, "submission", {"c": wire})
 
     def _start_verification(self, sim: Simulator) -> None:
-        if not self.has_aggregate:
+        if self.agg is None:
             return
         budget = sim.config.budgets["verification"]
         slot = budget // 5
         if self.complete:
             # intact aggregate-holders form the electorate
-            self.elector = True
             self.commit_value = self.rng.randrange(COMMIT_RANGE)
             self.commit_salt = self.rng.getrandbits(64).to_bytes(8, "big")
             digest = _commitment(self.commit_value, self.commit_salt, self.id)
-            self.commits[self.id] = digest
             sim.broadcast(self.id, self.peers, "commit", {"h": digest})
             sim.schedule_timer(self.id, sim.now + slot, "reveal")
         sim.schedule_timer(self.id, sim.now + 2 * slot, "tally")
@@ -804,14 +802,14 @@ class ParticipantNode(Node):
         sim.schedule_timer(self.id, sim.now + 3 * slot + slot // 2, "lead")
 
     def _start_decryption(self, sim: Simulator) -> None:
-        if self.leader == self.id and self.verdict and self.status == "working":
+        if self.leader == self.id and self.sums is not None and self.status == "working":
             self._distribute(sim)
 
     # -- timers ----------------------------------------------------------------------
 
     def on_timer(self, sim: Simulator, name: str, data: Any) -> None:
         if name == "reveal":
-            if self.elector and self.status == "working":
+            if self.commit_value is not None and self.status == "working":
                 self.reveals[self.id] = self.commit_value
                 sim.broadcast(
                     self.id,
@@ -825,7 +823,7 @@ class ParticipantNode(Node):
             self._lead(sim)
 
     def _tally(self, sim: Simulator) -> None:
-        if not self.has_aggregate or self.status != "working":
+        if self.agg is None or self.status != "working":
             return
         if not self.reveals:
             # nobody opened a valid commitment in time: the round cannot elect
@@ -843,13 +841,10 @@ class ParticipantNode(Node):
             self._recover_and_verify(sim)
         except (RecoveryQuorumFailure, VerificationFailed, DecodeFailure) as exc:
             reason = type(exc).__name__
-            self.verdict = False if isinstance(exc, VerificationFailed) else None
             self.status = "rejected"
             self.reject_reason = reason
             sim.log_note("reject", by=self.id, reason=reason, detail=str(exc))
             sim.broadcast(self.id, self.peers, "reject", {"reason": reason})
-            return
-        self.verdict = True
 
     # -- message handling ---------------------------------------------------------------
 
@@ -890,32 +885,31 @@ class ParticipantNode(Node):
         """The one receive path of both variants' dealing kinds.
 
         The body has passed its kind's field checks. A kind the variant does
-        not deal is ignored. A repeated kind keeps its first body and deals
-        nothing again. A party offline when setup opened deals nothing, so it
-        takes nothing either.
+        not deal is ignored. A repeated (kind, sender) keeps its first body
+        and changes nothing. A party offline when setup opened deals nothing,
+        so it takes nothing either.
         """
         arith = self.arith
-        role = arith.SETUP.get(env.kind)
-        if role is None or self.dealer is None:
+        name = arith.SETUP.get(env.kind)
+        if name is None or self.dealer is None:
             return
+        store = getattr(self, name)
         src, body = env.src, env.body
+        if src in store:
+            return
         dealt = body[MESSAGE_KINDS[env.kind][1][0][0]]  # the kind's first field
         peers = self.spec.n - 1
-        if role == "first_row":
-            self.held_v.setdefault(src, arith.unwrap(dealt))
-            self.s_peers.setdefault(src, body["s"])
-            if self.dealt_key is None and len(self.s_peers) == peers:
+        if store is self.held_v:
+            store[src] = arith.unwrap(self, dealt)
+            self.s_peers[src] = body["s"]
+            if len(self.s_peers) == peers:
                 # the one place the dealt key is fixed
                 self.dealt_key = (self.s_own + sum(self.s_peers.values())) % self.modulus.p or 1
                 self.dealt_round = self.round_no
-        elif role == "second_row":
-            self.held_a.setdefault(src, dealt)
-        else:  # a peer's key to wrap its rows for
-            arith.peer_pks.setdefault(src, dealt)
-        if env.kind == arith.OPENING and src not in self.opened:
-            self.opened.add(src)
-            if len(self.opened) == peers:  # deal once, on the last opening
-                arith.deal_second(self, sim)
+        else:
+            store[src] = dealt
+        if env.kind == arith.OPENING and len(store) == peers:
+            arith.deal_second(self, sim)  # once, on the last opening
         if not self.complete and len(self.held_v) == peers and len(self.held_a) == peers:
             self.complete = True
             arith.finish_setup(self)
@@ -926,7 +920,6 @@ class ParticipantNode(Node):
         self.agg = env.body["c"]
         self.m_set = list(env.body["m"])
         self.failed = list(env.body["failed"])
-        self.has_aggregate = True
 
     def _on_abort(self, sim: Simulator, env) -> None:
         # an aggregator aborts only for staleness; its own text is not trusted
@@ -999,8 +992,7 @@ class ParticipantNode(Node):
         if body is None:
             return
         self.own_share = body.get("recovered", self.own_share)
-        self.field_sum = list(body["sum"])
-        self.plaintext = self.codec.decode(self.field_sum, self.modulus, len(body["m"]))
+        self.plaintext = self.codec.decode(body["sum"], self.modulus, len(body["m"]))
         self.status = "done"
 
     def _on_round_done(self, sim: Simulator, env) -> None:
@@ -1061,7 +1053,7 @@ class ParticipantNode(Node):
         # share-losers: rebuild their share from t helpers
         for q in need_recovery:
             value, helpers = arith.recover_lost(q, bodies, shares, t)
-            self.findings.recovered[q] = value
+            self.recovered[q] = value
             sim.log_note("recover", what="lost_share", target=q, helpers=helpers)
 
         k = arith.combine(k_map[i] for i in m)
@@ -1073,11 +1065,11 @@ class ParticipantNode(Node):
             pad = arith.interpolate([(j, shares[j]) for j in sorted(shares)[:t]], 0, t)
         else:
             pad = arith.combine(v0_map[i] for i in m)
-        self.findings.sums = arith.unmask(self.agg, pad, self.round_no, len(m))
+        self.sums = arith.unmask(self.agg, pad, self.round_no, len(m))
 
     def _distribute(self, sim: Simulator) -> None:
         m = sorted(self.m_set)
-        sums = self.findings.sums
+        sums = self.sums
         # one result body for every member without a recovered share, encoded
         # once and sealed for each under its own key
         shared = {"sum": sums, "m": m, "failed": sorted(self.failed)}
@@ -1085,7 +1077,7 @@ class ParticipantNode(Node):
             for u in self.peers:
                 if not sim.is_online(u):
                     continue
-                recovered = self.findings.recovered.get(u)
+                recovered = self.recovered.get(u)
                 if u in m:
                     kind, body = "result", shared
                     key = self.fallback_key(u) if u in self.resp_fb else self.chan_key(u)
@@ -1103,7 +1095,6 @@ class ParticipantNode(Node):
                     continue
                 sim.send(self.id, u, kind, body, key=key)
         if self.id in m:
-            self.field_sum = list(sums)
             self.plaintext = self.codec.decode(sums, self.modulus, len(m))
         self.status = "done"
 
@@ -1156,7 +1147,6 @@ class AggregatorNode(Node):
         self.spec = spec
         self.rng = rng
         self.arith = spec.arith()
-        self.begin_round(0)
 
     def begin_round(self, round_no: int) -> None:
         self.round_no = round_no
@@ -1275,13 +1265,13 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
 
     states: list[RoundState] = []
     for r in range(spec.rounds):
+        # rounds after the first may reuse the dealt state and derive the key
+        deals = r == 0 or not aggregator.arith.reuses_setup
         aggregator.begin_round(r)
         for node in participants.values():
-            node.begin_round(r)
+            node.begin_round(r, deals)
         state = RoundState(round=r)
-        # rounds after the first may reuse the dealt state and derive the key
-        phases = PHASES[1:] if aggregator.arith.reuses_setup and r > 0 else PHASES
-        for phase in phases:
+        for phase in PHASES if deals else PHASES[1:]:
             state.phase = phase
             sim.run_phase(phase, r)
             if phase == "setup":
@@ -1298,19 +1288,19 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
                 state.m_set = list(aggregator.m)
                 state.failed = list(aggregator.failed)
                 state.u_set = sorted(
-                    i for i, n in participants.items() if n.has_aggregate
+                    i for i, n in participants.items() if n.agg is not None
                 )
             elif phase == "verification":
                 # A fault can split the electorate's view (a dropper counts its
                 # own vanished reveal), so several nodes may claim leadership.
-                # The round stands iff some claimed leader finished with a True
-                # verdict; local failures of phantom leaders don't veto it.
+                # The round stands iff some claimed leader's tag check passed
+                # (it holds sums); local failures of phantom leaders don't veto it.
                 claims = Counter(
                     n.leader for n in participants.values() if n.leader is not None
                 )
                 candidates = sorted(claims, key=lambda c: (-claims[c], c))
                 winner = next(
-                    (c for c in candidates if participants[c].verdict is True), None
+                    (c for c in candidates if participants[c].sums is not None), None
                 )
                 if winner is not None:
                     state.leader = winner
@@ -1330,9 +1320,9 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
             elif phase == "decryption":
                 leader = participants[state.leader]
                 modulus = spec.field_modulus()
-                state.field_sum = list(leader.findings.sums)
+                state.field_sum = list(leader.sums)
                 state.decrypted = codec.decode(state.field_sum, modulus, len(state.m_set))
-                state.recovered = sorted(leader.findings.recovered)
+                state.recovered = sorted(leader.recovered)
         # only setup sets or clears `complete`, so this is the post-setup T
         state.t_set = sorted(i for i, n in participants.items() if n.complete)
         state.delivered_to = sorted(

@@ -193,6 +193,9 @@ class SimConfig:
         delay, own, entries = raw.get("delay", {}), raw.get("budgets", {}), raw.get("faults", [])
         if not (isinstance(delay, dict) and isinstance(own, dict) and isinstance(entries, list)):
             raise ConfigError("delay and budgets must be objects and faults a list")
+        stray = [k for k in own if k not in PHASES] + [k for k in delay if k not in ("min", "max")]
+        if stray:  # a misspelt key would otherwise leave its default in force
+            raise ConfigError(f"unknown budgets or delay keys: {stray}")
         faults = []
         for entry in entries:
             try:  # a missing, unknown or non-keyword key is a TypeError

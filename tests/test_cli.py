@@ -96,9 +96,11 @@ def test_round_bad_round_config_exits_one(tmp_path, capsys):
 
 
 def test_round_malformed_simulator_keys_exit_one(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"n": 3, "delay": 5})
-    assert main(["round", "--config", cfg]) == 1
-    assert "config error:" in capsys.readouterr().err
+    # a misspelt budget phase would otherwise run with the default budget
+    for doc in ({"n": 3, "delay": 5}, {**HONEST_DOC, "budgets": {"setpu": 900}}):
+        cfg = write_config(tmp_path, doc)
+        assert main(["round", "--config", cfg]) == 1
+        assert "config error:" in capsys.readouterr().err
 
 
 def test_round_non_object_config_exits_one(tmp_path, capsys):

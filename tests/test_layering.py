@@ -131,3 +131,54 @@ def test_variant_read_check_sees_nested_reads_only_where_it_looks():
         "class RoundSpec:\n    def arith(self):\n        return self.variant\n"
     )
     assert variant_reads(ast.parse(source)) == {"ParticipantNode": 1, "run_rounds": 0}
+
+
+# the arithmetic objects hold no state: a node's dealing state lives on the node
+STATELESS = ("ScalarArith", "GroupArith")
+
+
+def self_writes(tree: ast.AST) -> dict[str, list[str]]:
+    """`method.attribute` for each write to an attribute of `self`, or to an item
+    of one, outside `__init__` in each top-level class named in STATELESS."""
+    def written(target: ast.AST) -> str | None:
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        if (
+            isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+        ):
+            return target.attr
+        return None
+
+    return {
+        cls.name: sorted(
+            f"{method.name}.{written(sub)}"
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+            for sub in ast.walk(method)
+            if isinstance(sub, (ast.Attribute, ast.Subscript))
+            and isinstance(sub.ctx, ast.Store)
+            and written(sub) is not None
+        )
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in STATELESS
+    }
+
+
+def test_arith_objects_assign_to_self_only_in_init():
+    writes = self_writes(ast.parse((SRC / "protocol.py").read_text()))
+    assert writes == dict.fromkeys(STATELESS, [])
+
+
+def test_self_write_check_sees_stores_and_items_only_where_it_looks():
+    source = (
+        "class GroupArith:\n"
+        "    def __init__(self, spec):\n        self.spec = spec\n"
+        "    def open_setup(self, node):\n        node.keypair = 1\n        self.keypair = 2\n"
+        "    def deal(self, node):\n        self.pks[1] = self.n\n        self.n += 1\n"
+        "class ParticipantNode:\n    def f(self):\n        self.x = 1\n"
+    )
+    assert self_writes(ast.parse(source)) == {
+        "GroupArith": ["deal.n", "deal.pks", "open_setup.keypair"]
+    }

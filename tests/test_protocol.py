@@ -326,9 +326,9 @@ def test_aggregate_equivocation_is_checked_per_body(monkeypatch, variant, target
     assert sorted(rec["dst"] for rec in notes) == rejected
     for i, node in result.nodes.items():
         if i in rejected:
-            assert node.reject_reason == "MalformedAggregate" and not node.has_aggregate
+            assert node.reject_reason == "MalformedAggregate" and node.agg is None
         elif i != 0:
-            assert node.has_aggregate
+            assert node.agg is not None
 
 
 def _bound(spec):
@@ -679,8 +679,8 @@ def test_group_round_and_key_reuse_across_rounds():
 
 def _two_step_key(node, j):
     """The group channel key with peer j, unwrapped first and then raised."""
-    arith, group = node.arith, node.arith.group
-    lift = unwrap_share(node.held_a[j], arith.keypair.sk_inv, group)
+    group = node.arith.group
+    lift = unwrap_share(node.held_a[j], node.keypair.sk_inv, group)
     return channel_key(pow(lift, node.dealer.a_poly.eval(j), group.p), context=b"group")
 
 
@@ -1130,7 +1130,7 @@ def test_the_sealed_result_is_parsed_once_for_every_member(monkeypatch):
     assert opened.count("result") == 9 and opened.count("share_resp") == 9
     assert sum("sum" in body for body in parsed) == 1
     assert len(parsed) == 10
-    assert all(node.field_sum == r.field_sum for node in participants(result))
+    assert all(node.plaintext == r.decrypted for node in participants(result))
 
 
 def test_a_corrupted_copy_fails_after_another_copy_opened(monkeypatch):
@@ -1171,7 +1171,7 @@ def test_a_member_with_a_recovered_share_gets_its_own_result_body(monkeypatch):
     monkeypatch.setattr(protocol, "secure_recv", keep)
     result = run_flagship()
     r = result.rounds[0]
-    recovered = result.nodes[r.leader].findings.recovered
+    recovered = result.nodes[r.leader].recovered
     assert sorted(recovered) == [4, 5] and {4, 5} <= set(got)
     for u, body in got.items():
         assert body["sum"] == r.field_sum
@@ -1517,13 +1517,31 @@ LIVENESS_REJECTIONS = set(NAMED_REJECTIONS) - {
         {"id": 3, "phase": "decryption", "action": "disconnect", "offset": 154},
     ],
 })
+# parties 3 and 4 are offline when round 1's scalar dealing opens, then rejoin
+@example(doc={
+    "seed": 0, "n": 4, "t": 2, "l": 2, "rounds": 2, "s_min": 2,
+    "faults": [
+        {"id": 3, "phase": "decryption", "action": "disconnect"},
+        {"id": 4, "phase": "decryption", "action": "disconnect"},
+        {"id": 3, "phase": "masking", "action": "reconnect"},
+        {"id": 4, "phase": "masking", "action": "reconnect"},
+    ],
+})
 def test_honest_rounds_end_done_with_the_exact_sum_or_a_liveness_rejection(doc):
     result = run_rounds(doc)
+    arith = RoundSpec.from_dict(doc).arith()
+    opened = {
+        (rec["round"], rec["src"]) for rec in result.transcript.records
+        if rec.get("type") in ("send", "drop") and rec.get("kind") == arith.OPENING
+    }
     for r in result.rounds:
         if r.phase == "done":
             assert r.verified and r.field_sum == field_sum_oracle(result, r.m_set)
         else:
             assert r.phase == "rejected" and r.error in LIVENESS_REJECTIONS, r
+        # every holder dealt the dealing this round uses, none holds a stale one
+        dealt_in = 0 if arith.reuses_setup else r.round
+        assert {(dealt_in, i) for i in r.t_set} <= opened, r
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -132,6 +132,8 @@ def test_config_from_dict_rejects_garbage():
         {"delay": 5},
         {"delay": {"min": "1"}},
         {"budgets": [1]},
+        {"budgets": {"setpu": 900}},
+        {"delay": {"mn": 3}},
         {"faults": 5},
         {"faults": [{**fault, "id": "x"}]},
         {"faults": [{**fault, "offset": "x"}]},
