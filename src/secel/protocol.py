@@ -496,11 +496,10 @@ class GroupArith:
     def deal_second(self, node: ParticipantNode, sim: Simulator) -> None:
         """Both rows to each peer, wrapped for its key: pk_j^V_i(j), pk_j^A_i(j)."""
         for j in node.peers:
-            pk = node.peer_pks[j]
-            w = wrap_share(node.dealer.v_poly.eval(j), pk, self.group)
-            sim.send(node.id, j, "gsetup1", {"w": w, "s": node.s_own})
-            a = node.dealer.a_poly.eval(j)
-            sim.send(node.id, j, "gsetup2", {"w": wrap_share(a, pk, self.group)})
+            rows = [node.dealer.v_poly.eval(j), node.dealer.a_poly.eval(j)]
+            w_v, w_a = wrap_share(rows, node.peer_pks[j], self.group)
+            sim.send(node.id, j, "gsetup1", {"w": w_v, "s": node.s_own})
+            sim.send(node.id, j, "gsetup2", {"w": w_a})
 
     def unwrap(self, node: ParticipantNode, dealt: int) -> int:
         return unwrap_share(dealt, node.keypair.sk_inv, self.group)

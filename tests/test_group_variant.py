@@ -140,12 +140,12 @@ def test_window_pow_matches_builtin_pow(params, data):
 def test_wrap_unwrap_examples():
     # x=0 wraps to the identity and unwraps to the identity
     kp = KeyPair.generate(G101, random.Random(20))
-    assert wrap_share(0, kp.pk, G101) == 1
+    assert wrap_share([0], kp.pk, G101) == [1]
     assert unwrap_share(1, kp.sk_inv, G101) == 1
 
     # x=17, sk=5 (sk^-1 = 81 mod 101): wrap = G^85, unwrap = G^17
     pk5 = G101.lift(5)
-    wrapped = wrap_share(17, pk5, G101)
+    [wrapped] = wrap_share([17], pk5, G101)
     assert wrapped == G101.lift(85)
     assert unwrap_share(wrapped, 81, G101) == G101.lift(17)
 
@@ -155,11 +155,38 @@ def test_wrap_is_bound_to_the_recipient_key():
     a = KeyPair.generate(TOY_GROUP, rng)
     b = KeyPair.generate(TOY_GROUP, rng)
     assert a.sk != b.sk
-    for _ in range(20):
-        x = rng.randrange(1, TOY_GROUP.q)
-        wrapped = wrap_share(x, a.pk, TOY_GROUP)
+    xs = [rng.randrange(1, TOY_GROUP.q) for _ in range(20)]
+    for x, wrapped in zip(xs, wrap_share(xs, a.pk, TOY_GROUP), strict=True):
         assert unwrap_share(wrapped, a.sk_inv, TOY_GROUP) == TOY_GROUP.lift(x)
         assert unwrap_share(wrapped, b.sk_inv, TOY_GROUP) != TOY_GROUP.lift(x)
+
+
+def _wrap_values(q):
+    """Lists of ints: the order's edges, negatives and ints of 2^bits(q) or more."""
+    bits = q.bit_length()
+    edges = [0, 1, q - 1, q, q + 1, 2 * q + 5, -1, -q, -(2 * q + 5), 1 << bits]
+    return st.lists(
+        st.sampled_from(edges) | st.integers(min_value=-(1 << 2 * bits), max_value=1 << 2 * bits),
+        max_size=6,
+    )
+
+
+@ALL_GROUPS
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_wrap_share_matches_builtin_pow(params, data):
+    p, q = params.p, params.q
+    values = data.draw(_wrap_values(q), label="values")
+    kp = KeyPair.generate(params, random.Random(data.draw(st.integers(0, 2**32), label="seed")))
+    outside = data.draw(
+        st.integers(min_value=2, max_value=p - 2).filter(lambda b: pow(b, q, p) != 1),
+        label="outside",
+    )
+    for pk in (0, 1, p - 1, kp.pk, outside):
+        assert wrap_share(values, pk, params) == [pow(pk, x % q, p) for x in values]
+    assert wrap_share([], kp.pk, params) == []
+    for x, wrapped in zip(values, wrap_share(values, kp.pk, params), strict=True):
+        assert unwrap_share(wrapped, kp.sk_inv, params) == params.lift(x)
 
 
 def test_keypair_relation():

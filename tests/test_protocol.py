@@ -717,15 +717,20 @@ def test_fused_group_key_holds_outside_the_subgroup(monkeypatch, dealt):
 
 
 @pytest.mark.parametrize("n", [4, 10])
-def test_group_dealing_costs_four_full_width_pows_per_pair(monkeypatch, n):
-    calls = []
+def test_group_dealing_wraps_each_pair_once_and_makes_two_full_width_pows(monkeypatch, n):
+    calls, wraps = [], []
 
     def counting_pow(base, exp, mod=None):
         calls.append((exp, mod))
         return pow(base, exp, mod)
 
+    def counting_wrap(values, pk, params):
+        wraps.append(len(values))
+        return group_variant.wrap_share(values, pk, params)
+
     for module in (protocol, group_variant):
         monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(protocol, "wrap_share", counting_wrap)
     run_phase, setup_calls = Simulator.run_phase, []
 
     def counted_run_phase(sim, phase, round_no):
@@ -739,7 +744,8 @@ def test_group_dealing_costs_four_full_width_pows_per_pair(monkeypatch, n):
     result = run_rounds(spec, SimConfig(seed=1, n=n))
     assert result.rounds[0].phase == "done"
     full_width = [exp for exp, _ in setup_calls if exp.bit_length() > 64]
-    assert len(full_width) == 4 * n * (n - 1)  # two wraps, one unwrap, one DH power
+    assert len(full_width) == 2 * n * (n - 1)  # one unwrap, one DH power
+    assert wraps == [2] * (n * (n - 1))  # both rows to a peer in one call
     assert [call for call in setup_calls if call[0] == -1] == [(-1, DEFAULT_GROUP.q)] * n
 
 
