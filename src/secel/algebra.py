@@ -294,23 +294,8 @@ class FixedPointCodec:
                 f"scale_bits={self.scale_bits}"
             )
 
-    def encode_value(self, v: float, modulus: PrimeModulus) -> int:
-        clipped = min(max(float(v), -self.clip_bound), self.clip_bound)
-        if not self.signed:
-            clipped += self.clip_bound
-        return round(clipped * self.scale) % modulus.p
-
-    def decode_sum(self, v: int, modulus: PrimeModulus, m_count: int = 1) -> float:
-        """Decode a sum of m_count encodings, a value mod p, back to a real."""
-        if self.signed:
-            if v > modulus.p // 2:
-                v -= modulus.p
-            return v / self.scale
-        # shifted: subtract the m_count copies of the clip offset
-        return v / self.scale - m_count * self.clip_bound
-
     def encode(self, values: Iterable[float], modulus: PrimeModulus) -> list[int]:
-        """encode_value over a vector, with its per-codec constants read once."""
+        """Clip each value to ±clip_bound (shifted up by it if unsigned), scale, reduce mod p."""
         hi = self.clip_bound
         lo, shift = -hi, 0.0 if self.signed else hi
         scale, p = self.scale, modulus.p
@@ -322,7 +307,7 @@ class FixedPointCodec:
     def decode(
         self, elems: Sequence[int], modulus: PrimeModulus, m_count: int = 1
     ) -> list[float]:
-        """decode_sum over a vector, with its per-codec constants read once."""
+        """Decode sums of m_count encodings each, values mod p, back to reals."""
         scale = self.scale
         if self.signed:
             p = modulus.p

@@ -32,7 +32,10 @@ Both variants run one code path. What differs lives in the per-variant
 arithmetic object, ScalarArith or GroupArith, that RoundSpec builds: adding
 field values or multiplying group lifts, and the steps of setup. Nodes and
 the runner are written once against it and never read the variant, and it
-holds no state of its own.
+holds no state of its own. Its SETUP table maps each dealing kind to the
+(body field, node store) pairs that one receive path fills: scalar setup1
+{v, s} then setup2 {a}; group pk {pk} then gsetup1 {v, a, s}. Either way a
+dealing sends two envelopes per ordered pair, 2N(N-1) in all.
 
 Participant state has two lifetimes, both started by the runner. Dealing
 state (the dealer, the held rows, keys and the dealt key) is reset for every
@@ -395,9 +398,10 @@ class ScenarioResult:
 #
 # Setup runs one way in both (ParticipantNode._on_setup): open_setup sends the
 # OPENING kind, deal_second runs once every peer's opening is in, finish_setup
-# once both rows from every peer are held. SETUP: kind -> the node's store of
-# its dealt value, one entry per dealer. Neither object keeps dealing state:
-# the methods read and write the node's.
+# once both rows from every peer are held. SETUP: kind -> its (body field,
+# node store) pairs; each store is a dict keyed by dealer, and a kind fills
+# all of its stores at once. Neither object keeps dealing state: the methods
+# read and write the node's.
 
 
 class ScalarArith:
@@ -406,7 +410,10 @@ class ScalarArith:
     V_FIELD = "v_evals"  # share_resp key of the held first-row evaluations
     SHARE_FIELD = "s_v"  # share_resp key of the responder's own share
     A_FIELD = "a_evals"  # share_resp key of the held second-row evaluations
-    SETUP = {"setup1": "held_v", "setup2": "held_a"}
+    SETUP = {
+        "setup1": (("v", "held_v"), ("s", "s_peers")),
+        "setup2": (("a", "held_a"),),
+    }
     OPENING = "setup1"
     reuses_setup = False  # every round deals afresh
 
@@ -426,9 +433,6 @@ class ScalarArith:
         out = step2_messages(node.dealer, self.ids, node.rng)
         for j in sorted(out):
             sim.send(node.id, j, "setup2", {"a": out[j]})
-
-    def unwrap(self, node: ParticipantNode, dealt: int) -> int:
-        return dealt
 
     def finish_setup(self, node: ParticipantNode) -> None:
         pass  # s_v is fixed at deal_second; channel keys come on first use
@@ -479,7 +483,10 @@ class GroupArith:
     V_FIELD = "v_lifts"
     SHARE_FIELD = "share_lift"
     A_FIELD = None  # a lost share is rebuilt from share lifts, not second rows
-    SETUP = {"pk": "peer_pks", "gsetup1": "held_v", "gsetup2": "held_a"}
+    SETUP = {
+        "pk": (("pk", "peer_pks"),),
+        "gsetup1": (("v", "held_v"), ("a", "held_a"), ("s", "s_peers")),
+    }
     OPENING = "pk"
     reuses_setup = True  # later rounds derive their round key from the dealt one
 
@@ -494,17 +501,15 @@ class GroupArith:
         sim.broadcast(node.id, node.peers, "pk", {"pk": node.keypair.pk})
 
     def deal_second(self, node: ParticipantNode, sim: Simulator) -> None:
-        """Both rows to each peer, wrapped for its key: pk_j^V_i(j), pk_j^A_i(j)."""
+        """Both rows to each peer in one gsetup1, wrapped for its key: pk_j^V_i(j), pk_j^A_i(j)."""
         for j in node.peers:
             rows = [node.dealer.v_poly.eval(j), node.dealer.a_poly.eval(j)]
             w_v, w_a = wrap_share(rows, node.peer_pks[j], self.group)
-            sim.send(node.id, j, "gsetup1", {"w": w_v, "s": node.s_own})
-            sim.send(node.id, j, "gsetup2", {"w": w_a})
-
-    def unwrap(self, node: ParticipantNode, dealt: int) -> int:
-        return unwrap_share(dealt, node.keypair.sk_inv, self.group)
+            sim.send(node.id, j, "gsetup1", {"v": w_v, "a": w_a, "s": node.s_own})
 
     def finish_setup(self, node: ParticipantNode) -> None:
+        sk_inv = node.keypair.sk_inv
+        node.held_v = {j: unwrap_share(w, sk_inv, self.group) for j, w in node.held_v.items()}
         # persistent share: G^(V(id)) where V is the sum of all dealt rows
         own = self.lift(node.dealer.v_poly.eval(node.id))
         node.own_share = self.combine([own, *node.held_v.values()])
@@ -649,9 +654,10 @@ class ParticipantNode(Node):
     def _reset_setup(self) -> None:
         self.dealer: DealerState | None = None  # stays None if offline when setup opens
         # dealer -> what this holder received from it, first dealing kept: the
-        # first-row evaluation V_dealer(id) as an arith value (group: unwrapped
-        # to a lift) and the second-row A_dealer(id) as dealt (group: still
-        # wrapped, pk_id^A_dealer(id), since only the DH power reads it)
+        # first-row V_dealer(id) and second-row A_dealer(id) as dealt. In the
+        # group both come wrapped for this holder's key; finish_setup unwraps
+        # the first rows to lifts before anything reads them, and the second
+        # rows stay wrapped, pk_id^A_dealer(id), for the DH power alone
         self.held_v: dict[int, int] = {}
         self.held_a: dict[int, int] = {}
         self.keypair: KeyPair | None = None  # group: this holder's unwrapping key
@@ -889,25 +895,21 @@ class ParticipantNode(Node):
         so it takes nothing either.
         """
         arith = self.arith
-        name = arith.SETUP.get(env.kind)
-        if name is None or self.dealer is None:
+        pairs = arith.SETUP.get(env.kind)
+        if pairs is None or self.dealer is None:
             return
-        store = getattr(self, name)
         src, body = env.src, env.body
-        if src in store:
+        first = getattr(self, pairs[0][1])
+        if src in first:
             return
-        dealt = body[MESSAGE_KINDS[env.kind][1][0][0]]  # the kind's first field
+        for name, store in pairs:
+            getattr(self, store)[src] = body[name]
         peers = self.spec.n - 1
-        if store is self.held_v:
-            store[src] = arith.unwrap(self, dealt)
-            self.s_peers[src] = body["s"]
-            if len(self.s_peers) == peers:
-                # the one place the dealt key is fixed
-                self.dealt_key = (self.s_own + sum(self.s_peers.values())) % self.modulus.p or 1
-                self.dealt_round = self.round_no
-        else:
-            store[src] = dealt
-        if env.kind == arith.OPENING and len(store) == peers:
+        if self.dealt_key is None and len(self.s_peers) == peers:
+            # the one place the dealt key is fixed
+            self.dealt_key = (self.s_own + sum(self.s_peers.values())) % self.modulus.p or 1
+            self.dealt_round = self.round_no
+        if env.kind == arith.OPENING and len(first) == peers:
             arith.deal_second(self, sim)  # once, on the last opening
         if not self.complete and len(self.held_v) == peers and len(self.held_a) == peers:
             self.complete = True
@@ -1100,18 +1102,19 @@ class ParticipantNode(Node):
 
 # Every message kind: the one phase window it is meaningful in (anything that
 # straggles across a boundary, or arrives for the wrong round, is ignored),
-# the (field, field kind) pairs its plaintext body must pass, dealt value
-# first, and the participant handler it is dispatched to. on_message checks
-# the fields once per multicast body and once per point-to-point copy; a
-# failed aggregate rejects the round, any other failed body counts as
-# silence. No fields: sealed kinds are checked by opening them, and
-# round_done's handler reads only its sealed form.
+# the (field, field kind) pairs its plaintext body must pass, and the
+# participant handler it is dispatched to. on_message checks the fields once
+# per multicast body and once per point-to-point copy; a failed aggregate
+# rejects the round, any other failed body counts as silence. No fields:
+# sealed kinds are checked by opening them, and round_done's handler reads
+# only its sealed form.
 MESSAGE_KINDS = {
     "setup1": ("setup", (("v", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup),
     "setup2": ("setup", (("a", "int<p>"),), ParticipantNode._on_setup),
     "pk": ("setup", (("pk", "int<p>"),), ParticipantNode._on_setup),
-    "gsetup1": ("setup", (("w", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup),
-    "gsetup2": ("setup", (("w", "int<p>"),), ParticipantNode._on_setup),
+    "gsetup1": (
+        "setup", (("v", "int<p>"), ("a", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup,
+    ),
     "submission": ("masking", (("c", "pairs"),), None),
     "aggregate": (
         "aggregation",

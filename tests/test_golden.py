@@ -89,17 +89,20 @@ SCENARIOS = {
 # their key instead of broadcasting a refreshed summand: its transcript lost
 # those sends, and with no summand drawn from each node's RNG before its commit
 # value, rounds 1 and 2 elect other leaders; nothing else in its states changed.
+# All ten group transcripts moved when a dealer's two wrapped rows to a peer
+# began to ride one gsetup1 {v, a, s} envelope: the gsetup2 sends are gone, so
+# the network RNG draws fewer delays; every round state stayed the same.
 GOLDEN = {
-    'group/flagship': ('8aa3fc2e274a9d8a3bdd4b6b8dedceef4fc27ac423748190f79637e874472d4c', 'c8b5758e995d75fb495a8c11b63e5a2df443774c20b86206aa6e4d01aa4855af'),
-    'group/flagship_tampered': ('edbee3bdd2705d838f819211c64e8bc4b5008752a065badbd10cdf0f2425b6fb', '4cfdbf25804c0732fd7a67f5ac97ef631deb2618d8b303f90dc79a9dd106f63d'),
-    'group/flip_element': ('2d587a726147f54a0cc0d8eba7806b4ce891756d4be005aac377b023ca8aabbf', '08e54ba728262229ba2c79e108c1124a0ee27259b94a290a667f83784d3648f9'),
-    'group/honest': ('90e10a6ddfd6bb228aabd0604892dc876a4d3f67855df70e76a34359d5dc8670', '121009ffe31d957d5c1263571af5ca520aaeddfee0384fa44c68fc82221f2f7f'),
-    'group/inject_offset': ('b5e20e5e886886ced451a818c821bfa6c2909da02eca9d40d229b7134be67d96', '0abb2d8ea7ba07b75aa2bc032eaa6ac092b213028ffee24dd21847d6fc56f4c7'),
-    'group/multi_round_loss': ('4f86db045ed6f3c84b9b43d607a22f7654d871141b8ac03365d12b91b23bb8ea', '33abd6a62eb89abef505f2498f3e891cfaafaa7730cdc6fd161014a3402fb877'),
-    'group/reveal_timeout': ('6c1f6021769b7ff5583253e0f307c7784fcb672359d1bc949c9a794855d6e985', '760efd9f04add35fc2747cdd76ac47e182445f62cbc6312afdb4dc3a9e57c664'),
-    'group/setup_quorum_failure': ('24d4c39a82b01c83a2eb16ee6f6417ebc3e6f32b47ce236590da52b8900c65b9', '89cddcc3d1cb10d47d49820d8a026df2889301e85362b796371f5ed5c0dc06ce'),
-    'group/staleness_timeout': ('ea0a401bbaac95c5b42fa9dc787f6c6dbb802d588e56dd6fb91732c47f75e6ae', '33420a85a4dfa4d3d106f7f2e6c869cb5e89ee9fc0dbb46538444857ae7b12e6'),
-    'group/substitute_all': ('e88edb0682636a780f8fcb57d21fdd1ff33c5c1ff6b13602181c3889d1da67ad', '08e54ba728262229ba2c79e108c1124a0ee27259b94a290a667f83784d3648f9'),
+    'group/flagship': ('2c6b89ca6bbfd689fbb9c3ec7afbb3afbee862351122d436463b7d551850b63e', 'c8b5758e995d75fb495a8c11b63e5a2df443774c20b86206aa6e4d01aa4855af'),
+    'group/flagship_tampered': ('47b0147d3cfb362b4d0cc80d61c9a74f374f5bcad47877d0cc1e95fc90bd29a6', '4cfdbf25804c0732fd7a67f5ac97ef631deb2618d8b303f90dc79a9dd106f63d'),
+    'group/flip_element': ('a303f7fa91837b8f6cc787738df5e4c90e71a0c0e21db8fe340cde8a081b85b1', '08e54ba728262229ba2c79e108c1124a0ee27259b94a290a667f83784d3648f9'),
+    'group/honest': ('44e6b09739d6ff1e675bd7973c003744c96bcca41e14f5a038c33f91551a9276', '121009ffe31d957d5c1263571af5ca520aaeddfee0384fa44c68fc82221f2f7f'),
+    'group/inject_offset': ('348cdce9df5ca0aa3426b9db4fad75b0868ef738fc200f0e0537d383e635fd7c', '0abb2d8ea7ba07b75aa2bc032eaa6ac092b213028ffee24dd21847d6fc56f4c7'),
+    'group/multi_round_loss': ('43d9877ef8460cf47456e54ea269691766a239b6f51ed544cfffb70cd705de3a', '33abd6a62eb89abef505f2498f3e891cfaafaa7730cdc6fd161014a3402fb877'),
+    'group/reveal_timeout': ('eaed417c91a5f74b2dabc460f2dd4de13d4372ab4e7764a62748665880947e72', '760efd9f04add35fc2747cdd76ac47e182445f62cbc6312afdb4dc3a9e57c664'),
+    'group/setup_quorum_failure': ('0d9b3ca4f87adab37913026aa4841a98cffeb61baba71965204eee80f493afc4', '89cddcc3d1cb10d47d49820d8a026df2889301e85362b796371f5ed5c0dc06ce'),
+    'group/staleness_timeout': ('0b0d002bc3e2170c79373ee56d1f67703e2bd43f92362862394a091fd5a0d387', '33420a85a4dfa4d3d106f7f2e6c869cb5e89ee9fc0dbb46538444857ae7b12e6'),
+    'group/substitute_all': ('6c86f24660232b853b3455090fe7cc154557fcf48344302bca9ba0defbec7668', '08e54ba728262229ba2c79e108c1124a0ee27259b94a290a667f83784d3648f9'),
     'scalar/flagship': ('3df5003f55917b29885cbc0f8a5d0f83e3695e2142b602ccd088afcb4bee0d2b', 'ddd2ce4b582c12dcc1a44d8dda1fad3b809eb09b884c9106f97ef2c7e075e941'),
     'scalar/flagship_tampered': ('c6dfe654065576cb22f582c807ab7d2b1fe22f718d0669fb0524f627fb18a081', '4cfdbf25804c0732fd7a67f5ac97ef631deb2618d8b303f90dc79a9dd106f63d'),
     'scalar/flip_element': ('733920ac59c3ad9b26b52e106d6fa05b5287f23002e86b6ef66201e9be511131', '08e54ba728262229ba2c79e108c1124a0ee27259b94a290a667f83784d3648f9'),

@@ -1,12 +1,15 @@
-"""Imports between secel modules point one way only, down the layer order.
+"""Imports between secel modules point one way only, down the layer order;
+the protocol's own tables agree with each other.
 
 Function-local imports count too: they are parsed, not executed.
 """
 
 import ast
+import random
 from pathlib import Path
 
 import secel
+from secel.protocol import MESSAGE_KINDS, GroupArith, ParticipantNode, RoundSpec, ScalarArith
 
 # lowest layer first; modules on one layer may not import each other
 LAYERS = (
@@ -182,3 +185,24 @@ def test_self_write_check_sees_stores_and_items_only_where_it_looks():
     assert self_writes(ast.parse(source)) == {
         "GroupArith": ["deal.n", "deal.pks", "open_setup.keypair"]
     }
+
+
+def test_setup_tables_match_the_dealing_rows_and_the_dealing_stores():
+    node = ParticipantNode(1, RoundSpec(n=3, t=2, length=1), random.Random(0))
+    before = set(vars(node))
+    node._reset_setup()
+    created = set(vars(node)) - before
+    tables = {
+        kind: pairs for arith in (ScalarArith, GroupArith) for kind, pairs in arith.SETUP.items()
+    }
+    dealing_rows = {
+        kind for kind, (_, _, handler) in MESSAGE_KINDS.items()
+        if handler is ParticipantNode._on_setup
+    }
+    assert dealing_rows == set(tables)
+    for kind, pairs in tables.items():
+        phase, fields, _ = MESSAGE_KINDS[kind]
+        assert phase == "setup", kind
+        assert [name for name, *_ in fields] == [name for name, _ in pairs], kind
+        for _, store in pairs:
+            assert store in created and type(getattr(node, store)) is dict, (kind, store)

@@ -412,8 +412,8 @@ MALFORMED_SETUP = {
     "setup1_string_v": ("setup1", lambda body: {**body, "v": "x"}),
     "setup2_list_a": ("setup2", lambda body: {**body, "a": [1]}),
     "pk_string": ("pk", lambda body: {**body, "pk": "x"}),
-    "gsetup1_float_w": ("gsetup1", lambda body: {**body, "w": 1.5}),
-    "gsetup2_empty": ("gsetup2", lambda body: {}),
+    "gsetup1_float_v": ("gsetup1", lambda body: {**body, "v": 1.5}),
+    "gsetup1_no_a": ("gsetup1", lambda body: {"v": body["v"], "s": body["s"]}),
     "setup1_v_at_p": ("setup1", lambda body: {**body, "v": DEFAULT_PRIME}),
     "gsetup1_s_at_q": ("gsetup1", lambda body: {**body, "s": TOY_GROUP.q}),
 }
@@ -576,7 +576,7 @@ def test_party_offline_when_setup_opens_takes_no_dealing(variant):
 @pytest.mark.parametrize("variant", ["scalar", "group"])
 def test_duplicate_opening_deals_the_second_row_once(monkeypatch, variant):
     spec = RoundSpec(n=4, t=2, length=3, variant=variant)
-    opening, second_row = {"scalar": ("setup1", "setup2"), "group": ("pk", "gsetup2")}[variant]
+    opening, second_row = {"scalar": ("setup1", "setup2"), "group": ("pk", "gsetup1")}[variant]
     send = Simulator.send
 
     def send_twice(sim, src, dst, kind, body, key=None):
@@ -591,6 +591,24 @@ def test_duplicate_opening_deals_the_second_row_once(monkeypatch, variant):
         assert result.transcript.count(type="send", kind=second_row, src=1) == 3
         r = result.rounds[0]
         assert r.phase == "done" and r.field_sum == field_sum_oracle(result, r.m_set)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n", [3, 10])
+def test_dealing_sends_two_envelopes_per_ordered_pair(variant, n):
+    # the paper's 2N(N-1) dealing cost, measured as setup-phase sends
+    spec = RoundSpec(n=n, t=2, length=2, variant=variant)
+    result = run_rounds(spec, SimConfig(seed=n, n=n))
+    assert result.rounds[0].phase == "done"
+    phase, sends = None, Counter()
+    for rec in result.transcript.records:
+        if rec["type"] == "phase":
+            phase = rec["phase"]
+        elif rec["type"] == "send" and phase == "setup":
+            sends[rec["kind"]] += 1
+    kinds = {"scalar": ("setup1", "setup2"), "group": ("pk", "gsetup1")}[variant]
+    assert sends == dict.fromkeys(kinds, n * (n - 1))
+    assert sum(sends.values()) == 2 * n * (n - 1)
 
 
 @pytest.mark.parametrize("variant", ["scalar", "group"])
@@ -701,15 +719,17 @@ def test_fused_group_key_holds_outside_the_subgroup(monkeypatch, dealt):
     # a rewritten second row breaks the pair's channel, not the key derivation
     spec = RoundSpec(n=4, t=2, length=2, variant="group")
     rewrite = {"p_minus_w": lambda w: spec.group.p - w, "zero": lambda w: 0, "one": lambda w: 1}[dealt]
-    send = Simulator.send
+    send, rewritten = Simulator.send, []
 
     def rewrite_second_rows(sim, src, dst, kind, body, key=None):
-        if kind == "gsetup2":
-            body = {"w": rewrite(body["w"])}
+        if kind == "gsetup1":
+            body = {**body, "a": rewrite(body["a"])}
+            rewritten.append((src, dst))
         send(sim, src, dst, kind, body, key=key)
 
     monkeypatch.setattr(Simulator, "send", rewrite_second_rows)
     result = run_rounds(spec, SimConfig(seed=1, n=4))
+    assert len(rewritten) == 4 * 3
     for node in participants(result):
         assert len(node.chan_keys) == len(node.peers)
         for j in node.peers:
@@ -1038,7 +1058,7 @@ def test_lazy_scalar_channel_keys_equal_the_eager_ones(run):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_a_second_row_dealt_again_after_setup_moves_no_key(monkeypatch, variant):
     spec = RoundSpec(n=5, t=2, length=3, variant=variant)
-    kind, name = {"scalar": ("setup2", "a"), "group": ("gsetup2", "w")}[variant]
+    kind = {"scalar": "setup2", "group": "gsetup1"}[variant]
     p = spec.arith().p
     on_message, resent = ParticipantNode.on_message, []
 
@@ -1047,15 +1067,19 @@ def test_a_second_row_dealt_again_after_setup_moves_no_key(monkeypatch, variant)
         on_message(node, sim, env)
         if node.complete and not was_complete:
             # every peer's second row arrives once more, altered per holder, while
-            # setup still runs
+            # setup still runs; a group second row rides a whole gsetup1 again
             for j in node.peers:
-                sim.send(j, node.id, kind, {name: (node.held_a[j] + node.id) % p})
+                body = {"a": (node.held_a[j] + node.id) % p}
+                if kind == "gsetup1":
+                    body.update(v=node.held_v[j], s=node.s_peers[j])
+                sim.send(j, node.id, kind, body)
                 resent.append((j, node.id))
 
     monkeypatch.setattr(ParticipantNode, "on_message", deal_again_once_complete)
     result = run_rounds(spec, SimConfig(seed=2, n=5))
     assert len(resent) == 5 * 4
     assert result.transcript.count(type="note", note="stale_message") == 0
+    assert result.transcript.count(type="note", note="malformed_message") == 0
     r = result.rounds[0]
     assert r.phase == "done" and r.field_sum == field_sum_oracle(result, r.m_set)
     nodes = result.nodes
@@ -1210,7 +1234,7 @@ def test_no_opened_body_outlives_the_run(monkeypatch, variant):
 # ---- plaintext bodies: each multicast checked once ---------------------------------------
 
 BROADCAST_KINDS = ("pk", "aggregate", "commit", "reveal", "share_req")
-DEALING_KINDS = ("setup1", "setup2", "gsetup1", "gsetup2")
+DEALING_KINDS = ("setup1", "setup2", "gsetup1")
 
 
 @pytest.mark.parametrize(
