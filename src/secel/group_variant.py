@@ -6,10 +6,15 @@ keypair, and keep second rows wrapped: those only feed the pairwise
 Diffie-Hellman key, so w = G^(sk_j * A) is raised to sk_j^-1 * A' mod P - 1 in
 one power. Reducing mod P - 1, not q, keeps that equal to unwrapping and then
 raising for every w in [0, P), in the subgroup or not (Fermat). Per ordered
-pair, the dealer wraps both rows in one wrap_share call: one squaring chain of
-pk_j, then about 94 multiplications per row. The holder pays two full-width
-exponentiations: one unwrap, one DH power. Reconstruction happens in the
-exponent (products of powers with Lagrange coefficients), verification checks
+pair, the dealer wraps both rows in one wrap_share call, about 94
+multiplications per row over the squaring chain of pk_j. Each GroupParams
+keeps the chains of the last KEY_CHAINS keys (about 4.5 KB each on the
+256-bit group), so a dealing builds N chains, one per published key, not one
+per (dealer, recipient) pair: the simulator shares this public work across
+parties, while a real dealer still builds one chain per recipient. The
+holders pay 2N(N - 1) full-width exponentiations, one unwrap and one DH power
+per pair. Reconstruction happens in the exponent (products of powers with
+Lagrange coefficients), verification checks
 c2^s * c1 == G^(sum of PRG(k_i, label)), and the aggregate comes back as
 G^(sum of inputs), decoded by baby-step giant-step while the sum stays below a
 known bound. The point of the exercise: Setup can run once and be reused,
@@ -79,6 +84,7 @@ CALL_WINDOW_BITS = 4  # per-call tables: 15 multiplications per row to build
 BABY_STEP_TABLES = 4  # BSGS tables kept per group, one per giant-step size
 BABY_STEP_WIDTH = 8  # baby steps per sqrt(bound)
 BABY_STEP_CAP = 1 << 16  # sqrt of bsgs's largest bound, so never below sqrt(bound)
+KEY_CHAINS = 128  # wrap_share chains kept per group: a whole n=100 dealing hits
 BATCH_WEIGHT_BYTES = 8  # batch weights r_i lie in [1, 2^64]
 _BATCH_DOMAIN = b"secel/batch-verify/v1"
 _HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
@@ -154,7 +160,7 @@ def multi_pow(bases: Sequence[int], exps: Sequence[int], p: int) -> int:
 class GroupParams:
     """A prime-order-q subgroup of Z_P^*, generated by g, with its lazy G^x tables."""
 
-    __slots__ = ("p", "q", "g", "_lift_rows", "_bsgs_tables")
+    __slots__ = ("p", "q", "g", "_lift_rows", "_bsgs_tables", "_key_chains")
 
     def __init__(self, p: int, q: int, g: int):
         if not is_probable_prime(p):
@@ -171,6 +177,7 @@ class GroupParams:
         self.g = g
         self._lift_rows: list[list[int]] | None = None
         self._bsgs_tables: dict[int, tuple[dict[int, int], int]] = {}
+        self._key_chains: dict[int, tuple[int, ...]] = {}
 
     def exponent_field(self) -> PrimeModulus:
         """Z_q, where all share/key arithmetic for this variant happens."""
@@ -202,6 +209,26 @@ class GroupParams:
                 del self._bsgs_tables[next(iter(self._bsgs_tables))]
             self._bsgs_tables[m] = cached
         return cached
+
+    def key_chain(self, base: int) -> tuple[int, ...]:
+        """The squaring chain base^(16^k) mod P, k < ceil(bits(q) / 4), for base in [0, P).
+
+        Built once per base and kept, for the last KEY_CHAINS bases built, so
+        every dealer wrapping for one published key reads one chain.
+        """
+        chain = self._key_chains.get(base)
+        if chain is None:
+            p = self.p
+            links = [base]
+            for _ in range(-(-self.q.bit_length() // 4) - 1):
+                for _ in range(4):
+                    base = base * base % p
+                links.append(base)
+            chain = tuple(links)
+            if len(self._key_chains) >= KEY_CHAINS:
+                del self._key_chains[next(iter(self._key_chains))]
+            self._key_chains[links[0]] = chain
+        return chain
 
     def __repr__(self) -> str:
         return f"GroupParams(p={self.p}, q={self.q}, g={self.g})"
@@ -242,20 +269,19 @@ def wrap_share(values: Sequence[int], recipient_pk: int, params: GroupParams) ->
     """pk_j^x = G^(sk_j * x) for each x in values: the dealt forms for holder j.
 
     Fixed-base windowing (HAC Algorithm 14.109; Brickell, Gordon, McCurley
-    and Wilson, EUROCRYPT 1992) over one squaring chain pk^(16^k), k <
-    ceil(bits(q) / 4), built per call: 252 squarings on the 256-bit group.
-    Each x mod q then costs one bucket_product of the chain and its 4-bit
-    digits, about 94 multiplications, where a separate pow pays about 320.
-    Equal to pow(recipient_pk, x % q, P) for any recipient_pk in [0, P).
+    and Wilson, EUROCRYPT 1992) over the squaring chain pk^(16^k), k <
+    ceil(bits(q) / 4): 252 squarings on the 256-bit group, read from
+    params.key_chain, so a dealing builds one chain per published key (N in
+    all) however many dealers wrap for it. Each x mod q then costs one
+    bucket_product of the chain and its 4-bit digits, about 94
+    multiplications, where a separate pow pays about 320. The simulator
+    shares that public work across parties; a real dealer still builds one
+    chain per recipient. Equal to pow(recipient_pk, x % q, P) for any
+    recipient_pk.
     """
     p, q = params.p, params.q
-    width = -(-q.bit_length() // 4)
-    base = recipient_pk % p
-    chain = [base]
-    for _ in range(width - 1):
-        for _ in range(4):
-            base = base * base % p
-        chain.append(base)
+    chain = params.key_chain(recipient_pk % p)
+    width = len(chain)
     return [
         bucket_product(chain, f"{x % q:0{width}x}".encode().translate(_HEX_DIGITS)[::-1], p)
         for x in values

@@ -1229,7 +1229,8 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
 
     Any phase barrier can end a round early: too few intact bundles after
     setup, too few submissions at aggregation, no electorate, a failed tag
-    check, or a recovery quorum shortfall. A failed round is reported as
+    check, a recovery quorum shortfall, or a sum that reached no member of M
+    (the leader went silent after its check). A failed round is reported as
     rejected — never raised — so multi-round scenarios keep going.
     """
     if isinstance(spec, dict):
@@ -1320,6 +1321,10 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
                         state.verified = False
                     break
             elif phase == "decryption":
+                if not any(participants[i].plaintext is not None for i in state.m_set):
+                    # verified, but no member of M received the sum (the leader went silent)
+                    state.error = "BudgetExhausted"
+                    break
                 leader = participants[state.leader]
                 modulus = spec.field_modulus()
                 state.field_sum = list(leader.sums)

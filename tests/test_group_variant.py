@@ -82,9 +82,10 @@ def test_exponent_field_matches_order():
     assert G101.lift(6) == pow(122, 6, 607)
 
 
+ALL_PARAMS = (DEFAULT_GROUP, TOY_GROUP, G101, G359)
 ALL_GROUPS = pytest.mark.parametrize(
     "params",
-    [DEFAULT_GROUP, TOY_GROUP, G101, G359],
+    ALL_PARAMS,
     ids=["default", "toy", "g101", "g359"],
 )
 
@@ -183,10 +184,32 @@ def test_wrap_share_matches_builtin_pow(params, data):
         label="outside",
     )
     for pk in (0, 1, p - 1, kp.pk, outside):
-        assert wrap_share(values, pk, params) == [pow(pk, x % q, p) for x in values]
+        for _ in range(2):  # the second call reads the chain the first one kept
+            assert wrap_share(values, pk, params) == [pow(pk, x % q, p) for x in values]
+    # one key int on two groups is two bases: neither may read the other's chain
+    other = data.draw(st.sampled_from([g for g in ALL_PARAMS if g is not params]), label="other")
+    shared = data.draw(st.integers(min_value=2, max_value=min(p, other.p) - 2), label="shared")
+    for group in (params, other, params):
+        expected = [pow(shared, x % group.q, group.p) for x in values]
+        assert wrap_share(values, shared, group) == expected
     assert wrap_share([], kp.pk, params) == []
     for x, wrapped in zip(values, wrap_share(values, kp.pk, params), strict=True):
         assert unwrap_share(wrapped, kp.sk_inv, params) == params.lift(x)
+
+
+def test_key_chain_cache_never_holds_more_than_its_bound():
+    params = GroupParams(p=TOY_GROUP.p, q=TOY_GROUP.q, g=TOY_GROUP.g)
+    p, q = params.p, params.q
+    bound = group_variant.KEY_CHAINS
+    bases = list(range(2, 2 * bound + 7))
+    for pk in bases:
+        assert wrap_share([3, q - 1], pk, params) == [pow(pk, 3, p), pow(pk, q - 1, p)]
+        assert len(params._key_chains) <= bound
+    # first in, first out: the newest bound bases stay
+    assert list(params._key_chains) == bases[-bound:]
+    # an evicted base is built again, as on its first call
+    assert wrap_share([5], bases[0], params) == [pow(bases[0], 5, p)]
+    assert len(params._key_chains) == bound
 
 
 def test_keypair_relation():
@@ -616,6 +639,7 @@ def test_scalar_rounds_build_no_group_table(monkeypatch):
     for params in groups:
         monkeypatch.setattr(params, "_lift_rows", None)
         monkeypatch.setattr(params, "_bsgs_tables", {})
+        monkeypatch.setattr(params, "_key_chains", {})
     for spec, verified in (
         (RoundSpec(n=4, t=2, length=8, rounds=2), True),
         (RoundSpec(n=5, t=2, length=4, rounds=2, share_loss=(2,), group=fresh), True),
@@ -626,5 +650,6 @@ def test_scalar_rounds_build_no_group_table(monkeypatch):
     for params in groups:
         assert params._lift_rows is None
         assert params._bsgs_tables == {}
+        assert params._key_chains == {}
     fresh.lift(1)
     assert len(fresh._lift_rows) == 8  # 61-bit q: one row per byte

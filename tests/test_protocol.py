@@ -17,7 +17,7 @@ from secel.errors import AuthFailure, ConfigError, RevealTimeout, SetupQuorumFai
 import secel.group_variant as group_variant
 import secel.protocol as protocol
 import secel.simnet as simnet
-from secel.group_variant import DEFAULT_GROUP, TOY_GROUP, unwrap_share
+from secel.group_variant import DEFAULT_GROUP, TOY_GROUP, GroupParams, unwrap_share
 from secel.algebra import DEFAULT_PRIME, PrimeModulus
 from secel.cli import main as cli_main
 from secel.protocol import (
@@ -258,6 +258,20 @@ def test_leader_vanishing_mid_verification_exhausts_the_round():
     r = result.rounds[0]
     assert r.phase == "rejected" and r.error == "BudgetExhausted"
     assert r.delivered_to == []
+
+
+@pytest.mark.parametrize("offset", [212, 400])
+def test_a_sum_that_reaches_no_member_is_not_done(offset):
+    # party 5 leads; at 212 it goes silent before its tag check, at 400 after
+    # it, before decryption: either way no member of M receives the sum
+    doc = {
+        "seed": 0, "n": 5, "t": 2, "l": 3, "s_min": 4,
+        "faults": [{"id": 5, "phase": "verification", "action": "disconnect", "offset": offset}],
+    }
+    r = run_rounds(doc).rounds[0]
+    assert r.leader == 5 and r.m_set
+    assert r.phase == "rejected" and r.error == "BudgetExhausted"
+    assert r.field_sum is None and r.decrypted is None and r.delivered_to == []
 
 
 @pytest.mark.parametrize("variant", ["scalar", "group"])
@@ -767,6 +781,36 @@ def test_group_dealing_wraps_each_pair_once_and_makes_two_full_width_pows(monkey
     assert len(full_width) == 2 * n * (n - 1)  # one unwrap, one DH power
     assert wraps == [2] * (n * (n - 1))  # both rows to a peer in one call
     assert [call for call in setup_calls if call[0] == -1] == [(-1, DEFAULT_GROUP.q)] * n
+
+
+class CountingChains(dict):
+    """A key-chain cache that counts the chains stored in it."""
+
+    stored = 0
+
+    def __setitem__(self, base, chain):
+        self.stored += 1
+        super().__setitem__(base, chain)
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_group_dealing_builds_one_chain_per_published_key(monkeypatch, n):
+    # DEFAULT_GROUP's numbers on a fresh instance: no earlier run filled its cache
+    group = GroupParams(p=DEFAULT_GROUP.p, q=DEFAULT_GROUP.q, g=DEFAULT_GROUP.g)
+    group._key_chains = chains = CountingChains()
+    wrapped_for = []
+
+    def counting_wrap(values, pk, params):
+        wrapped_for.append(pk)
+        return group_variant.wrap_share(values, pk, params)
+
+    monkeypatch.setattr(protocol, "wrap_share", counting_wrap)
+    spec = RoundSpec(n=n, t=2, length=2, variant="group", group=group)
+    result = run_rounds(spec, SimConfig(seed=1, n=n))
+    assert result.rounds[0].phase == "done"
+    published = {node.keypair.pk for node in participants(result)}
+    assert len(wrapped_for) == n * (n - 1) and set(wrapped_for) == published
+    assert chains.stored == n and set(chains) == published
 
 
 def test_group_share_loss_recovers_the_lifted_share():
