@@ -266,6 +266,11 @@ class FixedPointCodec:
     decode correctly. signed=False shifts inputs by clip_bound first, keeping
     every encoding (and any sum of at most max_parties of them) nonnegative,
     which the group variant needs for discrete-log decoding.
+
+    A value has two integer forms: `scaled_values` gives the clipped, scaled
+    int, which a signed codec leaves negative for a negative value, and
+    `encode` gives that int mod p. Both are the same field element, so code
+    that reduces anyway, like the masking kernels, takes the first.
     """
 
     __slots__ = ("scale_bits", "clip_bound", "signed")
@@ -294,15 +299,22 @@ class FixedPointCodec:
                 f"scale_bits={self.scale_bits}"
             )
 
-    def encode(self, values: Iterable[float], modulus: PrimeModulus) -> list[int]:
-        """Clip each value to ±clip_bound (shifted up by it if unsigned), scale, reduce mod p."""
+    def scaled_values(self, values: Iterable[float]) -> list[int]:
+        """Clip each value to ±clip_bound (shifted up by it if unsigned) and scale
+        it to an int, not reduced mod p: a signed codec's may be negative.
+        ValueError on NaN."""
         hi = self.clip_bound
         lo, shift = -hi, 0.0 if self.signed else hi
-        scale, p = self.scale, modulus.p
+        scale = self.scale
         return [
-            round(((hi if v > hi else lo if v < lo else v) + shift) * scale) % p
+            round(((hi if v > hi else lo if v < lo else v) + shift) * scale)
             for v in map(float, values)
         ]
+
+    def encode(self, values: Iterable[float], modulus: PrimeModulus) -> list[int]:
+        """The scaled values reduced mod p: field elements in [0, p)."""
+        p = modulus.p
+        return [x % p for x in self.scaled_values(values)]
 
     def decode(
         self, elems: Sequence[int], modulus: PrimeModulus, m_count: int = 1

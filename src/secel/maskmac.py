@@ -27,7 +27,9 @@ every input together with the submissions.
 
 Everything here is arithmetic on ints mod p, on whole vectors in the wire
 format: a masked vector is a list of [c1, c2] pairs, and the label of a pair
-is (round, its position in the list). H(label) is computed once per (round,
+is (round, its position in the list). The kernels take any ints, negative or
+at least p included, and reduce what they return mod p, so callers need not
+reduce their inputs first. H(label) is computed once per (round,
 length, modulus), as one tuple that every kernel of the round zips over.
 """
 
@@ -99,9 +101,14 @@ def aggregate_vectors(vectors: Sequence[Sequence[Sequence[int]]], p: int) -> lis
     length = len(vectors[0])
     if any(len(v) != length for v in vectors):
         raise LabelMismatch("vectors of different lengths")
-    c1_cols = zip(*[[pair[0] for pair in v] for v in vectors])
-    c2_cols = zip(*[[pair[1] for pair in v] for v in vectors])
-    return [[c1 % p, c2 % p] for c1, c2 in zip(map(sum, c1_cols), map(sum, c2_cols))]
+    out = []
+    for column in zip(*vectors):
+        c1 = c2 = 0
+        for a, b in column:
+            c1 += a
+            c2 += b
+        out.append([c1 % p, c2 % p])
+    return out
 
 
 def verify_vector(

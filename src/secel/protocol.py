@@ -785,7 +785,8 @@ class ParticipantNode(Node):
     def _start_masking(self, sim: Simulator) -> None:
         if self.dealt_key is None:
             return  # setup never brought this party every round-key summand
-        values = self.codec.encode(self.gradients, self.modulus)
+        # unreduced: the masking kernel reduces each element mod its modulus
+        values = self.codec.scaled_values(self.gradients)
         wire = self.arith.mask(values, self.dealer, self.round_key(), self.round_no)
         sim.send(self.id, AGGREGATOR_ID, "submission", {"c": wire})
 
@@ -993,7 +994,15 @@ class ParticipantNode(Node):
         if body is None:
             return
         self.own_share = body.get("recovered", self.own_share)
-        self.plaintext = self.codec.decode(body["sum"], self.modulus, len(body["m"]))
+        slot = env.shared
+        if slot is None or body is not slot.parsed:  # a body of its own, e.g. with `recovered`
+            self.plaintext = self.codec.decode(body["sum"], self.modulus, len(body["m"]))
+        else:
+            # the codec and modulus are the run's, so the shared parse decodes
+            # alike at every member: once, into a list of each member's own
+            if slot.decoded is None:
+                slot.decoded = self.codec.decode(body["sum"], self.modulus, len(body["m"]))
+            self.plaintext = list(slot.decoded)
         self.status = "done"
 
     def _on_round_done(self, sim: Simulator, env) -> None:

@@ -220,13 +220,15 @@ class Multicast:
     `data` is the body's canonical bytes; `parsed` is the one body parsed from
     them for the sealed copies whose plaintext equals them. `checked` and
     `problem` hold the verdict of the receivers' check of the plaintext body:
-    whoever checks first stores it, the others reuse it.
+    whoever checks first stores it, the others reuse it. `decoded` holds what
+    the receivers of `parsed` derive from it alike, computed by the first.
     """
 
     data: bytes
     parsed: Any = None
     checked: bool = False
     problem: str | None = None
+    decoded: Any = None
 
 
 @dataclass(slots=True)

@@ -321,14 +321,22 @@ def test_codec_encode_clips_like_encode_value(data, signed, scale_bits, clip):
     codec = FixedPointCodec(scale_bits=scale_bits, clip_bound=clip, signed=signed)
     value = (
         st.floats(allow_nan=False)
-        | st.sampled_from([0.0, -0.0, math.inf, -math.inf, clip, -clip])
+        | st.sampled_from([0.0, -0.0, math.inf, -math.inf, clip, -clip, 2 * clip, -2 * clip])
         | st.integers(min_value=-(1 << 60), max_value=1 << 60)
     )
     vs = data.draw(st.lists(value, max_size=40), label="values")
     nan_at = data.draw(st.integers(min_value=0, max_value=len(vs)), label="nan_at")
+    scaled = codec.scaled_values(vs)
+    top = round(2 * clip * codec.scale)
+    lo, hi = (-top // 2, top // 2) if signed else (0, top)
+    assert all(type(x) is int and lo <= x <= hi for x in scaled)
+    with_nan = vs[:nan_at] + [math.nan] + vs[nan_at:]
+    with pytest.raises(ValueError):
+        codec.scaled_values(with_nan)
     for modulus in (F31, F130):
         assert codec.encode(vs, modulus) == [encode_value(codec, v, modulus) for v in vs]
+        assert codec.encode(vs, modulus) == [x % modulus.p for x in scaled]
         with pytest.raises(ValueError):
-            codec.encode(vs[:nan_at] + [math.nan] + vs[nan_at:], modulus)
+            codec.encode(with_nan, modulus)
         with pytest.raises(ValueError):
             encode_value(codec, math.nan, modulus)

@@ -159,12 +159,13 @@ def test_aggregate_examples():
         aggregate_vectors([[[1, 1]], [[1, 1], [1, 1]]], 31)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(data=st.data(), p=st.sampled_from([31, MERSENNE_61, DEFAULT_PRIME]))
 def test_property_aggregate_is_the_column_sum(data, p):
     count = data.draw(st.integers(min_value=1, max_value=12), label="count")
-    length = data.draw(st.integers(min_value=0, max_value=32), label="length")
-    pair = st.lists(st.integers(min_value=0, max_value=p - 1), min_size=2, max_size=2)
+    length = data.draw(st.integers(min_value=0, max_value=64), label="length")
+    elem = st.sampled_from([0, p - 1]) | st.integers(min_value=0, max_value=p - 1)
+    pair = st.lists(elem, min_size=2, max_size=2)
     vector = st.lists(pair, min_size=length, max_size=length)
     vectors = data.draw(st.lists(vector, min_size=count, max_size=count), label="vectors")
     assert aggregate_vectors(vectors, p) == [
@@ -175,6 +176,26 @@ def test_property_aggregate_is_the_column_sum(data, p):
         aggregate_vectors([], p)
     with pytest.raises(LabelMismatch):
         aggregate_vectors(vectors + [vectors[0] + [[0, 0]]], p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([DEFAULT_PRIME, TOY_GROUP.q, DEFAULT_GROUP.q]),
+    bound=st.sampled_from([1 << 20, 1 << 300]),
+)
+def test_mask_vector_reduces_its_inputs(data, p, bound):
+    # the codec hands over unreduced, possibly negative, scaled values
+    values = data.draw(
+        st.lists(st.integers(-bound, bound) | st.sampled_from([0, p - 1, p, -p]), min_size=1,
+                 max_size=16),
+        label="values",
+    )
+    secret, key = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    s, rnd = data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, 1 << 20))
+    assert mask_vector(values, secret, key, s, rnd, p) == mask_vector(
+        [w % p for w in values], secret, key, s, rnd, p
+    )
 
 
 # ---- verify ------------------------------------------------------------------------

@@ -1255,6 +1255,64 @@ def test_a_member_with_a_recovered_share_gets_its_own_result_body(monkeypatch):
     assert len({id(body) for body in got.values()}) == 3  # 4's, 5's and the shared one
 
 
+def decryption_decodes(monkeypatch):
+    """Round number of every FixedPointCodec.decode call made in a decryption phase."""
+    calls, phase = [], [None]
+    run_phase, decode = Simulator.run_phase, protocol.FixedPointCodec.decode
+
+    def timed_phase(sim, name, round_no):
+        phase[0] = (name, round_no)
+        try:
+            run_phase(sim, name, round_no)
+        finally:
+            phase[0] = None
+
+    def counting(codec, *args, **kwargs):
+        if phase[0] is not None and phase[0][0] == "decryption":
+            calls.append(phase[0][1])
+        return decode(codec, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "run_phase", timed_phase)
+    monkeypatch.setattr(protocol.FixedPointCodec, "decode", counting)
+    return calls
+
+
+def assert_own_plaintexts(result):
+    r = result.rounds[-1]
+    holders = [node for node in participants(result) if node.plaintext is not None]
+    assert [node.id for node in holders] == r.delivered_to
+    assert all(node.plaintext == r.decrypted for node in holders)
+    assert len({id(node.plaintext) for node in holders}) == len(holders)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RoundSpec(n=10, t=4, length=16),
+        RoundSpec(n=5, t=2, length=3, variant="group", rounds=2),
+    ],
+    ids=["scalar", "group"],
+)
+def test_each_result_multicast_is_decoded_once(monkeypatch, spec):
+    calls = decryption_decodes(monkeypatch)
+    result = run_rounds(spec, SimConfig(seed=1, n=spec.n))
+    assert all(r.phase == "done" and len(r.delivered_to) == spec.n for r in result.rounds)
+    # the sealed copies' one shared decode, and the leader's own
+    assert Counter(calls) == {r: 2 for r in range(spec.rounds)}
+    assert_own_plaintexts(result)
+
+
+def test_a_member_with_a_recovered_share_decodes_its_own_body(monkeypatch):
+    calls = decryption_decodes(monkeypatch)
+    result = run_flagship()
+    r = result.rounds[0]
+    own = set(result.nodes[r.leader].recovered) & set(r.m_set)
+    assert own == {4, 5} and r.leader not in r.m_set
+    # members 1 and 2 share one decode; the leader, outside M, decodes nothing
+    assert len(calls) == 1 + len(own)
+    assert_own_plaintexts(result)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_no_opened_body_outlives_the_run(monkeypatch, variant):
     class Body(dict):
