@@ -408,7 +408,7 @@ class ScalarArith:
     """Field values mod p; combining adds, interpolation is plain Lagrange."""
 
     V_FIELD = "v_evals"  # share_resp key of the held first-row evaluations
-    SHARE_FIELD = "s_v"  # share_resp key of the responder's own share
+    SHARE_FIELD = "s_v"  # share_resp key of the responder's own share (sent, unread)
     A_FIELD = "a_evals"  # share_resp key of the held second-row evaluations
     SETUP = {
         "setup1": (("v", "held_v"), ("s", "s_peers")),
@@ -452,8 +452,8 @@ class ScalarArith:
             return lagrange_at_zero(points, t, self.p)
         return lagrange_at(points, x, t, self.p)
 
-    def recover_lost(self, q: int, bodies: dict, shares: dict, t: int):
-        """s_v of share-loser q from t helpers' second-row evaluations A_q(j)."""
+    def recover_lost(self, q: int, bodies: dict, t: int):
+        """s_v of share-loser q from t helpers' A_q(j), read from the pooled share bodies."""
         held_a = {j: body.get(self.A_FIELD, {}) for j, body in bodies.items() if j != q}
         helpers = {j: a[str(q)] for j, a in held_a.items() if str(q) in a}
         if len(helpers) < t:
@@ -533,9 +533,10 @@ class GroupArith:
             return exp_lagrange_at_zero(points, t, self.group)
         return exp_lagrange_at(points, x, t, self.group)
 
-    def recover_lost(self, q: int, bodies: dict, shares: dict, t: int):
-        """G^V(q) of share-loser q, interpolated at q from t helpers' G^V(j)."""
-        pts = [(j, shares[j]) for j in sorted(shares) if j != q]
+    def recover_lost(self, q: int, bodies: dict, t: int):
+        """G^V(q) of share-loser q from t helpers' G^V(j), read from the pooled share bodies."""
+        lifts = {j: body.get(self.SHARE_FIELD) for j, body in bodies.items() if j != q}
+        pts = [(j, lifts[j]) for j in sorted(lifts) if lifts[j] is not None]
         if len(pts) < t:
             raise RecoveryQuorumFailure(f"share loser {q}: {len(pts)} helpers, need {t}")
         return self.interpolate(pts[:t], q, t), [j for j, _ in pts[:t]]
@@ -1026,11 +1027,6 @@ class ParticipantNode(Node):
             src: {int(i): v for i, v in body[arith.V_FIELD].items()}
             for src, body in bodies.items()
         }
-        shares = {
-            src: body[arith.SHARE_FIELD]
-            for src, body in bodies.items()
-            if body.get(arith.SHARE_FIELD) is not None
-        }
         self_kv = {
             src: body["self"]
             for src, body in {**bodies, **self.resp_fb}.items()
@@ -1038,8 +1034,8 @@ class ParticipantNode(Node):
         }
         need_recovery = sorted(src for src, body in self.resp_fb.items() if body.get("need"))
 
-        # contributor keys: online members vouch for themselves; anyone silent
-        # now is rebuilt from t first-row evaluations
+        # each member's tag key V_i(i) and pad key V_i(0): online members vouch
+        # for themselves; anyone silent now is rebuilt from t first-row evaluations
         k_map: dict[int, int] = {}
         v0_map: dict[int, int] = {}
         for i in m:
@@ -1062,7 +1058,7 @@ class ParticipantNode(Node):
 
         # share-losers: rebuild their share from t helpers
         for q in need_recovery:
-            value, helpers = arith.recover_lost(q, bodies, shares, t)
+            value, helpers = arith.recover_lost(q, bodies, t)
             self.recovered[q] = value
             sim.log_note("recover", what="lost_share", target=q, helpers=helpers)
 
@@ -1070,11 +1066,8 @@ class ParticipantNode(Node):
         if not arith.verify(self.agg, k, self.round_key(), self.round_no):
             raise VerificationFailed("aggregate failed the tag check")
 
-        if set(m) == set(self.spec.participant_ids) and len(shares) >= t:
-            # full attendance: the pad is V(0), one interpolation instead of |M|
-            pad = arith.interpolate([(j, shares[j]) for j in sorted(shares)[:t]], 0, t)
-        else:
-            pad = arith.combine(v0_map[i] for i in m)
+        # each member masked with its own V_i(0), so the pad is their combination
+        pad = arith.combine(v0_map[i] for i in m)
         self.sums = arith.unmask(self.agg, pad, self.round_no, len(m))
 
     def _distribute(self, sim: Simulator) -> None:
@@ -1330,14 +1323,15 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
                         state.verified = False
                     break
             elif phase == "decryption":
-                if not any(participants[i].plaintext is not None for i in state.m_set):
+                held = [participants[i].plaintext for i in state.m_set]
+                if all(plain is None for plain in held):
                     # verified, but no member of M received the sum (the leader went silent)
                     state.error = "BudgetExhausted"
                     break
                 leader = participants[state.leader]
-                modulus = spec.field_modulus()
                 state.field_sum = list(leader.sums)
-                state.decrypted = codec.decode(state.field_sum, modulus, len(state.m_set))
+                # every holder decoded the one multicast sum: report a copy, decode nothing
+                state.decrypted = list(next(plain for plain in held if plain is not None))
                 state.recovered = sorted(leader.recovered)
         # only setup sets or clears `complete`, so this is the post-setup T
         state.t_set = sorted(i for i, n in participants.items() if n.complete)

@@ -750,30 +750,39 @@ def test_fused_group_key_holds_outside_the_subgroup(monkeypatch, dealt):
             assert node.chan_keys[j] == _two_step_key(node, j)
 
 
-@pytest.mark.parametrize("n", [4, 10])
-def test_group_dealing_wraps_each_pair_once_and_makes_two_full_width_pows(monkeypatch, n):
-    calls, wraps = [], []
+def phase_pows(monkeypatch, name):
+    """(exponent, modulus) of every builtin pow the protocol and group modules
+    make in each `name` phase."""
+    calls, in_phase = [], []
 
     def counting_pow(base, exp, mod=None):
         calls.append((exp, mod))
         return pow(base, exp, mod)
 
-    def counting_wrap(values, pk, params):
-        wraps.append(len(values))
-        return group_variant.wrap_share(values, pk, params)
-
     for module in (protocol, group_variant):
         monkeypatch.setattr(module, "pow", counting_pow, raising=False)
-    monkeypatch.setattr(protocol, "wrap_share", counting_wrap)
-    run_phase, setup_calls = Simulator.run_phase, []
+    run_phase = Simulator.run_phase
 
     def counted_run_phase(sim, phase, round_no):
         start = len(calls)
         run_phase(sim, phase, round_no)
-        if phase == "setup":
-            setup_calls.extend(calls[start:])
+        if phase == name:
+            in_phase.extend(calls[start:])
 
     monkeypatch.setattr(Simulator, "run_phase", counted_run_phase)
+    return in_phase
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_group_dealing_wraps_each_pair_once_and_makes_two_full_width_pows(monkeypatch, n):
+    wraps = []
+
+    def counting_wrap(values, pk, params):
+        wraps.append(len(values))
+        return group_variant.wrap_share(values, pk, params)
+
+    setup_calls = phase_pows(monkeypatch, "setup")
+    monkeypatch.setattr(protocol, "wrap_share", counting_wrap)
     spec = RoundSpec(n=n, t=2, length=2, variant="group", group=DEFAULT_GROUP)
     result = run_rounds(spec, SimConfig(seed=1, n=n))
     assert result.rounds[0].phase == "done"
@@ -781,6 +790,17 @@ def test_group_dealing_wraps_each_pair_once_and_makes_two_full_width_pows(monkey
     assert len(full_width) == 2 * n * (n - 1)  # one unwrap, one DH power
     assert wraps == [2] * (n * (n - 1))  # both rows to a peer in one call
     assert [call for call in setup_calls if call[0] == -1] == [(-1, DEFAULT_GROUP.q)] * n
+
+
+@pytest.mark.parametrize("n, t", [(4, 2), (10, 4)])
+def test_an_honest_group_verification_makes_two_full_width_pows(monkeypatch, n, t):
+    verify_calls = phase_pows(monkeypatch, "verification")
+    spec = RoundSpec(n=n, t=t, length=4, variant="group", group=DEFAULT_GROUP)
+    result = run_rounds(spec, SimConfig(seed=1, n=n))
+    assert result.rounds[0].phase == "done"
+    # the batch tag check alone; the pad combines the members' own V_i(0) lifts
+    full_width = [exp for exp, _ in verify_calls if exp.bit_length() > 64]
+    assert len(full_width) == 2
 
 
 class CountingChains(dict):
@@ -1255,8 +1275,9 @@ def test_a_member_with_a_recovered_share_gets_its_own_result_body(monkeypatch):
     assert len({id(body) for body in got.values()}) == 3  # 4's, 5's and the shared one
 
 
-def decryption_decodes(monkeypatch):
-    """Round number of every FixedPointCodec.decode call made in a decryption phase."""
+def counting_decodes(monkeypatch):
+    """(phase, round) of every FixedPointCodec.decode call, None for one made
+    outside every phase."""
     calls, phase = [], [None]
     run_phase, decode = Simulator.run_phase, protocol.FixedPointCodec.decode
 
@@ -1268,8 +1289,7 @@ def decryption_decodes(monkeypatch):
             phase[0] = None
 
     def counting(codec, *args, **kwargs):
-        if phase[0] is not None and phase[0][0] == "decryption":
-            calls.append(phase[0][1])
+        calls.append(phase[0])
         return decode(codec, *args, **kwargs)
 
     monkeypatch.setattr(Simulator, "run_phase", timed_phase)
@@ -1282,7 +1302,9 @@ def assert_own_plaintexts(result):
     holders = [node for node in participants(result) if node.plaintext is not None]
     assert [node.id for node in holders] == r.delivered_to
     assert all(node.plaintext == r.decrypted for node in holders)
-    assert len({id(node.plaintext) for node in holders}) == len(holders)
+    # every holder keeps a list of its own, and the round state holds one more
+    lists = {id(node.plaintext) for node in holders} | {id(r.decrypted)}
+    assert len(lists) == len(holders) + 1
 
 
 @pytest.mark.parametrize(
@@ -1294,23 +1316,66 @@ def assert_own_plaintexts(result):
     ids=["scalar", "group"],
 )
 def test_each_result_multicast_is_decoded_once(monkeypatch, spec):
-    calls = decryption_decodes(monkeypatch)
+    calls = counting_decodes(monkeypatch)
     result = run_rounds(spec, SimConfig(seed=1, n=spec.n))
     assert all(r.phase == "done" and len(r.delivered_to) == spec.n for r in result.rounds)
-    # the sealed copies' one shared decode, and the leader's own
-    assert Counter(calls) == {r: 2 for r in range(spec.rounds)}
+    # the sealed copies' one shared decode, and the leader's own; the runner
+    # reports a holder's list and decodes nothing
+    assert Counter(calls) == {("decryption", r): 2 for r in range(spec.rounds)}
     assert_own_plaintexts(result)
 
 
 def test_a_member_with_a_recovered_share_decodes_its_own_body(monkeypatch):
-    calls = decryption_decodes(monkeypatch)
+    calls = counting_decodes(monkeypatch)
     result = run_flagship()
     r = result.rounds[0]
     own = set(result.nodes[r.leader].recovered) & set(r.m_set)
     assert own == {4, 5} and r.leader not in r.m_set
     # members 1 and 2 share one decode; the leader, outside M, decodes nothing
-    assert len(calls) == 1 + len(own)
+    assert calls == [("decryption", 0)] * (1 + len(own))
     assert_own_plaintexts(result)
+
+
+def leader_interpolations(monkeypatch):
+    """The point x of every interpolation either variant's arithmetic makes."""
+    calls = []
+    for arith in (protocol.ScalarArith, GroupArith):
+
+        def counting(self, points, x, t, interpolate=arith.interpolate):
+            calls.append(x)
+            return interpolate(self, points, x, t)
+
+        monkeypatch.setattr(arith, "interpolate", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RoundSpec(n=10, t=4, length=4),
+        RoundSpec(n=5, t=2, length=3, variant="group", rounds=2),
+    ],
+    ids=["scalar", "group"],
+)
+def test_an_honest_full_attendance_round_interpolates_nothing(monkeypatch, spec):
+    calls = leader_interpolations(monkeypatch)
+    result = run_rounds(spec, SimConfig(seed=1, n=spec.n))
+    assert [len(r.m_set) for r in result.rounds if r.phase == "done"] == [spec.n] * spec.rounds
+    # every member vouches for its own keys, and the pad combines their V_i(0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_member_silent_after_submitting_costs_two_interpolations(monkeypatch, variant):
+    calls = leader_interpolations(monkeypatch)
+    spec = RoundSpec(n=6, t=3, length=3, s_min=4, variant=variant)
+    faults = [Fault(id=2, phase="aggregation", action="disconnect")]
+    result = run_rounds(spec, SimConfig(seed=1, n=6, faults=faults))
+    r = result.rounds[0]
+    assert r.phase == "done" and r.m_set == [1, 2, 3, 4, 5, 6] and 2 not in r.delivered_to
+    assert r.field_sum == field_sum_oracle(result, r.m_set)
+    # its tag key V_2(2), then its pad key V_2(0)
+    assert calls == [2, 0]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -1659,9 +1724,16 @@ LIVENESS_REJECTIONS = set(NAMED_REJECTIONS) - {
         {"id": 4, "phase": "masking", "action": "reconnect"},
     ],
 })
+# every party attends while share-loser 5 is in M: both variants end done,
+# with 5's share rebuilt in round 0
+@example(doc={"seed": 2, "n": 5, "t": 2, "l": 3, "rounds": 2, "share_loss": [5]})
+@example(doc={
+    "seed": 2, "n": 5, "t": 2, "l": 3, "rounds": 2, "share_loss": [5], "variant": "group",
+})
 def test_honest_rounds_end_done_with_the_exact_sum_or_a_liveness_rejection(doc):
     result = run_rounds(doc)
-    arith = RoundSpec.from_dict(doc).arith()
+    spec = RoundSpec.from_dict(doc)
+    arith, codec, modulus = spec.arith(), spec.codec(), spec.field_modulus()
     opened = {
         (rec["round"], rec["src"]) for rec in result.transcript.records
         if rec.get("type") in ("send", "drop") and rec.get("kind") == arith.OPENING
@@ -1669,6 +1741,8 @@ def test_honest_rounds_end_done_with_the_exact_sum_or_a_liveness_rejection(doc):
     for r in result.rounds:
         if r.phase == "done":
             assert r.verified and r.field_sum == field_sum_oracle(result, r.m_set)
+            # the runner reports the members' decode; it must be the sum's own
+            assert r.decrypted == codec.decode(r.field_sum, modulus, len(r.m_set))
         else:
             assert r.phase == "rejected" and r.error in LIVENESS_REJECTIONS, r
         # every holder dealt the dealing this round uses, none holds a stale one
