@@ -10,6 +10,7 @@ cross into the field through :class:`FixedPointCodec`.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -288,7 +289,8 @@ class FixedPointCodec:
 
     def max_parties(self, modulus: PrimeModulus) -> int:
         """Largest M such that M encodings can be summed without wrapping."""
-        per_party = int(2 * self.clip_bound * self.scale)
+        # exact: 2 * clip * scale may be past float range, or scale past int-to-float
+        per_party = int(2 * Fraction(self.clip_bound) * self.scale)
         return max(0, (modulus.p // 2 - 1) // max(per_party, 1))
 
     def ensure_capacity(self, n_parties: int, modulus: PrimeModulus) -> None:

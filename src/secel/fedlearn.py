@@ -215,8 +215,8 @@ class TrainConfig:
             raise ConfigError("tau must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout fraction must lie in [0, 1)")
-        if self.eta < 0:
-            raise ConfigError("learning rate must be nonnegative")
+        if not 0 <= self.eta < math.inf:  # NaN fails both comparisons
+            raise ConfigError("learning rate must be a nonnegative finite number")
         s_min = self.quorum
         if not 1 <= s_min <= self.parties:
             raise ConfigError("s_min must lie in [1, parties]")

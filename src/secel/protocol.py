@@ -29,11 +29,12 @@ holds them all. The round that dealt uses it as is; a round that reuses the
 dealing (group mode) hashes it with the round number, so no key goes stale.
 
 Both variants run one code path. What differs lives in the per-variant
-arithmetic object, ScalarArith or GroupArith, that RoundSpec builds: adding
-field values or multiplying group lifts, and the steps of setup. Nodes and
-the runner are written once against it and never read the variant, and it
-holds no state of its own. Its SETUP table maps each dealing kind to the
-(body field, node store) pairs that one receive path fills: scalar setup1
+arithmetic object, ScalarArith or GroupArith, that RoundSpec looks up by
+variant: the field, the codec, adding field values or multiplying group
+lifts, and the steps of setup. It checks its own parameters when built.
+Nodes and the runner are written once against it and never read the variant,
+and it holds no state of its own. Its SETUP table maps each dealing kind to
+the (body field, node store) pairs that one receive path fills: scalar setup1
 {v, s} then setup2 {a}; group pk {pk} then gsetup1 {v, a, s}. Either way a
 dealing sends two envelopes per ordered pair, 2N(N-1) in all.
 
@@ -49,8 +50,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
@@ -59,7 +62,6 @@ from .algebra import (
     FixedPointCodec,
     PrimeModulus,
     UniPoly,
-    _checked_prime,
     lagrange_at,
     lagrange_at_zero,
 )
@@ -111,7 +113,6 @@ from .simnet import (
     secure_recv,
 )
 
-VARIANTS = ("scalar", "group")
 TAMPER_POLICIES = ("honest", "flip_element", "substitute_all", "inject_offset", "negate",
                    "truncate", "duplicate_member", "malformed")
 TAMPER_OFFSET = 3  # additive constant used by the inject_offset policy
@@ -234,28 +235,15 @@ class RoundSpec:
     def participant_ids(self) -> list[int]:
         return list(range(1, self.n + 1))
 
-    def codec(self) -> FixedPointCodec:
-        # group: shift into [0, 2*clip] so sums stay small enough to brute-decode
-        group = self.variant == "group"
-        return FixedPointCodec(
-            scale_bits=(10 if group else 16) if self.scale_bits is None else self.scale_bits,
-            clip_bound=self.clip_bound,
-            signed=not group,
-        )
-
-    def field_modulus(self) -> PrimeModulus:
-        if self.variant == "group":
-            return self.group.exponent_field()
-        return PrimeModulus(self.prime)
-
     def arith(self) -> ScalarArith | GroupArith:
         """The variant's arithmetic, its whole difference; it holds no node state."""
-        return GroupArith(self) if self.variant == "group" else ScalarArith(self)
+        return ARITHS[self.variant](self)
 
-    def decode_bound(self, m_count: int) -> int:
-        """Largest decodable aggregate in group mode: m parties, full clip range."""
-        codec = self.codec()
-        return m_count * round(2 * codec.clip_bound * codec.scale) + 1
+    def codec(self) -> FixedPointCodec:
+        return self.arith().codec
+
+    def field_modulus(self) -> PrimeModulus:
+        return self.arith().field
 
     def validate(self) -> None:
         if type(self.n) is not int or self.n < 2:
@@ -286,23 +274,15 @@ class RoundSpec:
                 shaped = False
             if not shaped:
                 raise ConfigError("gradients must be an n x length matrix of finite numbers")
-        if self.variant == "scalar":
-            try:
-                _checked_prime(self.prime)  # cached per modulus
-            except (TypeError, ValueError):
-                raise ConfigError("prime must be prime") from None
         if not (self.scale_bits is None or type(self.scale_bits) is int and self.scale_bits >= 1):
             raise ConfigError("scale_bits must be a positive integer")
-        if not (type(self.clip_bound) in _NUMBERS and 0 < self.clip_bound < math.inf):
+        if not (type(self.clip_bound) in _NUMBERS and 0 < self.clip_bound <= sys.float_info.max):
             raise ConfigError("clip_bound must be a positive finite number")
+        arith = self.arith()  # checks the variant's own parameters
         try:
-            self.codec().ensure_capacity(self.n, self.field_modulus())
+            arith.codec.ensure_capacity(self.n, arith.field)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.variant == "group" and self.decode_bound(self.n) > (1 << 32):
-            raise ConfigError(
-                "group decode bound exceeds 2^32; shrink scale_bits/clip/n"
-            )
 
     _SIM_KEYS = frozenset({"seed", "n", "delay", "budgets", "faults"})
 
@@ -418,19 +398,24 @@ class ScalarArith:
     reuses_setup = False  # every round deals afresh
 
     def __init__(self, spec: RoundSpec):
-        self.ids = spec.participant_ids
+        try:
+            self.field = PrimeModulus(spec.prime)
+        except (TypeError, ValueError):  # TypeError: an unhashable prime
+            raise ConfigError("prime must be prime") from None
         self.p = self.q = spec.prime  # values live mod p, exponents mod q
+        bits = 16 if spec.scale_bits is None else spec.scale_bits
+        self.codec = FixedPointCodec(bits, spec.clip_bound, signed=True)
 
     def open_setup(self, node: ParticipantNode, sim: Simulator) -> None:
         """First dealing round: V_i(j) and the round-key summand to each peer."""
-        out = step1_messages(node.dealer, self.ids)
+        out = step1_messages(node.dealer, node.spec.participant_ids)
         for j in sorted(out):
             sim.send(node.id, j, "setup1", {"v": out[j], "s": node.s_own})
 
     def deal_second(self, node: ParticipantNode, sim: Simulator) -> None:
         """Fix s_v = V(id), then deal A_i(j) with A_i(0) = s_v."""
-        node.own_share = accumulate_sv(node.dealer, node.held_v, self.ids)
-        out = step2_messages(node.dealer, self.ids, node.rng)
+        node.own_share = accumulate_sv(node.dealer, node.held_v, node.spec.participant_ids)
+        out = step2_messages(node.dealer, node.spec.participant_ids, node.rng)
         for j in sorted(out):
             sim.send(node.id, j, "setup2", {"a": out[j]})
 
@@ -491,12 +476,21 @@ class GroupArith:
     reuses_setup = True  # later rounds derive their round key from the dealt one
 
     def __init__(self, spec: RoundSpec):
-        self.spec = spec
         self.group = spec.group
         self.p, self.q = self.group.p, self.group.q
+        self.field = self.group.exponent_field()
+        # shifted into [0, 2*clip], so sums stay small enough to brute-decode
+        bits = 10 if spec.scale_bits is None else spec.scale_bits
+        self.codec = FixedPointCodec(bits, spec.clip_bound, signed=False)
+        if self.decode_bound(spec.n) > (1 << 32):
+            raise ConfigError("group decode bound exceeds 2^32; shrink scale_bits/clip/n")
+
+    def decode_bound(self, m_count: int) -> int:
+        """Largest decodable aggregate: m parties, full clip range."""
+        return m_count * round(2 * Fraction(self.codec.clip_bound) * self.codec.scale) + 1
 
     def open_setup(self, node: ParticipantNode, sim: Simulator) -> None:
-        node.dealer.a_poly = UniPoly.random(self.spec.t - 1, node.modulus, node.rng)
+        node.dealer.a_poly = UniPoly.random(node.spec.t - 1, self.field, node.rng)
         node.keypair = KeyPair.generate(self.group, node.rng)
         sim.broadcast(node.id, node.peers, "pk", {"pk": node.keypair.pk})
 
@@ -553,7 +547,7 @@ class GroupArith:
         return group_verify(pairs, k, s, round_no, self.group)
 
     def unmask(self, pairs, pad: int, round_no: int, m_count: int) -> list[int]:
-        bound = self.spec.decode_bound(m_count)
+        bound = self.decode_bound(m_count)
         sums = []
         for idx, h in enumerate(group_unmask(pairs, pad, round_no, self.group)):
             try:
@@ -561,6 +555,10 @@ class GroupArith:
             except NotFound:
                 raise DecodeFailure(f"element {idx} has no discrete log below {bound}") from None
         return sums
+
+
+ARITHS = {"scalar": ScalarArith, "group": GroupArith}
+VARIANTS = tuple(ARITHS)  # ("scalar", "group"): test ids follow this order
 
 
 # ---- helpers shared by the node implementations --------------------------------------
@@ -645,8 +643,6 @@ class ParticipantNode(Node):
         self.id = node_id
         self.spec = spec
         self.rng = rng
-        self.modulus = spec.field_modulus()
-        self.codec = spec.codec()
         self.arith = spec.arith()
         self.gradients: list[float] = []
 
@@ -722,7 +718,7 @@ class ParticipantNode(Node):
         key || round) mod q; 1 stands in for 0, which would void every tag."""
         if self.round_no == self.dealt_round:
             return self.dealt_key
-        q = self.modulus.p
+        q = self.arith.q
         h = hashlib.sha256(b"secel/round-key/v1")
         h.update(self.dealt_key.to_bytes(-(-q.bit_length() // 8), "big"))
         h.update(self.round_no.to_bytes(8, "big"))
@@ -779,15 +775,15 @@ class ParticipantNode(Node):
             start(sim)
 
     def _start_setup(self, sim: Simulator) -> None:
-        self.dealer = new_dealer(self.id, self.spec.t, self.spec.n, self.modulus, self.rng)
-        self.s_own = self.modulus.random_nonzero(self.rng)
+        self.dealer = new_dealer(self.id, self.spec.t, self.spec.n, self.arith.field, self.rng)
+        self.s_own = self.arith.field.random_nonzero(self.rng)
         self.arith.open_setup(self, sim)
 
     def _start_masking(self, sim: Simulator) -> None:
         if self.dealt_key is None:
             return  # setup never brought this party every round-key summand
         # unreduced: the masking kernel reduces each element mod its modulus
-        values = self.codec.scaled_values(self.gradients)
+        values = self.arith.codec.scaled_values(self.gradients)
         wire = self.arith.mask(values, self.dealer, self.round_key(), self.round_no)
         sim.send(self.id, AGGREGATOR_ID, "submission", {"c": wire})
 
@@ -862,7 +858,7 @@ class ParticipantNode(Node):
             return
         _, fields, handler = entry
         if fields:
-            # the check reads only the run's spec and modulus, the same at every
+            # the check reads only the run's spec and arith, the same at every
             # participant, so the copies of one multicast share its verdict
             slot = env.shared
             if slot is None:
@@ -909,7 +905,7 @@ class ParticipantNode(Node):
         peers = self.spec.n - 1
         if self.dealt_key is None and len(self.s_peers) == peers:
             # the one place the dealt key is fixed
-            self.dealt_key = (self.s_own + sum(self.s_peers.values())) % self.modulus.p or 1
+            self.dealt_key = (self.s_own + sum(self.s_peers.values())) % self.arith.q or 1
             self.dealt_round = self.round_no
         if env.kind == arith.OPENING and len(first) == peers:
             arith.deal_second(self, sim)  # once, on the last opening
@@ -995,14 +991,15 @@ class ParticipantNode(Node):
         if body is None:
             return
         self.own_share = body.get("recovered", self.own_share)
+        arith = self.arith
         slot = env.shared
         if slot is None or body is not slot.parsed:  # a body of its own, e.g. with `recovered`
-            self.plaintext = self.codec.decode(body["sum"], self.modulus, len(body["m"]))
+            self.plaintext = arith.codec.decode(body["sum"], arith.field, len(body["m"]))
         else:
-            # the codec and modulus are the run's, so the shared parse decodes
+            # the codec and field are the run's, so the shared parse decodes
             # alike at every member: once, into a list of each member's own
             if slot.decoded is None:
-                slot.decoded = self.codec.decode(body["sum"], self.modulus, len(body["m"]))
+                slot.decoded = arith.codec.decode(body["sum"], arith.field, len(body["m"]))
             self.plaintext = list(slot.decoded)
         self.status = "done"
 
@@ -1098,7 +1095,7 @@ class ParticipantNode(Node):
                     continue
                 sim.send(self.id, u, kind, body, key=key)
         if self.id in m:
-            self.plaintext = self.codec.decode(sums, self.modulus, len(m))
+            self.plaintext = self.arith.codec.decode(sums, self.arith.field, len(m))
         self.status = "done"
 
 
@@ -1253,7 +1250,6 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
     sim.add_node(aggregator)
     participants: dict[int, ParticipantNode] = {}
     inputs: dict[int, list[float]] = {}
-    codec = spec.codec()
     for i in spec.participant_ids:
         node = ParticipantNode(i, spec, sim.node_rng(i))
         if spec.gradients is not None:
@@ -1261,7 +1257,7 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
         else:
             grad_rng = random.Random(derive_seed(sim_config.seed, "grad", i))
             node.gradients = [
-                grad_rng.uniform(-codec.clip_bound, codec.clip_bound)
+                grad_rng.uniform(-spec.clip_bound, spec.clip_bound)
                 for _ in range(spec.length)
             ]
         inputs[i] = list(node.gradients)

@@ -103,6 +103,15 @@ def test_round_malformed_simulator_keys_exit_one(tmp_path, capsys):
         assert "config error:" in capsys.readouterr().err
 
 
+def test_round_oversized_codec_setting_exits_one(tmp_path, capsys):
+    # each setting's field capacity is past float range
+    for setting in ({"clip_bound": 1e308}, {"scale_bits": 5000}):
+        for variant in ("scalar", "group"):
+            cfg = write_config(tmp_path, {"n": 3, "variant": variant, **setting})
+            assert main(["round", "--config", cfg]) == 1
+            assert "config error:" in capsys.readouterr().err
+
+
 def test_round_non_object_config_exits_one(tmp_path, capsys):
     path = tmp_path / "arr.json"
     path.write_text("[1, 2, 3]")
@@ -265,6 +274,14 @@ def test_train_default_sweep_emits_five_rows_per_round(tmp_path, capsys):
 def test_train_invalid_fraction_exits_one(capsys):
     assert main(["train", "--f", "1.5", "--rounds", "1", "--parties", "4"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline", [[], ["--plaintext"]], ids=["secure", "plaintext"])
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_train_non_finite_eta_exits_one(capsys, eta, pipeline):
+    argv = ["train", "--parties", "3", "--rounds", "2", "--f", "0", "--eta", eta, *pipeline]
+    assert main(argv) == 1
+    assert "config error: learning rate" in capsys.readouterr().err
 
 
 def test_train_plaintext_twin_runs(capsys):

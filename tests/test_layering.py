@@ -140,20 +140,22 @@ def test_variant_read_check_sees_nested_reads_only_where_it_looks():
 STATELESS = ("ScalarArith", "GroupArith")
 
 
+def written(target: ast.AST) -> str | None:
+    """The attribute of `self` that a store target writes, or an item of, if any."""
+    if isinstance(target, ast.Subscript):
+        target = target.value
+    if (
+        isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+    ):
+        return target.attr
+    return None
+
+
 def self_writes(tree: ast.AST) -> dict[str, list[str]]:
     """`method.attribute` for each write to an attribute of `self`, or to an item
     of one, outside `__init__` in each top-level class named in STATELESS."""
-    def written(target: ast.AST) -> str | None:
-        if isinstance(target, ast.Subscript):
-            target = target.value
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            return target.attr
-        return None
-
     return {
         cls.name: sorted(
             f"{method.name}.{written(sub)}"
@@ -185,6 +187,53 @@ def test_self_write_check_sees_stores_and_items_only_where_it_looks():
     assert self_writes(ast.parse(source)) == {
         "GroupArith": ["deal.n", "deal.pks", "open_setup.keypair"]
     }
+
+
+# the arithmetic object owns the variant's field, codec and decode bound:
+# RoundSpec reads the variant only to look it up and to check it, branches
+# on it nowhere, and no one keeps a copy of what the object holds
+def is_variant(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "variant"
+
+
+def class_facts(tree: ast.AST, name: str) -> tuple[set[str], int, set[str]]:
+    """For the top-level class `name`: the methods that read `.variant`, its
+    `==`/`!=` tests on `.variant`, and the attributes of `self` it writes."""
+    cls = next(node for node in tree.body if getattr(node, "name", None) == name)
+    readers, tests, writes = set(), 0, set()
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        for sub in ast.walk(method):
+            if is_variant(sub) and isinstance(sub.ctx, ast.Load):
+                readers.add(method.name)
+            elif isinstance(sub, ast.Compare) and any(map(is_variant, [sub.left, *sub.comparators])):
+                tests += sum(isinstance(op, (ast.Eq, ast.NotEq)) for op in sub.ops)
+            elif isinstance(sub, (ast.Attribute, ast.Subscript)) and isinstance(sub.ctx, ast.Store):
+                writes.add(written(sub))
+    return readers, tests, writes - {None}
+
+
+def test_the_variant_is_decided_once_and_its_pieces_kept_once():
+    tree = ast.parse((SRC / "protocol.py").read_text())
+    assert class_facts(tree, "RoundSpec")[:2] == ({"arith", "validate"}, 0)
+    for node in ("ParticipantNode", "AggregatorNode"):
+        assert not class_facts(tree, node)[2] & {"modulus", "codec"}, node
+    for arith in STATELESS:
+        assert "spec" not in class_facts(tree, arith)[2], arith
+
+
+def test_class_facts_see_reads_tests_and_writes_of_the_named_class_only():
+    source = (
+        "class RoundSpec:\n"
+        "    def codec(self):\n        return self.variant == 'group' != other.variant\n"
+        "    def arith(self):\n        self.spec = self.variant in VARIANTS\n"
+        "        self.table[1] = 2\n"
+        "class GroupArith:\n    def __init__(self, spec):\n        self.codec = spec.variant\n"
+    )
+    tree = ast.parse(source)
+    assert class_facts(tree, "RoundSpec") == ({"codec", "arith"}, 2, {"spec", "table"})
+    assert class_facts(tree, "GroupArith") == ({"__init__"}, 0, {"codec"})
 
 
 def test_setup_tables_match_the_dealing_rows_and_the_dealing_stores():

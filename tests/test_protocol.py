@@ -952,6 +952,13 @@ def test_round_spec_validation_rejects(kwargs):
         {"n": 3, "l": 4, "gradients": [[math.inf] * 4] * 3},
         {"n": 3, "l": 2, "gradients": [[0.0, -math.inf]] * 3},
         {"n": 3, "l": 1, "gradients": [[10**400]] * 3},
+        # codec settings whose capacity is past float range
+        {"n": 3, "clip_bound": 1e308},
+        {"n": 3, "clip_bound": 1e308, "variant": "group"},
+        {"n": 3, "scale_bits": 5000},
+        {"n": 3, "scale_bits": 5000, "variant": "group"},
+        {"n": 3, "clip_bound": 10**400},
+        {"n": 3, "prime": [7]},  # unhashable, so the prime check's cache raises TypeError
     ],
 )
 def test_bools_and_non_finite_numbers_are_config_errors(doc):
@@ -1015,6 +1022,13 @@ def test_run_rounds_accepts_one_flat_document():
     # flat-document drive equals the explicit two-object drive
     explicit = run_flagship(seed=11)
     assert result.transcript.to_ndjson() == explicit.transcript.to_ndjson()
+
+
+def test_a_spec_without_sim_config_runs_the_default_simulation():
+    result = run_rounds(RoundSpec(n=3, t=2, length=2))
+    assert result.sim_config == SimConfig(n=3)
+    flat = run_rounds({"n": 3, "t": 2, "l": 2})
+    assert result.transcript.to_ndjson() == flat.transcript.to_ndjson()
 
 
 def test_run_rounds_document_seed_picks_the_simulation():
@@ -1150,6 +1164,29 @@ def test_a_second_row_dealt_again_after_setup_moves_no_key(monkeypatch, variant)
     for i, j in resent:
         assert nodes[i].chan_key(j) is not None
         assert nodes[i].chan_key(j) == nodes[j].chan_key(i) == eager_key(nodes[j], i)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_an_aggregate_sent_again_in_verification_is_dropped_as_stale(monkeypatch, variant):
+    start = protocol.AggregatorNode.on_phase_start
+
+    def broadcast_again(node, sim, phase):
+        start(node, sim, phase)
+        if phase == "verification":  # the same aggregate body, one phase late
+            agg = node.arith.aggregate([node.received[i] for i in node.m])
+            body = {"m": node.m, "failed": node.failed, "c": agg}
+            sim.broadcast(node.id, node.spec.participant_ids, "aggregate", body)
+
+    monkeypatch.setattr(protocol.AggregatorNode, "on_phase_start", broadcast_again)
+    doc = {"seed": 1, "n": 4, "t": 2, "l": 3, "s_min": 3, "variant": variant,
+           "faults": [{"id": 4, "phase": "masking", "action": "disconnect"}]}
+    result = run_rounds(doc)
+    stale = [rec for rec in result.transcript.records if rec.get("note") == "stale_message"]
+    assert sorted(rec["dst"] for rec in stale) == [1, 2, 3]  # the online participants
+    assert {(rec["kind"], rec["round"]) for rec in stale} == {("aggregate", 0)}
+    r = result.rounds[0]
+    assert r.phase == "done" and r.m_set == [1, 2, 3]
+    assert r.field_sum == field_sum_oracle(result, r.m_set)
 
 
 def test_wiped_party_serves_no_channel_key():
