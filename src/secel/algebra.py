@@ -287,8 +287,20 @@ class FixedPointCodec:
     def scale(self) -> int:
         return 1 << self.scale_bits
 
+    def width_bits(self) -> int:
+        """Bit length of one party's width, 2 * clip * scale, from bit lengths alone.
+
+        clip_bound is a float, so 2 * clip is num / 2^e exactly and the width's
+        bit length is scale_bits + bits(num) - bits(2^e), whenever that is >= 1.
+        It builds no integer of scale_bits bits.
+        """
+        twice = 2 * Fraction(self.clip_bound)
+        return self.scale_bits + twice.numerator.bit_length() - twice.denominator.bit_length() + 1
+
     def max_parties(self, modulus: PrimeModulus) -> int:
         """Largest M such that M encodings can be summed without wrapping."""
+        if self.width_bits() >= modulus.p.bit_length():
+            return 0  # one party's width alone passes p / 2; do not build the scale
         # exact: 2 * clip * scale may be past float range, or scale past int-to-float
         per_party = int(2 * Fraction(self.clip_bound) * self.scale)
         return max(0, (modulus.p // 2 - 1) // max(per_party, 1))

@@ -10,9 +10,11 @@ walks the fixed phase sequence:
                 submits (c1, c2) pairs to the aggregator in the clear
   aggregation   the aggregator sums component-wise (or is told to tamper) and
                 broadcasts the aggregate together with the contributor set M
-  verification  intact share-holders elect a leader by commit/reveal; the leader
-                gathers share evaluations, rebuilds missing contributor keys,
-                checks the homomorphic tag, and reconstructs lost shares
+  verification  intact share-holders elect a leader by commit/reveal; each
+                member hands the leader its own keys, and the leader fetches
+                held rows only for members that stayed silent and share-losers
+                that ask, rebuilds their keys and shares, and checks the
+                homomorphic tag
   decryption    the leader strips the pad and hands the plaintext sum only to
                 online contributors; everyone else just learns the verdict
 
@@ -387,9 +389,6 @@ class ScenarioResult:
 class ScalarArith:
     """Field values mod p; combining adds, interpolation is plain Lagrange."""
 
-    V_FIELD = "v_evals"  # share_resp key of the held first-row evaluations
-    SHARE_FIELD = "s_v"  # share_resp key of the responder's own share (sent, unread)
-    A_FIELD = "a_evals"  # share_resp key of the held second-row evaluations
     SETUP = {
         "setup1": (("v", "held_v"), ("s", "s_peers")),
         "setup2": (("a", "held_a"),),
@@ -422,6 +421,14 @@ class ScalarArith:
     def finish_setup(self, node: ParticipantNode) -> None:
         pass  # s_v is fixed at deal_second; channel keys come on first use
 
+    def first_row(self, node: ParticipantNode, dealer: int) -> int:
+        """V_dealer(id) as held: a field value already."""
+        return node.held_v[dealer]
+
+    def lost_row(self, node: ParticipantNode, q: int) -> int:
+        """A_q(id), dealt by share-loser q: t of them rebuild its s_v = A_q(0)."""
+        return node.held_a[q]
+
     def pair_key(self, node: ParticipantNode, peer: int, dealt: int) -> bytes:
         """k_ij = A_i(j) + A_j(i), from A_j(i) as `peer` dealt it."""
         return channel_key(pairwise_key(node.dealer, peer, dealt))
@@ -437,15 +444,9 @@ class ScalarArith:
             return lagrange_at_zero(points, t, self.p)
         return lagrange_at(points, x, t, self.p)
 
-    def recover_lost(self, q: int, bodies: dict, t: int):
-        """s_v of share-loser q from t helpers' A_q(j), read from the pooled share bodies."""
-        held_a = {j: body.get(self.A_FIELD, {}) for j, body in bodies.items() if j != q}
-        helpers = {j: a[str(q)] for j, a in held_a.items() if str(q) in a}
-        if len(helpers) < t:
-            raise RecoveryQuorumFailure(
-                f"share loser {q}: {len(helpers)} helpers, need {t}"
-            )
-        return recover_lost_share(q, helpers, t, self.p), sorted(helpers)[:t]
+    def recover_lost(self, q: int, points: list[tuple[int, int]], t: int) -> int:
+        """s_v of share-loser q from t helpers' (j, A_q(j))."""
+        return recover_lost_share(q, dict(points), t, self.p)
 
     def mask(self, values, dealer: DealerState, s: int, round_no: int):
         return mask_vector(
@@ -465,9 +466,6 @@ class ScalarArith:
 class GroupArith:
     """Lifts G^x mod P; combining multiplies, interpolation runs in the exponent."""
 
-    V_FIELD = "v_lifts"
-    SHARE_FIELD = "share_lift"
-    A_FIELD = None  # a lost share is rebuilt from share lifts, not second rows
     SETUP = {
         "pk": (("pk", "peer_pks"),),
         "gsetup1": (("v", "held_v"), ("a", "held_a"), ("s", "s_peers")),
@@ -482,7 +480,8 @@ class GroupArith:
         # shifted into [0, 2*clip], so sums stay small enough to brute-decode
         bits = 10 if spec.scale_bits is None else spec.scale_bits
         self.codec = FixedPointCodec(bits, spec.clip_bound, signed=False)
-        if self.decode_bound(spec.n) > (1 << 32):
+        # the bit-length test first: a huge scale_bits must not build its scale
+        if self.codec.width_bits() > 32 or self.decode_bound(spec.n) > (1 << 32):
             raise ConfigError("group decode bound exceeds 2^32; shrink scale_bits/clip/n")
 
     def decode_bound(self, m_count: int) -> int:
@@ -502,13 +501,25 @@ class GroupArith:
             sim.send(node.id, j, "gsetup1", {"v": w_v, "a": w_a, "s": node.s_own})
 
     def finish_setup(self, node: ParticipantNode) -> None:
-        sk_inv = node.keypair.sk_inv
-        node.held_v = {j: unwrap_share(w, sk_inv, self.group) for j, w in node.held_v.items()}
-        # persistent share: G^(V(id)) where V is the sum of all dealt rows
-        own = self.lift(node.dealer.v_poly.eval(node.id))
-        node.own_share = self.combine([own, *node.held_v.values()])
+        # the first rows stay wrapped: first_row and lost_row unwrap on request
         for j in node.peers:  # every key now: reuse rounds find them ready
             node.chan_key(j)
+
+    def first_row(self, node: ParticipantNode, dealer: int) -> int:
+        """G^V_dealer(id): the held row unwrapped, one power, when it is asked for."""
+        return unwrap_share(node.held_v[dealer], node.keypair.sk_inv, self.group)
+
+    def lost_row(self, node: ParticipantNode, q: int) -> int:
+        """G^V(id), this holder's share lift, whichever loser q it helps.
+
+        Built on the first request. The held wrapped rows multiply to
+        G^(sk * sum of V_j(id)), so one unwrap strips the key from all of them.
+        """
+        if node.own_share is None:
+            wrapped = self.combine(node.held_v.values())
+            held = unwrap_share(wrapped, node.keypair.sk_inv, self.group)
+            node.own_share = self.combine([self.lift(node.dealer.v_poly.eval(node.id)), held])
+        return node.own_share
 
     def pair_key(self, node: ParticipantNode, peer: int, dealt: int) -> bytes:
         """G^(A_i(j) * A_j(i)) from w = pk_i^A_j(i): DH and unwrap in one power."""
@@ -527,13 +538,9 @@ class GroupArith:
             return exp_lagrange_at_zero(points, t, self.group)
         return exp_lagrange_at(points, x, t, self.group)
 
-    def recover_lost(self, q: int, bodies: dict, t: int):
-        """G^V(q) of share-loser q from t helpers' G^V(j), read from the pooled share bodies."""
-        lifts = {j: body.get(self.SHARE_FIELD) for j, body in bodies.items() if j != q}
-        pts = [(j, lifts[j]) for j in sorted(lifts) if lifts[j] is not None]
-        if len(pts) < t:
-            raise RecoveryQuorumFailure(f"share loser {q}: {len(pts)} helpers, need {t}")
-        return self.interpolate(pts[:t], q, t), [j for j, _ in pts[:t]]
+    def recover_lost(self, q: int, points: list[tuple[int, int]], t: int) -> int:
+        """G^V(q) of share-loser q from t helpers' (j, G^V(j))."""
+        return self.interpolate(points, q, t)
 
     def mask(self, values, dealer: DealerState, s: int, round_no: int):
         return group_mask_vector(
@@ -623,6 +630,13 @@ def _resolve(fields: tuple) -> tuple:
     return tuple((name, *FIELD_KINDS[kind]) for name, kind in fields)
 
 
+def _held_rows(rows: dict[int, dict], name: str, target: int) -> list[tuple[int, int]]:
+    """(holder, row) for each fetched rows body that holds `target`'s row under
+    `name`, in holder order."""
+    key = str(target)
+    return [(j, rows[j][name][key]) for j in sorted(rows) if key in rows[j][name]]
+
+
 def body_problem(body: Any, fields: tuple, node) -> str | None:
     """Why a plaintext body is unusable on `node`, or None if each field passes."""
     if type(body) is not dict:
@@ -652,9 +666,10 @@ class ParticipantNode(Node):
         self.dealer: DealerState | None = None  # stays None if offline when setup opens
         # dealer -> what this holder received from it, first dealing kept: the
         # first-row V_dealer(id) and second-row A_dealer(id) as dealt. In the
-        # group both come wrapped for this holder's key; finish_setup unwraps
-        # the first rows to lifts before anything reads them, and the second
-        # rows stay wrapped, pk_id^A_dealer(id), for the DH power alone
+        # group both come wrapped for this holder's key and stay wrapped: a
+        # first row is unwrapped only when a leader asks for it (arith.first_row
+        # and lost_row), and a second row, pk_id^A_dealer(id), feeds the DH
+        # power alone
         self.held_v: dict[int, int] = {}
         self.held_a: dict[int, int] = {}
         self.keypair: KeyPair | None = None  # group: this holder's unwrapping key
@@ -665,7 +680,8 @@ class ParticipantNode(Node):
         self.s_peers: dict[int, int] = {}  # dealer -> its round-key summand
         self.dealt_key: int | None = None  # sum of all n summands, once all are in
         self.dealt_round: int | None = None
-        self.own_share: int | None = None  # s_v = V(id), or G^V(id) in the group
+        # s_v = V(id); in the group G^V(id), built on a leader's first request
+        self.own_share: int | None = None
 
     def begin_round(self, round_no: int, deals: bool) -> None:
         """Start round state; start dealing state too if this round deals."""
@@ -683,8 +699,14 @@ class ParticipantNode(Node):
         self.plaintext: list[float] | None = None
         self.status = "working"
         self.reject_reason: str | None = None
+        # the leader's opened bodies by sender: share responses, read until
+        # `lead`, and the rows it fetched after that
         self.resp: dict[int, dict] = {}
         self.resp_fb: dict[int, dict] = {}
+        self.rows: dict[int, dict] = {}
+        # the leader's view fixed at `lead`: (each vouching member's own keys,
+        # the members of M that sent none, the share-losers that asked)
+        self.gaps: tuple[dict[int, list[int]], list[int], list[int]] | None = None
         # the leader's findings, kept for decryption: the unmasked field values,
         # set only once the tag check passed, and share-loser -> rebuilt share
         self.sums: list[int] | None = None
@@ -744,7 +766,7 @@ class ParticipantNode(Node):
         reads its own row, an intact party the copy it holds from the loser.
         """
         if self.complete:
-            value = self.held_v.get(peer)
+            value = self.arith.first_row(self, peer) if peer in self.held_v else None
         else:
             value = self.arith.lift(self.dealer.v_poly.eval(peer))
         return None if value is None else channel_key(value, context=b"fallback")
@@ -754,18 +776,15 @@ class ParticipantNode(Node):
         lift = self.arith.lift
         return [lift(self.dealer.self_key()), lift(self.dealer.masking_secret())]
 
-    def _share_body(self, m: list[int]) -> dict:
-        """What an intact holder hands the leader for contributor set m."""
+    def _rows_body(self, m: list[int], lost: list[int]) -> dict:
+        """What an intact holder hands a leader that asks for rows: the first
+        rows it holds of the members m, and its recovery row for each
+        share-loser in `lost` (A_q(id), or its own share lift in the group)."""
         arith = self.arith
-        body = {
-            arith.V_FIELD: {str(i): self.held_v[i] for i in m if i in self.held_v},
-            arith.SHARE_FIELD: self.own_share,
-            "self": self._self_keys() if self.id in m else None,
+        return {
+            "v": {str(i): arith.first_row(self, i) for i in m if i in self.held_v},
+            "lost": {str(q): arith.lost_row(self, q) for q in lost if q in self.held_a},
         }
-        if arith.A_FIELD:
-            # the second-row evaluations that let the leader rebuild a lost s_v
-            body[arith.A_FIELD] = {str(q): v for q, v in self.held_a.items()}
-        return body
 
     # -- phase starts ---------------------------------------------------------------
 
@@ -824,6 +843,13 @@ class ParticipantNode(Node):
             self._tally(sim)
         elif name == "lead":
             self._lead(sim)
+        elif name == "rows":
+            if data is None and len(self.rows) < len(self.resp):
+                # answers due on this very tick were queued after this timer:
+                # read once more, after them
+                sim.schedule_timer(self.id, sim.now, "rows", "last")
+            else:
+                self._conclude(sim)
 
     def _tally(self, sim: Simulator) -> None:
         if self.agg is None or self.status != "working":
@@ -839,6 +865,22 @@ class ParticipantNode(Node):
 
     def _lead(self, sim: Simulator) -> None:
         if self.leader != self.id or self.status != "working":
+            return
+        self.gaps = self._gaps()
+        _, silent, lost = self.gaps
+        # rows can help only if the holders that answered, and this leader, reach t
+        if (silent or lost) and len(self.resp) + 1 >= self.spec.t:
+            # one follow-up to those holders, read one slot on: a round trip
+            # takes at most 2 * delay_max <= budget / 5 ticks
+            sim.broadcast(self.id, self.resp, "rows_req", {"m": silent, "lost": lost})
+            slot = sim.config.budgets["verification"] // 5
+            sim.schedule_timer(self.id, sim.now + slot, "rows")
+        else:
+            self._conclude(sim)
+
+    def _conclude(self, sim: Simulator) -> None:
+        """Recover, verify and unmask: at `lead`, or when the fetched rows are read."""
+        if self.status != "working":
             return
         try:
             self._recover_and_verify(sim)
@@ -945,18 +987,22 @@ class ParticipantNode(Node):
             return
         leader = env.src
         self.leader = leader
-        m = list(env.body["m"])
+        # a member's own keys alone; held rows go out only when the leader asks
+        own = self._self_keys() if self.id in env.body["m"] else None
         if self.complete:
-            body = self._share_body(m)
-            sim.send(self.id, leader, "share_resp", body, key=self.chan_key(leader))
+            sim.send(self.id, leader, "share_resp", {"self": own}, key=self.chan_key(leader))
         else:
             # every received share is gone; reach the leader over the fallback
             # channel keyed from this party's own surviving first row
-            body = {
-                "need": self.own_share is None,
-                "self": self._self_keys() if self.id in m else None,
-            }
+            body = {"need": self.own_share is None, "self": own}
             sim.send(self.id, leader, "share_resp_fb", body, key=self.fallback_key(leader))
+
+    def _on_rows_req(self, sim: Simulator, env) -> None:
+        key = self.chan_key(env.src)  # None unless both ends are intact holders
+        if self.status != "working" or key is None:
+            return
+        body = self._rows_body(env.body["m"], env.body["lost"])
+        sim.send(self.id, env.src, "rows_resp", body, key=key)
 
     def _open(self, sim: Simulator, key: bytes | None, env) -> dict | None:
         """The body of a sealed envelope, or None (logged) if it does not open."""
@@ -969,12 +1015,20 @@ class ParticipantNode(Node):
             return None
 
     def _on_share_resp(self, sim: Simulator, env) -> None:
-        if self.leader == self.id:
+        if self.leader == self.id and self.gaps is None:
             fb = env.kind == "share_resp_fb"  # answered over the fallback channel
             key = self.fallback_key(env.src) if fb else self.chan_key(env.src)
             body = self._open(sim, key, env)
             if body is not None:
                 (self.resp_fb if fb else self.resp)[env.src] = body
+
+    def _on_rows_resp(self, sim: Simulator, env) -> None:
+        src = env.src
+        waiting = self.gaps is not None and self.sums is None and self.status == "working"
+        if waiting and src in self.resp and src not in self.rows:  # asked, first answer
+            body = self._open(sim, self.chan_key(src), env)
+            if body is not None:
+                self.rows[src] = body
 
     def _on_reject(self, sim: Simulator, env) -> None:
         if env.src == self.leader:
@@ -1013,33 +1067,39 @@ class ParticipantNode(Node):
 
     # -- leader: recovery, verification, decryption ------------------------------------
 
+    def _gaps(self) -> tuple[dict[int, list[int]], list[int], list[int]]:
+        """What the share responses left open: each member's own (k_i, V_i(0))
+        that came in, this leader's included, the members of M that sent
+        none, and the share-losers that asked for their share."""
+        vouched = {
+            src: body["self"]
+            for src, body in {**self.resp, **self.resp_fb}.items()
+            if body.get("self") is not None
+        }
+        if self.id in self.m_set:
+            vouched[self.id] = self._self_keys()
+        silent = [i for i in sorted(self.m_set) if i not in vouched]
+        lost = sorted(src for src, body in self.resp_fb.items() if body.get("need"))
+        return vouched, silent, lost
+
     def _recover_and_verify(self, sim: Simulator) -> None:
         arith = self.arith
         t = self.spec.t
         m = sorted(self.m_set)
-        # pool the holdings this leader can see: its own, in the form an
-        # intact holder sends them, plus each response
-        bodies = {self.id: self._share_body(m), **self.resp}
-        held_v = {
-            src: {int(i): v for i, v in body[arith.V_FIELD].items()}
-            for src, body in bodies.items()
-        }
-        self_kv = {
-            src: body["self"]
-            for src, body in {**bodies, **self.resp_fb}.items()
-            if body.get("self") is not None
-        }
-        need_recovery = sorted(src for src, body in self.resp_fb.items() if body.get("need"))
+        vouched, silent, lost = self.gaps
+        # pool the rows this leader can see: its own, in the form a holder
+        # answers with, plus each fetched answer
+        rows = {self.id: self._rows_body(silent, lost), **self.rows}
 
         # each member's tag key V_i(i) and pad key V_i(0): online members vouch
         # for themselves; anyone silent now is rebuilt from t first-row evaluations
         k_map: dict[int, int] = {}
         v0_map: dict[int, int] = {}
         for i in m:
-            if i in self_kv:
-                k_map[i], v0_map[i] = self_kv[i]
+            if i in vouched:
+                k_map[i], v0_map[i] = vouched[i]
                 continue
-            pts = [(j, held_v[j][i]) for j in sorted(held_v) if i in held_v[j]]
+            pts = _held_rows(rows, "v", i)
             if len(pts) < t:
                 raise RecoveryQuorumFailure(
                     f"contributor {i}: {len(pts)} evaluations held, need {t}"
@@ -1054,10 +1114,12 @@ class ParticipantNode(Node):
             )
 
         # share-losers: rebuild their share from t helpers
-        for q in need_recovery:
-            value, helpers = arith.recover_lost(q, bodies, t)
-            self.recovered[q] = value
-            sim.log_note("recover", what="lost_share", target=q, helpers=helpers)
+        for q in lost:
+            pts = _held_rows(rows, "lost", q)
+            if len(pts) < t:
+                raise RecoveryQuorumFailure(f"share loser {q}: {len(pts)} helpers, need {t}")
+            self.recovered[q] = arith.recover_lost(q, pts[:t], t)
+            sim.log_note("recover", what="lost_share", target=q, helpers=[j for j, _ in pts[:t]])
 
         k = arith.combine(k_map[i] for i in m)
         if not arith.verify(self.agg, k, self.round_key(), self.round_no):
@@ -1106,7 +1168,8 @@ class ParticipantNode(Node):
 # per multicast body and once per point-to-point copy; a failed aggregate
 # rejects the round, any other failed body counts as silence. No fields:
 # sealed kinds are checked by opening them, and round_done's handler reads
-# only its sealed form.
+# only its sealed form. A leader sends rows_req only when a member of M sent
+# no keys of its own or a share-loser asked for its share.
 MESSAGE_KINDS = {
     "setup1": ("setup", (("v", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup),
     "setup2": ("setup", (("a", "int<p>"),), ParticipantNode._on_setup),
@@ -1126,6 +1189,10 @@ MESSAGE_KINDS = {
     "share_req": ("verification", (("m", "members"),), ParticipantNode._on_share_req),
     "share_resp": ("verification", (), ParticipantNode._on_share_resp),
     "share_resp_fb": ("verification", (), ParticipantNode._on_share_resp),
+    "rows_req": (
+        "verification", (("m", "members"), ("lost", "members")), ParticipantNode._on_rows_req,
+    ),
+    "rows_resp": ("verification", (), ParticipantNode._on_rows_resp),
     "reject": ("verification", (("reason", "str"),), ParticipantNode._on_reject),
     "result": ("decryption", (), ParticipantNode._on_result),
     "round_done": ("decryption", (), ParticipantNode._on_round_done),

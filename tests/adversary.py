@@ -1,0 +1,76 @@
+"""Adversaries against a finished run, each reading one party's view of it.
+
+A view is what one party opened, by sender: `leader_view` gives the round
+leader's, every share response, fallback response and fetched rows body it
+opened, in that order. An adversary takes a view and returns a claim, checked
+by its test against the run's own state. Each adversary also has a positive
+control: a frozen copy of an earlier protocol behaviour that it must beat, so
+it cannot go quietly vacuous once the protocol stops leaking.
+
+(f) `rebuild_pair_keys`: the leader rebuilds the channel key of a pair of
+other parties, k_ij = A_i(j) + A_j(i), from the second rows its bodies carry.
+"""
+
+from __future__ import annotations
+
+from secel.protocol import ScenarioResult
+from secel.simnet import channel_key
+
+# body fields that carry second-row values A_q(holder), keyed by dealer q: the
+# frozen share body's every held row, and a fetched rows body's share-loser rows
+SECOND_ROW_FIELDS = ("a_evals", "lost")
+
+
+def leader_view(result: ScenarioResult) -> dict[int, list[dict]]:
+    """sender -> the bodies the last round's leader opened from it."""
+    leader = result.nodes[result.rounds[-1].leader]
+    view: dict[int, list[dict]] = {}
+    for opened in (leader.resp, leader.resp_fb, leader.rows):
+        for src, body in opened.items():
+            view.setdefault(src, []).append(body)
+    return view
+
+
+def frozen_share_body(node, m: list[int]) -> dict:
+    """The share response an intact holder sent before rows were fetched on
+    request: every first row it holds of m, its own share, its own keys and,
+    in the scalar variant, every second row it holds."""
+    arith = node.arith
+    held = {str(i): arith.first_row(node, i) for i in m if i in node.held_v}
+    keys = node._self_keys() if node.id in m else None
+    if node.spec.variant == "scalar":
+        a_evals = {str(q): v for q, v in node.held_a.items()}
+        return {"v_evals": held, "s_v": node.own_share, "self": keys, "a_evals": a_evals}
+    # the share lift does not depend on the loser it would help
+    return {"v_lifts": held, "share_lift": arith.lost_row(node, node.id), "self": keys}
+
+
+def second_rows(view: dict[int, list[dict]]) -> dict[tuple[int, int], int]:
+    """(dealer q, holder j) -> A_q(j), for every second-row value the view shows."""
+    rows = {}
+    for holder, bodies in view.items():
+        for body in bodies:
+            for name in SECOND_ROW_FIELDS:
+                for q, value in (body.get(name) or {}).items():
+                    rows[(int(q), holder)] = value
+    return rows
+
+
+def rebuild_pair_keys(view: dict[int, list[dict]], p: int) -> dict[tuple[int, int], bytes]:
+    """Adversary (f): (i, j) -> chan_key(i, j) for every pair i < j whose two
+    second rows A_i(j) and A_j(i) the view shows."""
+    rows = second_rows(view)
+    return {
+        (i, j): channel_key((a_ij + rows[(j, i)]) % p)
+        for (i, j), a_ij in rows.items()
+        if i < j and (j, i) in rows
+    }
+
+
+def true_pair_keys(result: ScenarioResult, claims: dict[tuple[int, int], bytes]) -> set:
+    """The claimed pairs whose key is the one both ends really hold."""
+    nodes = result.nodes
+    return {
+        (i, j) for (i, j), key in claims.items()
+        if nodes[i].chan_key(j) is not None and key == nodes[i].chan_key(j) == nodes[j].chan_key(i)
+    }

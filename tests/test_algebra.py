@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +274,24 @@ def test_codec_capacity_guard():
     codec.ensure_capacity(1000, F130)
     with pytest.raises(ValueError):
         codec.ensure_capacity(10, PrimeModulus(31))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scale_bits=st.integers(min_value=1, max_value=200),
+    clip=st.floats(min_value=2.0**-60, max_value=1e30, allow_nan=False, allow_infinity=False),
+)
+def test_width_bits_is_the_exact_width_bit_length(scale_bits, clip):
+    codec = FixedPointCodec(scale_bits=scale_bits, clip_bound=clip)
+    width = int(2 * Fraction(codec.clip_bound) * codec.scale)
+    if width:
+        assert codec.width_bits() == width.bit_length()
+    else:
+        assert codec.width_bits() <= 0
+    for modulus in (F31, F130):
+        # the bit-length shortcut gives what the exact count gives
+        exact = max(0, (modulus.p // 2 - 1) // max(width, 1))
+        assert codec.max_parties(modulus) == exact
 
 
 def test_gradient_vector_helpers():

@@ -4,6 +4,10 @@ The golden grid (test_golden.py) stops at n <= 7 and l <= 5, so it cannot see
 a drift that only long vectors, thirty parties or six reused group rounds
 show. This pins the transcript of each perfbench workload's seed-1 first job,
 built by the benchmark's job generator and hashed as its tracer hashes it.
+
+All three pins moved when share responses came to carry a member's own keys
+alone: the sealed share_resp bodies shrank, and crowd_faults, whose jobs lose
+shares, gained the leader's rows_req and the holders' rows_resp sends.
 """
 
 import sys
@@ -20,9 +24,9 @@ from tracing import transcript_sha256  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 PINNED = {
-    "wide_scalar": "b95eac790d7f65b08a76a8d5adba2c8108299d2f46a8b899487d90aad5fba751",
-    "crowd_faults": "1eff308bfb4f070569289743d5e0ce3cb1e30c197c5eee688704870f468cc069",
-    "group_reuse": "9eacd767ab31b20cc909bba540edbfc0e4002c86cab5630407e6eca4618d6b22",
+    "wide_scalar": "fd78b7531e1de3d73555c94c3ef185050a24dc9cb24b0164ed1a72fbbdd6e837",
+    "crowd_faults": "2b013f79631f75c08929c1136c383d538d82d6a70b266dbdba0994b446235184",
+    "group_reuse": "20db35e06de956590b66e7df17ac08fd7a345bad65fbe200886ec3605a6b0166",
 }
 
 

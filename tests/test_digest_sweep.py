@@ -25,7 +25,7 @@ from secel.simnet import DEFAULT_BUDGETS, FAULT_ACTIONS, PHASES
 from test_golden import digests
 
 DOCUMENTS = 500
-PIN = "7bb67f2b4ec26e7d08074219d815c99fbd0f068c01e2c7addcabe592c36b10a2"
+PIN = "3532f64ce3821b81d27dbaed34f591a71d5677ab6ea47b512b9d1a04a286d227"
 
 
 def sweep_document(index: int) -> dict:

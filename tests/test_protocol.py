@@ -3,8 +3,9 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from types import SimpleNamespace
 from unittest import mock
@@ -39,8 +40,10 @@ from secel.simnet import (
     Fault,
     SimConfig,
     Simulator,
+    canonical_json,
     channel_key,
 )
+from adversary import frozen_share_body
 from test_golden import SCENARIOS
 
 
@@ -201,6 +204,8 @@ def test_removing_one_green_fails_recovery_deterministically(seed):
     assert r.error == "RecoveryQuorumFailure"
     assert r.delivered_to == []
     assert result.transcript.count(type="send", kind="result") == 0
+    # one helper and the leader cannot reach t=3: no rows are fetched in vain
+    assert result.transcript.count(type="send", kind="rows_req") == 0
 
 
 # ---- failure modes ----------------------------------------------------------------------
@@ -774,7 +779,7 @@ def phase_pows(monkeypatch, name):
 
 
 @pytest.mark.parametrize("n", [4, 10])
-def test_group_dealing_wraps_each_pair_once_and_makes_two_full_width_pows(monkeypatch, n):
+def test_group_dealing_wraps_each_pair_once_and_makes_one_full_width_pow(monkeypatch, n):
     wraps = []
 
     def counting_wrap(values, pk, params):
@@ -787,7 +792,8 @@ def test_group_dealing_wraps_each_pair_once_and_makes_two_full_width_pows(monkey
     result = run_rounds(spec, SimConfig(seed=1, n=n))
     assert result.rounds[0].phase == "done"
     full_width = [exp for exp, _ in setup_calls if exp.bit_length() > 64]
-    assert len(full_width) == 2 * n * (n - 1)  # one unwrap, one DH power
+    # the DH power alone: a dealt first row stays wrapped until a leader asks for it
+    assert len(full_width) == n * (n - 1)
     assert wraps == [2] * (n * (n - 1))  # both rows to a peer in one call
     assert [call for call in setup_calls if call[0] == -1] == [(-1, DEFAULT_GROUP.q)] * n
 
@@ -1584,6 +1590,7 @@ def test_any_aggregate_body_ends_done_with_the_exact_sum_or_named(variant, data,
 UNCHECKED_KINDS = {
     "share_resp": "sealed: a body that does not open under the channel key is dropped",
     "share_resp_fb": "sealed: a body that does not open under the fallback key is dropped",
+    "rows_resp": "sealed: a body that does not open under the channel key is dropped",
     "result": "sealed: a body that does not open is dropped",
     "round_done": "its handler reads only the sealed form; a plaintext body is never read",
 }
@@ -1791,3 +1798,179 @@ def test_honest_rounds_end_done_with_the_exact_sum_or_a_liveness_rejection(doc):
 def test_a_run_with_auth_failures_creates_no_cyclic_garbage(variant):
     _, auth_fails, garbage = cyclic_garbage({"seed": 3, "n": 5, "variant": variant}, corrupt=True)
     assert auth_fails == 1 and garbage == []
+
+
+# ---- the leader's view: held rows only on request -------------------------------------
+
+
+def opened_problems(node) -> list[str]:
+    """Where the bodies `node` opened as leader carry more than recovery needs.
+
+    A share response carries the sender's own keys alone; a fetched rows body
+    carries a first row only of a member of M that sent no keys of its own,
+    and a second row or share lift only for a party that asked for its share.
+    """
+    vouched = {
+        src for src, body in {**node.resp, **node.resp_fb}.items() if body.get("self") is not None
+    }
+    silent = set(node.m_set) - vouched - {node.id}
+    need = {src for src, body in node.resp_fb.items() if body.get("need")}
+    problems = [
+        f"share_resp from {src}: {sorted(body)}"
+        for src, body in node.resp.items() if set(body) != {"self"}
+    ]
+    problems += [
+        f"share_resp_fb from {src}: {sorted(body)}"
+        for src, body in node.resp_fb.items() if set(body) != {"need", "self"}
+    ]
+    for src, body in node.rows.items():
+        if set(body) != {"v", "lost"}:
+            problems.append(f"rows_resp from {src}: {sorted(body)}")
+            continue
+        problems += [f"first row of {i} from {src}" for i in map(int, body["v"]) if i not in silent]
+        problems += [f"lost row of {q} from {src}" for q in map(int, body["lost"]) if q not in need]
+    return problems
+
+
+@st.composite
+def view_documents(draw):
+    """One-round documents over both variants with faults in masking and
+    verification, the phases that decide who answers a leader, and at most
+    n - t share-losers, so that setup leaves t holders and rows get fetched."""
+    n = draw(st.integers(3, 7))
+    t = draw(st.integers(2, n))
+    ids = st.integers(1, n)
+    return {
+        "seed": draw(st.integers(0, 2**16)),
+        "n": n,
+        "t": t,
+        "l": 2,
+        "variant": draw(st.sampled_from(VARIANTS)),
+        "share_loss": draw(st.lists(ids, unique=True, max_size=n - t)),
+        "s_min": draw(st.none() | st.integers(1, n)),
+        "faults": [
+            {
+                "id": draw(ids),
+                "phase": phase,
+                "action": draw(st.sampled_from(FAULT_ACTIONS)),
+                "offset": draw(st.integers(0, DEFAULT_BUDGETS[phase] - 1)),
+            }
+            for phase in draw(st.lists(st.sampled_from(["masking", "verification"]), max_size=3))
+        ],
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=view_documents())
+# share-losers 4 and 5 in M ask for their shares: rows fetched for them alone
+@example(doc={**SCENARIOS["scalar/flagship"], "rounds": 1})
+@example(doc={**SCENARIOS["group/flagship"], "rounds": 1})
+# member 5 goes silent when verification opens: its first rows are fetched
+@example(doc={
+    "seed": 1, "n": 5, "t": 2, "l": 2, "s_min": 3, "share_loss": [4],
+    "faults": [{"id": 5, "phase": "verification", "action": "disconnect", "offset": 0}],
+})
+def test_a_leader_opens_only_the_rows_recovery_needs(doc):
+    result = run_rounds(doc)
+    for node in participants(result):
+        assert opened_problems(node) == [], node.id
+
+
+def sealed_sizes(monkeypatch) -> dict[str, list[int]]:
+    """kind -> the length of every sealed blob sent, in order."""
+    sizes = defaultdict(list)
+    seal = simnet.seal
+
+    def measured(key, header, body, data=None):
+        blob = seal(key, header, body, data)
+        sizes[header["kind"]].append(len(blob))
+        return blob
+
+    monkeypatch.setattr(simnet, "seal", measured)
+    return sizes
+
+
+def sends(result, kind: str) -> list[dict]:
+    records = result.transcript.records
+    return [rec for rec in records if rec["type"] == "send" and rec["kind"] == kind]
+
+
+GCM_TAG = 16  # bytes a sealed blob adds to its plaintext
+
+
+@pytest.mark.parametrize("n", [10, 30])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_honest_share_responses_shrink_by_half_and_fetch_nothing(monkeypatch, variant, n):
+    sizes = sealed_sizes(monkeypatch)
+    result = run_rounds(RoundSpec(n=n, t=3, length=64, variant=variant), SimConfig(seed=0, n=n))
+    r = result.rounds[0]
+    assert r.phase == "done"
+    responders = [rec["src"] for rec in sends(result, "share_resp")]
+    assert len(responders) == len(sizes["share_resp"]) == n - 1
+    # what the same holders sent when every share response carried its held rows
+    before = [len(canonical_json(frozen_share_body(result.nodes[j], r.m_set))) for j in responders]
+    if (variant, n) == ("scalar", 10):
+        # the JSON bytes the holders sent here while share responses carried every held row
+        assert sum(before) == 8555
+    assert 2 * sum(sizes["share_resp"]) <= sum(before) + GCM_TAG * len(before)
+    assert sends(result, "rows_req") == sends(result, "rows_resp") == []
+
+
+@pytest.mark.parametrize("n", [10, 30])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_share_loss_round_fetches_rows_once_from_each_intact_responder(variant, n):
+    spec = RoundSpec(n=n, t=3, length=64, variant=variant, share_loss=(2, 5))
+    result = run_rounds(spec, SimConfig(seed=0, n=n))
+    r = result.rounds[0]
+    assert r.phase == "done" and r.recovered == [2, 5]
+    responders = sorted(rec["src"] for rec in sends(result, "share_resp"))
+    assert len(responders) == n - 3  # every intact holder but the leader
+    assert sorted(rec["dst"] for rec in sends(result, "rows_req")) == responders
+    assert sorted(rec["src"] for rec in sends(result, "rows_resp")) == responders
+    assert all(rec["secured"] for rec in sends(result, "rows_resp"))
+
+
+def test_a_member_silent_in_verification_is_rebuilt_from_fetched_rows():
+    faults = [Fault(id=5, phase="verification", action="disconnect")]
+    result = run_rounds(
+        RoundSpec(n=5, t=2, length=2, s_min=3), SimConfig(seed=1, n=5, faults=faults)
+    )
+    r = result.rounds[0]
+    assert r.phase == "done" and 5 in r.m_set
+    assert r.field_sum == field_sum_oracle(result, r.m_set)
+    leader = result.nodes[r.leader]
+    assert leader.gaps[1:] == ([5], [])
+    assert all(set(body["v"]) == {"5"} and body["lost"] == {} for body in leader.rows.values())
+    assert result.transcript.count(type="note", note="recover", what="contributor_keys") == 1
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rows_fetched_at_the_budget_floor_are_read_before_the_deadline(variant):
+    # one-tick links and the smallest verification budget: the last answer
+    # lands on the very tick of the leader's deadline, and is still read
+    budgets = {phase: 10 for phase in PHASES}
+    cfg = SimConfig(seed=0, n=5, delay_min=1, delay_max=1, budgets=budgets)
+    result = run_rounds(RoundSpec(n=5, t=3, length=2, variant=variant, share_loss=(4,)), cfg)
+    r = result.rounds[0]
+    assert r.phase == "done" and r.recovered == [4]
+    assert len(sends(result, "rows_resp")) == 3
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_huge_scale_bits_is_rejected_before_its_scale_is_built(variant):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError):
+            RoundSpec.from_dict({"n": 3, "scale_bits": 10**7, "variant": variant})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_scale_past_the_field_still_fits_under_a_tiny_clip():
+    # 140 scale bits against a 130-bit prime: one party's width is 2^111
+    assert DEFAULT_PRIME.bit_length() == 130
+    RoundSpec(n=3, scale_bits=140, clip_bound=2.0**-30).validate()
+    with pytest.raises(ConfigError):
+        RoundSpec(n=3, scale_bits=140, clip_bound=2.0**-10).validate()
