@@ -983,9 +983,11 @@ class ParticipantNode(Node):
             sim.log_note("bad_reveal", voter=env.src, seen_by=self.id)
 
     def _on_share_req(self, sim: Simulator, env) -> None:
-        if self.status != "working" or self.dealer is None:
-            return
         leader = env.src
+        # only a peer may lead: the aggregator shares no channel key, so its
+        # request would draw this member's own keys out in plaintext
+        if leader not in self.peers or self.status != "working" or self.dealer is None:
+            return
         self.leader = leader
         # a member's own keys alone; held rows go out only when the leader asks
         own = self._self_keys() if self.id in env.body["m"] else None

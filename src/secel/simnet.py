@@ -11,11 +11,12 @@ Messages between participants can ride authenticated channels: AES-GCM with
 the envelope header (src, dst, kind, round, seq) as associated data and a
 deterministic per-(src, dst, seq) nonce. Tampering with the ciphertext or
 re-addressing an envelope raises AuthFailure. A multicast body is encoded
-once, and every copy of it, plaintext or sealed, carries one receive-side
-slot (`Multicast`). A sealed copy is still authenticated under its own key,
-and copies whose plaintext equals the multicast's bytes share one parsed
-body; the receivers of plaintext copies keep their one check verdict there.
-Bodies handed to receivers, opened or plaintext, are read-only.
+at most once, by its first sealed copy, and every copy of it, plaintext or
+sealed, carries one receive-side slot (`Multicast`). A sealed copy is still
+authenticated under its own key, and copies whose plaintext equals the
+multicast's bytes share one parsed body; the receivers of plaintext copies
+keep their one check verdict there. A body is read-only once sent, for its
+sender as for its receivers, opened or plaintext.
 
 Pending events wait in per-tick FIFO buckets, {time: [items in scheduling
 order]}, beside a small heap of the distinct pending times (a calendar queue
@@ -29,11 +30,16 @@ Nothing may be scheduled before the current time.
 The transcript stores each envelope record (send, deliver, drop, auth_fail)
 as one flat tuple row, (type, src, dst, kind, round, seq, secured, digest, t,
 reason), with reason None when the record has none. A row keeps no reference
-to the envelope or its body, and is less than half the size of the dict it
-stands for. Phase, fault and note records stay dicts. `Transcript.records`
-is a read-only sequence view over the rows that builds each record's dict on
-access, so readers, `count` and the NDJSON see the same records as when
-every row was a dict.
+to the envelope, and is less than half the size of the dict it stands for.
+Its digest is pending (`PendingDigest`): it holds the payload, the plaintext
+body or the sealed blob, and is computed when a record of the envelope is
+first read, as payload_digest(canonical_json(body)) or payload_digest(blob).
+All records of one envelope, and every plaintext copy of a multicast, hold
+one pending digest, so each payload is digested at most once; a run nobody
+reads digests nothing. Phase, fault and note records stay dicts.
+`Transcript.records` is a read-only sequence view over the rows that builds
+each record's dict on access, so readers, `count` and the NDJSON see the same
+records as when every row was a dict holding a digest fixed at send.
 """
 
 from __future__ import annotations
@@ -213,22 +219,51 @@ class SimConfig:
 # ---- envelopes and transcript -----------------------------------------------------
 
 
+class PendingDigest:
+    """The audit digest of one sent payload, computed when it is first read.
+
+    Holds the payload until then, a plaintext body or a sealed blob; the
+    first `resolve` digests it, keeps the hex and lets the payload go.
+    """
+
+    __slots__ = ("payload", "value")
+
+    def __init__(self, payload: dict | bytes) -> None:
+        self.payload: dict | bytes | None = payload
+        self.value: str | None = None
+
+    def resolve(self) -> str:
+        if self.value is None:
+            payload = self.payload
+            data = payload if type(payload) is bytes else canonical_json(payload)
+            self.value = payload_digest(data)
+            self.payload = None
+        return self.value
+
+
 @dataclass(slots=True)
 class Multicast:
     """The receive side of one multicast body, held by every copy of it.
 
-    `data` is the body's canonical bytes; `parsed` is the one body parsed from
-    them for the sealed copies whose plaintext equals them. `checked` and
-    `problem` hold the verdict of the receivers' check of the plaintext body:
-    whoever checks first stores it, the others reuse it. `decoded` holds what
-    the receivers of `parsed` derive from it alike, computed by the first.
+    `data` is the body's canonical bytes, encoded by the first sealed copy
+    (`plaintext`); `parsed` is the one body parsed from them for the sealed
+    copies whose plaintext equals them. `checked` and `problem` hold the
+    verdict of the receivers' check of the plaintext body: whoever checks
+    first stores it, the others reuse it. `decoded` holds what the receivers
+    of `parsed` derive from it alike, computed by the first.
     """
 
-    data: bytes
+    data: bytes | None = None
     parsed: Any = None
     checked: bool = False
     problem: str | None = None
     decoded: Any = None
+
+    def plaintext(self, body: dict) -> bytes:
+        """The multicast body's canonical bytes, encoded on the first call."""
+        if self.data is None:
+            self.data = canonical_json(body)
+        return self.data
 
 
 @dataclass(slots=True)
@@ -243,8 +278,13 @@ class Envelope:
     secured: bool
     body: dict | None = None  # plaintext payload
     blob: bytes | None = None  # ciphertext payload
-    digest: str = ""  # payload_digest of the payload bytes, fixed at send
+    pending: PendingDigest | None = None  # the payload's digest, set at send
     shared: Multicast | None = None  # the slot of the multicast this is a copy of
+
+    @property
+    def digest(self) -> str:
+        """payload_digest of the payload bytes, computed on first read."""
+        return self.pending.resolve()
 
     def header(self) -> dict:
         return {
@@ -264,6 +304,7 @@ def _as_record(row: tuple | dict) -> dict:
     if type(row) is dict:
         return row
     rec = dict(zip(ENVELOPE_FIELDS, row))
+    rec["digest"] = row[7].resolve()
     if row[9] is not None:
         rec["reason"] = row[9]
     return rec
@@ -310,7 +351,7 @@ class Transcript:
 
     def envelope(self, rtype: str, env: Envelope, t: int, reason: str | None = None) -> None:
         self._rows.append((
-            rtype, env.src, env.dst, env.kind, env.round, env.seq, env.secured, env.digest,
+            rtype, env.src, env.dst, env.kind, env.round, env.seq, env.secured, env.pending,
             t, reason,
         ))
 
@@ -386,7 +427,12 @@ def secure_recv(key: bytes, env: Envelope) -> dict:
 
 
 class Node:
-    """Event-driven endpoint. Handlers may only touch own state + the sim API."""
+    """Event-driven endpoint. Handlers may only touch own state + the sim API.
+
+    A body is read-only once sent, for its sender too: the transcript digests
+    a plaintext body when its record is read, so a body changed after `send`
+    would be audited as changed.
+    """
 
     id: int
 
@@ -421,9 +467,9 @@ class Simulator:
         self._taking: Iterator[tuple] = iter(())  # the bucket being processed
         self._net_rng = random.Random(derive_seed(config.seed, "net"))
         self._pair_seq: dict[tuple[int, int], int] = {}
-        # the body in flight to several peers: (body, its digest, the slot
-        # every copy carries)
-        self._shared: tuple[dict, str, Multicast] | None = None
+        # the body in flight to several peers: (body, the pending digest its
+        # plaintext copies share, the slot every copy carries)
+        self._shared: tuple[dict, PendingDigest, Multicast] | None = None
 
     # -- wiring --------------------------------------------------------------------
 
@@ -486,11 +532,12 @@ class Simulator:
         if shared is not None:
             env.shared = shared[2]
         if key is not None:
-            env.blob = seal(key, env.header(), body, None if shared is None else shared[2].data)
-            env.digest = payload_digest(env.blob)
+            data = None if shared is None else shared[2].plaintext(body)
+            env.blob = seal(key, env.header(), body, data)
+            env.pending = PendingDigest(env.blob)
         else:
             env.body = body
-            env.digest = payload_digest(canonical_json(body)) if shared is None else shared[1]
+            env.pending = PendingDigest(body) if shared is None else shared[1]
         if src in self.dropping:
             self.transcript.envelope("drop", env, t=now, reason="drop_outbound")
             return
@@ -499,18 +546,18 @@ class Simulator:
 
     @contextmanager
     def shared_body(self, body: dict) -> Iterator[None]:
-        """Encode `body` once for every send of that very object inside the block.
+        """Share one encoding among the sends of that very object inside the block.
 
-        A plaintext send reuses the digest, a sealed one the plaintext bytes;
-        each sealed copy still gets its own key, nonce and header. Every copy,
-        plaintext or sealed, carries one `Multicast` slot: the one parse of
-        the bytes that sealed receivers share, and the verdict of the one
-        check of the plaintext body. The simulator drops the encoding when the
-        block ends, so a body changed afterwards is encoded afresh and gets no
-        slot; the slot lives as long as the copies do.
+        Plaintext sends share one pending digest; sealed ones share the
+        plaintext bytes, encoded by the first of them, and each still gets its
+        own key, nonce and header. Every copy, plaintext or sealed, carries
+        one `Multicast` slot: the one parse of the bytes that sealed receivers
+        share, and the verdict of the one check of the plaintext body. Nothing
+        is encoded here. The simulator forgets the body when the block ends,
+        so a later send of it gets no slot; the slot lives as long as the
+        copies do.
         """
-        data = canonical_json(body)
-        self._shared = (body, payload_digest(data), Multicast(data))
+        self._shared = (body, PendingDigest(body), Multicast())
         try:
             yield
         finally:

@@ -255,3 +255,55 @@ def test_setup_tables_match_the_dealing_rows_and_the_dealing_stores():
         assert [name for name, *_ in fields] == [name for name, _ in pairs], kind
         for _, store in pairs:
             assert store in created and type(getattr(node, store)) is dict, (kind, store)
+
+
+# the transcript digests a payload when a record is read: one resolver calls
+# payload_digest, and the send path encodes nothing
+SEND_PATH = ("Simulator.send", "Simulator.shared_body", "Simulator.broadcast")
+
+
+def call_sites(tree: ast.AST, names: tuple[str, ...]) -> dict[str, list[str]]:
+    """For each name, the top-level functions and `Class.method`s of a parsed
+    module that call it, plainly or as an attribute, once per call."""
+    scopes = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [
+                (f"{node.name}.{fn.name}", fn) for fn in node.body
+                if isinstance(fn, ast.FunctionDef)
+            ]
+        else:
+            scopes.append((getattr(node, "name", "<module>"), node))
+    sites = {name: [] for name in names}
+    for scope, node in scopes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in sites:
+                    sites[called].append(scope)
+    return sites
+
+
+def test_a_payload_is_digested_in_one_place_and_the_send_path_encodes_nothing():
+    sites = {"payload_digest": [], "canonical_json": []}
+    for path in sorted(SRC.glob("*.py")):
+        found = call_sites(ast.parse(path.read_text()), tuple(sites))
+        for name, scopes in found.items():
+            sites[name] += [f"{path.stem}.{scope}" for scope in scopes]
+    assert sites["payload_digest"] == ["simnet.PendingDigest.resolve"]
+    assert not {f"simnet.{scope}" for scope in SEND_PATH} & set(sites["canonical_json"])
+
+
+def test_call_site_check_sees_methods_functions_and_attribute_calls():
+    source = (
+        "X = canonical_json(1)\n"
+        "def f():\n    return lambda b: simnet.payload_digest(b)\n"
+        "class Simulator:\n"
+        "    def send(self, body):\n        canonical_json(body)\n        canonical_json(body)\n"
+        "    def other(self):\n        return payload_digest\n"
+    )
+    assert call_sites(ast.parse(source), ("payload_digest", "canonical_json")) == {
+        "payload_digest": ["f"],
+        "canonical_json": ["<module>", "Simulator.send", "Simulator.send"],
+    }

@@ -520,7 +520,7 @@ def test_an_aggregator_abort_is_a_staleness_timeout_whatever_its_reason(variant)
 
 
 def test_transcript_records_view_matches_dict_records(monkeypatch):
-    from secel.simnet import Envelope, Transcript
+    from secel.simnet import Envelope, PendingDigest, Transcript
 
     class DictTranscript(Transcript):
         """One dict per record, built at write time."""
@@ -569,12 +569,15 @@ def test_transcript_records_view_matches_dict_records(monkeypatch):
         assert result.transcript.count(**match) == want.count(**match) > 0, match
     assert result.transcript.to_ndjson() == want.to_ndjson()
 
-    # rows hold plain values: no envelope, no body
+    # rows hold plain values and a pending digest, no envelope; once the
+    # records were read, no pending digest holds a body or blob either
     for row in result.transcript._rows:
         values = row.values() if type(row) is dict else row
         for value in values:
             assert not isinstance(value, (Envelope, dict))
-            if type(row) is tuple:
+            if type(value) is PendingDigest:
+                assert value.payload is None and type(value.value) is str
+            elif type(row) is tuple:
                 assert value is None or type(value) in (str, int, bool)
 
 
@@ -1195,6 +1198,32 @@ def test_an_aggregate_sent_again_in_verification_is_dropped_as_stale(monkeypatch
     assert r.field_sum == field_sum_oracle(result, r.m_set)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_share_request_from_the_aggregator_is_refused(monkeypatch, variant):
+    start, on_message = protocol.AggregatorNode.on_phase_start, ParticipantNode.on_message
+    leaders = []
+
+    def ask_for_shares(node, sim, phase):
+        start(node, sim, phase)
+        if phase == "verification":  # posing as the leader before any election
+            sim.broadcast(node.id, node.spec.participant_ids, "share_req", {"m": node.m})
+
+    def watch(node, sim, env):
+        on_message(node, sim, env)
+        leaders.append(node.leader)
+
+    monkeypatch.setattr(protocol.AggregatorNode, "on_phase_start", ask_for_shares)
+    monkeypatch.setattr(ParticipantNode, "on_message", watch)
+    result = run_rounds({"seed": 0, "n": 4, "variant": variant})
+    answers = [
+        rec for rec in result.transcript.records
+        if rec["type"] == "send" and rec["kind"] in ("share_resp", "share_resp_fb")
+    ]
+    assert answers and all(rec["secured"] and rec["dst"] != AGGREGATOR_ID for rec in answers)
+    assert leaders and AGGREGATOR_ID not in leaders
+    assert result.rounds[0].phase == "done"
+
+
 def test_wiped_party_serves_no_channel_key():
     result = run_rounds(RoundSpec(n=5, t=2, length=3), SimConfig(seed=2, n=5))
     node = participants(result)[0]
@@ -1236,6 +1265,24 @@ def test_result_body_is_encoded_once_per_round(monkeypatch):
     assert result.ok
     assert all(r.delivered_to == list(range(1, 8)) for r in result.rounds)
     assert len(encoded) == 2  # one body per round, sealed for six members
+
+
+def test_an_honest_round_encodes_no_submission_or_aggregate_until_read(monkeypatch):
+    encoded = Counter()
+    real = simnet.canonical_json
+
+    def counting(obj):
+        if type(obj) is dict and "c" in obj:
+            encoded["aggregate" if "m" in obj else "submission"] += 1
+        return real(obj)
+
+    monkeypatch.setattr(simnet, "canonical_json", counting)
+    result = run_rounds(RoundSpec(n=10, length=256), SimConfig(seed=0, n=10))
+    assert result.rounds[0].phase == "done"
+    assert encoded == {}
+    result.transcript.to_ndjson()
+    # each submission once; the aggregate's copies share one digest
+    assert encoded == {"submission": 10, "aggregate": 1}
 
 
 # ---- sealed multicast: authenticated per copy, parsed once ------------------------------
@@ -1735,6 +1782,38 @@ def test_no_run_creates_cyclic_garbage(doc, corrupt):
     assert garbage == []
     for r in rounds:
         assert r.phase == "done" or (r.phase == "rejected" and r.error in NAMED_REJECTIONS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=fault_documents())
+def test_records_carry_the_digest_of_each_payload_as_it_was_sent(doc):
+    # digests are computed when records are read, so a sender that changed a
+    # body after sending it would show here as a digest that moved
+    real_send, real_seal = Simulator.send, simnet.seal
+    blobs, at_send = [], {}  # transcript position -> digest of the payload at send
+
+    def seal(key, header, body, data=None):
+        blobs.append(real_seal(key, header, body, data))
+        return blobs[-1]
+
+    def send(sim, src, dst, kind, body, key=None):
+        digest = None if key is not None else simnet.payload_digest(canonical_json(body))
+        pos = len(sim.transcript.records)
+        real_send(sim, src, dst, kind, body, key=key)
+        if len(sim.transcript.records) > pos:  # an offline sender records nothing
+            at_send[pos] = simnet.payload_digest(blobs[-1]) if digest is None else digest
+
+    with mock.patch.object(Simulator, "send", send), mock.patch.object(simnet, "seal", seal):
+        result = run_rounds(doc)
+    records = result.transcript.records
+    by_envelope = {}
+    for pos, digest in at_send.items():
+        rec = records[pos]
+        assert rec["type"] in ("send", "drop") and rec["digest"] == digest
+        by_envelope[rec["src"], rec["dst"], rec["seq"]] = digest
+    for rec in records:
+        if rec["type"] in ("send", "deliver", "drop", "auth_fail"):
+            assert rec["digest"] == by_envelope[rec["src"], rec["dst"], rec["seq"]]
 
 
 # an honest aggregator leaves the leader nothing to reject the sum for

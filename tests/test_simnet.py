@@ -513,10 +513,14 @@ def test_broadcast_encodes_the_body_once(monkeypatch):
 
     monkeypatch.setattr(simnet, "canonical_json", counting)
     sent = run(lambda sim: sim.broadcast(1, range(1, 6), "aggregate", body))
-    assert encoded == [body]
+    assert encoded == []  # nothing is encoded while the phase runs
     assert [r["type"] for r in sent].count("deliver") == 4
-    assert sent == run(one_by_one)
-    assert len(encoded) == 5  # the separate sends encode once per peer
+    assert encoded == [body]  # the copies share one digest, computed on first read
+    assert list(sent) == list(sent) and encoded == [body]
+    separate = run(one_by_one)
+    assert len(encoded) == 1
+    assert sent == separate
+    assert len(encoded) == 5  # the separate sends encode once per peer, when read
 
 
 def test_shared_body_is_encoded_once_and_sealed_per_recipient(monkeypatch):
