@@ -39,7 +39,7 @@ MERSENNE_61 = 2305843009213693951
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def is_probable_prime(n: int, rounds: int = 24) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin. Deterministic for the small primes we pin; probabilistic
     with negligible error for user-supplied moduli."""
     if n < 2:
@@ -55,7 +55,7 @@ def is_probable_prime(n: int, rounds: int = 24) -> bool:
         d //= 2
         r += 1
     rng = random.Random(n)  # deterministic witnesses per n
-    for _ in range(rounds):
+    for _ in range(24):  # a composite passes each with probability <= 1/4
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):

@@ -53,14 +53,6 @@ class NotFound(SecelError):
 
 # ---- protocol ---------------------------------------------------------------
 
-class SetupQuorumFailure(SecelError):
-    """Fewer than t participants hold complete share bundles after Setup."""
-
-
-class StalenessTimeout(SecelError):
-    """The aggregator saw fewer than s_min submissions within its budget."""
-
-
 class RevealTimeout(SecelError):
     """A leader-election committer never revealed within the phase."""
 

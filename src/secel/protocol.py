@@ -74,7 +74,6 @@ from .errors import (
     NotFound,
     RecoveryQuorumFailure,
     RevealTimeout,
-    SetupQuorumFailure,
     VerificationFailed,
 )
 from .group_variant import (
@@ -162,7 +161,6 @@ class SetupResult:
     dealers: dict[int, DealerState]
     received_v: dict[int, dict[int, int]]  # holder -> dealer -> V_dealer(holder)
     received_a: dict[int, dict[int, int]]  # holder -> dealer -> A_dealer(holder)
-    survivors: list[int]  # ids still holding a complete bundle (the set T)
 
 
 def run_setup(
@@ -170,15 +168,11 @@ def run_setup(
     t: int,
     modulus: PrimeModulus,
     rng: random.Random,
-    share_loss: tuple[int, ...] = (),
 ) -> SetupResult:
-    """Run both dealing rounds among `ids`, then apply share loss.
+    """Run both dealing rounds among `ids`.
 
     This is the pure-math twin of the simulator's setup phase: every dealer is
-    present, messages are exchanged instantly, and the survivor set T is
-    whoever still holds a complete bundle afterwards. Raises
-    SetupQuorumFailure when fewer than t survive — nothing dealt this round
-    could ever be recovered or verified.
+    present and messages are exchanged instantly.
     """
     ids = sorted(ids)
     n = len(ids)
@@ -193,17 +187,7 @@ def run_setup(
     for i in ids:
         for j, value in step2_messages(dealers[i], ids, rng).items():
             received_a[j][i] = value
-    for q in share_loss:
-        received_v[q] = {}
-        received_a[q] = {}
-        dealers[q].a_poly = None
-        dealers[q].s_v = None
-    survivors = [i for i in ids if i not in set(share_loss)]
-    if len(survivors) < t:
-        raise SetupQuorumFailure(
-            f"only {len(survivors)} complete bundles survived; need {t}"
-        )
-    return SetupResult(dealers, received_v, received_a, survivors)
+    return SetupResult(dealers, received_v, received_a)
 
 
 # ---- round configuration and reporting ---------------------------------------------

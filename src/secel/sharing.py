@@ -81,17 +81,16 @@ def new_dealer(
     n: int,
     modulus: PrimeModulus,
     rng: random.Random,
-    masking_secret: int | None = None,
 ) -> DealerState:
     """Draw the first-round polynomial V_i. The constant term V_i(0) is the
-    dealer's private masking key; pass one in to pin it (tests, fedlearn)."""
+    dealer's private masking key."""
     if dealer_id < 1:
         raise ValueError("participant ids start at 1")
     if t < 1:
         raise ValueError("threshold must be >= 1")
     if t > n:
         raise ThresholdTooLarge(f"t={t} exceeds n={n}")
-    v = UniPoly.random(t - 1, modulus, rng, constant=masking_secret)
+    v = UniPoly.random(t - 1, modulus, rng)
     return DealerState(id=dealer_id, t=t, v_poly=v)
 
 

@@ -52,7 +52,7 @@ import random
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import itemgetter, length_hint
+from operator import length_hint
 from typing import Any, Iterable, Iterator
 
 from cryptography.exceptions import InvalidTag
@@ -81,52 +81,9 @@ AGGREGATOR_ID = 0
 # dicts and scalars, so no markers dict is kept for its inner lists.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
-FLAT_PLAN_LIMIT = 256  # distinct key tuples whose plan is kept
-_flat_plans: dict[tuple, tuple] = {}
-
-
-def _flat_plan(keys: tuple) -> tuple:
-    """How to format a dict of ints with these keys: (getter, %d template), or ().
-
-    Only ASCII identifier keys are planned: they need no escaping, so the
-    template is the exact json.dumps text with each value replaced by %d.
-    The getter returns the values as a tuple in sorted key order.
-    """
-    if not all(type(k) is str and k.isascii() and k.isidentifier() for k in keys):
-        return ()
-    order = sorted(keys)
-    template = ("{" + ",".join(f'"{k}":%d' for k in order) + "}").encode()
-    if len(order) > 1:
-        return itemgetter(*order), template
-    if order:
-        key = order[0]
-        return (lambda obj: (obj[key],)), template
-    return (lambda obj: ()), template
-
 
 def canonical_json(obj: Any) -> bytes:
-    """Stable byte encoding: sorted keys, no whitespace.
-
-    A dict of ints under ASCII identifier keys (every dealing body) is
-    formatted from a plan cached per key tuple, to the same bytes json.dumps
-    gives. Past FLAT_PLAN_LIMIT key tuples a plan is computed but not kept.
-    Everything else goes through one shared JSONEncoder.
-    """
-    if type(obj) is dict:
-        keys = tuple(obj)
-        plan = _flat_plans.get(keys)
-        if plan is None:
-            plan = _flat_plan(keys)
-            if len(_flat_plans) < FLAT_PLAN_LIMIT:
-                _flat_plans[keys] = plan
-        if plan:
-            get, template = plan
-            values = get(obj)
-            for v in values:
-                if type(v) is not int:  # bools and floats are not %d
-                    break
-            else:
-                return template % values
+    """Stable byte encoding: sorted keys, no whitespace."""
     return _ENCODER.encode(obj).encode()
 
 

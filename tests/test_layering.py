@@ -6,6 +6,8 @@ Function-local imports count too: they are parsed, not executed.
 
 import ast
 import random
+from collections.abc import Iterator
+from fnmatch import fnmatch
 from pathlib import Path
 
 import secel
@@ -307,3 +309,109 @@ def test_call_site_check_sees_methods_functions_and_attribute_calls():
         "payload_digest": ["f"],
         "canonical_json": ["<module>", "Simulator.send", "Simulator.send"],
     }
+
+
+# what no production caller reaches goes, unless it is kept here for a reason;
+# patterns match `module.name`, `module.Class.method` and `...(param=)`
+KEEP = {
+    "protocol.RoundSpec.field_modulus": "criterion 1's oracle reads the spec's field",
+    "sharing.deal_direct": "criterion 5's reference dealing",
+    "algebra.SymBivarPoly.random(secret=)": "criterion 5 pins each direct dealer's secret",
+    "protocol.*._start_*": "on_phase_start dispatches them by getattr on the phase name",
+    "cli.main(argv=)": "the console script passes none; a caller embedding the CLI passes its own",
+}
+
+
+def definitions(tree: ast.AST, module: str) -> Iterator[tuple[str, ast.AST, ast.ClassDef | None]]:
+    """(qualified name, node, enclosing class) for each top-level function and
+    class of a parsed module and each method of its top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node, None
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{fn.name}", fn, node
+
+
+def unreached(trees: dict[str, ast.AST]) -> list[str]:
+    """Definitions no module names, and defaulted parameters no call passes.
+
+    A definition is reached if its name is used as a name, an attribute or an
+    import anywhere; dunder methods are reached implicitly. A parameter is
+    passed by a call to a function of its name (its class's name, for
+    `__init__`) that gives it by keyword or by position, or that spreads
+    `*args` or `**kwargs`.
+    """
+    names, calls = set(), {}
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                names.update(alias.name for alias in sub.names)
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                spread = any(isinstance(arg, ast.Starred) for arg in sub.args) or any(
+                    kw.arg is None for kw in sub.keywords
+                )
+                calls.setdefault(called, []).append(
+                    (len(sub.args), {kw.arg for kw in sub.keywords}, spread)
+                )
+    found = []
+    for module, tree in trees.items():
+        for qual, node, cls in definitions(tree, module):
+            name = node.name
+            if name not in names and not (name.startswith("__") and name.endswith("__")):
+                found.append(qual)
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            bound = cls is not None and not static  # self or cls is not passed in the call
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [
+                (arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first
+            ] + [
+                (arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            callees = (cls.name, "__init__") if cls is not None and name == "__init__" else (name,)
+            sites = [site for callee in callees for site in calls.get(callee, [])]
+            for param, pos in params:
+                if not any(
+                    spread or param in keywords or (pos is not None and given > pos)
+                    for given, keywords, spread in sites
+                ):
+                    found.append(f"{qual}({param}=)")
+    return found
+
+
+def test_everything_in_src_has_a_production_caller_or_a_kept_reason():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    found = unreached(trees)
+    unkept = [qual for qual in found if not any(fnmatch(qual, pattern) for pattern in KEEP)]
+    assert unkept == []
+    stale = [pattern for pattern in KEEP if not any(fnmatch(qual, pattern) for qual in found)]
+    assert stale == []  # a kept name that gained a caller leaves the list
+
+
+def test_unreached_check_sees_names_params_and_constructors():
+    source = (
+        "def used(a, b=1, *, c=2):\n    return a\n"
+        "def unused(x=0):\n    pass\n"
+        "def spread(y=0):\n    pass\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, colour=None):\n        self.size = size\n"
+        "    def open(self, wide=False):\n        return self.size\n"
+        "    @staticmethod\n    def make(kind=None):\n        return Box(kind)\n"
+        "    def shut(self):\n        pass\n"
+        "used(1, 2)\nBox(3).open()\nBox.make(kind=1)\nspread(*args)\n"
+    )
+    assert unreached({"m": ast.parse(source)}) == [
+        "m.used(c=)", "m.unused", "m.unused(x=)", "m.Box.__init__(colour=)",
+        "m.Box.open(wide=)", "m.Box.shut",
+    ]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from secel.errors import AuthFailure, ConfigError, RevealTimeout, SetupQuorumFailure
+from secel.errors import AuthFailure, ConfigError, RevealTimeout
 import secel.group_variant as group_variant
 import secel.protocol as protocol
 import secel.simnet as simnet
@@ -882,7 +882,6 @@ def test_run_setup_pure_happy_path():
 
     modulus = PrimeModulus(31)
     setup = run_setup([1, 2, 3, 4], t=2, modulus=modulus, rng=random.Random(0))
-    assert setup.survivors == [1, 2, 3, 4]
     for holder in (1, 2, 3, 4):
         for dealer in (1, 2, 3, 4):
             if dealer == holder:
@@ -897,21 +896,6 @@ def test_run_setup_pure_happy_path():
             )
     for i in (1, 2, 3, 4):
         assert setup.dealers[i].a_poly.constant_term() == setup.dealers[i].s_v
-
-
-def test_run_setup_share_loss_and_quorum():
-    import random
-
-    modulus = PrimeModulus(31)
-    setup = run_setup(
-        [1, 2, 3], t=2, modulus=modulus, rng=random.Random(1), share_loss=(3,)
-    )
-    assert setup.survivors == [1, 2]
-    assert setup.received_v[3] == {} and setup.dealers[3].a_poly is None
-    with pytest.raises(SetupQuorumFailure):
-        run_setup(
-            [1, 2, 3], t=2, modulus=modulus, rng=random.Random(1), share_loss=(2, 3)
-        )
 
 
 # ---- configuration plumbing ------------------------------------------------------------

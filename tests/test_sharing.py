@@ -161,12 +161,8 @@ def test_two_step_equals_direct_oracle():
         n = rng.randrange(2, 6)
         t = rng.randrange(1, n + 1)
         ids = list(range(1, n + 1))
-        secrets = [modulus.random_element(rng) for _ in ids]
-
-        dealers = {
-            i: new_dealer(i, t, n, modulus, rng, masking_secret=secrets[i - 1])
-            for i in ids
-        }
+        dealers = {i: new_dealer(i, t, n, modulus, rng) for i in ids}
+        secrets = [dealers[i].masking_secret() for i in ids]
         inbox = {i: {} for i in ids}
         for i, d in dealers.items():
             for j, v in step1_messages(d, ids).items():
