@@ -25,7 +25,7 @@ from secel.simnet import DEFAULT_BUDGETS, FAULT_ACTIONS, PHASES
 from test_golden import digests
 
 DOCUMENTS = 500
-PIN = "3532f64ce3821b81d27dbaed34f591a71d5677ab6ea47b512b9d1a04a286d227"
+PIN = "2a16204fd6c5677b499a60dd849d9c86299b976d7a43325c3781677eb8e7fedb"
 
 
 def sweep_document(index: int) -> dict:

@@ -1182,30 +1182,47 @@ def test_an_aggregate_sent_again_in_verification_is_dropped_as_stale(monkeypatch
     assert r.field_sum == field_sum_oracle(result, r.m_set)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_a_share_request_from_the_aggregator_is_refused(monkeypatch, variant):
-    start, on_message = protocol.AggregatorNode.on_phase_start, ParticipantNode.on_message
+PEER_REQUESTER = 2  # not the leader seed 0 elects at n=5, t=3, in either variant
+
+
+@pytest.mark.parametrize(
+    "variant, requester",
+    [
+        *(pytest.param(variant, AGGREGATOR_ID, id=variant) for variant in VARIANTS),
+        *(pytest.param(variant, PEER_REQUESTER, id=f"peer-{variant}") for variant in VARIANTS),
+    ],
+)
+def test_a_share_request_from_the_aggregator_is_refused(monkeypatch, variant, requester):
+    """Neither the aggregator nor a peer the holders did not elect draws a
+    share response by posing as the leader before the election."""
+    node_class = protocol.AggregatorNode if requester == AGGREGATOR_ID else ParticipantNode
+    start, on_message = node_class.on_phase_start, ParticipantNode.on_message
     leaders = []
 
     def ask_for_shares(node, sim, phase):
         start(node, sim, phase)
-        if phase == "verification":  # posing as the leader before any election
-            sim.broadcast(node.id, node.spec.participant_ids, "share_req", {"m": node.m})
+        if phase == "verification" and node.id == requester:
+            members = node.m if requester == AGGREGATOR_ID else node.m_set
+            targets = [i for i in node.spec.participant_ids if i != requester]
+            sim.broadcast(node.id, targets, "share_req", {"m": members})
 
     def watch(node, sim, env):
         on_message(node, sim, env)
-        leaders.append(node.leader)
+        if node.id != requester:
+            leaders.append(node.leader)
 
-    monkeypatch.setattr(protocol.AggregatorNode, "on_phase_start", ask_for_shares)
+    monkeypatch.setattr(node_class, "on_phase_start", ask_for_shares)
     monkeypatch.setattr(ParticipantNode, "on_message", watch)
-    result = run_rounds({"seed": 0, "n": 4, "variant": variant})
+    sizes = {"n": 4} if requester == AGGREGATOR_ID else {"n": 5, "t": 3}
+    result = run_rounds({"seed": 0, "variant": variant, **sizes})
     answers = [
         rec for rec in result.transcript.records
         if rec["type"] == "send" and rec["kind"] in ("share_resp", "share_resp_fb")
     ]
-    assert answers and all(rec["secured"] and rec["dst"] != AGGREGATOR_ID for rec in answers)
-    assert leaders and AGGREGATOR_ID not in leaders
-    assert result.rounds[0].phase == "done"
+    assert answers and all(rec["secured"] and rec["dst"] != requester for rec in answers)
+    assert leaders and requester not in leaders
+    r = result.rounds[0]
+    assert r.phase == "done" and r.leader != requester
 
 
 def test_wiped_party_serves_no_channel_key():
