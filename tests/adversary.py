@@ -7,6 +7,10 @@ by its test against the run's own state. Each adversary also has a positive
 control: a frozen copy of an earlier protocol behaviour that it must beat, so
 it cannot go quietly vacuous once the protocol stops leaking.
 
+(d) `forge_two_element`: the aggregator solves the round key s from two
+elements of an aggregate and the public label coefficients, then shifts
+element 0's sum by any delta without breaking the tag.
+
 (f) `rebuild_pair_keys`: the leader rebuilds the channel key of a pair of
 other parties, k_ij = A_i(j) + A_j(i), from the second rows its bodies carry.
 """
@@ -29,6 +33,30 @@ def leader_view(result: ScenarioResult) -> dict[int, list[dict]]:
         for src, body in opened.items():
             view.setdefault(src, []).append(body)
     return view
+
+
+def solve_round_key(agg: list[list[int]], h: tuple[int, ...], p: int) -> int | None:
+    """s from the first two elements of an aggregate whose tag is key-linear:
+    c2_a * s + c1_a == k * h_a for both, so k cancels and
+    s = (h0 * c1_1 - h1 * c1_0) / (h1 * c2_0 - h0 * c2_1). None if that divides by 0."""
+    (c1_0, c2_0), (c1_1, c2_1) = agg[:2]
+    den = (h[1] * c2_0 - h[0] * c2_1) % p
+    if den == 0:
+        return None
+    return (h[0] * c1_1 - h[1] * c1_0) * pow(den, -1, p) % p
+
+
+def forge_two_element(
+    agg: list[list[int]], h: tuple[int, ...], p: int, delta: int
+) -> list[list[int]] | None:
+    """Adversary (d): the aggregate with (delta, -delta / s) added to element 0,
+    which keeps c2 * s + c1 and moves the unmasked sum by delta; None if s
+    does not solve."""
+    s = solve_round_key(agg, h, p)
+    if s is None:
+        return None
+    (c1, c2), *rest = agg
+    return [[(c1 + delta) % p, (c2 - delta * pow(s, -1, p)) % p], *rest]
 
 
 def frozen_share_body(node, m: list[int]) -> dict:

@@ -322,7 +322,7 @@ KEEP = {
 }
 
 
-def definitions(tree: ast.AST, module: str) -> Iterator[tuple[str, ast.AST, ast.ClassDef | None]]:
+def definitions(tree: ast.AST, module: str) -> Iterator[tuple]:
     """(qualified name, node, enclosing class) for each top-level function and
     class of a parsed module and each method of its top-level classes."""
     for node in tree.body:
@@ -377,7 +377,9 @@ def unreached(trees: dict[str, ast.AST]) -> list[str]:
             params = [
                 (arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first
             ] + [
-                (arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                (arg.arg, None)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
             ]
             callees = (cls.name, "__init__") if cls is not None and name == "__init__" else (name,)
             sites = [site for callee in callees for site in calls.get(callee, [])]
