@@ -12,10 +12,10 @@ the envelope header (src, dst, kind, round, seq) as associated data and a
 deterministic per-(src, dst, seq) nonce. Tampering with the ciphertext or
 re-addressing an envelope raises AuthFailure. A multicast body is encoded
 at most once, by its first sealed copy, and every copy of it, plaintext or
-sealed, carries one receive-side slot (`Multicast`). A sealed copy is still
-authenticated under its own key, and copies whose plaintext equals the
-multicast's bytes share one parsed body; the receivers of plaintext copies
-keep their one check verdict there. A body is read-only once sent, for its
+sealed, carries one `Multicast`. A sealed copy is still authenticated
+under its own key, and copies whose plaintext equals the multicast's bytes
+share one parsed body; the receivers of plaintext copies keep their one
+check verdict there. A body is read-only once sent, for its
 sender as for its receivers, opened or plaintext.
 
 Pending events wait in per-tick FIFO buckets, {time: [items in scheduling
@@ -28,18 +28,21 @@ due at that tick, and items past a phase budget wait for the next phase.
 Nothing may be scheduled before the current time.
 
 The transcript stores each envelope record (send, deliver, drop, auth_fail)
-as one flat tuple row, (type, src, dst, kind, round, seq, secured, digest, t,
-reason), with reason None when the record has none. A row keeps no reference
-to the envelope, and is less than half the size of the dict it stands for.
-Its digest is pending (`PendingDigest`): it holds the payload, the plaintext
-body or the sealed blob, and is computed when a record of the envelope is
-first read, as payload_digest(canonical_json(body)) or payload_digest(blob).
-All records of one envelope, and every plaintext copy of a multicast, hold
-one pending digest, so each payload is digested at most once; a run nobody
-reads digests nothing. Phase, fault and note records stay dicts.
-`Transcript.records` is a read-only sequence view over the rows that builds
-each record's dict on access, so readers, `count` and the NDJSON see the same
-records as when every row was a dict holding a digest fixed at send.
+as one flat tuple row, (type, src, dst, kind, round, seq, secured, slot, t,
+reason), with reason None when the record has none. A row holds atoms only
+(str, int, bool, None): no envelope, body or digest object. The cyclic
+collector untracks such a tuple on its first pass, so later passes walk
+none of a run's rows. `slot` indexes the transcript's payload table: a slot
+holds the plaintext body or the sealed blob until a record of it is first
+read, then its hex digest, payload_digest(canonical_json(body)) or
+payload_digest(blob), kept in a 1-tuple so that a body which is itself a
+string is never taken for one. All records of one envelope, and every
+plaintext copy of a multicast, share one slot, so each payload is digested
+at most once; a run nobody reads digests nothing. Phase, fault and note
+records stay dicts. `Transcript.records` is a read-only sequence view over
+the rows that builds each record's dict on access, so readers, `count` and
+the NDJSON see the same records as when every row was a dict holding a
+digest fixed at send.
 """
 
 from __future__ import annotations
@@ -176,40 +179,20 @@ class SimConfig:
 # ---- envelopes and transcript -----------------------------------------------------
 
 
-class PendingDigest:
-    """The audit digest of one sent payload, computed when it is first read.
-
-    Holds the payload until then, a plaintext body or a sealed blob; the
-    first `resolve` digests it, keeps the hex and lets the payload go.
-    """
-
-    __slots__ = ("payload", "value")
-
-    def __init__(self, payload: dict | bytes) -> None:
-        self.payload: dict | bytes | None = payload
-        self.value: str | None = None
-
-    def resolve(self) -> str:
-        if self.value is None:
-            payload = self.payload
-            data = payload if type(payload) is bytes else canonical_json(payload)
-            self.value = payload_digest(data)
-            self.payload = None
-        return self.value
-
-
 @dataclass(slots=True)
 class Multicast:
-    """The receive side of one multicast body, held by every copy of it.
+    """The shared state of one multicast body, held by every copy of it.
 
-    `data` is the body's canonical bytes, encoded by the first sealed copy
-    (`plaintext`); `parsed` is the one body parsed from them for the sealed
-    copies whose plaintext equals them. `checked` and `problem` hold the
+    `slot` is the transcript payload slot its plaintext copies share, taken
+    by the first of them. `data` is the body's canonical bytes, encoded by
+    the first sealed copy (`plaintext`); `parsed` is the one body parsed from
+    them for the sealed copies whose plaintext equals them. `checked` and `problem` hold the
     verdict of the receivers' check of the plaintext body: whoever checks
     first stores it, the others reuse it. `decoded` holds what the receivers
     of `parsed` derive from it alike, computed by the first.
     """
 
+    slot: int | None = None
     data: bytes | None = None
     parsed: Any = None
     checked: bool = False
@@ -233,15 +216,10 @@ class Envelope:
     send_time: int
     deliver_time: int
     secured: bool
-    body: dict | None = None  # plaintext payload
-    blob: bytes | None = None  # ciphertext payload
-    pending: PendingDigest | None = None  # the payload's digest, set at send
-    shared: Multicast | None = None  # the slot of the multicast this is a copy of
-
-    @property
-    def digest(self) -> str:
-        """payload_digest of the payload bytes, computed on first read."""
-        return self.pending.resolve()
+    body: dict | None  # plaintext payload
+    blob: bytes | None  # ciphertext payload
+    slot: int  # the payload's slot in the transcript's payload table
+    shared: Multicast | None  # the multicast this is a copy of
 
     def header(self) -> dict:
         return {
@@ -256,36 +234,40 @@ class Envelope:
 ENVELOPE_FIELDS = ("type", "src", "dst", "kind", "round", "seq", "secured", "digest", "t")
 
 
-def _as_record(row: tuple | dict) -> dict:
-    """The dict record of one transcript row."""
-    if type(row) is dict:
-        return row
-    rec = dict(zip(ENVELOPE_FIELDS, row))
-    rec["digest"] = row[7].resolve()
-    if row[9] is not None:
-        rec["reason"] = row[9]
-    return rec
-
-
 class Records(Sequence):
     """Read-only view of a transcript's rows as dict records."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_payloads")
     __hash__ = None
 
-    def __init__(self, rows: list) -> None:
+    def __init__(self, rows: list, payloads: list) -> None:
         self._rows = rows
+        self._payloads = payloads
+
+    def _record(self, row: tuple | dict) -> dict:
+        if type(row) is dict:
+            return row
+        rec = dict(zip(ENVELOPE_FIELDS, row))
+        slot = row[7]
+        held = self._payloads[slot]
+        if type(held) is not tuple:  # first read: digest it, keep the hex, drop the payload
+            data = held if type(held) is bytes else canonical_json(held)
+            held = self._payloads[slot] = (payload_digest(data),)
+        rec["digest"] = held[0]
+        if row[9] is not None:
+            rec["reason"] = row[9]
+        return rec
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [_as_record(row) for row in self._rows[index]]
-        return _as_record(self._rows[index])
+            return [self._record(row) for row in self._rows[index]]
+        return self._record(self._rows[index])
 
     def __iter__(self):
-        return map(_as_record, self._rows)
+        return map(self._record, self._rows)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (Records, list)):
@@ -301,14 +283,16 @@ class Transcript:
 
     def __init__(self) -> None:
         self._rows: list[tuple | dict] = []
-        self.records = Records(self._rows)
+        # payload table: a body or blob per slot, its (hex digest,) once read
+        self.payloads: list[Any] = []
+        self.records = Records(self._rows, self.payloads)
 
     def add(self, **record: Any) -> None:
         self._rows.append(record)
 
     def envelope(self, rtype: str, env: Envelope, t: int, reason: str | None = None) -> None:
         self._rows.append((
-            rtype, env.src, env.dst, env.kind, env.round, env.seq, env.secured, env.pending,
+            rtype, env.src, env.dst, env.kind, env.round, env.seq, env.secured, env.slot,
             t, reason,
         ))
 
@@ -419,14 +403,18 @@ class Simulator:
         self.offline: set[int] = set()
         self.dropping: set[int] = set()  # drop_outbound for the current phase
         self.transcript = Transcript()
-        self._buckets: dict[int, list[tuple]] = {}  # time -> items in scheduling order
+        self._payloads = self.transcript.payloads
+        # time -> items in scheduling order: envelopes to deliver, timer and fault tuples
+        self._buckets: dict[int, list[Envelope | tuple]] = {}
         self._times: list[int] = []  # heap of the times with a bucket
-        self._taking: Iterator[tuple] = iter(())  # the bucket being processed
-        self._net_rng = random.Random(derive_seed(config.seed, "net"))
+        self._taking: Iterator[Envelope | tuple] = iter(())  # the bucket being processed
+        # what every send's delay draw reads: (delay_min, width, bits of width)
+        width = config.delay_max - config.delay_min + 1
+        self._delay = (config.delay_min, width, width.bit_length())
+        self._getrandbits = random.Random(derive_seed(config.seed, "net")).getrandbits
         self._pair_seq: dict[tuple[int, int], int] = {}
-        # the body in flight to several peers: (body, the pending digest its
-        # plaintext copies share, the slot every copy carries)
-        self._shared: tuple[dict, PendingDigest, Multicast] | None = None
+        # the body in flight to several peers, and the Multicast every copy carries
+        self._shared: tuple[dict, Multicast] | None = None
 
     # -- wiring --------------------------------------------------------------------
 
@@ -441,7 +429,7 @@ class Simulator:
 
     # -- event queue ---------------------------------------------------------------
 
-    def _push(self, time: int, item: tuple) -> None:
+    def _push(self, time: int, item: Envelope | tuple) -> None:
         if time < self.now:
             raise ValueError(f"cannot schedule at t={time}, before now={self.now}")
         bucket = self._buckets.get(time)
@@ -470,51 +458,58 @@ class Simulator:
     ) -> None:
         if src in self.offline:
             return  # an offline node emits nothing, not even audit records
-        seq = self._pair_seq.get((src, dst), 0)
-        self._pair_seq[(src, dst)] = seq + 1
+        pair = (src, dst)
+        seq = self._pair_seq.get(pair, 0)
+        self._pair_seq[pair] = seq + 1
         # the delay, drawn as randint(delay_min, delay_max) draws it: bit_length(width)
         # bits, redrawn until below width
-        cfg = self.config
-        width = cfg.delay_max - cfg.delay_min + 1
-        bits, getrandbits = width.bit_length(), self._net_rng.getrandbits
+        low, width, bits = self._delay
+        getrandbits = self._getrandbits
         r = getrandbits(bits)
         while r >= width:
             r = getrandbits(bits)
-        now = self.now
-        deliver_time = now + cfg.delay_min + r
-        env = Envelope(src, dst, kind, self.round, seq, now, deliver_time, key is not None)
+        now, round_no, payloads = self.now, self.round, self._payloads
+        deliver_time = now + low + r
         shared = self._shared
-        if shared is not None and shared[0] is not body:
-            shared = None
-        if shared is not None:
-            env.shared = shared[2]
+        multicast = shared[1] if shared is not None and shared[0] is body else None
+        blob = None
         if key is not None:
-            data = None if shared is None else shared[2].plaintext(body)
-            env.blob = seal(key, env.header(), body, data)
-            env.pending = PendingDigest(env.blob)
+            header = {"src": src, "dst": dst, "kind": kind, "round": round_no, "seq": seq}
+            data = None if multicast is None else multicast.plaintext(body)
+            body, blob = None, seal(key, header, body, data)
+            slot = len(payloads)
+            payloads.append(blob)
+        elif multicast is not None and multicast.slot is not None:
+            slot = multicast.slot
         else:
-            env.body = body
-            env.pending = PendingDigest(body) if shared is None else shared[1]
+            slot = len(payloads)
+            payloads.append(body)
+            if multicast is not None:
+                multicast.slot = slot
+        env = Envelope(
+            src, dst, kind, round_no, seq, now, deliver_time, key is not None,
+            body, blob, slot, multicast,
+        )
         if src in self.dropping:
             self.transcript.envelope("drop", env, t=now, reason="drop_outbound")
             return
         self.transcript.envelope("send", env, t=now)
-        self._push(deliver_time, ("deliver", env))
+        self._push(deliver_time, env)
 
     @contextmanager
     def shared_body(self, body: dict) -> Iterator[None]:
         """Share one encoding among the sends of that very object inside the block.
 
-        Plaintext sends share one pending digest; sealed ones share the
+        Plaintext sends share one payload slot; sealed ones share the
         plaintext bytes, encoded by the first of them, and each still gets its
         own key, nonce and header. Every copy, plaintext or sealed, carries
-        one `Multicast` slot: the one parse of the bytes that sealed receivers
+        one `Multicast`: the one parse of the bytes that sealed receivers
         share, and the verdict of the one check of the plaintext body. Nothing
         is encoded here. The simulator forgets the body when the block ends,
-        so a later send of it gets no slot; the slot lives as long as the
+        so a later send of it gets no `Multicast`; that lives as long as the
         copies do.
         """
-        self._shared = (body, PendingDigest(body), Multicast())
+        self._shared = (body, Multicast())
         try:
             yield
         finally:
@@ -583,13 +578,12 @@ class Simulator:
                 self.now = now
                 self._taking = taking = iter(buckets.pop(now))
                 for item in taking:
-                    if item[0] == "deliver":
-                        env: Envelope = item[1]
-                        if env.dst in self.offline or env.dst not in self.nodes:
-                            self.transcript.envelope("drop", env, t=now, reason="offline_dst")
+                    if type(item) is Envelope:
+                        if item.dst in self.offline or item.dst not in self.nodes:
+                            self.transcript.envelope("drop", item, t=now, reason="offline_dst")
                             continue
-                        self.transcript.envelope("deliver", env, t=now)
-                        self.nodes[env.dst].on_message(self, env)
+                        self.transcript.envelope("deliver", item, t=now)
+                        self.nodes[item.dst].on_message(self, item)
                     elif item[0] == "timer":
                         _, node_id, name, data = item
                         if self.is_online(node_id):

@@ -293,7 +293,7 @@ def test_a_payload_is_digested_in_one_place_and_the_send_path_encodes_nothing():
         found = call_sites(ast.parse(path.read_text()), tuple(sites))
         for name, scopes in found.items():
             sites[name] += [f"{path.stem}.{scope}" for scope in scopes]
-    assert sites["payload_digest"] == ["simnet.PendingDigest.resolve"]
+    assert sites["payload_digest"] == ["simnet.Records._record"]
     assert not {f"simnet.{scope}" for scope in SEND_PATH} & set(sites["canonical_json"])
 
 
@@ -309,6 +309,115 @@ def test_call_site_check_sees_methods_functions_and_attribute_calls():
         "payload_digest": ["f"],
         "canonical_json": ["<module>", "Simulator.send", "Simulator.send"],
     }
+
+
+# Other code hooks the simulator at three seams: tests inject bodies at
+# `Simulator.send`, perfbench's PayloadBytes and Tracer wrap `Transcript.envelope`,
+# and a reference event loop overrides `Simulator._push`. A shortcut around any
+# of them would leave that code blind.
+ROW_STORES = ("_rows", "records", "add")  # the transcript's rows and its other writer
+QUEUE_STORES = ("_buckets", "_times", "heapq", "heappush")
+
+
+def dotted(node: ast.AST) -> str:
+    """`a.b.c` for a chain of attributes on a name; `?` stands for any other base."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    parts.append(node.id if isinstance(node, ast.Name) else "?")
+    return ".".join(reversed(parts))
+
+
+def chains(fn: ast.AST) -> set[str]:
+    """The whole attribute chains and bare names a function refers to."""
+    inner = {id(n.value) for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    return {
+        dotted(n) for n in ast.walk(fn)
+        if isinstance(n, (ast.Attribute, ast.Name)) and id(n) not in inner
+    }
+
+
+def seam_breaches(trees: dict[str, ast.AST]) -> list[str]:
+    """How parsed modules step around the seams: a broadcast copy not sent by
+    `self.send`; a `Simulator.send` that writes rows other than through
+    `self.transcript.envelope` or enqueues other than through `self._push`; a
+    row appended anywhere but `Transcript.envelope` (`Transcript.add` appends
+    its keyword dict)."""
+    breaches, row_writes = [], []
+    for module, tree in trees.items():
+        methods = [
+            (f"{cls.name}.{fn.name}", fn)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        ]
+        for scope, fn in methods:
+            calls = {dotted(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+            if (module, scope) == ("simnet", "Simulator.broadcast"):
+                if "self.send" not in calls or calls - {"self.send", "self.shared_body", "sorted"}:
+                    breaches.append(f"{scope} calls {sorted(calls)}")
+            if (module, scope) == ("simnet", "Simulator.send"):
+                for need in ("self.transcript.envelope", "self._push"):
+                    if need not in calls:
+                        breaches.append(f"{scope} never calls {need}")
+                for name in sorted(chains(fn)):
+                    part = set(name.split("."))
+                    if part & set(QUEUE_STORES) or ("transcript" in part and part & set(ROW_STORES)):
+                        breaches.append(f"{scope} reaches {name}")
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and dotted(node.func).endswith(
+                    ("_rows.append", "_rows.extend", "_rows.insert")
+                ):
+                    row_writes.append((scope, *(type(a).__name__ for a in node.args)))
+                elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                    # `rows[i] = ...` and `rows += ...` write rows; `self._rows = rows` binds
+                    targets = [node.target] if isinstance(node, ast.AugAssign) else node.targets
+                    for target in targets:
+                        if isinstance(target, ast.Subscript):
+                            target = target.value
+                        elif isinstance(node, ast.Assign):
+                            continue
+                        if dotted(target).endswith("._rows"):
+                            row_writes.append((scope, "store"))
+    if row_writes != [("Transcript.add", "Name"), ("Transcript.envelope", "Tuple")]:
+        breaches.append(f"rows written at {row_writes}")
+    return breaches
+
+
+def test_the_simulator_seams_other_code_hooks_are_the_only_paths():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert seam_breaches(trees) == []
+
+
+def test_seam_check_sees_shortcuts_around_each_seam():
+    honest = (
+        "class Transcript:\n"
+        "    def __init__(self):\n        self._rows = []\n"
+        "    def add(self, **record):\n        self._rows.append(record)\n"
+        "    def envelope(self, rtype, env, t):\n        self._rows.append((rtype, env.src, t))\n"
+        "class Simulator:\n"
+        "    def send(self, src, dst, body):\n"
+        "        self.transcript.envelope('send', body, t=0)\n        self._push(1, body)\n"
+        "    def broadcast(self, src, dsts, body):\n"
+        "        with self.shared_body(body):\n"
+        "            for dst in sorted(dsts):\n                self.send(src, dst, body)\n"
+    )
+    assert seam_breaches({"simnet": ast.parse(honest)}) == []
+    shortcuts = (
+        honest.replace("self.transcript.envelope('send', body, t=0)", "rows = self.transcript._rows")
+        .replace("self._push(1, body)", "heapq.heappush(self._times, 1)")
+        .replace("self.send(src, dst, body)", "self._push(1, body)")
+    ) + "class Node:\n    def act(self, t):\n        t._rows += [(1,)]\n        t._rows[0] = (2,)\n"
+    assert seam_breaches({"simnet": ast.parse(shortcuts)}) == [
+        "Simulator.send never calls self.transcript.envelope",
+        "Simulator.send never calls self._push",
+        "Simulator.send reaches heapq.heappush",
+        "Simulator.send reaches self._times",
+        "Simulator.send reaches self.transcript._rows",
+        "Simulator.broadcast calls ['self._push', 'self.shared_body', 'sorted']",
+        "rows written at [('Transcript.add', 'Name'), ('Transcript.envelope', 'Tuple'), "
+        "('Node.act', 'store'), ('Node.act', 'store')]",
+    ]
 
 
 # what no production caller reaches goes, unless it is kept here for a reason;

@@ -520,12 +520,13 @@ def test_an_aggregator_abort_is_a_staleness_timeout_whatever_its_reason(variant)
 
 
 def test_transcript_records_view_matches_dict_records(monkeypatch):
-    from secel.simnet import Envelope, PendingDigest, Transcript
+    from secel.simnet import Envelope, Transcript
 
     class DictTranscript(Transcript):
         """One dict per record, built at write time."""
 
         def __init__(self):
+            super().__init__()  # the payload table the simulator fills
             self.records = []
 
         def add(self, **record):
@@ -540,7 +541,9 @@ def test_transcript_records_view_matches_dict_records(monkeypatch):
                 "round": env.round,
                 "seq": env.seq,
                 "secured": env.secured,
-                "digest": env.digest,
+                "digest": simnet.payload_digest(
+                    env.blob if env.secured else canonical_json(env.body)
+                ),
             }
             rec.update(extra)
             self.records.append(rec)
@@ -569,16 +572,20 @@ def test_transcript_records_view_matches_dict_records(monkeypatch):
         assert result.transcript.count(**match) == want.count(**match) > 0, match
     assert result.transcript.to_ndjson() == want.to_ndjson()
 
-    # rows hold plain values and a pending digest, no envelope; once the
-    # records were read, no pending digest holds a body or blob either
+    # rows hold plain values, no envelope; envelope rows hold atoms alone, a
+    # payload slot among them; once the records were read, no slot of the
+    # payload table holds a body or blob, only its hex digest
     for row in result.transcript._rows:
         values = row.values() if type(row) is dict else row
         for value in values:
             assert not isinstance(value, (Envelope, dict))
-            if type(value) is PendingDigest:
-                assert value.payload is None and type(value.value) is str
-            elif type(row) is tuple:
+            if type(row) is tuple:
                 assert value is None or type(value) in (str, int, bool)
+    payloads = result.transcript.payloads
+    assert payloads and all(
+        type(held) is tuple and len(held) == 1 and type(held[0]) is str and len(held[0]) == 16
+        for held in payloads
+    )
 
 
 @pytest.mark.parametrize("variant", ["scalar", "group"])
@@ -1232,6 +1239,28 @@ def test_wiped_party_serves_no_channel_key():
     node.wipe_shares()
     assert node.chan_keys == {}
     assert all(node.chan_key(j) is None for j in node.peers)
+
+
+def test_envelope_rows_hold_atoms_alone_so_the_collector_untracks_them():
+    """Rows of a faulty run (share loss, disconnects, a drop_outbound, a tampered
+    aggregate) hold no container, so one collection untracks every row and the
+    collector's later passes walk none of them."""
+    spec = RoundSpec(n=10, t=4, s_min=7, length=4, share_loss=(2, 5), tamper="flip_element")
+    faults = [
+        Fault(id=3, phase="masking", action="disconnect"),
+        Fault(id=8, phase="masking", action="disconnect"),
+        Fault(id=6, phase="masking", action="drop_outbound"),
+    ]
+    result = run_rounds(spec, SimConfig(seed=1, n=10, faults=faults))
+    assert result.rounds[0].error == "VerificationFailed"
+    gc.collect()
+    rows = [row for row in result.transcript._rows if type(row) is tuple]
+    assert {(row[0], row[9]) for row in rows} >= {
+        ("send", None), ("deliver", None), ("drop", "drop_outbound"), ("drop", "offline_dst"),
+    }
+    for row in rows:
+        assert not gc.is_tracked(row), row
+        assert all(value is None or type(value) in (str, int, bool) for value in row), row
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
