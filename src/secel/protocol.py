@@ -972,11 +972,13 @@ class ParticipantNode(Node):
         # request would draw this member's own keys out in plaintext
         if leader not in self.peers or self.status != "working" or self.dealer is None:
             return
-        # a holder of the aggregate answers only the leader its own tally
-        # elected; a member without it never tallies, so it follows the request
-        if self.agg is not None and leader != self.leader:
+        # answer only the leader this member's own tally elected; a member
+        # without the aggregate never ran the tally timer, so it tallies the
+        # electors' reveals it holds now, and with none it stays silent
+        if self.agg is None and self.leader is None and self.reveals:
+            self.leader = elect_leader(self.reveals)
+        if leader != self.leader:
             return
-        self.leader = leader
         # a member's own keys alone; held rows go out only when the leader asks
         own = self._self_keys() if self.id in env.body["m"] else None
         if self.complete:

@@ -1232,6 +1232,43 @@ def test_a_share_request_from_the_aggregator_is_refused(monkeypatch, variant, re
     assert r.phase == "done" and r.leader != requester
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_member_without_the_aggregate_answers_only_the_leader_it_tallies(
+    monkeypatch, variant
+):
+    """A member of M that missed the aggregate tallies the electors' reveals
+    when a share request comes and answers only the leader they elect: a peer
+    that asks as verification opens, before any reveal, draws nothing."""
+    start = ParticipantNode.on_phase_start
+
+    def ask_for_shares(node, sim, phase):
+        start(node, sim, phase)
+        if phase == "verification" and node.id == PEER_REQUESTER:
+            targets = [i for i in node.spec.participant_ids if i != node.id]
+            sim.broadcast(node.id, targets, "share_req", {"m": node.m_set})
+
+    monkeypatch.setattr(ParticipantNode, "on_phase_start", ask_for_shares)
+    led_by_another = 0
+    for seed in range(4):
+        faults = [
+            {"id": 3, "phase": "aggregation", "action": "disconnect"},
+            {"id": 3, "phase": "verification", "action": "reconnect"},
+        ]
+        doc = {"seed": seed, "n": 5, "t": 3, "s_min": 4, "variant": variant, "faults": faults}
+        result = run_rounds(doc)
+        r, member = result.rounds[0], result.nodes[3]
+        assert 3 in r.m_set and member.agg is None
+        answered = [
+            rec["dst"] for rec in result.transcript.records
+            if rec["type"] == "send" and rec["src"] == 3
+            and rec["kind"] in ("share_resp", "share_resp_fb")
+        ]
+        assert answered == [r.leader] and member.leader == r.leader
+        assert r.phase == "done" and member.status == "done"
+        led_by_another += r.leader != PEER_REQUESTER
+    assert led_by_another
+
+
 def test_wiped_party_serves_no_channel_key():
     result = run_rounds(RoundSpec(n=5, t=2, length=3), SimConfig(seed=2, n=5))
     node = participants(result)[0]
