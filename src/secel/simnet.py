@@ -186,10 +186,10 @@ class Multicast:
     `slot` is the transcript payload slot its plaintext copies share, taken
     by the first of them. `data` is the body's canonical bytes, encoded by
     the first sealed copy (`plaintext`); `parsed` is the one body parsed from
-    them for the sealed copies whose plaintext equals them. `checked` and `problem` hold the
-    verdict of the receivers' check of the plaintext body: whoever checks
-    first stores it, the others reuse it. `decoded` holds what the receivers
-    of `parsed` derive from it alike, computed by the first.
+    them for the sealed copies whose plaintext equals them. `checked` and
+    `problem` hold the verdict of the receivers' check of the plaintext body:
+    whoever checks first stores it, the others reuse it. `decoded` holds what
+    the receivers of `parsed` derive from it alike, computed by the first.
     """
 
     slot: int | None = None
