@@ -791,10 +791,13 @@ class ParticipantNode(Node):
         sim.send(self.id, AGGREGATOR_ID, "submission", {"c": wire})
 
     def _start_verification(self, sim: Simulator) -> None:
-        if self.agg is None:
-            return
         budget = sim.config.budgets["verification"]
         slot = budget // 5
+        if self.agg is None:
+            # a member that missed the aggregate still tallies with the holders,
+            # so it answers only the leader the electors' reveals elect
+            sim.schedule_timer(self.id, sim.now + 2 * slot, "tally")
+            return
         if self.complete:
             # intact aggregate-holders form the electorate
             self.commit_value = self.rng.randrange(COMMIT_RANGE)
@@ -836,13 +839,14 @@ class ParticipantNode(Node):
                 self._conclude(sim)
 
     def _tally(self, sim: Simulator) -> None:
-        if self.agg is None or self.status != "working":
+        if self.status != "working":
             return
         if not self.reveals:
-            # nobody opened a valid commitment in time: the round cannot elect
-            self.status = "rejected"
-            self.reject_reason = "RevealTimeout"
-            return
+            if self.agg is not None:
+                # nobody opened a valid commitment in time: the round cannot elect
+                self.status = "rejected"
+                self.reject_reason = "RevealTimeout"
+            return  # a member without the aggregate stays silent
         self.leader = elect_leader(self.reveals)
         if self.leader == self.id:
             sim.broadcast(self.id, self.peers, "share_req", {"m": self.m_set})
@@ -972,11 +976,7 @@ class ParticipantNode(Node):
         # request would draw this member's own keys out in plaintext
         if leader not in self.peers or self.status != "working" or self.dealer is None:
             return
-        # answer only the leader this member's own tally elected; a member
-        # without the aggregate never ran the tally timer, so it tallies the
-        # electors' reveals it holds now, and with none it stays silent
-        if self.agg is None and self.leader is None and self.reveals:
-            self.leader = elect_leader(self.reveals)
+        # answer only the leader this member's own tally elected
         if leader != self.leader:
             return
         # a member's own keys alone; held rows go out only when the leader asks

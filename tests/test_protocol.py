@@ -1233,21 +1233,35 @@ def test_a_share_request_from_the_aggregator_is_refused(monkeypatch, variant, re
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("reveals_first", [False, True], ids=["asks-at-open", "reveals-then-asks"])
 def test_a_member_without_the_aggregate_answers_only_the_leader_it_tallies(
-    monkeypatch, variant
+    monkeypatch, variant, reveals_first
 ):
     """A member of M that missed the aggregate tallies the electors' reveals
-    when a share request comes and answers only the leader they elect: a peer
-    that asks as verification opens, before any reveal, draws nothing."""
-    start = ParticipantNode.on_phase_start
+    when the holders do and answers only the leader they elect. A peer draws
+    nothing by asking as verification opens, before any reveal, nor by
+    revealing its own commitment early and asking before the others reveal."""
+    start, on_timer = ParticipantNode.on_phase_start, ParticipantNode.on_timer
 
     def ask_for_shares(node, sim, phase):
         start(node, sim, phase)
         if phase == "verification" and node.id == PEER_REQUESTER:
-            targets = [i for i in node.spec.participant_ids if i != node.id]
-            sim.broadcast(node.id, targets, "share_req", {"m": node.m_set})
+            if reveals_first:
+                # every commit lands by delay_max; the honest reveals go out a slot on
+                sim.schedule_timer(node.id, sim.now + 6, "reveal")
+                sim.schedule_timer(node.id, sim.now + 12, "ask")
+            else:
+                on_timer(node, sim, "ask", None)
+
+    def ask_on_timer(node, sim, name, data):
+        if name != "ask":
+            on_timer(node, sim, name, data)
+            return
+        targets = [i for i in node.spec.participant_ids if i != node.id]
+        sim.broadcast(node.id, targets, "share_req", {"m": node.m_set})
 
     monkeypatch.setattr(ParticipantNode, "on_phase_start", ask_for_shares)
+    monkeypatch.setattr(ParticipantNode, "on_timer", ask_on_timer)
     led_by_another = 0
     for seed in range(4):
         faults = [
