@@ -222,13 +222,12 @@ class Envelope:
     shared: Multicast | None  # the multicast this is a copy of
 
     def header(self) -> dict:
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "kind": self.kind,
-            "round": self.round,
-            "seq": self.seq,
-        }
+        return aead_header(self.src, self.dst, self.kind, self.round, self.seq)
+
+
+def aead_header(src: int, dst: int, kind: str, round_no: int, seq: int) -> dict:
+    """The associated data a sealed envelope binds: sealed and opened from this alone."""
+    return {"src": src, "dst": dst, "kind": kind, "round": round_no, "seq": seq}
 
 
 ENVELOPE_FIELDS = ("type", "src", "dst", "kind", "round", "seq", "secured", "digest", "t")
@@ -474,7 +473,7 @@ class Simulator:
         multicast = shared[1] if shared is not None and shared[0] is body else None
         blob = None
         if key is not None:
-            header = {"src": src, "dst": dst, "kind": kind, "round": round_no, "seq": seq}
+            header = aead_header(src, dst, kind, round_no, seq)
             data = None if multicast is None else multicast.plaintext(body)
             body, blob = None, seal(key, header, body, data)
             slot = len(payloads)
