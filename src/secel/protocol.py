@@ -609,6 +609,15 @@ FIELD_KINDS = {
 }
 
 
+# Sender rule -> test of an envelope's sender on the receiving node: any other
+# participant, the aggregator, or the leader the receiver's own tally elected
+SENDERS = {
+    "peer": lambda src, node: src != node.id and 0 < src <= node.spec.n,
+    "aggregator": lambda src, node: src == AGGREGATOR_ID,
+    "leader": lambda src, node: src == node.leader,
+}
+
+
 def _resolve(fields: tuple) -> tuple:
     """(field, field kind) pairs as the (field, test, text) tuples body_problem reads."""
     return tuple((name, *FIELD_KINDS[kind]) for name, kind in fields)
@@ -743,17 +752,21 @@ class ParticipantNode(Node):
             self.chan_keys[peer] = key
         return key
 
-    def fallback_key(self, peer: int) -> bytes | None:
-        """AEAD key from the one secret a share-loser still shares with a peer.
-
-        That secret is the loser's first-row value V_loser(peer): a loser
-        reads its own row, an intact party the copy it holds from the loser.
-        """
-        if self.complete:
-            value = self.arith.first_row(self, peer) if peer in self.held_v else None
-        else:
+    def link_key(self, peer: int, intact: bool = True) -> bytes | None:
+        """The AEAD key of the sealed link with `peer`, or None if there is none:
+        the channel key while both ends hold their shares (`intact`: `peer`
+        does), else the fallback key, from the one secret a share-loser still
+        shares with a peer, V_loser(peer). A loser reads its own first row, an
+        intact party the copy it holds from the loser."""
+        if not self.complete:
             value = self.arith.lift(self.dealer.v_poly.eval(peer))
-        return None if value is None else channel_key(value, context=b"fallback")
+        elif intact:
+            return self.chan_key(peer)
+        elif peer in self.held_v:
+            value = self.arith.first_row(self, peer)
+        else:
+            return None
+        return channel_key(value, context=b"fallback")
 
     def _self_keys(self) -> list[int]:
         """This contributor's k_i = V_i(i) and pad key V_i(0), as arith values."""
@@ -886,7 +899,9 @@ class ParticipantNode(Node):
         if entry is None or env.round != self.round_no or entry[0] != sim.phase:
             sim.log_note("stale_message", dst=self.id, kind=env.kind, round=env.round)
             return
-        _, fields, handler = entry
+        _, sender, fields, handler = entry
+        if not sender(env.src, self):
+            return  # not from whom this kind may come: ignored, as silence
         if fields:
             # the check reads only the run's spec and arith, the same at every
             # participant, so the copies of one multicast share its verdict
@@ -971,23 +986,16 @@ class ParticipantNode(Node):
             sim.log_note("bad_reveal", voter=env.src, seen_by=self.id)
 
     def _on_share_req(self, sim: Simulator, env) -> None:
-        leader = env.src
-        # only a peer may lead: the aggregator shares no channel key, so its
-        # request would draw this member's own keys out in plaintext
-        if leader not in self.peers or self.status != "working" or self.dealer is None:
-            return
-        # answer only the leader this member's own tally elected
-        if leader != self.leader:
+        if self.status != "working" or self.dealer is None:
             return
         # a member's own keys alone; held rows go out only when the leader asks
         own = self._self_keys() if self.id in env.body["m"] else None
         if self.complete:
-            sim.send(self.id, leader, "share_resp", {"self": own}, key=self.chan_key(leader))
+            kind, body = "share_resp", {"self": own}
         else:
-            # every received share is gone; reach the leader over the fallback
-            # channel keyed from this party's own surviving first row
-            body = {"need": self.own_share is None, "self": own}
-            sim.send(self.id, leader, "share_resp_fb", body, key=self.fallback_key(leader))
+            # every received share is gone: the link key is the fallback one
+            kind, body = "share_resp_fb", {"need": self.own_share is None, "self": own}
+        sim.send(self.id, env.src, kind, body, key=self.link_key(env.src))
 
     def _on_rows_req(self, sim: Simulator, env) -> None:
         key = self.chan_key(env.src)  # None unless both ends are intact holders
@@ -1009,8 +1017,7 @@ class ParticipantNode(Node):
     def _on_share_resp(self, sim: Simulator, env) -> None:
         if self.leader == self.id and self.gaps is None:
             fb = env.kind == "share_resp_fb"  # answered over the fallback channel
-            key = self.fallback_key(env.src) if fb else self.chan_key(env.src)
-            body = self._open(sim, key, env)
+            body = self._open(sim, self.link_key(env.src, intact=not fb), env)
             if body is not None:
                 (self.resp_fb if fb else self.resp)[env.src] = body
 
@@ -1023,38 +1030,31 @@ class ParticipantNode(Node):
                 self.rows[src] = body
 
     def _on_reject(self, sim: Simulator, env) -> None:
-        if env.src == self.leader:
-            self.status = "rejected"
-            self.reject_reason = env.body["reason"]
+        self.status = "rejected"
+        self.reject_reason = env.body["reason"]
 
     # decryption .....................................................................
 
     def _on_result(self, sim: Simulator, env) -> None:
+        """A `result` carries the sum, always sealed; a `round_done` only the
+        verdict, sealed when it hands a share-loser its recovered share."""
         if self.leader is None:
             return
-        key = self.chan_key(env.src) if self.complete else self.fallback_key(env.src)
-        body = self._open(sim, key, env)
-        if body is None:
-            return
-        self.own_share = body.get("recovered", self.own_share)
-        arith = self.arith
-        slot = env.shared
-        if slot is None or body is not slot.parsed:  # a body of its own, e.g. with `recovered`
-            self.plaintext = arith.codec.decode(body["sum"], arith.field, len(body["m"]))
-        else:
-            # the codec and field are the run's, so the shared parse decodes
-            # alike at every member: once, into a list of each member's own
-            if slot.decoded is None:
-                slot.decoded = arith.codec.decode(body["sum"], arith.field, len(body["m"]))
-            self.plaintext = list(slot.decoded)
-        self.status = "done"
-
-    def _on_round_done(self, sim: Simulator, env) -> None:
-        if env.secured:
-            body = self._open(sim, self.fallback_key(env.src), env)
+        if env.kind == "result" or env.secured:
+            body = self._open(sim, self.link_key(env.src), env)
             if body is None:
                 return
             self.own_share = body.get("recovered", self.own_share)
+        if env.kind == "result":
+            arith, slot = self.arith, env.shared
+            if slot is None or body is not slot.parsed:  # its own body, e.g. with `recovered`
+                self.plaintext = arith.codec.decode(body["sum"], arith.field, len(body["m"]))
+            else:
+                # the codec and field are the run's, so the shared parse decodes
+                # alike at every member: once, into a list of each member's own
+                if slot.decoded is None:
+                    slot.decoded = arith.codec.decode(body["sum"], arith.field, len(body["m"]))
+                self.plaintext = list(slot.decoded)
         self.status = "done"
 
     # -- leader: recovery, verification, decryption ------------------------------------
@@ -1134,16 +1134,15 @@ class ParticipantNode(Node):
                 recovered = self.recovered.get(u)
                 if u in m:
                     kind, body = "result", shared
-                    key = self.fallback_key(u) if u in self.resp_fb else self.chan_key(u)
                 elif recovered is not None:
                     # a share-loser outside M still gets its share back, privately
                     kind, body = "round_done", {"verified": True}
-                    key = self.fallback_key(u)
                 else:
                     sim.send(self.id, u, "round_done", {"verified": True})
                     continue
                 if recovered is not None:
                     body = {**body, "recovered": recovered}
+                key = self.link_key(u, intact=u not in self.resp_fb)
                 if key is None:
                     sim.log_note("undeliverable", dst=u)
                     continue
@@ -1154,45 +1153,48 @@ class ParticipantNode(Node):
 
 
 # Every message kind: the one phase window it is meaningful in (anything that
-# straggles across a boundary, or arrives for the wrong round, is ignored),
-# the (field, field kind) pairs its plaintext body must pass, and the
-# participant handler it is dispatched to. on_message checks the fields once
-# per multicast body and once per point-to-point copy; a failed aggregate
-# rejects the round, any other failed body counts as silence. No fields:
-# sealed kinds are checked by opening them, and round_done's handler reads
-# only its sealed form. A leader sends rows_req only when a member of M sent
-# no keys of its own or a share-loser asked for its share.
+# straggles across a boundary, or arrives for the wrong round, is ignored), who
+# may send it (a SENDERS rule; on_message ignores anyone else, silently), the
+# (field, field kind) pairs its plaintext body must pass, and its participant
+# handler. on_message checks the fields once per multicast body and once per
+# point-to-point copy; a failed aggregate rejects the round, any other failed
+# body counts as silence. No fields: sealed kinds are checked by opening them,
+# and a plaintext round_done's body is never read. A leader sends rows_req only
+# when a member of M sent no keys of its own or a share-loser asked for its share.
 MESSAGE_KINDS = {
-    "setup1": ("setup", (("v", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup),
-    "setup2": ("setup", (("a", "int<p>"),), ParticipantNode._on_setup),
-    "pk": ("setup", (("pk", "int<p>"),), ParticipantNode._on_setup),
+    "setup1": ("setup", "peer", (("v", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup),
+    "setup2": ("setup", "peer", (("a", "int<p>"),), ParticipantNode._on_setup),
+    "pk": ("setup", "peer", (("pk", "int<p>"),), ParticipantNode._on_setup),
     "gsetup1": (
-        "setup", (("v", "int<p>"), ("a", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup,
+        "setup", "peer", (("v", "int<p>"), ("a", "int<p>"), ("s", "int<q>")),
+        ParticipantNode._on_setup,
     ),
-    "submission": ("masking", (("c", "pairs"),), None),
+    "submission": ("masking", "peer", (("c", "pairs"),), None),
     "aggregate": (
-        "aggregation",
-        (("m", "quorum"), ("failed", "ints"), ("c", "pairs")),
+        "aggregation", "aggregator", (("m", "quorum"), ("failed", "ints"), ("c", "pairs")),
         ParticipantNode._on_aggregate,
     ),
-    "abort": ("aggregation", (("reason", "str"),), ParticipantNode._on_abort),
-    "commit": ("verification", (("h", "str"),), ParticipantNode._on_commit),
-    "reveal": ("verification", (("v", "int<2^32>"), ("salt", "hex")), ParticipantNode._on_reveal),
-    "share_req": ("verification", (("m", "members"),), ParticipantNode._on_share_req),
-    "share_resp": ("verification", (), ParticipantNode._on_share_resp),
-    "share_resp_fb": ("verification", (), ParticipantNode._on_share_resp),
-    "rows_req": (
-        "verification", (("m", "members"), ("lost", "members")), ParticipantNode._on_rows_req,
+    "abort": ("aggregation", "aggregator", (("reason", "str"),), ParticipantNode._on_abort),
+    "commit": ("verification", "peer", (("h", "str"),), ParticipantNode._on_commit),
+    "reveal": (
+        "verification", "peer", (("v", "int<2^32>"), ("salt", "hex")), ParticipantNode._on_reveal,
     ),
-    "rows_resp": ("verification", (), ParticipantNode._on_rows_resp),
-    "reject": ("verification", (("reason", "str"),), ParticipantNode._on_reject),
-    "result": ("decryption", (), ParticipantNode._on_result),
-    "round_done": ("decryption", (), ParticipantNode._on_round_done),
+    "share_req": ("verification", "leader", (("m", "members"),), ParticipantNode._on_share_req),
+    "share_resp": ("verification", "peer", (), ParticipantNode._on_share_resp),
+    "share_resp_fb": ("verification", "peer", (), ParticipantNode._on_share_resp),
+    "rows_req": (
+        "verification", "leader", (("m", "members"), ("lost", "members")),
+        ParticipantNode._on_rows_req,
+    ),
+    "rows_resp": ("verification", "peer", (), ParticipantNode._on_rows_resp),
+    "reject": ("verification", "leader", (("reason", "str"),), ParticipantNode._on_reject),
+    "result": ("decryption", "peer", (), ParticipantNode._on_result),
+    "round_done": ("decryption", "peer", (), ParticipantNode._on_result),
 }
-# resolved once, so a body's check is one loop over (field, test, text)
+# resolved once: a sender's check is one call, a body's one loop over (field, test, text)
 MESSAGE_KINDS = {
-    kind: (phase, _resolve(fields), handler)
-    for kind, (phase, fields, handler) in MESSAGE_KINDS.items()
+    kind: (phase, SENDERS[sender], _resolve(fields), handler)
+    for kind, (phase, sender, fields, handler) in MESSAGE_KINDS.items()
 }
 
 
@@ -1219,7 +1221,7 @@ class AggregatorNode(Node):
         if env.kind != "submission" or env.round != self.round_no:
             return
         # a submission the sum cannot take is left out of M, like a silent one
-        problem = body_problem(env.body, MESSAGE_KINDS["submission"][1], self)
+        problem = body_problem(env.body, MESSAGE_KINDS["submission"][2], self)
         if problem is not None:
             sim.log_note("malformed_submission", src=env.src, detail=problem)
             return

@@ -213,8 +213,6 @@ class Envelope:
     kind: str
     round: int
     seq: int
-    send_time: int
-    deliver_time: int
     secured: bool
     body: dict | None  # plaintext payload
     blob: bytes | None  # ciphertext payload
@@ -486,8 +484,7 @@ class Simulator:
             if multicast is not None:
                 multicast.slot = slot
         env = Envelope(
-            src, dst, kind, round_no, seq, now, deliver_time, key is not None,
-            body, blob, slot, multicast,
+            src, dst, kind, round_no, seq, key is not None, body, blob, slot, multicast
         )
         if src in self.dropping:
             self.transcript.envelope("drop", env, t=now, reason="drop_outbound")

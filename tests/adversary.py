@@ -13,6 +13,10 @@ element 0's sum by any delta without breaking the tag.
 
 (f) `rebuild_pair_keys`: the leader rebuilds the channel key of a pair of
 other parties, k_ij = A_i(j) + A_j(i), from the second rows its bodies carry.
+A rogue requester, a peer that sends `rogue_rows_request` as verification
+opens, before any tally, would read the same rows from every holder that
+answered it, and with `rebuild_pad_keys` each member's pad key V_i(0) from
+the first rows.
 """
 
 from __future__ import annotations
@@ -101,4 +105,26 @@ def true_pair_keys(result: ScenarioResult, claims: dict[tuple[int, int], bytes])
     return {
         (i, j) for (i, j), key in claims.items()
         if nodes[i].chan_key(j) is not None and key == nodes[i].chan_key(j) == nodes[j].chan_key(i)
+    }
+
+
+def rogue_rows_request(node, sim) -> None:
+    """Adversary (f)'s rogue requester: peer `node` asks every other party, as
+    a leader would, for the first rows and the recovery rows of every other
+    member."""
+    others = [i for i in node.spec.participant_ids if i != node.id]
+    sim.broadcast(node.id, others, "rows_req", {"m": others, "lost": others})
+
+
+def rebuild_pad_keys(view: dict[int, list[dict]], arith, t: int) -> dict[int, int]:
+    """Adversary (f): member i -> its pad key V_i(0), as an arith value, for
+    every i whose first row the view shows from t holders."""
+    held: dict[int, dict[int, int]] = {}
+    for holder, bodies in view.items():
+        for body in bodies:
+            for i, value in (body.get("v") or {}).items():
+                held.setdefault(int(i), {})[holder] = value
+    return {
+        i: arith.interpolate(sorted(rows.items())[:t], 0, t)
+        for i, rows in held.items() if len(rows) >= t
     }

@@ -10,14 +10,16 @@ from adversary import (
     forge_two_element,
     frozen_share_body,
     leader_view,
+    rebuild_pad_keys,
     rebuild_pair_keys,
+    rogue_rows_request,
     second_rows,
     solve_round_key,
     true_pair_keys,
 )
 from secel.algebra import DEFAULT_PRIME, FixedPointCodec, PrimeModulus
-from secel.protocol import VARIANTS, RoundSpec, run_rounds
-from secel.simnet import SimConfig
+from secel.protocol import VARIANTS, ParticipantNode, RoundSpec, run_rounds
+from secel.simnet import SimConfig, secure_recv
 
 
 def run_six(variant: str, share_loss=()):
@@ -49,6 +51,55 @@ def test_f_rebuilds_no_pair_key_from_what_the_leader_opens(variant, share_loss):
         assert {q for q, _ in second_rows(view)} == set(share_loss)
     claims = rebuild_pair_keys(view, result.spec.arith().p)
     assert true_pair_keys(result, claims) == set()
+
+
+ROGUE = 2  # a peer; at n=5, t=3 and seeds 0-3 only group seed 3 elects it
+
+
+def run_with_rogue(monkeypatch, variant: str, seed: int):
+    """A run in which ROGUE sends `rogue_rows_request` as verification opens,
+    before any tally, and the rows bodies it opened, by sender."""
+    start, on_message = ParticipantNode.on_phase_start, ParticipantNode.on_message
+    opened: dict[int, list[dict]] = {}
+
+    def ask(node, sim, phase):
+        start(node, sim, phase)
+        if phase == "verification" and node.id == ROGUE:
+            rogue_rows_request(node, sim)
+
+    def open_answers(node, sim, env):
+        if node.id == ROGUE and env.kind == "rows_resp":
+            opened.setdefault(env.src, []).append(secure_recv(node.chan_key(env.src), env))
+        on_message(node, sim, env)
+
+    monkeypatch.setattr(ParticipantNode, "on_phase_start", ask)
+    monkeypatch.setattr(ParticipantNode, "on_message", open_answers)
+    return run_rounds({"seed": seed, "n": 5, "t": 3, "variant": variant}), opened
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_f_rebuilds_pad_and_pair_keys_from_rows_answered_to_any_asker(variant):
+    """The control: holders that answered the rogue as they answer their
+    leader would give away every other member's pad key, and in the scalar
+    variant every channel key of a pair the rogue is not part of."""
+    for seed in range(4):
+        result = run_rounds({"seed": seed, "n": 5, "t": 3, "variant": variant})
+        nodes, others = result.nodes, [1, 3, 4, 5]
+        view = {j: [nodes[j]._rows_body(others, others)] for j in others}
+        arith = result.spec.arith()
+        pads = rebuild_pad_keys(view, arith, t=3)
+        assert pads == {i: nodes[i]._self_keys()[1] for i in others}
+        pairs = true_pair_keys(result, rebuild_pair_keys(view, arith.p))
+        assert len(pairs) == (6 if variant == "scalar" else 0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_f_a_rogue_rows_request_draws_no_answer(monkeypatch, variant):
+    for seed in range(4):
+        result, opened = run_with_rogue(monkeypatch, variant, seed)
+        answers = result.transcript.count(type="send", kind="rows_resp", dst=ROGUE)
+        assert answers == 0 and opened == {}
+        assert result.rounds[0].phase == "done"
 
 
 # ---- (d): a frozen copy of the key-linear kernels, pad V_i(0) * h and tag k_i * h

@@ -11,7 +11,14 @@ from fnmatch import fnmatch
 from pathlib import Path
 
 import secel
-from secel.protocol import MESSAGE_KINDS, GroupArith, ParticipantNode, RoundSpec, ScalarArith
+from secel.protocol import (
+    MESSAGE_KINDS,
+    SENDERS,
+    GroupArith,
+    ParticipantNode,
+    RoundSpec,
+    ScalarArith,
+)
 
 # lowest layer first; modules on one layer may not import each other
 LAYERS = (
@@ -247,16 +254,19 @@ def test_setup_tables_match_the_dealing_rows_and_the_dealing_stores():
         kind: pairs for arith in (ScalarArith, GroupArith) for kind, pairs in arith.SETUP.items()
     }
     dealing_rows = {
-        kind for kind, (_, _, handler) in MESSAGE_KINDS.items()
+        kind for kind, (_, _, _, handler) in MESSAGE_KINDS.items()
         if handler is ParticipantNode._on_setup
     }
     assert dealing_rows == set(tables)
     for kind, pairs in tables.items():
-        phase, fields, _ = MESSAGE_KINDS[kind]
+        phase, sender, fields, _ = MESSAGE_KINDS[kind]
         assert phase == "setup", kind
+        assert sender is SENDERS["peer"], kind
         assert [name for name, *_ in fields] == [name for name, _ in pairs], kind
         for _, store in pairs:
             assert store in created and type(getattr(node, store)) is dict, (kind, store)
+    for kind in ("aggregate", "abort"):
+        assert MESSAGE_KINDS[kind][1] is SENDERS["aggregator"], kind
 
 
 # the transcript digests a payload when a record is read: one resolver calls
@@ -408,6 +418,76 @@ def test_seam_check_sees_shortcuts_around_each_seam():
         "Simulator.broadcast calls ['self._push', 'self.shared_body', 'sorted']",
         "rows written at [('Transcript.add', 'Name'), ('Transcript.envelope', 'Tuple'), "
         "('Node.act', 'List')]",
+    ]
+
+
+# who may send a kind is stated in MESSAGE_KINDS alone, and a sealed link
+# picks its key through ParticipantNode.link_key alone
+SENDER_STATE = {"self.leader", "self.peers", "AGGREGATOR_ID"}
+CHAN_KEY_CALLERS = [
+    "GroupArith.finish_setup",
+    "ParticipantNode._on_rows_req",
+    "ParticipantNode._on_rows_resp",
+    "ParticipantNode.link_key",
+]
+
+
+def sender_checks(tree: ast.AST) -> list[str]:
+    """Each comparison in a `ParticipantNode._on_*` handler of the sender,
+    `env.src` or a name bound to it, with self.leader, self.peers or
+    AGGREGATOR_ID."""
+    found = []
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "ParticipantNode"):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_on_")):
+                continue
+            senders = {"env.src"}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        pairs = [(target, node.value)]
+                        if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                            pairs = zip(target.elts, node.value.elts)
+                        senders |= {
+                            name.id for name, value in pairs
+                            if isinstance(name, ast.Name) and dotted(value) in senders
+                        }
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Compare):
+                    operands = {dotted(o) for o in (node.left, *node.comparators)}
+                    if operands & senders and operands & SENDER_STATE:
+                        found.append(f"{fn.name}: {ast.unparse(node)}")
+    return found
+
+
+def test_handlers_leave_sender_checks_and_key_choices_to_one_place_each():
+    assert all(
+        handler.__name__.startswith("_on_")
+        for *_, handler in MESSAGE_KINDS.values() if handler is not None
+    )
+    tree = ast.parse((SRC / "protocol.py").read_text())
+    assert sender_checks(tree) == []
+    assert sorted(call_sites(tree, ("chan_key",))["chan_key"]) == CHAN_KEY_CALLERS
+
+
+def test_sender_check_lint_sees_direct_aliased_and_membership_checks():
+    source = (
+        "class ParticipantNode:\n"
+        "    def _on_a(self, sim, env):\n        if env.src != self.leader:\n            return\n"
+        "    def _on_b(self, sim, env):\n        leader = env.src\n"
+        "        if leader not in self.peers:\n            return\n"
+        "    def _on_c(self, sim, env):\n        src, body = env.src, env.body\n"
+        "        return AGGREGATOR_ID == src\n"
+        "    def _on_d(self, sim, env):\n        return self.leader == self.id\n"
+        "    def on_message(self, sim, env):\n        return env.src == self.leader\n"
+        "class Other:\n    def _on_e(self, env):\n        return env.src == self.leader\n"
+    )
+    assert sender_checks(ast.parse(source)) == [
+        "_on_a: env.src != self.leader",
+        "_on_b: leader not in self.peers",
+        "_on_c: AGGREGATOR_ID == src",
     ]
 
 

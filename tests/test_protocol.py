@@ -1283,6 +1283,122 @@ def test_a_member_without_the_aggregate_answers_only_the_leader_it_tallies(
     assert led_by_another
 
 
+# field kind of each resolved (field, test, text) entry, read back from its text
+FIELD_KIND_OF = {text: kind for kind, (_, text) in protocol.FIELD_KINDS.items()}
+
+
+def well_formed(field_kind: str, spec: RoundSpec) -> st.SearchStrategy:
+    """Values that pass `field_kind`'s check on a participant of `spec`."""
+    arith, n = spec.arith(), spec.n
+    p, q = arith.p, arith.q
+    ids = st.integers(1, n)
+    return {
+        "int<p>": st.integers(0, p - 1),
+        "int<q>": st.integers(0, q - 1),
+        "int<2^32>": st.integers(0, protocol.COMMIT_RANGE - 1),
+        "str": st.text(max_size=8),
+        "hex": st.binary(max_size=8).map(bytes.hex),
+        "ints": st.lists(st.integers(-1, n + 1), max_size=n),
+        "members": st.lists(ids, unique=True, max_size=n),
+        "quorum": st.lists(ids, unique=True, min_size=spec.quorum, max_size=n),
+        "pairs": st.lists(
+            st.lists(st.integers(0, p - 1), min_size=2, max_size=2),
+            min_size=spec.length, max_size=spec.length,
+        ),
+    }[field_kind]
+
+
+POSING_SIZES = {"n": 5, "t": 3, "l": 2}
+
+
+@st.composite
+def aggregator_posings(draw):
+    """A run in which the aggregator sends every participant one kind, with a
+    body that passes the kind's field checks, at one tick of one phase. A
+    kind without fields goes out plaintext or sealed under a key of its own;
+    `commit+reveal` is a commitment from the aggregator, then its opening."""
+    variant = draw(st.sampled_from(VARIANTS))
+    spec = RoundSpec.from_dict({**POSING_SIZES, "variant": variant})
+    kind = draw(st.sampled_from([*sorted(protocol.MESSAGE_KINDS), "commit+reveal"]))
+    if kind == "commit+reveal":
+        value, salt = draw(well_formed("int<2^32>", spec)), draw(st.binary(min_size=8, max_size=8))
+        digest = protocol._commitment(value, salt, AGGREGATOR_ID)
+        gap = draw(st.integers(1, DEFAULT_BUDGETS["verification"]))
+        opening = {"v": value, "salt": salt.hex()}
+        steps = [[0, "commit", {"h": digest}, None], [gap, "reveal", opening, None]]
+    else:
+        *_, fields, _ = protocol.MESSAGE_KINDS[kind]
+        body = {name: draw(well_formed(FIELD_KIND_OF[text], spec)) for name, _, text in fields}
+        key = None if fields else draw(st.none() | st.integers(1, 2**64))
+        steps = [[0, kind, body or draw(st.sampled_from([{}, {"verified": True}])), key]]
+    phase = draw(st.sampled_from(PHASES))
+    return {
+        "variant": variant, "seed": draw(st.integers(0, 3)), "rounds": draw(st.integers(1, 2)),
+        "phase": phase, "offset": draw(st.just(0) | st.integers(0, DEFAULT_BUDGETS[phase] - 1)),
+        "steps": steps,
+    }
+
+
+def run_posing(doc: dict) -> ScenarioResult:
+    steps, start = doc["steps"], protocol.AggregatorNode.on_phase_start
+
+    def schedule(node, sim, phase):
+        start(node, sim, phase)
+        if phase == doc["phase"]:
+            for i, (delay, *_) in enumerate(steps):
+                sim.schedule_timer(node.id, sim.now + doc["offset"] + delay, "pose", i)
+
+    def pose(node, sim, name, i):
+        _, kind, body, key = steps[i]
+        for dst in node.spec.participant_ids:
+            sim.send(node.id, dst, kind, body, key=None if key is None else channel_key(key))
+
+    with (
+        mock.patch.object(protocol.AggregatorNode, "on_phase_start", schedule),
+        mock.patch.object(protocol.AggregatorNode, "on_timer", pose),
+    ):
+        run = {name: doc[name] for name in ("seed", "variant", "rounds")}
+        return run_rounds({**POSING_SIZES, **run})
+
+
+def posed_at_open(variant: str, seed: int, phase: str, *steps) -> dict:
+    """An `aggregator_posings` document whose steps start as `phase` opens."""
+    return {
+        "variant": variant, "seed": seed, "rounds": 1, "phase": phase, "offset": 0,
+        "steps": [list(step) for step in steps],
+    }
+
+
+ZERO_SALT = bytes(8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=aggregator_posings())
+# a `setup1` from the aggregator, counted as a peer's opening, would start the
+# scalar second dealing before a peer's first row arrived (MissingStep1Share)
+@example(doc=posed_at_open("scalar", 0, "setup", (0, "setup1", {"v": 1, "s": 1}, None)))
+# a `pk` from the aggregator, counted as a peer's opening, would make a member
+# wrap its rows before a peer's key arrived (KeyError)
+@example(doc=posed_at_open("group", 0, "setup", (0, "pk", {"pk": 2}, None)))
+# the aggregator's opened commitment, counted as a vote, would elect node 0,
+# which the runner holds no participant for (KeyError)
+@example(doc=posed_at_open(
+    "scalar", 3, "verification",
+    (0, "commit", {"h": protocol._commitment(7, ZERO_SALT, AGGREGATOR_ID)}, None),
+    (6, "reveal", {"v": 7, "salt": ZERO_SALT.hex()}, None),
+))
+def test_no_kind_sent_by_the_aggregator_raises_or_moves_a_sum(doc):
+    """Only `aggregate` and `abort` are the aggregator's to send; whatever else
+    it sends, whenever, each round still ends done with the exact sum over the
+    leader's M or in a named rejection."""
+    result = run_posing(doc)
+    for r in result.rounds:
+        assert r.phase == "done" or (r.phase == "rejected" and r.error in NAMED_REJECTIONS)
+        if r.phase == "done":
+            claimed = sorted(result.nodes[r.leader].m_set)
+            assert r.field_sum == field_sum_oracle(result, claimed)
+
+
 def test_wiped_party_serves_no_channel_key():
     result = run_rounds(RoundSpec(n=5, t=2, length=3), SimConfig(seed=2, n=5))
     node = participants(result)[0]
@@ -1725,9 +1841,9 @@ UNCHECKED_KINDS = {
 
 
 def test_only_sealed_and_unread_bodies_skip_the_field_table():
-    unchecked = {kind for kind, (_, fields, _) in protocol.MESSAGE_KINDS.items() if not fields}
+    unchecked = {kind for kind, (_, _, fields, _) in protocol.MESSAGE_KINDS.items() if not fields}
     assert unchecked == set(UNCHECKED_KINDS)
-    _, fields, _ = protocol.MESSAGE_KINDS["aggregate"]
+    _, _, fields, _ = protocol.MESSAGE_KINDS["aggregate"]
     assert [name for name, _, _ in fields] == ["m", "failed", "c"]
 
 

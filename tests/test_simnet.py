@@ -279,9 +279,14 @@ def test_delay_draws_match_randint(seed, lo, extra):
     for _ in range(8):
         sim.send(1, 2, "x", {})
     sim.run_phase("setup", 0)
-    got = sorted(sim.nodes[2].got, key=lambda env: env.seq)
+    assert sorted(env.seq for env in sim.nodes[2].got) == list(range(8))
+    # seq -> the tick of its send record, then of its deliver record
+    at = {"send": {}, "deliver": {}}
+    for rec in sim.transcript.records:
+        if rec["type"] in at:
+            at[rec["type"]][rec["seq"]] = rec["t"]
     rng = random.Random(derive_seed(seed, "net"))
-    assert [env.deliver_time - env.send_time for env in got] == [
+    assert [at["deliver"][seq] - at["send"][seq] for seq in range(8)] == [
         rng.randint(lo, hi) for _ in range(8)
     ]
 
