@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DuplicatePoint, InsufficientShares
@@ -25,6 +26,7 @@ __all__ = [
     "lagrange_at",
     "lagrange_coeffs_at",
     "is_probable_prime",
+    "pocklington",
     "DEFAULT_PRIME",
     "MERSENNE_61",
 ]
@@ -39,9 +41,11 @@ MERSENNE_61 = 2305843009213693951
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=256, typed=True)
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin. Deterministic for the small primes we pin; probabilistic
-    with negligible error for user-supplied moduli."""
+    with negligible error for user-supplied moduli. The verdict is kept per
+    n, so a group's order is tested once, not again by its exponent field."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -67,6 +71,33 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def pocklington(n: int, q: int) -> bool | None:
+    """Pocklington's n - 1 test for a prime q: True proves n prime, False
+    proves it composite, None decides nothing.
+
+    It applies when q divides n - 1 and (q + 1)^2 > n. A witness a has
+    a^(n-1) = 1 (mod n) and gcd(a^((n-1)/q) - 1, n) = 1; then every prime
+    factor of n is 1 mod q, so above sqrt(n), and n is prime (Brillhart,
+    Lehmer and Selfridge, Math. Comp. 29, 1975). Each small prime a below n
+    is tried in turn, at one Fermat power and one gcd; for a safe prime
+    n = 2q + 1 the first, a = 2, always proves it.
+    """
+    if (n - 1) % q or (q + 1) ** 2 <= n:
+        return None
+    for a in _SMALL_PRIMES:
+        if a >= n:
+            break
+        b = pow(a, (n - 1) // q, n)
+        if pow(b, q, n) != 1:
+            return False  # a Fermat witness
+        d = gcd(b - 1, n)
+        if d == 1:
+            return True
+        if d != n:
+            return False  # a proper factor
+    return None
 
 
 @lru_cache(maxsize=64)

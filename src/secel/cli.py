@@ -16,7 +16,6 @@ DIR/transcript.ndjson, DIR/bench.csv, DIR/accuracy.csv.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -26,7 +25,6 @@ import time
 
 from .algebra import DEFAULT_PRIME, PrimeModulus
 from .errors import ConfigError, SecelError
-from .fedlearn import DEFAULT_FRACTIONS, TrainConfig, dropout_experiment, write_accuracy_csv
 from .maskmac import (
     aggregate_vectors,
     mask_vector,
@@ -180,6 +178,8 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _bench_csv(rows) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(BENCH_HEADER)
@@ -219,6 +219,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    # only this command trains: the others never compile fedlearn
+    from .fedlearn import DEFAULT_FRACTIONS, TrainConfig, dropout_experiment, write_accuracy_csv
+
     base = TrainConfig(
         parties=args.parties,
         rounds=args.rounds,

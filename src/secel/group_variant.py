@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
-from .algebra import PrimeModulus, is_probable_prime, lagrange_coeffs_at
+from .algebra import PrimeModulus, is_probable_prime, lagrange_coeffs_at, pocklington
 from .errors import InsufficientShares, LabelMismatch, NotFound
 from .maskmac import label_coeffs, mask_vector
 
@@ -163,9 +163,15 @@ class GroupParams:
     __slots__ = ("p", "q", "g", "_lift_rows", "_bsgs_tables", "_key_chains")
 
     def __init__(self, p: int, q: int, g: int):
-        if not is_probable_prime(p):
+        # q first: a prime q proves p prime by Pocklington at one Fermat
+        # power (both built-in groups), where Miller-Rabin on p pays 24
+        q_prime = is_probable_prime(q)
+        p_prime = pocklington(p, q) if q_prime else None
+        if p_prime is None:
+            p_prime = is_probable_prime(p)
+        if not p_prime:
             raise ValueError(f"group modulus {p} is not prime")
-        if not is_probable_prime(q):
+        if not q_prime:
             raise ValueError(f"subgroup order {q} is not prime")
         if (p - 1) % q != 0:
             raise ValueError("q must divide p - 1")

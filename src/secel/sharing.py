@@ -115,7 +115,8 @@ def accumulate_sv(
     missing = [j for j in participant_ids if j not in values]
     if missing:
         raise MissingStep1Share(f"missing first-round shares from {missing}")
-    total = sum(v for j, v in values.items() if j in participant_ids)
+    members = set(participant_ids)
+    total = sum(v for j, v in values.items() if j in members)
     state.s_v = total % state.v_poly.modulus.p
     return state.s_v
 

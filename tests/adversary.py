@@ -7,6 +7,10 @@ by its test against the run's own state. Each adversary also has a positive
 control: a frozen copy of an earlier protocol behaviour that it must beat, so
 it cannot go quietly vacuous once the protocol stops leaking.
 
+(c) `unmask_with_self_pads`: the leader and the aggregator together read
+every contributor's inputs, w_a = c1_a - V_i(0) * h_a, from the submissions
+the aggregator holds and the `self` field [k_i, V_i(0)] the leader opens.
+
 (d) `forge_two_element`: the aggregator solves the round key s from two
 elements of an aggregate and the public label coefficients, then shifts
 element 0's sum by any delta without breaking the tag.
@@ -37,6 +41,19 @@ def leader_view(result: ScenarioResult) -> dict[int, list[dict]]:
         for src, body in opened.items():
             view.setdefault(src, []).append(body)
     return view
+
+
+def unmask_with_self_pads(
+    view: dict[int, list[dict]], submissions: dict[int, list[list[int]]], h: tuple[int, ...], p: int
+) -> dict[int, list[int]]:
+    """Adversary (c): contributor i -> its inputs w_a = c1_a - V_i(0) * h_a mod p,
+    for every i whose submission the aggregator holds and whose `self` field
+    the view shows."""
+    pads = {i: body["self"][1] for i, bodies in view.items() for body in bodies if body.get("self")}
+    return {
+        i: [(c1 - pads[i] * h_a) % p for h_a, (c1, _) in zip(h, sub)]
+        for i, sub in submissions.items() if i in pads
+    }
 
 
 def solve_round_key(agg: list[list[int]], h: tuple[int, ...], p: int) -> int | None:

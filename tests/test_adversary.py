@@ -16,6 +16,7 @@ from adversary import (
     second_rows,
     solve_round_key,
     true_pair_keys,
+    unmask_with_self_pads,
 )
 from secel.algebra import DEFAULT_PRIME, FixedPointCodec, PrimeModulus
 from secel.protocol import VARIANTS, ParticipantNode, RoundSpec, run_rounds
@@ -102,7 +103,7 @@ def test_f_a_rogue_rows_request_draws_no_answer(monkeypatch, variant):
         assert result.rounds[0].phase == "done"
 
 
-# ---- (d): a frozen copy of the key-linear kernels, pad V_i(0) * h and tag k_i * h
+# ---- (c), (d): a frozen copy of the key-linear kernels, pad V_i(0) * h and tag k_i * h
 
 
 def frozen_labels(round_no: int, length: int, p: int) -> tuple[int, ...]:
@@ -133,16 +134,37 @@ def frozen_unmask(agg, masking_secret_sum, round_no, p):
     return [(c1 - masking_secret_sum * h) % p for h, (c1, _) in zip(labels, agg)]
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_d_forges_an_aggregate_the_frozen_key_linear_tag_accepts(seed):
+def frozen_round(seed: int, n: int = 6, length: int = 4):
+    """Round `seed` of the frozen kernels at the default prime: each
+    contributor's pad key V_i(0), tag key k_i and scaled inputs, the round
+    key s, and the submissions."""
     rng = random.Random(seed)
-    p, n, length, round_no = DEFAULT_PRIME, 6, 4, seed
-    codec = FixedPointCodec()  # the default 16 scale bits
+    p, codec = DEFAULT_PRIME, FixedPointCodec()  # the default 16 scale bits
     pads = [rng.randrange(p) for _ in range(n)]  # each V_i(0)
     keys = [rng.randrange(p) for _ in range(n)]  # each k_i
     s = 1 + rng.randrange(p - 1)
     inputs = [codec.scaled_values(rng.uniform(-1, 1) for _ in range(length)) for _ in range(n)]
-    subs = [frozen_mask(w, v, k, s, round_no, p) for w, v, k in zip(inputs, pads, keys)]
+    subs = [frozen_mask(w, v, k, s, seed, p) for w, v, k in zip(inputs, pads, keys)]
+    return pads, keys, s, inputs, subs
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_c_unmasks_every_frozen_submission_with_the_self_pads_the_leader_opens(seed):
+    p, round_no = DEFAULT_PRIME, seed
+    pads, keys, _, inputs, subs = frozen_round(seed)
+    ids = range(1, len(subs) + 1)
+    view = {i: [{"self": [k, v]}] for i, k, v in zip(ids, keys, pads)}  # as share bodies carry it
+    submissions = dict(zip(ids, subs))  # what the aggregator receives
+    h = frozen_labels(round_no, len(subs[0]), p)  # public
+    recovered = unmask_with_self_pads(view, submissions, h, p)
+    assert recovered == {i: [w % p for w in ws] for i, ws in zip(ids, inputs)}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_d_forges_an_aggregate_the_frozen_key_linear_tag_accepts(seed):
+    p, n, length, round_no = DEFAULT_PRIME, 6, 4, seed
+    codec = FixedPointCodec()  # the default 16 scale bits
+    pads, keys, s, inputs, subs = frozen_round(seed, n, length)
     agg = [[sum(column) % p for column in zip(*pairs)] for pairs in zip(*subs)]
     k, v = sum(keys) % p, sum(pads) % p
     assert frozen_verify(agg, k, s, round_no, p)
@@ -157,3 +179,4 @@ def test_d_forges_an_aggregate_the_frozen_key_linear_tag_accepts(seed):
     field = PrimeModulus(p)
     decoded, forged_decoded = codec.decode(honest, field, n), codec.decode(shifted, field, n)
     assert forged_decoded == [decoded[0] + 5.0, *decoded[1:]]
+

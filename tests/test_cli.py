@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import secel
 from secel.cli import BENCH_HEADER, main
 from secel.fedlearn import ACCURACY_HEADER
 
@@ -334,3 +337,46 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "round" in proc.stdout and "bench" in proc.stdout
+
+
+# ---- cold start ------------------------------------------------------------------------
+
+SRC = str(Path(secel.__file__).resolve().parent.parent)
+TRAINING = ("secel.fedlearn", "csv")
+
+
+def run_fresh(code: str) -> dict:
+    """Run code in a fresh interpreter; its last output line is a JSON object."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_secel_loads_the_training_code_on_first_use():
+    seen = run_fresh(
+        "import json, sys, secel\n"
+        f"before = [m for m in {TRAINING!r} if m in sys.modules]\n"
+        "train = secel.train\n"
+        "print(json.dumps({'before': before, 'same': train is sys.modules['secel.fedlearn'].train,"
+        " 'all': all(hasattr(secel, name) for name in secel.__all__)}))"
+    )
+    assert seen == {"before": [], "same": True, "all": True}
+
+
+def test_round_leaves_the_training_code_unloaded_and_train_still_writes(tmp_path):
+    cfg = write_config(tmp_path, HONEST_DOC)
+    seen = run_fresh(
+        "import json, sys\n"
+        "from secel.cli import main\n"
+        f"rc = [main(['round', '--config', {cfg!r}]), main(['recover-demo'])]\n"
+        f"loaded = [m for m in {TRAINING!r} if m in sys.modules]\n"
+        "rc.append(main(['train', '--f', '0.25', '--rounds', '1', '--parties', '4',"
+        f" '--s-min', '2', '--out', {str(tmp_path)!r}]))\n"
+        "print(json.dumps({'rc': rc, 'loaded': loaded}))"
+    )
+    assert seen == {"rc": [0, 0, 0], "loaded": []}
+    with open(tmp_path / "accuracy.csv", newline="") as fh:
+        assert tuple(next(csv.reader(fh))) == ACCURACY_HEADER

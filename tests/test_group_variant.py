@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from secel.algebra import PrimeModulus, is_probable_prime
+from secel.algebra import PrimeModulus, is_probable_prime, pocklington
 from secel.errors import InsufficientShares, LabelMismatch, NotFound, ZeroAuthKey
 import secel.group_variant as group_variant
 from secel.group_variant import (
@@ -57,6 +57,7 @@ G359 = GroupParams(p=719, q=359, g=4)
 
 def test_pinned_groups_are_safe_prime_subgroups():
     for params in (TOY_GROUP, DEFAULT_GROUP):
+        assert pocklington(params.p, params.q) is True  # proven, not only probable
         assert is_probable_prime(params.p)
         assert is_probable_prime(params.q)
         assert params.p == 2 * params.q + 1
@@ -67,14 +68,58 @@ def test_pinned_groups_are_safe_prime_subgroups():
 
 
 def test_group_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^subgroup order 100 is not prime$"):
         GroupParams(p=607, q=100, g=122)  # composite order
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^group modulus 608 is not prime$"):
         GroupParams(p=608, q=101, g=122)  # composite modulus
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^q must divide p - 1$"):
         GroupParams(p=607, q=103, g=122)  # order does not divide p-1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^g does not generate an order-q subgroup$"):
         GroupParams(p=607, q=101, g=606)  # element of order 2, not q
+    # both composite: the modulus is still the one named
+    with pytest.raises(ValueError, match="^group modulus 608 is not prime$"):
+        GroupParams(p=608, q=100, g=122)
+
+
+def test_a_composite_modulus_is_refuted_on_the_pocklington_path(monkeypatch):
+    tested = []
+
+    def recording(n):
+        tested.append(n)
+        return is_probable_prime(n)
+
+    monkeypatch.setattr(group_variant, "is_probable_prime", recording)
+    # 7 divides 14 and 8^2 > 15, so Fermat's 2^14 != 1 (mod 15) refutes 15
+    with pytest.raises(ValueError, match="^group modulus 15 is not prime$"):
+        GroupParams(p=15, q=7, g=4)
+    assert tested == [7]
+    GroupParams(p=TOY_GROUP.p, q=TOY_GROUP.q, g=TOY_GROUP.g)
+    assert tested == [7, TOY_GROUP.q]  # p proven without Miller-Rabin
+
+
+SMALL_PRIMES = [q for q in range(2, 400) if is_probable_prime(q)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    qk=st.sampled_from(SMALL_PRIMES).flatmap(
+        lambda q: st.tuples(st.just(q), st.integers(min_value=1, max_value=q + 1))
+    )
+)
+@example(qk=(7, 2))  # 15
+@example(qk=(2, 1))  # 3, the smallest modulus
+@example(qk=(2, 3))  # 7: 2 is a square mod 7, so a = 3 proves it
+def test_the_pocklington_path_accepts_exactly_the_prime_moduli(qk):
+    q, k = qk
+    p = k * q + 1
+    assert (q + 1) ** 2 > p  # the premise holds for every k <= q + 1
+    assert pocklington(p, q) == is_probable_prime(p)  # a small witness decides it
+    if is_probable_prime(p):
+        g = next(x for x in (pow(h, k, p) for h in range(2, p)) if x != 1)
+        assert GroupParams(p=p, q=q, g=g).p == p
+    else:
+        with pytest.raises(ValueError, match=f"^group modulus {p} is not prime$"):
+            GroupParams(p=p, q=q, g=4)
 
 
 def test_exponent_field_matches_order():
