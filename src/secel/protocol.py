@@ -804,24 +804,16 @@ class ParticipantNode(Node):
         sim.send(self.id, AGGREGATOR_ID, "submission", {"c": wire})
 
     def _start_verification(self, sim: Simulator) -> None:
-        budget = sim.config.budgets["verification"]
-        slot = budget // 5
-        if self.agg is None:
-            # a member that missed the aggregate still tallies with the holders,
-            # so it answers only the leader the electors' reveals elect
-            sim.schedule_timer(self.id, sim.now + 2 * slot, "tally")
-            return
-        if self.complete:
+        if self.agg is not None and self.complete:
             # intact aggregate-holders form the electorate
             self.commit_value = self.rng.randrange(COMMIT_RANGE)
             self.commit_salt = self.rng.getrandbits(64).to_bytes(8, "big")
             digest = _commitment(self.commit_value, self.commit_salt, self.id)
             sim.broadcast(self.id, self.peers, "commit", {"h": digest})
-            sim.schedule_timer(self.id, sim.now + slot, "reveal")
-        sim.schedule_timer(self.id, sim.now + 2 * slot, "tally")
-        # half a slot of slack so responses sent right after the tally cannot
-        # tie with (and lose to) the leader's processing timer
-        sim.schedule_timer(self.id, sim.now + 3 * slot + slot // 2, "lead")
+        # every party walks the whole timeline; each step checks it is its own
+        slot = sim.config.budgets["verification"] // 5
+        for step, (half_slots, _) in VERIFICATION_STEPS.items():
+            sim.schedule_timer(self.id, sim.now + half_slots * slot // 2, step)
 
     def _start_decryption(self, sim: Simulator) -> None:
         if self.leader == self.id and self.sums is not None and self.status == "working":
@@ -830,28 +822,15 @@ class ParticipantNode(Node):
     # -- timers ----------------------------------------------------------------------
 
     def on_timer(self, sim: Simulator, name: str, data: Any) -> None:
-        if name == "reveal":
-            if self.commit_value is not None and self.status == "working":
-                self.reveals[self.id] = self.commit_value
-                sim.broadcast(
-                    self.id,
-                    self.peers,
-                    "reveal",
-                    {"v": self.commit_value, "salt": self.commit_salt.hex()},
-                )
-        elif name == "tally":
-            self._tally(sim)
-        elif name == "lead":
-            self._lead(sim)
-        elif name == "rows":
-            if data is None and len(self.rows) < len(self.resp):
-                # answers due on this very tick were queued after this timer:
-                # read once more, after them
-                sim.schedule_timer(self.id, sim.now, "rows", "last")
-            else:
-                self._conclude(sim)
+        VERIFICATION_STEPS[name][1](self, sim, data)
 
-    def _tally(self, sim: Simulator) -> None:
+    def _reveal(self, sim: Simulator, data: Any) -> None:
+        if self.commit_value is not None and self.status == "working":
+            self.reveals[self.id] = self.commit_value
+            body = {"v": self.commit_value, "salt": self.commit_salt.hex()}
+            sim.broadcast(self.id, self.peers, "reveal", body)
+
+    def _tally(self, sim: Simulator, data: Any) -> None:
         if self.status != "working":
             return
         if not self.reveals:
@@ -864,24 +843,33 @@ class ParticipantNode(Node):
         if self.leader == self.id:
             sim.broadcast(self.id, self.peers, "share_req", {"m": self.m_set})
 
-    def _lead(self, sim: Simulator) -> None:
+    def _lead(self, sim: Simulator, data: Any) -> None:
         if self.leader != self.id or self.status != "working":
             return
         self.gaps = self._gaps()
         _, silent, lost = self.gaps
         # rows can help only if the holders that answered, and this leader, reach t
         if (silent or lost) and len(self.resp) + 1 >= self.spec.t:
-            # one follow-up to those holders, read one slot on: a round trip
-            # takes at most 2 * delay_max <= budget / 5 ticks
+            # one follow-up to those holders, read at `rows`
             sim.broadcast(self.id, self.resp, "rows_req", {"m": silent, "lost": lost})
-            slot = sim.config.budgets["verification"] // 5
-            sim.schedule_timer(self.id, sim.now + slot, "rows")
+        else:
+            self._conclude(sim)
+
+    def _deciding(self) -> bool:
+        """Whether this leader fixed its gaps at `lead` and has no verdict yet."""
+        return self.gaps is not None and self.sums is None and self.status == "working"
+
+    def _read_rows(self, sim: Simulator, data: Any) -> None:
+        if data is None and self._deciding() and len(self.rows) < len(self.resp):
+            # answers due on this very tick were queued after this timer:
+            # read once more, after them
+            sim.schedule_timer(self.id, sim.now, "rows", "last")
         else:
             self._conclude(sim)
 
     def _conclude(self, sim: Simulator) -> None:
         """Recover, verify and unmask: at `lead`, or when the fetched rows are read."""
-        if self.status != "working":
+        if not self._deciding():
             return
         try:
             self._recover_and_verify(sim)
@@ -1023,8 +1011,7 @@ class ParticipantNode(Node):
 
     def _on_rows_resp(self, sim: Simulator, env) -> None:
         src = env.src
-        waiting = self.gaps is not None and self.sums is None and self.status == "working"
-        if waiting and src in self.resp and src not in self.rows:  # asked, first answer
+        if self._deciding() and src in self.resp and src not in self.rows:  # asked, first answer
             body = self._open(sim, self.chan_key(src), env)
             if body is not None:
                 self.rows[src] = body
@@ -1195,6 +1182,17 @@ MESSAGE_KINDS = {
 MESSAGE_KINDS = {
     kind: (phase, SENDERS[sender], _resolve(fields), handler)
     for kind, (phase, sender, fields, handler) in MESSAGE_KINDS.items()
+}
+
+
+# The verification timeline: step -> (its tick from the phase start, in
+# half-slots of budget // 5; its handler). A slot holds a round trip, and `lead`
+# takes half a slot of slack so responses sent right after the tally land first.
+VERIFICATION_STEPS = {
+    "reveal": (2, ParticipantNode._reveal),
+    "tally": (4, ParticipantNode._tally),
+    "lead": (7, ParticipantNode._lead),
+    "rows": (9, ParticipantNode._read_rows),
 }
 
 

@@ -1251,7 +1251,7 @@ def test_a_member_without_the_aggregate_answers_only_the_leader_it_tallies(
                 sim.schedule_timer(node.id, sim.now + 6, "reveal")
                 sim.schedule_timer(node.id, sim.now + 12, "ask")
             else:
-                on_timer(node, sim, "ask", None)
+                ask_on_timer(node, sim, "ask", None)
 
     def ask_on_timer(node, sim, name, data):
         if name != "ask":
