@@ -319,7 +319,7 @@ class RoundState:
     error: str | None = None
     field_sum: list[int] | None = None
     decrypted: list[float] | None = None
-    delivered_to: list[int] = field(default_factory=list)  # ended round with plaintext
+    delivered_to: list[int] = field(default_factory=list)  # members holding the leader's sum
     recovered: list[int] = field(default_factory=list)  # share-losers made whole
 
 
@@ -690,6 +690,7 @@ class ParticipantNode(Node):
         self.reveals: dict[int, int] = {}
         self.leader: int | None = None
         self.plaintext: list[float] | None = None
+        self.sum_from: int | None = None  # who sent the sum `plaintext` decodes
         self.status = "working"
         self.reject_reason: str | None = None
         # the leader's opened bodies by sender: share responses, read until
@@ -1033,6 +1034,7 @@ class ParticipantNode(Node):
                 return
             self.own_share = body.get("recovered", self.own_share)
         if env.kind == "result":
+            self.sum_from = env.src
             arith, slot = self.arith, env.shared
             if slot is None or body is not slot.parsed:  # its own body, e.g. with `recovered`
                 self.plaintext = arith.codec.decode(body["sum"], arith.field, len(body["m"]))
@@ -1136,6 +1138,7 @@ class ParticipantNode(Node):
                 sim.send(self.id, u, kind, body, key=key)
         if self.id in m:
             self.plaintext = self.arith.codec.decode(sums, self.arith.field, len(m))
+            self.sum_from = self.id
         self.status = "done"
 
 
@@ -1287,8 +1290,8 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
 
     Any phase barrier can end a round early: too few intact bundles after
     setup, too few submissions at aggregation, no electorate, a failed tag
-    check, a recovery quorum shortfall, or a sum that reached no member of M
-    (the leader went silent after its check). A failed round is reported as
+    check, a recovery quorum shortfall, or a leader's sum that reached no
+    member of M (the leader went silent after its check). A failed round is reported as
     rejected — never raised — so multi-round scenarios keep going.
     """
     if isinstance(spec, dict):
@@ -1378,21 +1381,21 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
                         state.verified = False
                     break
             elif phase == "decryption":
-                held = [participants[i].plaintext for i in state.m_set]
-                if all(plain is None for plain in held):
-                    # verified, but no member of M received the sum (the leader went silent)
+                # a member decodes a sealed result from any peer: count only the leader's
+                state.delivered_to = [
+                    i for i in state.m_set if participants[i].sum_from == state.leader
+                ]
+                if not state.delivered_to:
+                    # verified, but no member of M received its sum (the leader went silent)
                     state.error = "BudgetExhausted"
                     break
                 leader = participants[state.leader]
                 state.field_sum = list(leader.sums)
-                # every holder decoded the one multicast sum: report a copy, decode nothing
-                state.decrypted = list(next(plain for plain in held if plain is not None))
+                # each decoded the leader's one multicast sum: report a copy, decode nothing
+                state.decrypted = list(participants[state.delivered_to[0]].plaintext)
                 state.recovered = sorted(leader.recovered)
         # only setup sets or clears `complete`, so this is the post-setup T
         state.t_set = sorted(i for i, n in participants.items() if n.complete)
-        state.delivered_to = sorted(
-            i for i, n in participants.items() if n.plaintext is not None
-        )
         if state.error is None and state.phase == "decryption":
             state.phase = "done"
         elif state.error is not None:

@@ -14,6 +14,7 @@ import secel
 from secel.protocol import (
     MESSAGE_KINDS,
     SENDERS,
+    VERIFICATION_STEPS,
     GroupArith,
     ParticipantNode,
     RoundSpec,
@@ -274,20 +275,26 @@ def test_setup_tables_match_the_dealing_rows_and_the_dealing_stores():
 SEND_PATH = ("Simulator.send", "Simulator.shared_body", "Simulator.broadcast")
 
 
-def call_sites(tree: ast.AST, names: tuple[str, ...]) -> dict[str, list[str]]:
-    """For each name, the top-level functions and `Class.method`s of a parsed
-    module that call it, plainly or as an attribute, once per call."""
-    scopes = []
+def scopes(tree: ast.AST) -> list[tuple[str, ast.AST]]:
+    """(name, node) for each top-level function, `Class.method` and other
+    top-level statement (named `<module>`) of a parsed module."""
+    found = []
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            scopes += [
+            found += [
                 (f"{node.name}.{fn.name}", fn) for fn in node.body
                 if isinstance(fn, ast.FunctionDef)
             ]
         else:
-            scopes.append((getattr(node, "name", "<module>"), node))
+            found.append((getattr(node, "name", "<module>"), node))
+    return found
+
+
+def call_sites(tree: ast.AST, names: tuple[str, ...]) -> dict[str, list[str]]:
+    """For each name, the top-level functions and `Class.method`s of a parsed
+    module that call it, plainly or as an attribute, once per call."""
     sites = {name: [] for name in names}
-    for scope, node in scopes:
+    for scope, node in scopes(tree):
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 func = sub.func
@@ -488,6 +495,66 @@ def test_sender_check_lint_sees_direct_aliased_and_membership_checks():
         "_on_a: env.src != self.leader",
         "_on_b: leader not in self.peers",
         "_on_c: AGGREGATOR_ID == src",
+    ]
+
+
+# the verification timeline lives in VERIFICATION_STEPS alone: the phase
+# budget is read once, where the steps are scheduled, and the only other timer
+# is the row read's second look on the same tick
+TIMER_SETTERS = ["ParticipantNode._read_rows", "ParticipantNode._start_verification"]
+
+
+def verification_budget_reads(tree: ast.AST) -> list[str]:
+    """The scope of each read of a `budgets` mapping at the literal key
+    "verification", by subscript or by `.get`, once per read."""
+    found = []
+    for scope, node in scopes(tree):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Subscript):
+                mapping, key = sub.value, sub.slice
+            elif isinstance(sub, ast.Call) and dotted(sub.func).endswith(".get") and sub.args:
+                mapping, key = sub.func.value, sub.args[0]
+            else:
+                continue
+            if dotted(mapping).split(".")[-1] == "budgets" and (
+                isinstance(key, ast.Constant) and key.value == "verification"
+            ):
+                found.append(scope)
+    return found
+
+
+def test_the_verification_timeline_is_set_from_one_table():
+    tree = ast.parse((SRC / "protocol.py").read_text())
+    assert verification_budget_reads(tree) == ["ParticipantNode._start_verification"]
+    assert sorted(call_sites(tree, ("schedule_timer",))["schedule_timer"]) == TIMER_SETTERS
+    # each step is a ParticipantNode handler, in tick order, inside the phase's
+    # ten half-slots
+    ticks = [tick for tick, _ in VERIFICATION_STEPS.values()]
+    assert ticks == sorted(set(ticks)) and 0 < ticks[0] and ticks[-1] < 10
+    assert all(
+        getattr(ParticipantNode, handler.__name__) is handler
+        for _, handler in VERIFICATION_STEPS.values()
+    )
+
+
+def test_timeline_lint_sees_budget_reads_and_timers_in_every_scope():
+    source = (
+        "SLOT = config.budgets['verification'] // 5\n"
+        "class ParticipantNode:\n"
+        "    def _start_verification(self, sim):\n"
+        "        slot = sim.config.budgets['verification'] // 5\n"
+        "        sim.schedule_timer(self.id, sim.now + slot, 'tally')\n"
+        "    def _lead(self, sim):\n"
+        "        budget = sim.config.budgets.get('verification')\n"
+        "        sim.schedule_timer(self.id, sim.now + budget // 5, 'rows')\n"
+        "        return sim.config.budgets['setup'], DEFAULT_BUDGETS['verification']\n"
+    )
+    tree = ast.parse(source)
+    assert verification_budget_reads(tree) == [
+        "<module>", "ParticipantNode._start_verification", "ParticipantNode._lead",
+    ]
+    assert call_sites(tree, ("schedule_timer",))["schedule_timer"] == [
+        "ParticipantNode._start_verification", "ParticipantNode._lead",
     ]
 
 

@@ -1623,6 +1623,40 @@ def test_a_member_with_a_recovered_share_decodes_its_own_body(monkeypatch):
     assert_own_plaintexts(result)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_round_reports_the_leaders_sum_past_a_forged_result(monkeypatch, variant):
+    """Every non-leader seals a made-up sum, every element 1, to each other
+    non-leader 20 ticks into decryption. Each of them decodes the last sum it
+    opens, the forged one, but the round reports the leader's sum and counts
+    only the members that hold it as delivered."""
+    start, on_timer = ParticipantNode.on_phase_start, ParticipantNode.on_timer
+
+    def forge_later(node, sim, phase):
+        start(node, sim, phase)
+        if phase == "decryption" and node.leader not in (None, node.id):
+            sim.schedule_timer(node.id, sim.now + 20, "forge")
+
+    def forge_on_timer(node, sim, name, data):
+        if name != "forge":
+            on_timer(node, sim, name, data)
+            return
+        body = {"sum": [1] * node.spec.length, "m": node.m_set, "failed": node.failed}
+        for u in node.peers:
+            if u != node.leader:
+                sim.send(node.id, u, "result", body, key=node.link_key(u))
+
+    monkeypatch.setattr(ParticipantNode, "on_phase_start", forge_later)
+    monkeypatch.setattr(ParticipantNode, "on_timer", forge_on_timer)
+    for seed in range(4):
+        result = run_rounds({"seed": seed, "n": 5, "t": 3, "l": 2, "variant": variant})
+        r = result.rounds[0]
+        assert r.phase == "done" and r.verified
+        real = result.nodes[r.leader].plaintext
+        fooled = [i for i in r.m_set if result.nodes[i].plaintext != real]
+        assert fooled == [i for i in r.m_set if i != r.leader]  # the forgery took
+        assert r.decrypted == real and r.delivered_to == [r.leader]
+
+
 def leader_interpolations(monkeypatch):
     """The point x of every interpolation either variant's arithmetic makes."""
     calls = []
@@ -2230,6 +2264,22 @@ def test_rows_fetched_at_the_budget_floor_are_read_before_the_deadline(variant):
     r = result.rounds[0]
     assert r.phase == "done" and r.recovered == [4]
     assert len(sends(result, "rows_resp")) == 3
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_an_odd_slot_rounds_each_verification_tick_down(variant):
+    # slot 11: `lead` falls at floor(7 * 11 / 2) = 38 and the row read one
+    # slot on, at 49
+    cfg = SimConfig(seed=0, n=5, budgets={**DEFAULT_BUDGETS, "verification": 55})
+    result = run_rounds(RoundSpec(n=5, t=3, length=2, variant=variant, share_loss=(4,)), cfg)
+    assert result.rounds[0].phase == "done"
+    records = result.transcript.records
+    start = next(
+        rec["t"] for rec in records if rec["type"] == "phase" and rec["phase"] == "verification"
+    )
+    assert {rec["t"] - start for rec in sends(result, "rows_req")} == {38}
+    recovers = [rec for rec in records if rec["type"] == "note" and rec["note"] == "recover"]
+    assert recovers and {rec["t"] - start for rec in recovers} == {49}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
