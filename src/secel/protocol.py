@@ -1291,8 +1291,8 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
     Any phase barrier can end a round early: too few intact bundles after
     setup, too few submissions at aggregation, no electorate, a failed tag
     check, a recovery quorum shortfall, or a leader's sum that reached no
-    member of M (the leader went silent after its check). A failed round is reported as
-    rejected — never raised — so multi-round scenarios keep going.
+    member of M (the leader went silent after its check). A failed round is
+    reported as rejected — never raised — so multi-round scenarios keep going.
     """
     if isinstance(spec, dict):
         doc = spec
