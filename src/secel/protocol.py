@@ -582,6 +582,31 @@ def _is_members(m: Any, n: int) -> bool:
     )
 
 
+def _is_keys(v: Any, node) -> bool:
+    """A member's own (k_i, V_i(0)) as two ints in [0, p), or null."""
+    p = node.arith.p
+    return v is None or (
+        type(v) is list and len(v) == 2 and all(type(x) is int and 0 <= x < p for x in v)
+    )
+
+
+def _is_rows(v: Any, node) -> bool:
+    """Participant id, as its decimal string -> an int in [0, p)."""
+    if type(v) is not dict:
+        return False
+    ids, p = {str(i) for i in node.spec.participant_ids}, node.arith.p
+    return all(key in ids and type(x) is int and 0 <= x < p for key, x in v.items())
+
+
+def _is_sum(v: Any, node) -> bool:
+    """One field value per vector element: exactly `length` ints in [0, q)."""
+    q = node.arith.q
+    return (
+        type(v) is list and len(v) == node.spec.length
+        and all(type(x) is int and 0 <= x < q for x in v)
+    )
+
+
 def _is_hex(salt: Any, node) -> bool:
     try:
         bytes.fromhex(salt)
@@ -592,11 +617,17 @@ def _is_hex(salt: Any, node) -> bool:
 
 # Field kind -> (test of a value on the receiving node, what the value must be),
 # bounded by that node's arith and spec. The leader's tag check covers only the
-# elements and members it is shown, so an aggregate's m must meet the quorum.
+# elements and members it is shown, so an aggregate's m must meet the quorum. An
+# absent field reads as None, so a kind ending in "?" marks an optional field.
 FIELD_KINDS = {
     "int<p>": (lambda v, node: type(v) is int and 0 <= v < node.arith.p, "an int in [0, p)"),
+    "int<p>?": (
+        lambda v, node: v is None or type(v) is int and 0 <= v < node.arith.p,
+        "absent or an int in [0, p)",
+    ),
     "int<q>": (lambda v, node: type(v) is int and 0 <= v < node.arith.q, "an int in [0, q)"),
     "int<2^32>": (lambda v, node: type(v) is int and 0 <= v < COMMIT_RANGE, "an int in [0, 2^32)"),
+    "bool": (lambda v, node: type(v) is bool, "a boolean"),
     "str": (lambda v, node: type(v) is str, "a string"),
     "hex": (_is_hex, "a hex string"),
     "ints": (lambda v, node: type(v) is list and all(type(i) is int for i in v), "a list of ints"),
@@ -606,6 +637,9 @@ FIELD_KINDS = {
         "a list of at least s_min distinct participant ids",
     ),
     "pairs": (_is_pairs, "a list of l pairs of ints in [0, p)"),
+    "keys": (_is_keys, "null or a list of two ints in [0, p)"),
+    "rows": (_is_rows, "a map from participant ids to ints in [0, p)"),
+    "sum": (_is_sum, "a list of l ints in [0, q)"),
 }
 
 
@@ -631,8 +665,9 @@ def _held_rows(rows: dict[int, dict], name: str, target: int) -> list[tuple[int,
 
 
 def body_problem(body: Any, fields: tuple, node) -> str | None:
-    """Why a plaintext body is unusable on `node`, or None if each field passes."""
-    if type(body) is not dict:
+    """Why a plaintext or opened body is unusable on `node`, or None if each
+    field passes."""
+    if not isinstance(body, dict):
         return "body is not an object"
     for name, test, text in fields:
         if not test(body.get(name), node):
@@ -891,17 +926,16 @@ class ParticipantNode(Node):
         _, sender, fields, handler = entry
         if not sender(env.src, self):
             return  # not from whom this kind may come: ignored, as silence
-        if fields:
+        if not (env.secured and env.kind in SEALED_KINDS):  # else checked as it opens
             # the check reads only the run's spec and arith, the same at every
             # participant, so the copies of one multicast share its verdict
             slot = env.shared
-            if slot is None:
-                problem = body_problem(env.body, fields, self)
-            elif slot.checked:
+            if slot is not None and slot.checked:
                 problem = slot.problem
             else:
-                problem = slot.problem = body_problem(env.body, fields, self)
-                slot.checked = True
+                problem = body_problem(env.body, fields, self)
+                if slot is not None:
+                    slot.problem, slot.checked = problem, True
             if problem is not None:
                 if env.kind == "aggregate":  # the aggregator's: it ends the round
                     sim.log_note("malformed_aggregate", dst=self.id, detail=problem)
@@ -994,14 +1028,29 @@ class ParticipantNode(Node):
         sim.send(self.id, env.src, "rows_resp", body, key=key)
 
     def _open(self, sim: Simulator, key: bytes | None, env) -> dict | None:
-        """The body of a sealed envelope, or None (logged) if it does not open."""
+        """The body of a sealed envelope, or None (logged) if it does not open
+        or fails its kind's fields, which counts as silence."""
         try:
             if key is None:
                 raise AuthFailure("no channel key for this sender")
-            return secure_recv(key, env)
+            body = secure_recv(key, env)
         except AuthFailure:
             sim.log_auth_failure(env)
             return None
+        # the sealed copies that share a multicast's one parse share its verdict
+        slot = env.shared
+        if slot is not None and body is slot.parsed and slot.checked:
+            problem = slot.problem
+        else:
+            problem = body_problem(body, MESSAGE_KINDS[env.kind][2], self)
+            if slot is not None and body is slot.parsed:
+                slot.problem, slot.checked = problem, True
+        if problem is not None:
+            sim.log_note(
+                "malformed_message", dst=self.id, kind=env.kind, src=env.src, detail=problem
+            )
+            return None
+        return body
 
     def _on_share_resp(self, sim: Simulator, env) -> None:
         if self.leader == self.id and self.gaps is None:
@@ -1032,7 +1081,9 @@ class ParticipantNode(Node):
             body = self._open(sim, self.link_key(env.src), env)
             if body is None:
                 return
-            self.own_share = body.get("recovered", self.own_share)
+            recovered = body.get("recovered")  # absent reads as None
+            if recovered is not None:
+                self.own_share = recovered
         if env.kind == "result":
             self.sum_from = env.src
             arith, slot = self.arith, env.shared
@@ -1145,12 +1196,12 @@ class ParticipantNode(Node):
 # Every message kind: the one phase window it is meaningful in (anything that
 # straggles across a boundary, or arrives for the wrong round, is ignored), who
 # may send it (a SENDERS rule; on_message ignores anyone else, silently), the
-# (field, field kind) pairs its plaintext body must pass, and its participant
-# handler. on_message checks the fields once per multicast body and once per
-# point-to-point copy; a failed aggregate rejects the round, any other failed
-# body counts as silence. No fields: sealed kinds are checked by opening them,
-# and a plaintext round_done's body is never read. A leader sends rows_req only
-# when a member of M sent no keys of its own or a share-loser asked for its share.
+# (field, field kind) pairs its body must pass, and its participant handler.
+# on_message checks a plaintext body, and _open a sealed one as it opens, once
+# per multicast body and once per point-to-point copy; a failed aggregate
+# rejects the round, any other failed body counts as silence. A leader sends
+# rows_req only when a member of M sent no keys of its own or a share-loser
+# asked for its share.
 MESSAGE_KINDS = {
     "setup1": ("setup", "peer", (("v", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup),
     "setup2": ("setup", "peer", (("a", "int<p>"),), ParticipantNode._on_setup),
@@ -1170,17 +1221,29 @@ MESSAGE_KINDS = {
         "verification", "peer", (("v", "int<2^32>"), ("salt", "hex")), ParticipantNode._on_reveal,
     ),
     "share_req": ("verification", "leader", (("m", "members"),), ParticipantNode._on_share_req),
-    "share_resp": ("verification", "peer", (), ParticipantNode._on_share_resp),
-    "share_resp_fb": ("verification", "peer", (), ParticipantNode._on_share_resp),
+    "share_resp": ("verification", "peer", (("self", "keys"),), ParticipantNode._on_share_resp),
+    "share_resp_fb": (
+        "verification", "peer", (("need", "bool"), ("self", "keys")),
+        ParticipantNode._on_share_resp,
+    ),
     "rows_req": (
         "verification", "leader", (("m", "members"), ("lost", "members")),
         ParticipantNode._on_rows_req,
     ),
-    "rows_resp": ("verification", "peer", (), ParticipantNode._on_rows_resp),
+    "rows_resp": (
+        "verification", "peer", (("v", "rows"), ("lost", "rows")), ParticipantNode._on_rows_resp,
+    ),
     "reject": ("verification", "leader", (("reason", "str"),), ParticipantNode._on_reject),
-    "result": ("decryption", "peer", (), ParticipantNode._on_result),
-    "round_done": ("decryption", "peer", (), ParticipantNode._on_result),
+    "result": (
+        "decryption", "peer",
+        (("sum", "sum"), ("m", "members"), ("failed", "ints"), ("recovered", "int<p>?")),
+        ParticipantNode._on_result,
+    ),
+    "round_done": ("decryption", "peer", (("recovered", "int<p>?"),), ParticipantNode._on_result),
 }
+# the kinds whose handler opens a sealed copy; round_done goes out plaintext too,
+# to a party that gets no share back
+SEALED_KINDS = frozenset({"share_resp", "share_resp_fb", "rows_resp", "result", "round_done"})
 # resolved once: a sender's check is one call, a body's one loop over (field, test, text)
 MESSAGE_KINDS = {
     kind: (phase, SENDERS[sender], _resolve(fields), handler)

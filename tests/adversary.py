@@ -7,6 +7,16 @@ by its test against the run's own state. Each adversary also has a positive
 control: a frozen copy of an earlier protocol behaviour that it must beat, so
 it cannot go quietly vacuous once the protocol stops leaking.
 
+(a) `linear_search_unmask`: the aggregator alone reads a contributor's
+inputs from its submission. Each pad is V_i(0) * h_a with h_a public, so
+h_1 * c1_0 - h_0 * c1_1 = h_1 * w_0 - h_0 * w_1, and a search over the small
+w_1 finds the one w_0 that is small too; V_i(0) and the rest follow.
+
+(b) `meet_in_the_middle_unmask`: the same in the group, where c1_a =
+G^(V_i(0) * h_a + w_a). c1_0^h_1 / c1_1^h_0 = G^(h_1 * w_0 - h_0 * w_1),
+and a table of G^(h_1 * w_0) over the decode range meets G^(h_0 * w_1) times
+it; then G^V_i(0), and each G^w_a, whose small logarithm a search reads.
+
 (c) `unmask_with_self_pads`: the leader and the aggregator together read
 every contributor's inputs, w_a = c1_a - V_i(0) * h_a, from the submissions
 the aggregator holds and the `self` field [k_i, V_i(0)] the leader opens.
@@ -54,6 +64,65 @@ def unmask_with_self_pads(
         i: [(c1 - pads[i] * h_a) % p for h_a, (c1, _) in zip(h, sub)]
         for i, sub in submissions.items() if i in pads
     }
+
+
+def linear_search_unmask(
+    sub: list[list[int]], h: tuple[int, ...], p: int, bound: int = 1 << 20
+) -> list[int] | None:
+    """Adversary (a): the inputs w_a, as field values, of one scalar submission
+    whose pad is key-linear, assuming |w_a| < bound; None if no w_1 in
+    [-bound, bound) gives a w_0 inside it.
+
+    w_0 = (h_1 * c1_0 - h_0 * c1_1 + h_0 * w_1) / h_1, so each candidate w_1
+    costs one modular add of h_0 / h_1."""
+    (c1_0, _), (c1_1, _) = sub[:2]
+    inv = pow(h[1], -1, p)
+    step = h[0] * inv % p
+    w0 = ((h[1] * c1_0 - h[0] * c1_1) * inv - bound * step) % p
+    low, high = bound, p - bound  # w_0 in [0, bound) or (p - bound, p)
+    for _ in range(2 * bound):
+        if w0 < low or w0 > high:
+            pad = (c1_0 - w0) * pow(h[0], -1, p) % p
+            return [(c1 - pad * h_a) % p for h_a, (c1, _) in zip(h, sub)]
+        w0 += step
+        if w0 >= p:
+            w0 -= p
+    return None
+
+
+def meet_in_the_middle_unmask(
+    subs: list[list[list[int]]], h: tuple[int, ...], group, bound: int
+) -> list[list[int] | None]:
+    """Adversary (b): the inputs w_a of each group submission whose pad is
+    key-linear, assuming 0 <= w_a < bound; None for a submission it cannot
+    read. One table of G^(h_1 * w_0) serves every submission of the round."""
+    p, q = group.p, group.q
+    g0, g1 = group.lift(h[0]), group.lift(h[1])
+    table, x = {}, 1
+    for w0 in range(bound):
+        table.setdefault(x, w0)
+        x = x * g1 % p
+    logs, x = {}, 1  # G^w -> w, to read each element's small exponent
+    for w in range(bound):
+        logs.setdefault(x, w)
+        x = x * group.g % p
+    found = []
+    for sub in subs:
+        (c1_0, _), (c1_1, _) = sub[:2]
+        y = pow(c1_0, h[1], p) * pow(c1_1, q - h[0], p) % p  # G^(h_1 w_0 - h_0 w_1)
+        w0 = None
+        for w1 in range(bound):
+            w0 = table.get(y)
+            if w0 is not None:
+                break
+            y = y * g0 % p
+        if w0 is None:
+            found.append(None)
+            continue
+        # G^V = (c1_0 / G^w_0)^(1 / h_0), then G^w_a = c1_a / (G^V)^h_a
+        g_pad = pow(c1_0 * group.lift(q - w0) % p, pow(h[0], -1, q), p)
+        found.append([logs.get(c1 * pow(g_pad, q - h_a, p) % p) for h_a, (c1, _) in zip(h, sub)])
+    return found
 
 
 def solve_round_key(agg: list[list[int]], h: tuple[int, ...], p: int) -> int | None:

@@ -10,6 +10,8 @@ from adversary import (
     forge_two_element,
     frozen_share_body,
     leader_view,
+    linear_search_unmask,
+    meet_in_the_middle_unmask,
     rebuild_pad_keys,
     rebuild_pair_keys,
     rogue_rows_request,
@@ -19,6 +21,7 @@ from adversary import (
     unmask_with_self_pads,
 )
 from secel.algebra import DEFAULT_PRIME, FixedPointCodec, PrimeModulus
+from secel.group_variant import DEFAULT_GROUP
 from secel.protocol import VARIANTS, ParticipantNode, RoundSpec, run_rounds
 from secel.simnet import SimConfig, secure_recv
 
@@ -103,7 +106,7 @@ def test_f_a_rogue_rows_request_draws_no_answer(monkeypatch, variant):
         assert result.rounds[0].phase == "done"
 
 
-# ---- (c), (d): a frozen copy of the key-linear kernels, pad V_i(0) * h and tag k_i * h
+# ---- (a)-(d): a frozen copy of the key-linear kernels, pad V_i(0) * h and tag k_i * h
 
 
 def frozen_labels(round_no: int, length: int, p: int) -> tuple[int, ...]:
@@ -180,3 +183,39 @@ def test_d_forges_an_aggregate_the_frozen_key_linear_tag_accepts(seed):
     decoded, forged_decoded = codec.decode(honest, field, n), codec.decode(shifted, field, n)
     assert forged_decoded == [decoded[0] + 5.0, *decoded[1:]]
 
+
+
+def test_a_the_aggregator_alone_unmasks_every_frozen_submission_by_a_linear_search():
+    # seed 3, n=5, l=4 at the default codec: each search steps w_1 from -2^20
+    p, round_no = DEFAULT_PRIME, 3
+    _, _, _, inputs, subs = frozen_round(round_no, n=5, length=4)
+    h = frozen_labels(round_no, 4, p)  # public
+    recovered = [linear_search_unmask(sub, h, p) for sub in subs]
+    # every input to the codec's 2^-16 step
+    assert recovered == [[w % p for w in ws] for ws in inputs]
+
+
+def frozen_group_round(seed: int, n: int = 5, length: int = 4):
+    """Round `seed` of the frozen kernels run over Z_q and lifted to G^c on the
+    256-bit group, at the group codec's defaults: the scaled inputs, shifted
+    into [0, 2 * clip], and the submissions."""
+    rng = random.Random(seed)
+    group, codec = DEFAULT_GROUP, FixedPointCodec(10, signed=False)
+    q = group.q
+    s = 1 + rng.randrange(q - 1)
+    inputs = [codec.scaled_values(rng.uniform(-8, 8) for _ in range(length)) for _ in range(n)]
+    subs = [
+        [[group.lift(c1), group.lift(c2)] for c1, c2 in frozen_mask(
+            w, rng.randrange(q), rng.randrange(q), s, seed, q
+        )]
+        for w in inputs
+    ]
+    return codec, inputs, subs
+
+
+def test_b_the_aggregator_alone_unmasks_every_lifted_frozen_submission_by_a_meet_in_the_middle():
+    round_no = 3
+    codec, inputs, subs = frozen_group_round(round_no)
+    h = frozen_labels(round_no, 4, DEFAULT_GROUP.q)  # public
+    bound = round(2 * codec.clip_bound * codec.scale) + 1  # one contributor's decode range
+    assert meet_in_the_middle_unmask(subs, h, DEFAULT_GROUP, bound) == inputs

@@ -1305,6 +1305,11 @@ def well_formed(field_kind: str, spec: RoundSpec) -> st.SearchStrategy:
             st.lists(st.integers(0, p - 1), min_size=2, max_size=2),
             min_size=spec.length, max_size=spec.length,
         ),
+        "int<p>?": st.none() | st.integers(0, p - 1),
+        "bool": st.booleans(),
+        "keys": st.none() | st.lists(st.integers(0, p - 1), min_size=2, max_size=2),
+        "rows": st.dictionaries(ids.map(str), st.integers(0, p - 1), max_size=n),
+        "sum": st.lists(st.integers(0, q - 1), min_size=spec.length, max_size=spec.length),
     }[field_kind]
 
 
@@ -1315,7 +1320,7 @@ POSING_SIZES = {"n": 5, "t": 3, "l": 2}
 def aggregator_posings(draw):
     """A run in which the aggregator sends every participant one kind, with a
     body that passes the kind's field checks, at one tick of one phase. A
-    kind without fields goes out plaintext or sealed under a key of its own;
+    sealed kind goes out plaintext or sealed under a key of its own;
     `commit+reveal` is a commitment from the aggregator, then its opening."""
     variant = draw(st.sampled_from(VARIANTS))
     spec = RoundSpec.from_dict({**POSING_SIZES, "variant": variant})
@@ -1329,7 +1334,7 @@ def aggregator_posings(draw):
     else:
         *_, fields, _ = protocol.MESSAGE_KINDS[kind]
         body = {name: draw(well_formed(FIELD_KIND_OF[text], spec)) for name, _, text in fields}
-        key = None if fields else draw(st.none() | st.integers(1, 2**64))
+        key = draw(st.none() | st.integers(1, 2**64)) if kind in protocol.SEALED_KINDS else None
         steps = [[0, kind, body or draw(st.sampled_from([{}, {"verified": True}])), key]]
     phase = draw(st.sampled_from(PHASES))
     return {
@@ -1863,22 +1868,138 @@ def test_any_aggregate_body_ends_done_with_the_exact_sum_or_named(variant, data,
             assert r.field_sum == field_sum_oracle(result, claimed)
 
 
-# MESSAGE_KINDS entries whose plaintext body is not checked field by field,
-# each with the reason; a new plaintext kind must name its fields instead
-UNCHECKED_KINDS = {
-    "share_resp": "sealed: a body that does not open under the channel key is dropped",
-    "share_resp_fb": "sealed: a body that does not open under the fallback key is dropped",
-    "rows_resp": "sealed: a body that does not open under the channel key is dropped",
-    "result": "sealed: a body that does not open is dropped",
-    "round_done": "its handler reads only the sealed form; a plaintext body is never read",
-}
+# ---- a peer's sealed bodies: checked where they open -----------------------------------------
+
+ROGUE_SIZES = {"n": 5, "t": 3, "l": 2}
 
 
-def test_only_sealed_and_unread_bodies_skip_the_field_table():
-    unchecked = {kind for kind, (_, _, fields, _) in protocol.MESSAGE_KINDS.items() if not fields}
-    assert unchecked == set(UNCHECKED_KINDS)
-    _, _, fields, _ = protocol.MESSAGE_KINDS["aggregate"]
-    assert [name for name, _, _ in fields] == ["m", "failed", "c"]
+@lru_cache(maxsize=None)
+def honest_leader(variant: str, seed: int, share_loss: tuple[int, ...]) -> int | None:
+    """The leader an unmodified run of these settings elects."""
+    doc = {**ROGUE_SIZES, "variant": variant, "seed": seed, "share_loss": list(share_loss)}
+    return run_rounds(doc).rounds[0].leader
+
+
+@st.composite
+def rogue_seals(draw):
+    """A run in which one peer, the round's leader or not, seals a drawn body
+    of a drawn sealed kind under a key it holds, to drawn recipients: at a
+    drawn tick of the kind's phase, and in place of each of its own sealed
+    sends of that kind to them. An object body draws some of the kind's
+    fields, each well-formed or any JSON value."""
+    variant = draw(st.sampled_from(VARIANTS))
+    spec = RoundSpec.from_dict({**ROGUE_SIZES, "variant": variant})
+    kind = draw(st.sampled_from(sorted(protocol.SEALED_KINDS)))
+    phase, _, fields, _ = protocol.MESSAGE_KINDS[kind]
+    values = {
+        name: well_formed(FIELD_KIND_OF[text], spec) | JSON_VALUES for name, _, text in fields
+    }
+    ids = st.integers(1, spec.n)
+    return {
+        "variant": variant,
+        "seed": draw(st.integers(0, 3)),
+        "share_loss": draw(st.lists(ids, unique=True, max_size=spec.n - spec.t)),
+        "rogue": draw(st.just("leader") | ids),
+        "kind": kind,
+        "body": draw(JSON_VALUES | st.fixed_dictionaries({}, optional=values)),
+        "to": draw(st.lists(ids, unique=True, min_size=1)),
+        "tick": draw(st.integers(0, DEFAULT_BUDGETS[phase] - 1)),
+    }
+
+
+def run_rogue(doc: dict) -> ScenarioResult:
+    """Run a `rogue_seals` document. The bodies are swapped at Simulator.send:
+    the handlers are bound into MESSAGE_KINDS at import, so a patched handler
+    would never be dispatched."""
+    kind, forged, dsts = doc["kind"], doc["body"], doc["to"]
+    rogue = doc["rogue"]
+    if rogue == "leader":
+        rogue = honest_leader(doc["variant"], doc["seed"], tuple(doc["share_loss"])) or 1
+    phase = protocol.MESSAGE_KINDS[kind][0]
+    send, start, on_timer = Simulator.send, ParticipantNode.on_phase_start, ParticipantNode.on_timer
+
+    def swap(sim, src, dst, k, body, key=None):
+        if (src, k) == (rogue, kind) and key is not None and dst in dsts:
+            body = forged
+        send(sim, src, dst, k, body, key=key)
+
+    def arm(node, sim, p):
+        start(node, sim, p)
+        if (node.id, p) == (rogue, phase):
+            sim.schedule_timer(node.id, sim.now + doc["tick"], "rogue")
+
+    def seal(node, sim, name, data):
+        if name != "rogue":
+            on_timer(node, sim, name, data)
+            return
+        for dst in dsts:
+            key = None if dst == node.id or node.dealer is None else node.link_key(dst)
+            if key is not None:
+                send(sim, node.id, dst, kind, forged, key=key)
+
+    with (
+        mock.patch.object(Simulator, "send", swap),
+        mock.patch.object(ParticipantNode, "on_phase_start", arm),
+        mock.patch.object(ParticipantNode, "on_timer", seal),
+    ):
+        run = {name: doc[name] for name in ("variant", "seed", "share_loss")}
+        return run_rounds({**ROGUE_SIZES, **run})
+
+
+def rogue_at(kind: str, body, variant: str, share_loss=()) -> dict:
+    """Peer 2, not the leader seed 0 elects, seals `body` to every other party."""
+    return {
+        "variant": variant, "seed": 0, "share_loss": list(share_loss), "rogue": PEER_REQUESTER,
+        "kind": kind, "body": body, "to": [1, 3, 4, 5], "tick": 0,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=rogue_seals())
+# each of these once made run_rounds raise: a member decoding a result with no
+# sum (KeyError) or a string sum (TypeError), the leader reading fetched rows
+# with no `lost` (KeyError), and the leader unpacking a `self` of the wrong
+# length (ValueError)
+@example(doc=rogue_at("result", {}, "scalar"))
+@example(doc=rogue_at("result", {"sum": "x", "m": [1]}, "group"))
+@example(doc=rogue_at("rows_resp", {}, "scalar", share_loss=(4,)))
+@example(doc=rogue_at("share_resp", {"self": "x"}, "group"))
+@example(doc=rogue_at("share_resp", {"self": [1]}, "scalar"))
+@example(doc=rogue_at("share_resp", {"self": [1, 2, 3]}, "group"))
+def test_no_body_a_peer_seals_raises_or_moves_a_sum(doc):
+    result = run_rogue(doc)
+    for r in result.rounds:
+        assert r.phase == "done" or (r.phase == "rejected" and r.error in NAMED_REJECTIONS)
+        if r.phase == "done":
+            assert r.field_sum == field_sum_oracle(result, r.m_set)
+
+
+def test_each_result_multicast_is_checked_once(monkeypatch):
+    checked, check = [], protocol.body_problem
+
+    def count(body, fields, node):
+        if type(body) is dict and "sum" in body:
+            checked.append(node.round_no)
+        return check(body, fields, node)
+
+    monkeypatch.setattr(protocol, "body_problem", count)
+    result = run_rounds(RoundSpec(n=7, t=3, length=5, rounds=2), SimConfig(seed=3, n=7))
+    assert all(r.delivered_to == list(range(1, 8)) for r in result.rounds)
+    assert checked == [0, 1]  # one check of the body sealed for six members
+
+
+def field_names(kind: str) -> list[str]:
+    return [name for name, *_ in protocol.MESSAGE_KINDS[kind][2]]
+
+
+def test_every_kind_declares_its_body_sealed_kinds_included():
+    assert {kind for kind in protocol.MESSAGE_KINDS if not field_names(kind)} == set()
+    assert field_names("aggregate") == ["m", "failed", "c"]
+    assert field_names("result") == ["sum", "m", "failed", "recovered"]
+    sealed = {kind for kind, (*_, handler) in protocol.MESSAGE_KINDS.items() if handler in (
+        ParticipantNode._on_share_resp, ParticipantNode._on_rows_resp, ParticipantNode._on_result
+    )}
+    assert sealed == protocol.SEALED_KINDS
 
 
 @lru_cache(maxsize=None)
