@@ -630,7 +630,6 @@ FIELD_KINDS = {
     "bool": (lambda v, node: type(v) is bool, "a boolean"),
     "str": (lambda v, node: type(v) is str, "a string"),
     "hex": (_is_hex, "a hex string"),
-    "ints": (lambda v, node: type(v) is list and all(type(i) is int for i in v), "a list of ints"),
     "members": (lambda v, node: _is_members(v, node.spec.n), "a list of distinct participant ids"),
     "quorum": (
         lambda v, node: _is_members(v, node.spec.n) and len(v) >= node.spec.quorum,
@@ -718,7 +717,6 @@ class ParticipantNode(Node):
         self.round_no = round_no
         self.agg: list[list[int]] | None = None
         self.m_set: list[int] = []
-        self.failed: list[int] = []
         self.commit_value: int | None = None  # set only on an elector
         self.commit_salt: bytes | None = None
         self.commits: dict[int, str] = {}  # peer -> its commitment
@@ -986,10 +984,9 @@ class ParticipantNode(Node):
     def _on_aggregate(self, sim: Simulator, env) -> None:
         self.agg = env.body["c"]
         self.m_set = list(env.body["m"])
-        self.failed = list(env.body["failed"])
 
     def _on_abort(self, sim: Simulator, env) -> None:
-        # an aggregator aborts only for staleness; its own text is not trusted
+        # an aggregator aborts only for staleness, so an abort carries nothing
         self.status = "rejected"
         self.reject_reason = "StalenessTimeout"
 
@@ -1166,7 +1163,7 @@ class ParticipantNode(Node):
         sums = self.sums
         # one result body for every member without a recovered share, encoded
         # once and sealed for each under its own key
-        shared = {"sum": sums, "m": m, "failed": sorted(self.failed)}
+        shared = {"sum": sums, "m": m}
         with sim.shared_body(shared):
             for u in self.peers:
                 if not sim.is_online(u):
@@ -1176,9 +1173,9 @@ class ParticipantNode(Node):
                     kind, body = "result", shared
                 elif recovered is not None:
                     # a share-loser outside M still gets its share back, privately
-                    kind, body = "round_done", {"verified": True}
+                    kind, body = "round_done", {}
                 else:
-                    sim.send(self.id, u, "round_done", {"verified": True})
+                    sim.send(self.id, u, "round_done", {})
                     continue
                 if recovered is not None:
                     body = {**body, "recovered": recovered}
@@ -1212,10 +1209,10 @@ MESSAGE_KINDS = {
     ),
     "submission": ("masking", "peer", (("c", "pairs"),), None),
     "aggregate": (
-        "aggregation", "aggregator", (("m", "quorum"), ("failed", "ints"), ("c", "pairs")),
+        "aggregation", "aggregator", (("m", "quorum"), ("c", "pairs")),
         ParticipantNode._on_aggregate,
     ),
-    "abort": ("aggregation", "aggregator", (("reason", "str"),), ParticipantNode._on_abort),
+    "abort": ("aggregation", "aggregator", (), ParticipantNode._on_abort),
     "commit": ("verification", "peer", (("h", "str"),), ParticipantNode._on_commit),
     "reveal": (
         "verification", "peer", (("v", "int<2^32>"), ("salt", "hex")), ParticipantNode._on_reveal,
@@ -1236,7 +1233,7 @@ MESSAGE_KINDS = {
     "reject": ("verification", "leader", (("reason", "str"),), ParticipantNode._on_reject),
     "result": (
         "decryption", "peer",
-        (("sum", "sum"), ("m", "members"), ("failed", "ints"), ("recovered", "int<p>?")),
+        (("sum", "sum"), ("m", "members"), ("recovered", "int<p>?")),
         ParticipantNode._on_result,
     ),
     "round_done": ("decryption", "peer", (("recovered", "int<p>?"),), ParticipantNode._on_result),
@@ -1300,17 +1297,12 @@ class AggregatorNode(Node):
             sim.log_note(
                 "staleness", have=sorted(self.received), need=spec.quorum
             )
-            sim.broadcast(
-                self.id,
-                spec.participant_ids,
-                "abort",
-                {"reason": "StalenessTimeout"},
-            )
+            sim.broadcast(self.id, spec.participant_ids, "abort", {})
             return
         self.m = sorted(self.received)
         self.failed = sorted(set(spec.participant_ids) - set(self.m))
         agg = self.arith.aggregate([self.received[i] for i in self.m])
-        body = self._tamper({"m": self.m, "failed": self.failed, "c": agg})
+        body = self._tamper({"m": self.m, "c": agg})
         sim.broadcast(self.id, spec.participant_ids, "aggregate", body)
 
     def _tamper(self, body: dict) -> dict:

@@ -14,8 +14,8 @@ re-addressing an envelope raises AuthFailure. A multicast body is encoded
 at most once, by its first sealed copy, and every copy of it, plaintext or
 sealed, carries one `Multicast`. A sealed copy is still authenticated
 under its own key, and copies whose plaintext equals the multicast's bytes
-share one parsed body; the receivers of plaintext copies keep their one
-check verdict there. A body is read-only once sent, for its
+share one parsed body; the receivers of its copies keep their one check
+verdict there. A body is read-only once sent, for its
 sender as for its receivers, opened or plaintext.
 
 Pending events wait in per-tick FIFO buckets, {time: [items in scheduling
@@ -187,8 +187,8 @@ class Multicast:
     by the first of them. `data` is the body's canonical bytes, encoded by
     the first sealed copy (`plaintext`); `parsed` is the one body parsed from
     them for the sealed copies whose plaintext equals them. `checked` and
-    `problem` hold the verdict of the receivers' check of the plaintext body:
-    whoever checks first stores it, the others reuse it. `decoded` holds what
+    `problem` hold the verdict of the receivers' check of the body, plaintext
+    or that one parse: whoever checks first stores it, the others reuse it. `decoded` holds what
     the receivers of `parsed` derive from it alike, computed by the first.
     """
 
@@ -500,7 +500,7 @@ class Simulator:
         plaintext bytes, encoded by the first of them, and each still gets its
         own key, nonce and header. Every copy, plaintext or sealed, carries
         one `Multicast`: the one parse of the bytes that sealed receivers
-        share, and the verdict of the one check of the plaintext body. Nothing
+        share, and the verdict of the one check of the body. Nothing
         is encoded here. The simulator forgets the body when the block ends,
         so a later send of it gets no `Multicast`; that lives as long as the
         copies do.

@@ -7,7 +7,9 @@ built by the benchmark's job generator and hashed as its tracer hashes it.
 
 All three pins moved when share responses came to carry a member's own keys
 alone: the sealed share_resp bodies shrank, and crowd_faults, whose jobs lose
-shares, gained the leader's rows_req and the holders' rows_resp sends.
+shares, gained the leader's rows_req and the holders' rows_resp sends. All
+three moved again when aggregate, result, round_done and abort lost the fields
+no handler read; only those envelopes' payload digests changed.
 """
 
 import sys
@@ -24,9 +26,9 @@ from tracing import transcript_sha256  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 PINNED = {
-    "wide_scalar": "fd78b7531e1de3d73555c94c3ef185050a24dc9cb24b0164ed1a72fbbdd6e837",
-    "crowd_faults": "2b013f79631f75c08929c1136c383d538d82d6a70b266dbdba0994b446235184",
-    "group_reuse": "20db35e06de956590b66e7df17ac08fd7a345bad65fbe200886ec3605a6b0166",
+    "wide_scalar": "62f2c06538caf993bdaade4a51a43c4e4d7bdde4fdede74d988e984b8987553e",
+    "crowd_faults": "d3671c66e56c2f2eed70e22983057bd44526460d59465e2b3e13788901e72d68",
+    "group_reuse": "95fcf2fc41fe032164f919959642f4204f575b686be9aab018d39128e1712bbf",
 }
 
 

@@ -1,5 +1,5 @@
 """Imports between secel modules point one way only, down the layer order;
-the protocol's own tables agree with each other.
+the protocol's own tables agree with each other and with its code.
 
 Function-local imports count too: they are parsed, not executed.
 """
@@ -9,9 +9,11 @@ import random
 from collections.abc import Iterator
 from fnmatch import fnmatch
 from pathlib import Path
+from unittest import mock
 
 import secel
 from secel.protocol import (
+    FIELD_KINDS,
     MESSAGE_KINDS,
     SENDERS,
     VERIFICATION_STEPS,
@@ -19,7 +21,10 @@ from secel.protocol import (
     ParticipantNode,
     RoundSpec,
     ScalarArith,
+    run_rounds,
 )
+from secel.simnet import Simulator
+from test_golden import SCENARIOS
 
 # lowest layer first; modules on one layer may not import each other
 LAYERS = (
@@ -556,6 +561,109 @@ def test_timeline_lint_sees_budget_reads_and_timers_in_every_scope():
     assert call_sites(tree, ("schedule_timer",))["schedule_timer"] == [
         "ParticipantNode._start_verification", "ParticipantNode._lead",
     ]
+
+
+# one declaration per message body: a body is checked where it becomes
+# readable, plaintext on receipt and sealed as it opens; every body a sender in
+# src/ builds carries its kind's declared fields alone, and every declared
+# field is read by the node that receives the kind
+BODY_CHECKERS = [
+    "protocol.AggregatorNode.on_message",
+    "protocol.ParticipantNode._open",
+    "protocol.ParticipantNode.on_message",
+]
+FIELD_KIND_OF = {text: kind for kind, (_, text) in FIELD_KINDS.items()}
+# the goldens send every kind but round_done: here 4 and 5 stay out of M and
+# are told the verdict, 4 with its recovered share, sealed
+OUTSIDE_M = {
+    "seed": 1, "n": 5, "t": 2, "l": 2, "s_min": 3, "share_loss": [4],
+    "faults": [{"id": i, "phase": "masking", "action": "drop_outbound"} for i in (4, 5)],
+}
+
+
+def body_check_sites(trees: dict[str, ast.AST]) -> list[str]:
+    """`module.scope` of each call of body_problem, once per call."""
+    return sorted(
+        f"{module}.{scope}"
+        for module, tree in trees.items()
+        for scope in call_sites(tree, ("body_problem",))["body_problem"]
+    )
+
+
+def stray_fields(kind: str, body) -> list[str]:
+    """Where a body strays from its kind's fields: a required one it lacks, or
+    one the kind does not declare. A field kind ending in "?" is optional."""
+    fields = {name: FIELD_KIND_OF[text] for name, _, text in MESSAGE_KINDS[kind][2]}
+    required = {name for name, field_kind in fields.items() if not field_kind.endswith("?")}
+    keys = set(body) if isinstance(body, dict) else set()
+    return [f"{kind} lacks {name}" for name in sorted(required - keys)] + [
+        f"{kind} carries {name}" for name in sorted(keys - set(fields))
+    ]
+
+
+def field_reads(tree: ast.AST, name: str) -> set[str]:
+    """The string constants the top-level class `name` reads: all of them in
+    its body but the keys of dict displays, which build bodies."""
+    cls = next(node for node in tree.body if getattr(node, "name", None) == name)
+    built = {id(key) for node in ast.walk(cls) if isinstance(node, ast.Dict) for key in node.keys}
+    return {
+        node.value for node in ast.walk(cls)
+        if isinstance(node, ast.Constant) and type(node.value) is str and id(node) not in built
+    }
+
+
+def test_bodies_are_checked_where_they_become_readable():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert body_check_sites(trees) == BODY_CHECKERS
+
+
+def test_every_body_a_sender_builds_carries_its_declared_fields_alone():
+    built, send = [], Simulator.send
+
+    def keep(sim, src, dst, kind, body, key=None):
+        built.append((kind, body))
+        send(sim, src, dst, kind, body, key=key)
+
+    with mock.patch.object(Simulator, "send", keep):
+        for doc in [*SCENARIOS.values(), OUTSIDE_M]:
+            run_rounds(doc)
+    assert {kind for kind, _ in built} == set(MESSAGE_KINDS)
+    done = [body for kind, body in built if kind == "round_done"]
+    assert {} in done and any("recovered" in body for body in done)
+    assert sorted({problem for kind, body in built for problem in stray_fields(kind, body)}) == []
+
+
+def test_every_declared_field_is_read_by_its_receiver():
+    tree = ast.parse((SRC / "protocol.py").read_text())
+    reads = {cls: field_reads(tree, cls) for cls in ("ParticipantNode", "AggregatorNode")}
+    # _on_setup reads the fields its arith's SETUP row names, as pinned above
+    dealt = {kind for arith in (ScalarArith, GroupArith) for kind in arith.SETUP}
+    unread = [
+        f"{kind}.{name}"
+        for kind, (_, _, fields, handler) in MESSAGE_KINDS.items() if kind not in dealt
+        for name, *_ in fields
+        if name not in reads["AggregatorNode" if handler is None else "ParticipantNode"]
+    ]
+    assert unread == []
+
+
+def test_body_lints_see_stray_checks_fields_and_reads():
+    source = (
+        "class ParticipantNode:\n"
+        "    def on_message(self, env):\n        return body_problem(env.body, (), self)\n"
+        "    def _on_result(self, env):\n        protocol.body_problem(env.body, (), self)\n"
+        "        return env.body['a'], env.body.get('b'), {'c': 1}\n"
+    )
+    tree = ast.parse(source)
+    assert body_check_sites({"m": tree}) == [
+        "m.ParticipantNode._on_result", "m.ParticipantNode.on_message",
+    ]
+    assert field_reads(tree, "ParticipantNode") == {"a", "b"}
+    assert stray_fields("aggregate", {"m": [1], "failed": []}) == [
+        "aggregate lacks c", "aggregate carries failed",
+    ]
+    assert stray_fields("result", {"sum": [], "m": []}) == []  # `recovered` is optional
+    assert stray_fields("share_resp_fb", {"self": None}) == ["share_resp_fb lacks need"]
 
 
 # what no production caller reaches goes, unless it is kept here for a reason;

@@ -472,9 +472,9 @@ MALFORMED_PEER = {
     "share_req_int_m": ("share_req", lambda body: {**body, "m": 5}, {}, []),
     "share_req_unknown_id": ("share_req", lambda body: {"m": [1, 99]}, {}, []),
     "reject_no_reason": ("reject", lambda body: {}, {"tamper": "flip_element"}, []),
-    "abort_list_reason": (
+    "abort_list_body": (
         "abort",
-        lambda body: {"reason": [1]},
+        lambda body: [1],
         {"s_min": 4},
         [Fault(id=4, phase="masking", action="disconnect")],
     ),
@@ -1174,7 +1174,7 @@ def test_an_aggregate_sent_again_in_verification_is_dropped_as_stale(monkeypatch
         start(node, sim, phase)
         if phase == "verification":  # the same aggregate body, one phase late
             agg = node.arith.aggregate([node.received[i] for i in node.m])
-            body = {"m": node.m, "failed": node.failed, "c": agg}
+            body = {"m": node.m, "c": agg}
             sim.broadcast(node.id, node.spec.participant_ids, "aggregate", body)
 
     monkeypatch.setattr(protocol.AggregatorNode, "on_phase_start", broadcast_again)
@@ -1298,7 +1298,6 @@ def well_formed(field_kind: str, spec: RoundSpec) -> st.SearchStrategy:
         "int<2^32>": st.integers(0, protocol.COMMIT_RANGE - 1),
         "str": st.text(max_size=8),
         "hex": st.binary(max_size=8).map(bytes.hex),
-        "ints": st.lists(st.integers(-1, n + 1), max_size=n),
         "members": st.lists(ids, unique=True, max_size=n),
         "quorum": st.lists(ids, unique=True, min_size=spec.quorum, max_size=n),
         "pairs": st.lists(
@@ -1335,7 +1334,7 @@ def aggregator_posings(draw):
         *_, fields, _ = protocol.MESSAGE_KINDS[kind]
         body = {name: draw(well_formed(FIELD_KIND_OF[text], spec)) for name, _, text in fields}
         key = draw(st.none() | st.integers(1, 2**64)) if kind in protocol.SEALED_KINDS else None
-        steps = [[0, kind, body or draw(st.sampled_from([{}, {"verified": True}])), key]]
+        steps = [[0, kind, body, key]]
     phase = draw(st.sampled_from(PHASES))
     return {
         "variant": variant, "seed": draw(st.integers(0, 3)), "rounds": draw(st.integers(1, 2)),
@@ -1645,7 +1644,7 @@ def test_the_round_reports_the_leaders_sum_past_a_forged_result(monkeypatch, var
         if name != "forge":
             on_timer(node, sim, name, data)
             return
-        body = {"sum": [1] * node.spec.length, "m": node.m_set, "failed": node.failed}
+        body = {"sum": [1] * node.spec.length, "m": node.m_set}
         for u in node.peers:
             if u != node.leader:
                 sim.send(node.id, u, "result", body, key=node.link_key(u))
@@ -1836,8 +1835,8 @@ def rewritten_aggregates(body, p):
     pair = st.lists(entry, max_size=3)
     return st.one_of(
         JSON_VALUES,
-        st.builds(lambda k, v: {**body, k: v}, st.sampled_from(["m", "failed", "c"]), JSON_VALUES),
-        st.sampled_from(["m", "failed", "c"]).map(lambda k: {x: body[x] for x in body if x != k}),
+        st.builds(lambda k, v: {**body, k: v}, st.sampled_from(["m", "c"]), JSON_VALUES),
+        st.sampled_from(["m", "c"]).map(lambda k: {x: body[x] for x in body if x != k}),
         st.permutations(m).map(lambda perm: {**body, "m": perm}),
         st.lists(st.integers(-1, 6), max_size=6).map(lambda ids: {**body, "m": ids}),
         st.tuples(st.integers(0, len(c) - 1), pair).map(
@@ -1993,9 +1992,10 @@ def field_names(kind: str) -> list[str]:
 
 
 def test_every_kind_declares_its_body_sealed_kinds_included():
-    assert {kind for kind in protocol.MESSAGE_KINDS if not field_names(kind)} == set()
-    assert field_names("aggregate") == ["m", "failed", "c"]
-    assert field_names("result") == ["sum", "m", "failed", "recovered"]
+    # the aggregator aborts only for staleness, so an abort carries nothing
+    assert {kind for kind in protocol.MESSAGE_KINDS if not field_names(kind)} == {"abort"}
+    assert field_names("aggregate") == ["m", "c"]
+    assert field_names("result") == ["sum", "m", "recovered"]
     sealed = {kind for kind, (*_, handler) in protocol.MESSAGE_KINDS.items() if handler in (
         ParticipantNode._on_share_resp, ParticipantNode._on_rows_resp, ParticipantNode._on_result
     )}
