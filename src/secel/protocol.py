@@ -642,12 +642,15 @@ FIELD_KINDS = {
 }
 
 
-# Sender rule -> test of an envelope's sender on the receiving node: any other
-# participant, the aggregator, or the leader the receiver's own tally elected
+# Sender rule -> test of an envelope's sender and receiver, on the receiving node,
+# receiving role first: to a participant from any other participant, from the
+# aggregator, or from the leader its own tally elected; to the aggregator from
+# any participant
 SENDERS = {
-    "peer": lambda src, node: src != node.id and 0 < src <= node.spec.n,
-    "aggregator": lambda src, node: src == AGGREGATOR_ID,
-    "leader": lambda src, node: src == node.leader,
+    "peer": lambda src, node: AGGREGATOR_ID != node.id != src and 0 < src <= node.spec.n,
+    "aggregator": lambda src, node: node.id != AGGREGATOR_ID and src == AGGREGATOR_ID,
+    "leader": lambda src, node: node.id != AGGREGATOR_ID and src == node.leader,
+    "participant": lambda src, node: node.id == AGGREGATOR_ID and 0 < src <= node.spec.n,
 }
 
 
@@ -672,6 +675,68 @@ def body_problem(body: Any, fields: tuple, node) -> str | None:
         if not test(body.get(name), node):
             return f"{name} is not {text}"
     return None
+
+
+def _shared(env, body, key: str, compute, *args):
+    """compute(*args), kept under `key` in the memo of env's multicast if
+    `body` is the body its receivers share, so the first receiver computes it
+    and the rest read it. `compute` reads only the run's spec and arith, alike
+    at every receiver: a kind's body verdict, or a result's decoded sum."""
+    slot = env.shared
+    if slot is None or body is not slot.body:
+        return compute(*args)
+    memo = slot.memo
+    if key not in memo:
+        memo[key] = compute(*args)
+    return memo[key]
+
+
+def _receiver():
+    """The one receive rule, by each kind's MESSAGE_KINDS entry, as a fresh
+    `on_message` for each node class: a profiler that wraps one class's
+    `on_message` then times that role alone."""
+
+    def on_message(self, sim: Simulator, env) -> None:
+        entry = MESSAGE_KINDS.get(env.kind)
+        if entry is None or env.round != self.round_no or entry[0] != sim.phase:
+            sim.log_note("stale_message", dst=self.id, kind=env.kind, round=env.round)
+            return
+        _, sender, fields, handler = entry
+        if not sender(env.src, self):
+            return  # not from whom this kind may come, or not to this role: silence
+        if not (env.secured and env.kind in SEALED_KINDS):  # else checked as it opens
+            problem = _shared(env, env.body, env.kind, body_problem, env.body, fields, self)
+            if problem is not None:
+                if env.kind == "aggregate":  # the aggregator's: it ends the round
+                    sim.log_note("malformed_aggregate", dst=self.id, detail=problem)
+                    self.status = "rejected"
+                    self.reject_reason = "MalformedAggregate"
+                else:  # dropped, as if its sender were silent
+                    sim.log_note(
+                        "malformed_message", dst=self.id, kind=env.kind, src=env.src,
+                        detail=problem,
+                    )
+                return
+        handler(self, sim, env)
+
+    return on_message
+
+
+def _open(node, sim: Simulator, key: bytes | None, env) -> dict | None:
+    """The body of a sealed envelope, or None (logged) if it does not open
+    or fails its kind's fields, which counts as silence."""
+    try:
+        if key is None:
+            raise AuthFailure("no channel key for this sender")
+        body = secure_recv(key, env)
+    except AuthFailure:
+        sim.log_auth_failure(env)
+        return None
+    problem = _shared(env, body, env.kind, body_problem, body, MESSAGE_KINDS[env.kind][2], node)
+    if problem is not None:
+        sim.log_note("malformed_message", dst=node.id, kind=env.kind, src=env.src, detail=problem)
+        return None
+    return body
 
 
 # ---- participant ----------------------------------------------------------------------
@@ -916,37 +981,7 @@ class ParticipantNode(Node):
 
     # -- message handling ---------------------------------------------------------------
 
-    def on_message(self, sim: Simulator, env) -> None:
-        entry = MESSAGE_KINDS.get(env.kind)
-        if entry is None or env.round != self.round_no or entry[0] != sim.phase:
-            sim.log_note("stale_message", dst=self.id, kind=env.kind, round=env.round)
-            return
-        _, sender, fields, handler = entry
-        if not sender(env.src, self):
-            return  # not from whom this kind may come: ignored, as silence
-        if not (env.secured and env.kind in SEALED_KINDS):  # else checked as it opens
-            # the check reads only the run's spec and arith, the same at every
-            # participant, so the copies of one multicast share its verdict
-            slot = env.shared
-            if slot is not None and slot.checked:
-                problem = slot.problem
-            else:
-                problem = body_problem(env.body, fields, self)
-                if slot is not None:
-                    slot.problem, slot.checked = problem, True
-            if problem is not None:
-                if env.kind == "aggregate":  # the aggregator's: it ends the round
-                    sim.log_note("malformed_aggregate", dst=self.id, detail=problem)
-                    self.status = "rejected"
-                    self.reject_reason = "MalformedAggregate"
-                else:  # dropped, as if its sender were silent
-                    sim.log_note(
-                        "malformed_message", dst=self.id, kind=env.kind, src=env.src,
-                        detail=problem,
-                    )
-                return
-        if handler is not None:
-            handler(self, sim, env)
+    on_message = _receiver()
 
     # setup ........................................................................
 
@@ -1018,48 +1053,23 @@ class ParticipantNode(Node):
         sim.send(self.id, env.src, kind, body, key=self.link_key(env.src))
 
     def _on_rows_req(self, sim: Simulator, env) -> None:
-        key = self.chan_key(env.src)  # None unless both ends are intact holders
-        if self.status != "working" or key is None:
+        # only an intact holder answers; the leader, an elector, is intact too
+        if self.status != "working" or not self.complete:
             return
         body = self._rows_body(env.body["m"], env.body["lost"])
-        sim.send(self.id, env.src, "rows_resp", body, key=key)
-
-    def _open(self, sim: Simulator, key: bytes | None, env) -> dict | None:
-        """The body of a sealed envelope, or None (logged) if it does not open
-        or fails its kind's fields, which counts as silence."""
-        try:
-            if key is None:
-                raise AuthFailure("no channel key for this sender")
-            body = secure_recv(key, env)
-        except AuthFailure:
-            sim.log_auth_failure(env)
-            return None
-        # the sealed copies that share a multicast's one parse share its verdict
-        slot = env.shared
-        if slot is not None and body is slot.parsed and slot.checked:
-            problem = slot.problem
-        else:
-            problem = body_problem(body, MESSAGE_KINDS[env.kind][2], self)
-            if slot is not None and body is slot.parsed:
-                slot.problem, slot.checked = problem, True
-        if problem is not None:
-            sim.log_note(
-                "malformed_message", dst=self.id, kind=env.kind, src=env.src, detail=problem
-            )
-            return None
-        return body
+        sim.send(self.id, env.src, "rows_resp", body, key=self.link_key(env.src))
 
     def _on_share_resp(self, sim: Simulator, env) -> None:
         if self.leader == self.id and self.gaps is None:
             fb = env.kind == "share_resp_fb"  # answered over the fallback channel
-            body = self._open(sim, self.link_key(env.src, intact=not fb), env)
+            body = _open(self, sim, self.link_key(env.src, intact=not fb), env)
             if body is not None:
                 (self.resp_fb if fb else self.resp)[env.src] = body
 
     def _on_rows_resp(self, sim: Simulator, env) -> None:
         src = env.src
         if self._deciding() and src in self.resp and src not in self.rows:  # asked, first answer
-            body = self._open(sim, self.chan_key(src), env)
+            body = _open(self, sim, self.link_key(src), env)
             if body is not None:
                 self.rows[src] = body
 
@@ -1075,7 +1085,7 @@ class ParticipantNode(Node):
         if self.leader is None:
             return
         if env.kind == "result" or env.secured:
-            body = self._open(sim, self.link_key(env.src), env)
+            body = _open(self, sim, self.link_key(env.src), env)
             if body is None:
                 return
             recovered = body.get("recovered")  # absent reads as None
@@ -1083,15 +1093,9 @@ class ParticipantNode(Node):
                 self.own_share = recovered
         if env.kind == "result":
             self.sum_from = env.src
-            arith, slot = self.arith, env.shared
-            if slot is None or body is not slot.parsed:  # its own body, e.g. with `recovered`
-                self.plaintext = arith.codec.decode(body["sum"], arith.field, len(body["m"]))
-            else:
-                # the codec and field are the run's, so the shared parse decodes
-                # alike at every member: once, into a list of each member's own
-                if slot.decoded is None:
-                    slot.decoded = arith.codec.decode(body["sum"], arith.field, len(body["m"]))
-                self.plaintext = list(slot.decoded)
+            decode, m_count = self.arith.codec.decode, len(body["m"])
+            decoded = _shared(env, body, "decoded", decode, body["sum"], self.arith.field, m_count)
+            self.plaintext = list(decoded)  # each member's own list
         self.status = "done"
 
     # -- leader: recovery, verification, decryption ------------------------------------
@@ -1190,64 +1194,6 @@ class ParticipantNode(Node):
         self.status = "done"
 
 
-# Every message kind: the one phase window it is meaningful in (anything that
-# straggles across a boundary, or arrives for the wrong round, is ignored), who
-# may send it (a SENDERS rule; on_message ignores anyone else, silently), the
-# (field, field kind) pairs its body must pass, and its participant handler.
-# on_message checks a plaintext body, and _open a sealed one as it opens, once
-# per multicast body and once per point-to-point copy; a failed aggregate
-# rejects the round, any other failed body counts as silence. A leader sends
-# rows_req only when a member of M sent no keys of its own or a share-loser
-# asked for its share.
-MESSAGE_KINDS = {
-    "setup1": ("setup", "peer", (("v", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup),
-    "setup2": ("setup", "peer", (("a", "int<p>"),), ParticipantNode._on_setup),
-    "pk": ("setup", "peer", (("pk", "int<p>"),), ParticipantNode._on_setup),
-    "gsetup1": (
-        "setup", "peer", (("v", "int<p>"), ("a", "int<p>"), ("s", "int<q>")),
-        ParticipantNode._on_setup,
-    ),
-    "submission": ("masking", "peer", (("c", "pairs"),), None),
-    "aggregate": (
-        "aggregation", "aggregator", (("m", "quorum"), ("c", "pairs")),
-        ParticipantNode._on_aggregate,
-    ),
-    "abort": ("aggregation", "aggregator", (), ParticipantNode._on_abort),
-    "commit": ("verification", "peer", (("h", "str"),), ParticipantNode._on_commit),
-    "reveal": (
-        "verification", "peer", (("v", "int<2^32>"), ("salt", "hex")), ParticipantNode._on_reveal,
-    ),
-    "share_req": ("verification", "leader", (("m", "members"),), ParticipantNode._on_share_req),
-    "share_resp": ("verification", "peer", (("self", "keys"),), ParticipantNode._on_share_resp),
-    "share_resp_fb": (
-        "verification", "peer", (("need", "bool"), ("self", "keys")),
-        ParticipantNode._on_share_resp,
-    ),
-    "rows_req": (
-        "verification", "leader", (("m", "members"), ("lost", "members")),
-        ParticipantNode._on_rows_req,
-    ),
-    "rows_resp": (
-        "verification", "peer", (("v", "rows"), ("lost", "rows")), ParticipantNode._on_rows_resp,
-    ),
-    "reject": ("verification", "leader", (("reason", "str"),), ParticipantNode._on_reject),
-    "result": (
-        "decryption", "peer",
-        (("sum", "sum"), ("m", "members"), ("recovered", "int<p>?")),
-        ParticipantNode._on_result,
-    ),
-    "round_done": ("decryption", "peer", (("recovered", "int<p>?"),), ParticipantNode._on_result),
-}
-# the kinds whose handler opens a sealed copy; round_done goes out plaintext too,
-# to a party that gets no share back
-SEALED_KINDS = frozenset({"share_resp", "share_resp_fb", "rows_resp", "result", "round_done"})
-# resolved once: a sender's check is one call, a body's one loop over (field, test, text)
-MESSAGE_KINDS = {
-    kind: (phase, SENDERS[sender], _resolve(fields), handler)
-    for kind, (phase, sender, fields, handler) in MESSAGE_KINDS.items()
-}
-
-
 # The verification timeline: step -> (its tick from the phase start, in
 # half-slots of budget // 5; its handler). A slot holds a round trip, and `lead`
 # takes half a slot of slack so responses sent right after the tally land first.
@@ -1278,14 +1224,9 @@ class AggregatorNode(Node):
         self.m: list[int] = []
         self.failed: list[int] = []
 
-    def on_message(self, sim: Simulator, env) -> None:
-        if env.kind != "submission" or env.round != self.round_no:
-            return
-        # a submission the sum cannot take is left out of M, like a silent one
-        problem = body_problem(env.body, MESSAGE_KINDS["submission"][2], self)
-        if problem is not None:
-            sim.log_note("malformed_submission", src=env.src, detail=problem)
-            return
+    on_message = _receiver()
+
+    def _on_submission(self, sim: Simulator, env) -> None:
         self.received[env.src] = env.body["c"]
 
     def on_phase_start(self, sim: Simulator, phase: str) -> None:
@@ -1335,6 +1276,64 @@ class AggregatorNode(Node):
         elif policy == "malformed":
             agg[0][0] = str(agg[0][0])
         return body
+
+
+# Every message kind: the one phase window it is meaningful in (anything that
+# straggles across a boundary, or arrives for the wrong round, is noted stale),
+# who may send it to whom (a SENDERS rule; on_message ignores anyone else,
+# silently), the (field, field kind) pairs its body must pass, and the handler
+# of the node that receives it. on_message checks a plaintext body, and _open a
+# sealed one as it opens, once per multicast body and once per point-to-point
+# copy; a failed aggregate rejects the round, any other failed body counts as
+# silence. A leader sends rows_req only when a member of M sent no keys of its
+# own or a share-loser asked for its share.
+MESSAGE_KINDS = {
+    "setup1": ("setup", "peer", (("v", "int<p>"), ("s", "int<q>")), ParticipantNode._on_setup),
+    "setup2": ("setup", "peer", (("a", "int<p>"),), ParticipantNode._on_setup),
+    "pk": ("setup", "peer", (("pk", "int<p>"),), ParticipantNode._on_setup),
+    "gsetup1": (
+        "setup", "peer", (("v", "int<p>"), ("a", "int<p>"), ("s", "int<q>")),
+        ParticipantNode._on_setup,
+    ),
+    "submission": ("masking", "participant", (("c", "pairs"),), AggregatorNode._on_submission),
+    "aggregate": (
+        "aggregation", "aggregator", (("m", "quorum"), ("c", "pairs")),
+        ParticipantNode._on_aggregate,
+    ),
+    "abort": ("aggregation", "aggregator", (), ParticipantNode._on_abort),
+    "commit": ("verification", "peer", (("h", "str"),), ParticipantNode._on_commit),
+    "reveal": (
+        "verification", "peer", (("v", "int<2^32>"), ("salt", "hex")), ParticipantNode._on_reveal,
+    ),
+    "share_req": ("verification", "leader", (("m", "members"),), ParticipantNode._on_share_req),
+    "share_resp": ("verification", "peer", (("self", "keys"),), ParticipantNode._on_share_resp),
+    "share_resp_fb": (
+        "verification", "peer", (("need", "bool"), ("self", "keys")),
+        ParticipantNode._on_share_resp,
+    ),
+    "rows_req": (
+        "verification", "leader", (("m", "members"), ("lost", "members")),
+        ParticipantNode._on_rows_req,
+    ),
+    "rows_resp": (
+        "verification", "peer", (("v", "rows"), ("lost", "rows")), ParticipantNode._on_rows_resp,
+    ),
+    "reject": ("verification", "leader", (("reason", "str"),), ParticipantNode._on_reject),
+    "result": (
+        "decryption", "peer",
+        (("sum", "sum"), ("m", "members"), ("recovered", "int<p>?")),
+        ParticipantNode._on_result,
+    ),
+    "round_done": ("decryption", "peer", (("recovered", "int<p>?"),), ParticipantNode._on_result),
+}
+# the kinds whose handler opens a sealed copy; round_done goes out plaintext too,
+# to a party that gets no share back
+SEALED_KINDS = frozenset({"share_resp", "share_resp_fb", "rows_resp", "result", "round_done"})
+# resolved once: a sender's check is one call, a body's one loop over (field, test, text)
+MESSAGE_KINDS = {
+    kind: (phase, SENDERS[sender], _resolve(fields), handler)
+    for kind, (phase, sender, fields, handler) in MESSAGE_KINDS.items()
+}
 
 
 # ---- scenario runner ----------------------------------------------------------------------

@@ -14,9 +14,10 @@ re-addressing an envelope raises AuthFailure. A multicast body is encoded
 at most once, by its first sealed copy, and every copy of it, plaintext or
 sealed, carries one `Multicast`. A sealed copy is still authenticated
 under its own key, and copies whose plaintext equals the multicast's bytes
-share one parsed body; the receivers of its copies keep their one check
-verdict there. A body is read-only once sent, for its
-sender as for its receivers, opened or plaintext.
+share one parsed body. The `Multicast` keeps the body its receivers share
+and a memo for what they derive from it alike; the simulator keeps no
+verdict of its own. A body is read-only once sent, for its sender as for its
+receivers, opened or plaintext.
 
 Pending events wait in per-tick FIFO buckets, {time: [items in scheduling
 order]}, beside a small heap of the distinct pending times (a calendar queue
@@ -185,19 +186,17 @@ class Multicast:
 
     `slot` is the transcript payload slot its plaintext copies share, taken
     by the first of them. `data` is the body's canonical bytes, encoded by
-    the first sealed copy (`plaintext`); `parsed` is the one body parsed from
-    them for the sealed copies whose plaintext equals them. `checked` and
-    `problem` hold the verdict of the receivers' check of the body, plaintext
-    or that one parse: whoever checks first stores it, the others reuse it. `decoded` holds what
-    the receivers of `parsed` derive from it alike, computed by the first.
+    the first sealed copy (`plaintext`). `body` is the body its receivers
+    share: the sent object once a plaintext copy is sent, else the one parse
+    of `data` that every sealed copy opening to those bytes returns. `memo`
+    is for the receivers: what they derive from `body` alike, the first of
+    them stores and the others read.
     """
 
     slot: int | None = None
     data: bytes | None = None
-    parsed: Any = None
-    checked: bool = False
-    problem: str | None = None
-    decoded: Any = None
+    body: Any = None
+    memo: dict = field(default_factory=dict)
 
     def plaintext(self, body: dict) -> bytes:
         """The multicast body's canonical bytes, encoded on the first call."""
@@ -313,8 +312,8 @@ class Transcript:
 
 
 def channel_key(shared_secret: int, context: bytes = b"pairwise") -> bytes:
-    """32-byte AES key from a shared field/group value."""
-    material = shared_secret.to_bytes(64, "big")
+    """32-byte AES key from a shared field/group value, packed in 64 bytes or more."""
+    material = shared_secret.to_bytes(max(64, -(-shared_secret.bit_length() // 8)), "big")
     return hashlib.sha256(b"secel/chan/v1/" + context + b"/" + material).digest()
 
 
@@ -337,8 +336,8 @@ def seal(key: bytes, header: dict, body: dict, data: bytes | None = None) -> byt
 def open_sealed(key: bytes, header: dict, blob: bytes, shared: Multicast | None = None) -> dict:
     """Inverse of seal; AuthFailure on any mismatch (key, header, ciphertext).
 
-    `shared` is the slot of the multicast a copy belongs to: plaintext equal
-    to its bytes is parsed once, into the body every such copy returns.
+    `shared` is the multicast a copy belongs to: plaintext equal to its
+    bytes is parsed once, into the body every such copy returns.
     """
     nonce = _nonce(header["src"], header["dst"], header["seq"])
     try:
@@ -349,9 +348,9 @@ def open_sealed(key: bytes, header: dict, blob: bytes, shared: Multicast | None 
         ) from exc
     if shared is None or data != shared.data:
         return json.loads(data)
-    if shared.parsed is None:
-        shared.parsed = json.loads(data)
-    return shared.parsed
+    if shared.body is None:
+        shared.body = json.loads(data)
+    return shared.body
 
 
 def secure_recv(key: bytes, env: Envelope) -> dict:
@@ -482,7 +481,7 @@ class Simulator:
             slot = len(payloads)
             payloads.append(body)
             if multicast is not None:
-                multicast.slot = slot
+                multicast.slot, multicast.body = slot, body
         env = Envelope(
             src, dst, kind, round_no, seq, key is not None, body, blob, slot, multicast
         )
@@ -499,8 +498,7 @@ class Simulator:
         Plaintext sends share one payload slot; sealed ones share the
         plaintext bytes, encoded by the first of them, and each still gets its
         own key, nonce and header. Every copy, plaintext or sealed, carries
-        one `Multicast`: the one parse of the bytes that sealed receivers
-        share, and the verdict of the one check of the body. Nothing
+        one `Multicast`: the body its receivers share and their memo. Nothing
         is encoded here. The simulator forgets the body when the block ends,
         so a later send of it gets no `Multicast`; that lives as long as the
         copies do.

@@ -5,6 +5,7 @@ Function-local imports count too: they are parsed, not executed.
 """
 
 import ast
+import dataclasses
 import random
 from collections.abc import Iterator
 from fnmatch import fnmatch
@@ -12,6 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import secel
+import secel.protocol as protocol
 from secel.protocol import (
     FIELD_KINDS,
     MESSAGE_KINDS,
@@ -23,7 +25,7 @@ from secel.protocol import (
     ScalarArith,
     run_rounds,
 )
-from secel.simnet import Simulator
+from secel.simnet import Multicast, Simulator
 from test_golden import SCENARIOS
 
 # lowest layer first; modules on one layer may not import each other
@@ -433,24 +435,24 @@ def test_seam_check_sees_shortcuts_around_each_seam():
     ]
 
 
-# who may send a kind is stated in MESSAGE_KINDS alone, and a sealed link
-# picks its key through ParticipantNode.link_key alone
-SENDER_STATE = {"self.leader", "self.peers", "AGGREGATOR_ID"}
-CHAN_KEY_CALLERS = [
-    "GroupArith.finish_setup",
-    "ParticipantNode._on_rows_req",
-    "ParticipantNode._on_rows_resp",
-    "ParticipantNode.link_key",
-]
+# who may send a kind to whom is stated in MESSAGE_KINDS alone, every node
+# receives by one rule, and a sealed link picks its key through
+# ParticipantNode.link_key alone (GroupArith.finish_setup derives every
+# channel key ahead of the reuse rounds)
+NODE_CLASSES = ("ParticipantNode", "AggregatorNode")
+SENDER_STATE = {
+    "self.leader", "self.peers", "self.spec.n", "self.spec.participant_ids", "AGGREGATOR_ID",
+}
+CHAN_KEY_CALLERS = ["GroupArith.finish_setup", "ParticipantNode.link_key"]
 
 
 def sender_checks(tree: ast.AST) -> list[str]:
-    """Each comparison in a `ParticipantNode._on_*` handler of the sender,
-    `env.src` or a name bound to it, with self.leader, self.peers or
-    AGGREGATOR_ID."""
+    """Each comparison in an `_on_*` handler of a node class of the sender,
+    `env.src` or a name bound to it, with the leader, the peers, the
+    participant ids or AGGREGATOR_ID."""
     found = []
     for cls in tree.body:
-        if not (isinstance(cls, ast.ClassDef) and cls.name == "ParticipantNode"):
+        if not (isinstance(cls, ast.ClassDef) and cls.name in NODE_CLASSES):
             continue
         for fn in cls.body:
             if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_on_")):
@@ -474,14 +476,26 @@ def sender_checks(tree: ast.AST) -> list[str]:
     return found
 
 
+def receiver(handler) -> str:
+    """The node class whose method a kind's handler is."""
+    return handler.__qualname__.split(".")[0]
+
+
 def test_handlers_leave_sender_checks_and_key_choices_to_one_place_each():
-    assert all(
-        handler.__name__.startswith("_on_")
-        for *_, handler in MESSAGE_KINDS.values() if handler is not None
-    )
+    for *_, handler in MESSAGE_KINDS.values():
+        assert handler.__name__.startswith("_on_"), handler
+        assert getattr(getattr(protocol, receiver(handler)), handler.__name__) is handler
     tree = ast.parse((SRC / "protocol.py").read_text())
     assert sender_checks(tree) == []
     assert sorted(call_sites(tree, ("chan_key",))["chan_key"]) == CHAN_KEY_CALLERS
+
+
+def test_every_node_receives_by_the_one_rule():
+    # one code object, bound as a function of each class's own, so each role
+    # can be timed apart; the aggregator's kind is routed by the table too
+    participant, aggregator = ParticipantNode.on_message, protocol.AggregatorNode.on_message
+    assert participant is not aggregator and participant.__code__ is aggregator.__code__
+    assert receiver(MESSAGE_KINDS["submission"][3]) == "AggregatorNode"
 
 
 def test_sender_check_lint_sees_direct_aliased_and_membership_checks():
@@ -494,12 +508,17 @@ def test_sender_check_lint_sees_direct_aliased_and_membership_checks():
         "        return AGGREGATOR_ID == src\n"
         "    def _on_d(self, sim, env):\n        return self.leader == self.id\n"
         "    def on_message(self, sim, env):\n        return env.src == self.leader\n"
+        "class AggregatorNode:\n"
+        "    def _on_f(self, sim, env):\n        return 0 < env.src <= self.spec.n\n"
+        "    def _on_g(self, sim, env):\n        return env.src in self.spec.participant_ids\n"
         "class Other:\n    def _on_e(self, env):\n        return env.src == self.leader\n"
     )
     assert sender_checks(ast.parse(source)) == [
         "_on_a: env.src != self.leader",
         "_on_b: leader not in self.peers",
         "_on_c: AGGREGATOR_ID == src",
+        "_on_f: 0 < env.src <= self.spec.n",
+        "_on_g: env.src in self.spec.participant_ids",
     ]
 
 
@@ -563,15 +582,12 @@ def test_timeline_lint_sees_budget_reads_and_timers_in_every_scope():
     ]
 
 
-# one declaration per message body: a body is checked where it becomes
-# readable, plaintext on receipt and sealed as it opens; every body a sender in
-# src/ builds carries its kind's declared fields alone, and every declared
-# field is read by the node that receives the kind
-BODY_CHECKERS = [
-    "protocol.AggregatorNode.on_message",
-    "protocol.ParticipantNode._open",
-    "protocol.ParticipantNode.on_message",
-]
+# one declaration per message body: a body is checked on the one receive path
+# where it becomes readable, plaintext by the receive rule and sealed as it
+# opens, and a multicast's receivers share the verdict through one memo; every
+# body a sender in src/ builds carries its kind's declared fields alone, and
+# every declared field is read by the node that receives the kind
+BODY_CHECKERS = ["protocol._open", "protocol._receiver", "protocol._shared"]
 FIELD_KIND_OF = {text: kind for kind, (_, text) in FIELD_KINDS.items()}
 # the goldens send every kind but round_done: here 4 and 5 stay out of M and
 # are told the verdict, 4 with its recovered share, sealed
@@ -582,11 +598,14 @@ OUTSIDE_M = {
 
 
 def body_check_sites(trees: dict[str, ast.AST]) -> list[str]:
-    """`module.scope` of each call of body_problem, once per call."""
+    """`module.scope` of each scope that names body_problem, to call it or to
+    pass it on, or reads a multicast's memo, once per scope."""
     return sorted(
         f"{module}.{scope}"
         for module, tree in trees.items()
-        for scope in call_sites(tree, ("body_problem",))["body_problem"]
+        for scope, node in scopes(tree)
+        if "body_problem" in {part for chain in chains(node) for part in chain.split(".")}
+        or any(isinstance(sub, ast.Attribute) and sub.attr == "memo" for sub in ast.walk(node))
     )
 
 
@@ -615,6 +634,8 @@ def field_reads(tree: ast.AST, name: str) -> set[str]:
 def test_bodies_are_checked_where_they_become_readable():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert body_check_sites(trees) == BODY_CHECKERS
+    # the simulator keeps the shared body and the receivers' memo, no verdict
+    assert [f.name for f in dataclasses.fields(Multicast)] == ["slot", "data", "body", "memo"]
 
 
 def test_every_body_a_sender_builds_carries_its_declared_fields_alone():
@@ -635,30 +656,33 @@ def test_every_body_a_sender_builds_carries_its_declared_fields_alone():
 
 def test_every_declared_field_is_read_by_its_receiver():
     tree = ast.parse((SRC / "protocol.py").read_text())
-    reads = {cls: field_reads(tree, cls) for cls in ("ParticipantNode", "AggregatorNode")}
+    reads = {cls: field_reads(tree, cls) for cls in NODE_CLASSES}
     # _on_setup reads the fields its arith's SETUP row names, as pinned above
     dealt = {kind for arith in (ScalarArith, GroupArith) for kind in arith.SETUP}
     unread = [
         f"{kind}.{name}"
         for kind, (_, _, fields, handler) in MESSAGE_KINDS.items() if kind not in dealt
         for name, *_ in fields
-        if name not in reads["AggregatorNode" if handler is None else "ParticipantNode"]
+        if name not in reads[receiver(handler)]
     ]
     assert unread == []
 
 
 def test_body_lints_see_stray_checks_fields_and_reads():
     source = (
+        "def check(env):\n    return memoize(env, body_problem)\n"
+        "def keep(slot):\n    return slot.memo\n"
         "class ParticipantNode:\n"
         "    def on_message(self, env):\n        return body_problem(env.body, (), self)\n"
         "    def _on_result(self, env):\n        protocol.body_problem(env.body, (), self)\n"
         "        return env.body['a'], env.body.get('b'), {'c': 1}\n"
+        "    def _on_commit(self, env):\n        return env.body['body_problem']\n"
     )
     tree = ast.parse(source)
     assert body_check_sites({"m": tree}) == [
-        "m.ParticipantNode._on_result", "m.ParticipantNode.on_message",
+        "m.ParticipantNode._on_result", "m.ParticipantNode.on_message", "m.check", "m.keep",
     ]
-    assert field_reads(tree, "ParticipantNode") == {"a", "b"}
+    assert field_reads(tree, "ParticipantNode") == {"a", "b", "body_problem"}
     assert stray_fields("aggregate", {"m": [1], "failed": []}) == [
         "aggregate lacks c", "aggregate carries failed",
     ]

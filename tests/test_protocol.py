@@ -1,5 +1,6 @@
 """End-to-end protocol rounds on the simulator: happy paths, faults, recovery."""
 
+import copy
 import gc
 import json
 import math
@@ -43,20 +44,10 @@ from secel.simnet import (
     canonical_json,
     channel_key,
 )
+import netdraw
 from adversary import frozen_share_body
+from netdraw import NAMED_REJECTIONS, field_sum_oracle
 from test_golden import SCENARIOS
-
-
-def field_sum_oracle(result: ScenarioResult, members, round_state=None):
-    """Independently recompute the expected field sums from the raw inputs."""
-    spec = result.spec
-    codec = spec.codec()
-    modulus = spec.field_modulus()
-    total = [0] * spec.length
-    for i in members:
-        for j, e in enumerate(codec.encode(result.inputs[i], modulus)):
-            total[j] = (total[j] + e) % modulus.p
-    return total
 
 
 def clipped_float_sum(result: ScenarioResult, members):
@@ -379,7 +370,8 @@ def test_malformed_submission_is_left_out_of_m(monkeypatch, variant, mutation):
         bound = _bound(spec)
         result = run_rounds(spec, SimConfig(seed=3, n=4))
         r = result.rounds[0]
-        assert result.transcript.count(type="note", note="malformed_submission") == 1
+        notes = result.transcript.count(type="note", note="malformed_message", kind="submission")
+        assert notes == 1 and result.transcript.count(type="note", dst=AGGREGATOR_ID) == 1
         if s_min == 3:
             assert r.phase == "done" and r.verified is True
             assert r.m_set == others and r.failed == [1]
@@ -387,6 +379,28 @@ def test_malformed_submission_is_left_out_of_m(monkeypatch, variant, mutation):
         else:
             assert r.phase == "rejected" and r.error == "StalenessTimeout"
             assert r.field_sum is None and r.delivered_to == []
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_submission_after_masking_is_stale_at_the_aggregator(monkeypatch, variant):
+    """The aggregator takes a kind by the one receive rule too: a submission
+    outside masking is noted stale and never reaches the sum's inputs."""
+    start, late = ParticipantNode.on_phase_start, 4
+
+    def submit_late(node, sim, phase):
+        start(node, sim, phase)
+        if phase == "verification" and node.id == late:
+            sim.send(node.id, AGGREGATOR_ID, "submission", {"c": [[1, 1]] * node.spec.length})
+
+    monkeypatch.setattr(ParticipantNode, "on_phase_start", submit_late)
+    faults = [{"id": late, "phase": "masking", "action": "drop_outbound"}]
+    result = run_rounds({"seed": 2, "n": 4, "t": 2, "s_min": 3, "variant": variant,
+                         "faults": faults})
+    stale = [rec for rec in result.transcript.records if rec.get("note") == "stale_message"]
+    assert [(rec["dst"], rec["kind"]) for rec in stale] == [(AGGREGATOR_ID, "submission")]
+    assert late not in result.nodes[AGGREGATOR_ID].received
+    r = result.rounds[0]
+    assert r.phase == "done" and r.m_set == [1, 2, 3]
 
 
 def test_contribution_gating_for_silent_submitters():
@@ -415,17 +429,6 @@ def test_every_single_fault_schedule_terminates():
                 else:
                     assert r.field_sum == field_sum_oracle(result, r.m_set)
 
-
-NAMED_REJECTIONS = (
-    "SetupQuorumFailure",
-    "StalenessTimeout",
-    "MalformedAggregate",
-    "RevealTimeout",
-    "VerificationFailed",
-    "RecoveryQuorumFailure",
-    "DecodeFailure",
-    "BudgetExhausted",
-)
 
 MALFORMED_SETUP = {
     "setup1_string_v": ("setup1", lambda body: {**body, "v": "x"}),
@@ -972,6 +975,17 @@ def test_composite_prime_is_rejected_on_every_validate(prime):
     for _ in range(2):  # the second check is answered from the cache, alike
         with pytest.raises(ConfigError, match="prime must be prime"):
             spec.validate()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_prime_past_512_bits_runs_with_share_loss(seed):
+    # the share-loser's fallback link and every channel key hash a field value
+    # wider than 64 bytes
+    doc = {"seed": seed, "n": 5, "t": 3, "l": 2, "prime": 2**1279 - 1, "share_loss": [2]}
+    result = run_rounds(doc)
+    r = result.rounds[0]
+    assert r.phase == "done" and r.verified and r.recovered == [2]
+    assert r.field_sum == field_sum_oracle(result, r.m_set)
 
 
 def test_round_spec_from_dict_ignores_sim_keys_and_rejects_unknown():
@@ -1872,22 +1886,36 @@ def test_any_aggregate_body_ends_done_with_the_exact_sum_or_named(variant, data,
 ROGUE_SIZES = {"n": 5, "t": 3, "l": 2}
 
 
-@lru_cache(maxsize=None)
-def honest_leader(variant: str, seed: int, share_loss: tuple[int, ...]) -> int | None:
-    """The leader an unmodified run of these settings elects."""
-    doc = {**ROGUE_SIZES, "variant": variant, "seed": seed, "share_loss": list(share_loss)}
-    return run_rounds(doc).rounds[0].leader
+def honest_leader(network: dict, delays) -> int | None:
+    """The leader an unmodified run of `network` elects, over a copy of
+    `delays` that replays the same draws."""
+    with netdraw.delays_from(copy.copy(delays)):
+        return run_rounds(network).rounds[0].leader
 
 
 @st.composite
-def rogue_seals(draw):
+def rogue_seals(draw, networks=None):
     """A run in which one peer, the round's leader or not, seals a drawn body
     of a drawn sealed kind under a key it holds, to drawn recipients: at a
     drawn tick of the kind's phase, and in place of each of its own sealed
     sends of that kind to them. An object body draws some of the kind's
-    fields, each well-formed or any JSON value."""
-    variant = draw(st.sampled_from(VARIANTS))
-    spec = RoundSpec.from_dict({**ROGUE_SIZES, "variant": variant})
+    fields, each well-formed or any JSON value. `networks`, if given, draws
+    the run's document, and its link delays are drawn too (netdraw); else
+    the run is ROGUE_SIZES at one of four seeds."""
+    if networks is None:
+        network = {
+            **ROGUE_SIZES,
+            "variant": draw(st.sampled_from(VARIANTS)),
+            "seed": draw(st.integers(0, 3)),
+            "share_loss": draw(st.lists(
+                st.integers(1, ROGUE_SIZES["n"]), unique=True,
+                max_size=ROGUE_SIZES["n"] - ROGUE_SIZES["t"],
+            )),
+        }
+        delays = None
+    else:
+        network, delays = draw(networks), draw(st.randoms())
+    spec = RoundSpec.from_dict(network)
     kind = draw(st.sampled_from(sorted(protocol.SEALED_KINDS)))
     phase, _, fields, _ = protocol.MESSAGE_KINDS[kind]
     values = {
@@ -1895,9 +1923,8 @@ def rogue_seals(draw):
     }
     ids = st.integers(1, spec.n)
     return {
-        "variant": variant,
-        "seed": draw(st.integers(0, 3)),
-        "share_loss": draw(st.lists(ids, unique=True, max_size=spec.n - spec.t)),
+        "network": network,
+        "delays": delays,
         "rogue": draw(st.just("leader") | ids),
         "kind": kind,
         "body": draw(JSON_VALUES | st.fixed_dictionaries({}, optional=values)),
@@ -1910,10 +1937,11 @@ def run_rogue(doc: dict) -> ScenarioResult:
     """Run a `rogue_seals` document. The bodies are swapped at Simulator.send:
     the handlers are bound into MESSAGE_KINDS at import, so a patched handler
     would never be dispatched."""
+    network, delays = doc["network"], doc["delays"]
     kind, forged, dsts = doc["kind"], doc["body"], doc["to"]
     rogue = doc["rogue"]
     if rogue == "leader":
-        rogue = honest_leader(doc["variant"], doc["seed"], tuple(doc["share_loss"])) or 1
+        rogue = honest_leader(network, delays) or 1
     phase = protocol.MESSAGE_KINDS[kind][0]
     send, start, on_timer = Simulator.send, ParticipantNode.on_phase_start, ParticipantNode.on_timer
 
@@ -1940,21 +1968,22 @@ def run_rogue(doc: dict) -> ScenarioResult:
         mock.patch.object(Simulator, "send", swap),
         mock.patch.object(ParticipantNode, "on_phase_start", arm),
         mock.patch.object(ParticipantNode, "on_timer", seal),
+        netdraw.delays_from(delays),
     ):
-        run = {name: doc[name] for name in ("variant", "seed", "share_loss")}
-        return run_rounds({**ROGUE_SIZES, **run})
+        return run_rounds(network)
 
 
 def rogue_at(kind: str, body, variant: str, share_loss=()) -> dict:
     """Peer 2, not the leader seed 0 elects, seals `body` to every other party."""
+    network = {**ROGUE_SIZES, "variant": variant, "seed": 0, "share_loss": list(share_loss)}
     return {
-        "variant": variant, "seed": 0, "share_loss": list(share_loss), "rogue": PEER_REQUESTER,
+        "network": network, "delays": None, "rogue": PEER_REQUESTER,
         "kind": kind, "body": body, "to": [1, 3, 4, 5], "tick": 0,
     }
 
 
-@settings(max_examples=60, deadline=None)
-@given(doc=rogue_seals())
+@settings(max_examples=100, deadline=None)
+@given(doc=rogue_seals() | rogue_seals(netdraw.documents()))
 # each of these once made run_rounds raise: a member decoding a result with no
 # sum (KeyError) or a string sum (TypeError), the leader reading fetched rows
 # with no `lost` (KeyError), and the leader unpacking a `self` of the wrong
@@ -1966,11 +1995,7 @@ def rogue_at(kind: str, body, variant: str, share_loss=()) -> dict:
 @example(doc=rogue_at("share_resp", {"self": [1]}, "scalar"))
 @example(doc=rogue_at("share_resp", {"self": [1, 2, 3]}, "group"))
 def test_no_body_a_peer_seals_raises_or_moves_a_sum(doc):
-    result = run_rogue(doc)
-    for r in result.rounds:
-        assert r.phase == "done" or (r.phase == "rejected" and r.error in NAMED_REJECTIONS)
-        if r.phase == "done":
-            assert r.field_sum == field_sum_oracle(result, r.m_set)
+    assert netdraw.safety_problems(run_rogue(doc)) == []
 
 
 def test_each_result_multicast_is_checked_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Simulator-core checks: config parsing, channels, faults, determinism."""
 
 import gc
+import hashlib
 import heapq
 import json
 import os
@@ -305,9 +306,13 @@ def test_seal_open_roundtrip():
 
 
 def test_channel_key_depends_on_secret_and_context():
-    assert channel_key(5) != channel_key(6)
     assert channel_key(5) != channel_key(5, context=b"fallback")
     assert len(channel_key(5)) == 32
+    # a value past 512 bits is packed in as many bytes as it needs; below, in 64
+    values = [5, 6, 2**512 - 1, 2**512, 2**1279 - 2]
+    assert len({channel_key(v) for v in values}) == len(values)
+    below = hashlib.sha256(b"secel/chan/v1/pairwise/" + (2**512 - 1).to_bytes(64, "big"))
+    assert channel_key(2**512 - 1) == below.digest()
 
 
 def test_every_ciphertext_bitflip_is_rejected():
