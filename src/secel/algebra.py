@@ -100,23 +100,17 @@ def pocklington(n: int, q: int) -> bool | None:
     return None
 
 
-@lru_cache(maxsize=64)
-def _checked_prime(p: int) -> int:
-    """Validate once per distinct modulus; hot paths rebuild PrimeModulus freely."""
-    if not isinstance(p, int) or p < 3:
-        raise ValueError(f"modulus must be an odd prime >= 3, got {p!r}")
-    if not is_probable_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    return p
-
-
 class PrimeModulus:
     """A validated odd prime p defining the field Z_p, and its uniform draws."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        self.p = _checked_prime(p)
+        if not isinstance(p, int) or p < 3:
+            raise ValueError(f"modulus must be an odd prime >= 3, got {p!r}")
+        if not is_probable_prime(p):  # its verdict is kept per p
+            raise ValueError(f"modulus {p} is not prime")
+        self.p = p
 
     def random_element(self, rng: random.Random) -> int:
         return rng.randrange(self.p)

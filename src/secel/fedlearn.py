@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, RoundRejected
-from .protocol import RoundSpec, RoundState, ScenarioResult, run_rounds
+from .protocol import RoundSpec, run_rounds
 from .simnet import Fault, SimConfig, derive_seed
 
 MODEL_DIM = 3  # two blob coordinates + bias
@@ -133,8 +133,6 @@ class AggregateOutcome:
 
     average: list[float]
     members: list[int]  # contributors whose vectors entered the sum
-    round_state: RoundState
-    scenario: ScenarioResult
 
 
 def secure_global_aggregate(
@@ -164,16 +162,13 @@ def secure_global_aggregate(
         gradients=[models[i] for i in ids],
     )
     faults = [Fault(id=i, phase="masking", action="drop_outbound") for i in dropped]
-    scenario = run_rounds(spec, SimConfig(seed=seed, n=n, faults=faults))
-    state = scenario.rounds[0]
+    state = run_rounds(spec, SimConfig(seed=seed, n=n, faults=faults)).rounds[0]
     if state.phase != "done" or state.decrypted is None:
         raise RoundRejected(state.error or "round did not complete")
     m = len(state.m_set)
     return AggregateOutcome(
         average=[v / m for v in state.decrypted],
         members=state.m_set,
-        round_state=state,
-        scenario=scenario,
     )
 
 

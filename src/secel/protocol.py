@@ -34,6 +34,7 @@ Both variants run one code path. What differs lives in the per-variant
 arithmetic object, ScalarArith or GroupArith, that RoundSpec looks up by
 variant: the field, the codec, adding field values or multiplying group
 lifts, and the steps of setup. It checks its own parameters when built.
+The run builds one, in RoundSpec.validate, and every node holds that one.
 Nodes and the runner are written once against it and never read the variant,
 and it holds no state of its own. Its SETUP table maps each dealing kind to
 the (body field, node store) pairs that one receive path fills: scalar setup1
@@ -231,7 +232,9 @@ class RoundSpec:
     def field_modulus(self) -> PrimeModulus:
         return self.arith().field
 
-    def validate(self) -> None:
+    def validate(self) -> ScalarArith | GroupArith:
+        """Check every field; return the arithmetic object built to check the
+        variant's own parameters, which every node of the run holds."""
         if type(self.n) is not int or self.n < 2:
             raise ConfigError("n must be an integer >= 2")
         if type(self.t) is not int or not (2 <= self.t <= self.n):
@@ -269,17 +272,18 @@ class RoundSpec:
             arith.codec.ensure_capacity(self.n, arith.field)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    _SIM_KEYS = frozenset({"seed", "n", "delay", "budgets", "faults"})
+        return arith
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RoundSpec":
         if not isinstance(raw, dict):
             raise ConfigError("round spec must be a JSON object")
         own = {f.name for f in fields(cls)}
-        unknown = set(raw) - own - {"l"} - cls._SIM_KEYS  # "l" is short for length
+        unknown = set(raw) - own - {"l"} - SimConfig.DOC_KEYS  # "l" is short for length
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if "l" in raw and "length" in raw:
+            raise ConfigError("give the vector length as l or as length, not both")
         if "n" not in raw:
             raise ConfigError("round spec needs n")
         group = raw.get("group", "toy")
@@ -298,7 +302,7 @@ class RoundSpec:
         # a key the document leaves out takes the field's default
         args = {name: raw[name] for name in own & raw.keys()}
         if "l" in raw:
-            args.setdefault("length", raw["l"])
+            args["length"] = raw["l"]
         spec = cls(**{**args, "group": group})
         spec.validate()
         return spec
@@ -356,7 +360,8 @@ class ScenarioResult:
 
 # ---- per-variant arithmetic ------------------------------------------------------------
 #
-# The nodes are written once against these two objects; each node owns one.
+# The nodes are written once against these two objects; a run builds one
+# (RoundSpec.validate) and every node of the run holds it.
 # Values travel as plain ints: field values mod p for the scalar variant,
 # lifts G^x mod P for the group variant. Masked vectors stay in the wire
 # format, lists of [c1, c2] pairs, from the contributor's mask through the
@@ -383,7 +388,7 @@ class ScalarArith:
     def __init__(self, spec: RoundSpec):
         try:
             self.field = PrimeModulus(spec.prime)
-        except (TypeError, ValueError):  # TypeError: an unhashable prime
+        except ValueError:
             raise ConfigError("prime must be prime") from None
         self.p = self.q = spec.prime  # values live mod p, exponents mod q
         bits = 16 if spec.scale_bits is None else spec.scale_bits
@@ -680,8 +685,9 @@ def body_problem(body: Any, fields: tuple, node) -> str | None:
 def _shared(env, body, key: str, compute, *args):
     """compute(*args), kept under `key` in the memo of env's multicast if
     `body` is the body its receivers share, so the first receiver computes it
-    and the rest read it. `compute` reads only the run's spec and arith, alike
-    at every receiver: a kind's body verdict, or a result's decoded sum."""
+    and the rest read it. `compute` reads only the run's spec and its one
+    arith object, which every receiver holds: a kind's body verdict, or a
+    result's decoded sum."""
     slot = env.shared
     if slot is None or body is not slot.body:
         return compute(*args)
@@ -707,19 +713,23 @@ def _receiver():
         if not (env.secured and env.kind in SEALED_KINDS):  # else checked as it opens
             problem = _shared(env, env.body, env.kind, body_problem, env.body, fields, self)
             if problem is not None:
-                if env.kind == "aggregate":  # the aggregator's: it ends the round
-                    sim.log_note("malformed_aggregate", dst=self.id, detail=problem)
-                    self.status = "rejected"
-                    self.reject_reason = "MalformedAggregate"
-                else:  # dropped, as if its sender were silent
-                    sim.log_note(
-                        "malformed_message", dst=self.id, kind=env.kind, src=env.src,
-                        detail=problem,
-                    )
+                _refuse(self, sim, env, problem)
                 return
         handler(self, sim, env)
 
     return on_message
+
+
+def _refuse(node, sim: Simulator, env, problem: str) -> None:
+    """Log a body that failed its kind's fields. A failed aggregate, the
+    aggregator's, rejects the round; any other body is dropped, as if its
+    sender were silent."""
+    if env.kind == "aggregate":
+        sim.log_note("malformed_aggregate", dst=node.id, detail=problem)
+        node.status = "rejected"
+        node.reject_reason = "MalformedAggregate"
+    else:
+        sim.log_note("malformed_message", dst=node.id, kind=env.kind, src=env.src, detail=problem)
 
 
 def _open(node, sim: Simulator, key: bytes | None, env) -> dict | None:
@@ -734,7 +744,7 @@ def _open(node, sim: Simulator, key: bytes | None, env) -> dict | None:
         return None
     problem = _shared(env, body, env.kind, body_problem, body, MESSAGE_KINDS[env.kind][2], node)
     if problem is not None:
-        sim.log_note("malformed_message", dst=node.id, kind=env.kind, src=env.src, detail=problem)
+        _refuse(node, sim, env, problem)
         return None
     return body
 
@@ -745,11 +755,13 @@ def _open(node, sim: Simulator, key: bytes | None, env) -> dict | None:
 class ParticipantNode(Node):
     """One protocol participant: dealer, contributor, elector, potential leader."""
 
-    def __init__(self, node_id: int, spec: RoundSpec, rng: random.Random):
+    def __init__(
+        self, node_id: int, spec: RoundSpec, arith: ScalarArith | GroupArith, rng: random.Random
+    ):
         self.id = node_id
         self.spec = spec
+        self.arith = arith  # the run's one object, shared by every node
         self.rng = rng
-        self.arith = spec.arith()
         self.gradients: list[float] = []
 
     # -- state lifecycle: the runner calls begin_round before every round ---------
@@ -1139,12 +1151,8 @@ class ParticipantNode(Node):
                 )
             k_map[i] = arith.interpolate(pts[:t], i, t)
             v0_map[i] = arith.interpolate(pts[:t], 0, t)
-            sim.log_note(
-                "recover",
-                what="contributor_keys",
-                target=i,
-                helpers=[j for j, _ in pts[:t]],
-            )
+            helpers = [j for j, _ in pts[:t]]
+            sim.log_note("recover", what="contributor_keys", target=i, helpers=helpers)
 
         # share-losers: rebuild their share from t helpers
         for q in lost:
@@ -1211,18 +1219,17 @@ VERIFICATION_STEPS = {
 class AggregatorNode(Node):
     """Untrusted collector: sums submissions, optionally tampers, never verifies."""
 
-    def __init__(self, spec: RoundSpec, rng: random.Random):
+    def __init__(self, spec: RoundSpec, arith: ScalarArith | GroupArith, rng: random.Random):
         self.id = AGGREGATOR_ID
         self.spec = spec
+        self.arith = arith
         self.rng = rng
-        self.arith = spec.arith()
 
     def begin_round(self, round_no: int) -> None:
         self.round_no = round_no
         self.received: dict[int, list[list[int]]] = {}
         self.aborted = False
         self.m: list[int] = []
-        self.failed: list[int] = []
 
     on_message = _receiver()
 
@@ -1235,13 +1242,10 @@ class AggregatorNode(Node):
         spec = self.spec
         if len(self.received) < spec.quorum:
             self.aborted = True
-            sim.log_note(
-                "staleness", have=sorted(self.received), need=spec.quorum
-            )
+            sim.log_note("staleness", have=sorted(self.received), need=spec.quorum)
             sim.broadcast(self.id, spec.participant_ids, "abort", {})
             return
         self.m = sorted(self.received)
-        self.failed = sorted(set(spec.participant_ids) - set(self.m))
         agg = self.arith.aggregate([self.received[i] for i in self.m])
         body = self._tamper({"m": self.m, "c": agg})
         sim.broadcast(self.id, spec.participant_ids, "aggregate", body)
@@ -1347,13 +1351,13 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
     check, a recovery quorum shortfall, or a leader's sum that reached no
     member of M (the leader went silent after its check). A failed round is
     reported as rejected — never raised — so multi-round scenarios keep going.
+    A document is passed alone: it names the simulation too.
     """
     if isinstance(spec, dict):
-        doc = spec
-        spec = RoundSpec.from_dict(doc)
-        if sim_config is None:
-            sim_config = SimConfig.from_dict(doc)
-    spec.validate()
+        if sim_config is not None:
+            raise ConfigError("a scenario document sets the simulation itself; pass no SimConfig")
+        spec, sim_config = RoundSpec.from_dict(spec), SimConfig.from_dict(spec)
+    arith = spec.validate()  # the run's one arithmetic object
     if sim_config is None:
         sim_config = SimConfig(n=spec.n)
     if sim_config.n != spec.n:
@@ -1362,12 +1366,12 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
     # a fault due at or past its phase's end would fire in a later phase, or never
     if any(f.offset >= sim_config.budgets[f.phase] for f in sim_config.faults):
         raise ConfigError("fault offset must be below the phase budget")
-    aggregator = AggregatorNode(spec, sim.node_rng(AGGREGATOR_ID))
+    aggregator = AggregatorNode(spec, arith, sim.node_rng(AGGREGATOR_ID))
     sim.add_node(aggregator)
     participants: dict[int, ParticipantNode] = {}
     inputs: dict[int, list[float]] = {}
     for i in spec.participant_ids:
-        node = ParticipantNode(i, spec, sim.node_rng(i))
+        node = ParticipantNode(i, spec, arith, sim.node_rng(i))
         if spec.gradients is not None:
             node.gradients = list(spec.gradients[i - 1])
         else:
@@ -1383,7 +1387,7 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
     states: list[RoundState] = []
     for r in range(spec.rounds):
         # rounds after the first may reuse the dealt state and derive the key
-        deals = r == 0 or not aggregator.arith.reuses_setup
+        deals = r == 0 or not arith.reuses_setup
         aggregator.begin_round(r)
         for node in participants.values():
             node.begin_round(r, deals)
@@ -1403,7 +1407,7 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
                     state.error = "StalenessTimeout"
                     break
                 state.m_set = list(aggregator.m)
-                state.failed = list(aggregator.failed)
+                state.failed = sorted(set(spec.participant_ids) - set(state.m_set))
                 state.u_set = sorted(
                     i for i, n in participants.items() if n.agg is not None
                 )

@@ -153,6 +153,10 @@ class SimConfig:
             if type(f.offset) is not int or f.offset < 0:
                 raise ConfigError("fault offset must be an integer >= 0")
 
+    # the keys of a scenario document that from_dict reads; a round spec's
+    # document holds them beside its own
+    DOC_KEYS = frozenset({"seed", "n", "delay", "budgets", "faults"})
+
     @classmethod
     def from_dict(cls, raw: dict) -> SimConfig:
         if not isinstance(raw, dict):

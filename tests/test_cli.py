@@ -93,9 +93,12 @@ def test_round_invalid_json_exits_one(tmp_path, capsys):
 
 
 def test_round_bad_round_config_exits_one(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"n": 1, "t": 2})
-    assert main(["round", "--config", cfg]) == 1
-    assert "config error" in capsys.readouterr().err
+    # too few parties; a vector length given both as l and as length
+    doubled = {**HONEST_DOC, "length": 5}
+    for doc, why in (({"n": 1, "t": 2}, "n must be"), (doubled, "give the vector length")):
+        cfg = write_config(tmp_path, doc)
+        assert main(["round", "--config", cfg]) == 1
+        assert f"config error: {why}" in capsys.readouterr().err
 
 
 def test_round_malformed_simulator_keys_exit_one(tmp_path, capsys):

@@ -253,8 +253,42 @@ def test_class_facts_see_reads_tests_and_writes_of_the_named_class_only():
     assert class_facts(tree, "GroupArith") == ({"__init__"}, 0, {"codec"})
 
 
+# a run builds its one arithmetic object in RoundSpec.validate and hands it to
+# every node: no code outside RoundSpec builds another
+ARITH_BUILDERS = ("arith", "ScalarArith", "GroupArith")
+
+
+def arith_builds(trees: dict[str, ast.AST]) -> list[str]:
+    """`module.scope` of each call outside RoundSpec's methods that builds an
+    arithmetic object, by `.arith()` or by its class, once per call."""
+    return sorted(
+        f"{module}.{scope}"
+        for module, tree in trees.items()
+        for scope in sum(call_sites(tree, ARITH_BUILDERS).values(), [])
+        if not scope.startswith("RoundSpec.")
+    )
+
+
+def test_only_round_spec_builds_an_arith():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert arith_builds(trees) == []
+
+
+def test_arith_build_lint_sees_calls_outside_round_spec():
+    source = (
+        "class RoundSpec:\n    def codec(self):\n        return self.arith().codec\n"
+        "class ParticipantNode:\n"
+        "    def __init__(self, spec):\n        self.arith = spec.arith()\n"
+        "def run_rounds(spec):\n    return GroupArith(spec), ScalarArith(spec).p, spec.arith\n"
+    )
+    assert arith_builds({"m": ast.parse(source)}) == [
+        "m.ParticipantNode.__init__", "m.run_rounds", "m.run_rounds",
+    ]
+
+
 def test_setup_tables_match_the_dealing_rows_and_the_dealing_stores():
-    node = ParticipantNode(1, RoundSpec(n=3, t=2, length=1), random.Random(0))
+    spec = RoundSpec(n=3, t=2, length=1)
+    node = ParticipantNode(1, spec, spec.validate(), random.Random(0))
     before = set(vars(node))
     node._reset_setup()
     created = set(vars(node)) - before
@@ -631,9 +665,22 @@ def field_reads(tree: ast.AST, name: str) -> set[str]:
     }
 
 
+def constant_sites(tree: ast.AST, values: tuple[str, ...]) -> list[str]:
+    """The scopes of a parsed module that hold one of the string constants
+    `values`, once per scope."""
+    return [
+        scope for scope, node in scopes(tree)
+        if any(isinstance(sub, ast.Constant) and sub.value in values for sub in ast.walk(node))
+    ]
+
+
 def test_bodies_are_checked_where_they_become_readable():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert body_check_sites(trees) == BODY_CHECKERS
+    # a failed body is refused in one place, which the two checkers call
+    tree = trees["protocol"]
+    assert constant_sites(tree, ("malformed_message", "malformed_aggregate")) == ["_refuse"]
+    assert sorted(call_sites(tree, ("_refuse",))["_refuse"]) == ["_open", "_receiver"]
     # the simulator keeps the shared body and the receivers' memo, no verdict
     assert [f.name for f in dataclasses.fields(Multicast)] == ["slot", "data", "body", "memo"]
 
@@ -683,6 +730,9 @@ def test_body_lints_see_stray_checks_fields_and_reads():
         "m.ParticipantNode._on_result", "m.ParticipantNode.on_message", "m.check", "m.keep",
     ]
     assert field_reads(tree, "ParticipantNode") == {"a", "b", "body_problem"}
+    assert constant_sites(tree, ("body_problem", "b")) == [
+        "ParticipantNode._on_result", "ParticipantNode._on_commit",
+    ]
     assert stray_fields("aggregate", {"m": [1], "failed": []}) == [
         "aggregate lacks c", "aggregate carries failed",
     ]

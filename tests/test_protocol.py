@@ -961,7 +961,7 @@ def test_round_spec_validation_rejects(kwargs):
         {"n": 3, "scale_bits": 5000},
         {"n": 3, "scale_bits": 5000, "variant": "group"},
         {"n": 3, "clip_bound": 10**400},
-        {"n": 3, "prime": [7]},  # unhashable, so the prime check's cache raises TypeError
+        {"n": 3, "prime": [7]},  # not an int
     ],
 )
 def test_bools_and_non_finite_numbers_are_config_errors(doc):
@@ -1014,6 +1014,37 @@ def test_round_spec_from_dict_ignores_sim_keys_and_rejects_unknown():
         {"n": 3, "group": {"p": TOY_GROUP.p, "q": TOY_GROUP.q, "g": TOY_GROUP.g}}
     )
     assert parsed.group.p == TOY_GROUP.p
+    assert RoundSpec.from_dict({"n": 3, "length": 5}).length == 5
+    # a length given twice, even alike, would otherwise keep one silently
+    for length in (5, 2):
+        with pytest.raises(ConfigError, match="l or as length, not both"):
+            RoundSpec.from_dict({"n": 3, "l": 2, "length": length})
+
+
+def test_a_document_with_a_sim_config_is_a_config_error():
+    # the document's seed, delay, budgets and faults would be dropped unread
+    doc = {"seed": 4, "n": 3, "faults": [{"id": 1, "phase": "masking", "action": "disconnect"}]}
+    with pytest.raises(ConfigError, match="pass no SimConfig"):
+        run_rounds(doc, SimConfig(n=3))
+    assert run_rounds(doc).sim_config == SimConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_node_of_a_run_holds_the_one_arith_validate_built(variant):
+    built, validate = [], RoundSpec.validate
+
+    def keep(spec):
+        built.append(validate(spec))
+        return built[-1]
+
+    with mock.patch.object(RoundSpec, "validate", keep):
+        result = run_rounds(
+            {"seed": 1, "n": 4, "l": 2, "rounds": 2, "variant": variant, "share_loss": [2]}
+        )
+    assert result.ok
+    assert len({id(node.arith) for node in result.nodes.values()}) == 1
+    # the run holds what its last validate built
+    assert result.nodes[AGGREGATOR_ID].arith is built[-1]
 
 
 def test_run_rounds_accepts_one_flat_document():

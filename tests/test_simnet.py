@@ -144,6 +144,17 @@ def test_config_from_dict_rejects_garbage():
             SimConfig.from_dict({"n": 3, **garbage})
 
 
+def test_config_from_dict_reads_each_document_key_and_no_other():
+    # a bad value under each key of DOC_KEYS is refused, so from_dict reads it
+    bad = {"seed": -1, "n": 0, "delay": 5, "budgets": [1], "faults": 5}
+    assert set(bad) == SimConfig.DOC_KEYS
+    for key, value in bad.items():
+        with pytest.raises(ConfigError):
+            SimConfig.from_dict({"n": 3, key: value})
+    # a round spec's own keys pass through unread
+    assert SimConfig.from_dict({"n": 3, "t": "x", "l": None, "variant": 5}) == SimConfig(n=3)
+
+
 # ---- seeds and canonical encoding ---------------------------------------------------
 
 
