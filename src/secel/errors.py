@@ -54,7 +54,7 @@ class NotFound(SecelError):
 # ---- protocol ---------------------------------------------------------------
 
 class RevealTimeout(SecelError):
-    """A leader-election committer never revealed within the phase."""
+    """No candidate took the lead."""
 
 
 class VerificationFailed(SecelError):

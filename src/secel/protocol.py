@@ -10,13 +10,17 @@ walks the fixed phase sequence:
                 submits (c1, c2) pairs to the aggregator in the clear
   aggregation   the aggregator sums component-wise (or is told to tamper) and
                 broadcasts the aggregate together with the contributor set M
-  verification  intact share-holders elect a leader by commit/reveal; each
-                member hands the leader its own keys, and the leader fetches
-                held rows only for members that stayed silent and share-losers
+  verification  every party derives one candidate order, the participant ids
+                rotated by the round number, and at its turn the first
+                candidate that holds the aggregate intact asks for shares.
+                Each member hands the leader its own keys, and the leader
+                fetches held rows only for silent members and share-losers
                 that ask, rebuilds their keys and shares, and checks the
                 homomorphic tag
   decryption    the leader strips the pad and hands the plaintext sum only to
-                online contributors; everyone else just learns the verdict
+                online contributors; everyone else just learns the verdict. A
+                party with no sum by the next candidate's turn resumes the
+                order there
 
 Dealing traffic rides plaintext envelopes: the simulator models participant-to-
 participant links as private (the only adversary here is the aggregator, which
@@ -44,8 +48,8 @@ dealing sends two envelopes per ordered pair, 2N(N-1) in all.
 Participant state has two lifetimes, both started by the runner. Dealing
 state (the dealer, the held rows, keys and the dealt key) is reset for every
 party, online or not, when a round deals: every scalar round, and only the
-first group round. Round state (the aggregate, the election, the leader's
-findings and the plaintext) is reset when any round begins.
+first group round. Round state (the aggregate, the candidate followed, the
+leader's findings and the plaintext) is reset when any round begins.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any
 
 from .algebra import (
@@ -119,40 +122,10 @@ TAMPER_POLICIES = ("honest", "flip_element", "substitute_all", "inject_offset", 
                    "truncate", "duplicate_member", "malformed")
 TAMPER_OFFSET = 3  # additive constant used by the inject_offset policy
 
-COMMIT_RANGE = 1 << 32  # an elector's commit value is drawn below this
 _NUMBERS = frozenset({int, float})  # a config number's exact types: bool is not one
 
 
 # ---- pure protocol operations ---------------------------------------------------
-
-
-def _commitment(value: int, salt: bytes, voter: int) -> str:
-    h = hashlib.sha256()
-    h.update(b"secel/elect/v1")
-    h.update(value.to_bytes(8, "big"))
-    h.update(salt)
-    h.update(voter.to_bytes(8, "big"))
-    return h.hexdigest()
-
-
-@lru_cache(maxsize=256)
-def _revealed_commitment(value: int, salt: str, voter: int) -> str:
-    """_commitment of a revealed triple: public by now, so every receiver shares one hash."""
-    return _commitment(value, bytes.fromhex(salt), voter)
-
-
-def elect_leader(reveals: dict[int, int]) -> int:
-    """Pick the leader from valid commit/reveal pairs.
-
-    The revealed values are summed and reduced modulo the electorate size; the
-    winner is that index into the id-sorted electorate. Any single honest
-    reveal makes the sum uniform, so no coalition of the others can steer the
-    choice. An empty electorate is a liveness failure.
-    """
-    if not reveals:
-        raise RevealTimeout("no valid reveals; cannot elect a leader")
-    ids = sorted(reveals)
-    return ids[sum(reveals.values()) % len(ids)]
 
 
 @dataclass
@@ -276,6 +249,11 @@ class RoundSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RoundSpec":
+        return cls._checked(raw)[0]
+
+    @classmethod
+    def _checked(cls, raw: dict) -> tuple["RoundSpec", ScalarArith | GroupArith]:
+        """A document's spec, and the arithmetic object its one validate built."""
         if not isinstance(raw, dict):
             raise ConfigError("round spec must be a JSON object")
         own = {f.name for f in fields(cls)}
@@ -304,8 +282,7 @@ class RoundSpec:
         if "l" in raw:
             args["length"] = raw["l"]
         spec = cls(**{**args, "group": group})
-        spec.validate()
-        return spec
+        return spec, spec.validate()
 
 
 @dataclass
@@ -604,20 +581,16 @@ def _is_rows(v: Any, node) -> bool:
 
 
 def _is_sum(v: Any, node) -> bool:
-    """One field value per vector element: exactly `length` ints in [0, q)."""
-    q = node.arith.q
-    return (
-        type(v) is list and len(v) == node.spec.length
-        and all(type(x) is int and 0 <= x < q for x in v)
-    )
-
-
-def _is_hex(salt: Any, node) -> bool:
-    try:
-        bytes.fromhex(salt)
-    except (TypeError, ValueError):
+    """One field value per vector element: exactly `length` ints in [0, q),
+    each one the codec decodes: centered if it is signed, at most 2^1023
+    times its scale, so that the division by the scale fits a float."""
+    arith = node.arith
+    q, codec = arith.q, arith.codec
+    if type(v) is not list or len(v) != node.spec.length:
         return False
-    return True
+    top = codec.scale << 1023
+    low = q - top if codec.signed else q  # a signed codec reads x >= low as x - q
+    return all(type(x) is int and 0 <= x < q and (x <= top or x >= low) for x in v)
 
 
 # Field kind -> (test of a value on the receiving node, what the value must be),
@@ -631,10 +604,8 @@ FIELD_KINDS = {
         "absent or an int in [0, p)",
     ),
     "int<q>": (lambda v, node: type(v) is int and 0 <= v < node.arith.q, "an int in [0, q)"),
-    "int<2^32>": (lambda v, node: type(v) is int and 0 <= v < COMMIT_RANGE, "an int in [0, 2^32)"),
     "bool": (lambda v, node: type(v) is bool, "a boolean"),
     "str": (lambda v, node: type(v) is str, "a string"),
-    "hex": (_is_hex, "a hex string"),
     "members": (lambda v, node: _is_members(v, node.spec.n), "a list of distinct participant ids"),
     "quorum": (
         lambda v, node: _is_members(v, node.spec.n) and len(v) >= node.spec.quorum,
@@ -643,14 +614,14 @@ FIELD_KINDS = {
     "pairs": (_is_pairs, "a list of l pairs of ints in [0, p)"),
     "keys": (_is_keys, "null or a list of two ints in [0, p)"),
     "rows": (_is_rows, "a map from participant ids to ints in [0, p)"),
-    "sum": (_is_sum, "a list of l ints in [0, q)"),
+    "sum": (_is_sum, "a list of l ints in [0, q) that the codec decodes"),
 }
 
 
 # Sender rule -> test of an envelope's sender and receiver, on the receiving node,
 # receiving role first: to a participant from any other participant, from the
-# aggregator, or from the leader its own tally elected; to the aggregator from
-# any participant
+# aggregator, or from the candidate it follows (the leader, once that asked);
+# to the aggregator from any participant
 SENDERS = {
     "peer": lambda src, node: AGGREGATOR_ID != node.id != src and 0 < src <= node.spec.n,
     "aggregator": lambda src, node: node.id != AGGREGATOR_ID and src == AGGREGATOR_ID,
@@ -704,7 +675,9 @@ def _receiver():
 
     def on_message(self, sim: Simulator, env) -> None:
         entry = MESSAGE_KINDS.get(env.kind)
-        if entry is None or env.round != self.round_no or entry[0] != sim.phase:
+        if entry is None or env.round != self.round_no or (
+            entry[0] != sim.phase and entry[0] != self.resumed
+        ):
             sim.log_note("stale_message", dst=self.id, kind=env.kind, round=env.round)
             return
         _, sender, fields, handler = entry
@@ -753,7 +726,7 @@ def _open(node, sim: Simulator, key: bytes | None, env) -> dict | None:
 
 
 class ParticipantNode(Node):
-    """One protocol participant: dealer, contributor, elector, potential leader."""
+    """One protocol participant: dealer, contributor, candidate, potential leader."""
 
     def __init__(
         self, node_id: int, spec: RoundSpec, arith: ScalarArith | GroupArith, rng: random.Random
@@ -794,11 +767,12 @@ class ParticipantNode(Node):
         self.round_no = round_no
         self.agg: list[list[int]] | None = None
         self.m_set: list[int] = []
-        self.commit_value: int | None = None  # set only on an elector
-        self.commit_salt: bytes | None = None
-        self.commits: dict[int, str] = {}  # peer -> its commitment
-        self.reveals: dict[int, int] = {}
+        # the candidate this party follows, and whether its request went out
+        # (its own) or came in
         self.leader: int | None = None
+        self.heard = False
+        # "verification" once this party resumes the order in decryption
+        self.resumed: str | None = None
         self.plaintext: list[float] | None = None
         self.sum_from: int | None = None  # who sent the sum `plaintext` decodes
         self.status = "working"
@@ -879,6 +853,11 @@ class ParticipantNode(Node):
             return None
         return channel_key(value, context=b"fallback")
 
+    def _candidate(self, k: int) -> int:
+        """The k-th candidate of the round: the participant ids rotated by the
+        round number, the same order at every party."""
+        return (self.round_no + k) % self.spec.n + 1
+
     def _self_keys(self) -> list[int]:
         """This contributor's k_i = V_i(i) and pad key V_i(0), as arith values."""
         lift = self.arith.lift
@@ -915,54 +894,81 @@ class ParticipantNode(Node):
         sim.send(self.id, AGGREGATOR_ID, "submission", {"c": wire})
 
     def _start_verification(self, sim: Simulator) -> None:
-        if self.agg is not None and self.complete:
-            # intact aggregate-holders form the electorate
-            self.commit_value = self.rng.randrange(COMMIT_RANGE)
-            self.commit_salt = self.rng.getrandbits(64).to_bytes(8, "big")
-            digest = _commitment(self.commit_value, self.commit_salt, self.id)
-            sim.broadcast(self.id, self.peers, "commit", {"h": digest})
-        # every party walks the whole timeline; each step checks it is its own
-        slot = sim.config.budgets["verification"] // 5
-        for step, (half_slots, _) in VERIFICATION_STEPS.items():
-            sim.schedule_timer(self.id, sim.now + half_slots * slot // 2, step)
+        # the first turn comes two slots of budget // 5 in, so a fault due
+        # before it lands before any request
+        self._set_clock(sim, sim.now + 2 * (sim.config.budgets["verification"] // 5))
+        # candidate 0 acts at its turn; everyone else looks a turn later
+        self.leader = self._candidate(0)
+        self._at(sim, 0 if self.leader == self.id else 1)
 
     def _start_decryption(self, sim: Simulator) -> None:
-        if self.leader == self.id and self.sums is not None and self.status == "working":
+        if self.status != "working" or self.leader is None:
+            return
+        if self.leader != self.id:
+            # the leader's sum lands within a flight: a party that has none by
+            # the next candidate's turn resumes the order there
+            self._set_clock(sim, sim.now)
+            self.heard = False
+            self._at(sim, (self.leader - 1 - self.round_no) % self.spec.n + 1)
+        elif self.sums is not None:
             self._distribute(sim)
 
     # -- timers ----------------------------------------------------------------------
 
     def on_timer(self, sim: Simulator, name: str, data: Any) -> None:
-        VERIFICATION_STEPS[name][1](self, sim, data)
+        VERIFICATION_STEPS[name](self, sim, data)
 
-    def _reveal(self, sim: Simulator, data: Any) -> None:
-        if self.commit_value is not None and self.status == "working":
-            self.reveals[self.id] = self.commit_value
-            body = {"v": self.commit_value, "salt": self.commit_salt.hex()}
-            sim.broadcast(self.id, self.peers, "reveal", body)
+    def _set_clock(self, sim: Simulator, base: int) -> None:
+        """Time this phase's turns: candidate k's comes at base + k gaps of
+        delay_max + 1, so a request reaches every online peer before the next
+        turn or none. A candidate leads a round trip and a tick after its
+        request and reads the rows it fetched a round trip after that; one
+        whose row read would fall past the phase takes no turn."""
+        d = sim.config.delay_max
+        self.clock = (base, d + 1)
+        room = sim.now + sim.config.budgets[sim.phase] - 1 - base - (4 * d + 1)
+        self.turns = min(self.spec.n, max(0, room // (d + 1) + 1))
 
-    def _tally(self, sim: Simulator, data: Any) -> None:
-        if self.status != "working":
+    def _at(self, sim: Simulator, k: int) -> None:
+        """Schedule candidate k's turn."""
+        base, gap = self.clock
+        sim.schedule_timer(self.id, base + k * gap, "turn", k)
+
+    def _turn(self, sim: Simulator, k: int) -> None:
+        """Candidate k's turn, so every earlier candidate's request is overdue:
+        it asks if it is an intact holder of the aggregate, and anyone else
+        follows it until the next turn. Past the last turn, a holder of the
+        aggregate rejects; a member without it stays silent."""
+        if self.heard or self.status != "working":
             return
-        if not self.reveals:
+        if sim.phase == "decryption":
+            self.resumed = "verification"
+        if k >= self.turns:
+            self.leader = None
             if self.agg is not None:
-                # nobody opened a valid commitment in time: the round cannot elect
                 self.status = "rejected"
-                self.reject_reason = "RevealTimeout"
-            return  # a member without the aggregate stays silent
-        self.leader = elect_leader(self.reveals)
-        if self.leader == self.id:
+                self.reject_reason = RevealTimeout.__name__
+            return
+        self.leader = self._candidate(k)
+        if self.leader == self.id and self.agg is not None and self.complete:
+            self.heard = True
             sim.broadcast(self.id, self.peers, "share_req", {"m": self.m_set})
+            sim.schedule_timer(self.id, sim.now + 2 * sim.config.delay_max + 1, "lead")
+        else:
+            self._at(sim, k + 1)
 
     def _lead(self, sim: Simulator, data: Any) -> None:
         if self.leader != self.id or self.status != "working":
             return
         self.gaps = self._gaps()
         _, silent, lost = self.gaps
+        if silent and not (self.resp or self.resp_fb):
+            return  # nobody answered, so the request may have reached no one: stay silent
         # rows can help only if the holders that answered, and this leader, reach t
         if (silent or lost) and len(self.resp) + 1 >= self.spec.t:
-            # one follow-up to those holders, read at `rows`
+            # one follow-up to those holders, read a round trip later
             sim.broadcast(self.id, self.resp, "rows_req", {"m": silent, "lost": lost})
+            sim.schedule_timer(self.id, sim.now + 2 * sim.config.delay_max, "rows", True)
         else:
             self._conclude(sim)
 
@@ -970,11 +976,11 @@ class ParticipantNode(Node):
         """Whether this leader fixed its gaps at `lead` and has no verdict yet."""
         return self.gaps is not None and self.sums is None and self.status == "working"
 
-    def _read_rows(self, sim: Simulator, data: Any) -> None:
-        if data is None and self._deciding() and len(self.rows) < len(self.resp):
+    def _read_rows(self, sim: Simulator, first: bool | None) -> None:
+        if first and self._deciding() and len(self.rows) < len(self.resp):
             # answers due on this very tick were queued after this timer:
             # read once more, after them
-            sim.schedule_timer(self.id, sim.now, "rows", "last")
+            sim.schedule_timer(self.id, sim.now, "rows")
         else:
             self._conclude(sim)
 
@@ -990,6 +996,9 @@ class ParticipantNode(Node):
             self.reject_reason = reason
             sim.log_note("reject", by=self.id, reason=reason, detail=str(exc))
             sim.broadcast(self.id, self.peers, "reject", {"reason": reason})
+            return
+        if sim.phase == "decryption":
+            self._distribute(sim)  # a candidate that took over hands out its sum at once
 
     # -- message handling ---------------------------------------------------------------
 
@@ -1039,20 +1048,8 @@ class ParticipantNode(Node):
 
     # verification ...................................................................
 
-    def _on_commit(self, sim: Simulator, env) -> None:
-        self.commits.setdefault(env.src, env.body["h"])
-
-    def _on_reveal(self, sim: Simulator, env) -> None:
-        expected = self.commits.get(env.src)
-        if expected is None:
-            return
-        value = env.body["v"]
-        if _revealed_commitment(value, env.body["salt"], env.src) == expected:
-            self.reveals[env.src] = value
-        else:
-            sim.log_note("bad_reveal", voter=env.src, seen_by=self.id)
-
     def _on_share_req(self, sim: Simulator, env) -> None:
+        self.heard = True  # the candidate this party follows asked
         if self.status != "working" or self.dealer is None:
             return
         # a member's own keys alone; held rows go out only when the leader asks
@@ -1065,7 +1062,7 @@ class ParticipantNode(Node):
         sim.send(self.id, env.src, kind, body, key=self.link_key(env.src))
 
     def _on_rows_req(self, sim: Simulator, env) -> None:
-        # only an intact holder answers; the leader, an elector, is intact too
+        # only an intact holder answers; the leader, a candidate, is intact too
         if self.status != "working" or not self.complete:
             return
         body = self._rows_body(env.body["m"], env.body["lost"])
@@ -1094,8 +1091,6 @@ class ParticipantNode(Node):
     def _on_result(self, sim: Simulator, env) -> None:
         """A `result` carries the sum, always sealed; a `round_done` only the
         verdict, sealed when it hands a share-loser its recovered share."""
-        if self.leader is None:
-            return
         if env.kind == "result" or env.secured:
             body = _open(self, sim, self.link_key(env.src), env)
             if body is None:
@@ -1202,14 +1197,14 @@ class ParticipantNode(Node):
         self.status = "done"
 
 
-# The verification timeline: step -> (its tick from the phase start, in
-# half-slots of budget // 5; its handler). A slot holds a round trip, and `lead`
-# takes half a slot of slack so responses sent right after the tally land first.
+# The verification steps, timed by ParticipantNode._set_clock: each candidate's
+# turn, its `lead` once the answers to its request are in, and its `rows` once
+# the rows it fetched are. A party that resumes the order in decryption runs
+# them there.
 VERIFICATION_STEPS = {
-    "reveal": (2, ParticipantNode._reveal),
-    "tally": (4, ParticipantNode._tally),
-    "lead": (7, ParticipantNode._lead),
-    "rows": (9, ParticipantNode._read_rows),
+    "turn": ParticipantNode._turn,
+    "lead": ParticipantNode._lead,
+    "rows": ParticipantNode._read_rows,
 }
 
 
@@ -1224,6 +1219,8 @@ class AggregatorNode(Node):
         self.spec = spec
         self.arith = arith
         self.rng = rng
+
+    resumed = None  # the aggregator takes each kind in its own phase alone
 
     def begin_round(self, round_no: int) -> None:
         self.round_no = round_no
@@ -1305,10 +1302,6 @@ MESSAGE_KINDS = {
         ParticipantNode._on_aggregate,
     ),
     "abort": ("aggregation", "aggregator", (), ParticipantNode._on_abort),
-    "commit": ("verification", "peer", (("h", "str"),), ParticipantNode._on_commit),
-    "reveal": (
-        "verification", "peer", (("v", "int<2^32>"), ("salt", "hex")), ParticipantNode._on_reveal,
-    ),
     "share_req": ("verification", "leader", (("m", "members"),), ParticipantNode._on_share_req),
     "share_resp": ("verification", "peer", (("self", "keys"),), ParticipantNode._on_share_resp),
     "share_resp_fb": (
@@ -1324,11 +1317,11 @@ MESSAGE_KINDS = {
     ),
     "reject": ("verification", "leader", (("reason", "str"),), ParticipantNode._on_reject),
     "result": (
-        "decryption", "peer",
+        "decryption", "leader",
         (("sum", "sum"), ("m", "members"), ("recovered", "int<p>?")),
         ParticipantNode._on_result,
     ),
-    "round_done": ("decryption", "peer", (("recovered", "int<p>?"),), ParticipantNode._on_result),
+    "round_done": ("decryption", "leader", (("recovered", "int<p>?"),), ParticipantNode._on_result),
 }
 # the kinds whose handler opens a sealed copy; round_done goes out plaintext too,
 # to a party that gets no share back
@@ -1347,17 +1340,19 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
     """Drive `spec.rounds` full protocol rounds and report what happened.
 
     Any phase barrier can end a round early: too few intact bundles after
-    setup, too few submissions at aggregation, no electorate, a failed tag
-    check, a recovery quorum shortfall, or a leader's sum that reached no
-    member of M (the leader went silent after its check). A failed round is
-    reported as rejected — never raised — so multi-round scenarios keep going.
-    A document is passed alone: it names the simulation too.
+    setup, too few submissions at aggregation, no candidate taking the lead, a
+    failed tag check, a recovery quorum shortfall, or no leader's sum that
+    reached a member of M (a candidate went silent after its request). A
+    failed round is reported as rejected — never raised — so multi-round
+    scenarios keep going. A document is passed alone: it names the simulation
+    too, and is validated once.
     """
     if isinstance(spec, dict):
         if sim_config is not None:
             raise ConfigError("a scenario document sets the simulation itself; pass no SimConfig")
-        spec, sim_config = RoundSpec.from_dict(spec), SimConfig.from_dict(spec)
-    arith = spec.validate()  # the run's one arithmetic object
+        (spec, arith), sim_config = RoundSpec._checked(spec), SimConfig.from_dict(spec)
+    else:
+        arith = spec.validate()  # the run's one arithmetic object
     if sim_config is None:
         sim_config = SimConfig(n=spec.n)
     if sim_config.n != spec.n:
@@ -1412,13 +1407,11 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
                     i for i, n in participants.items() if n.agg is not None
                 )
             elif phase == "verification":
-                # A fault can split the electorate's view (a dropper counts its
-                # own vanished reveal), so several nodes may claim leadership.
-                # The round stands iff some claimed leader's tag check passed
-                # (it holds sums); local failures of phantom leaders don't veto it.
-                claims = Counter(
-                    n.leader for n in participants.values() if n.leader is not None
-                )
+                # A fault can split the parties' view, so several nodes may
+                # claim leadership: the leader each heard ask. The round stands
+                # iff some claimed leader's tag check passed (it holds sums);
+                # local failures of phantom leaders don't veto it.
+                claims = Counter(n.leader for n in participants.values() if n.heard)
                 candidates = sorted(claims, key=lambda c: (-claims[c], c))
                 winner = next(
                     (c for c in candidates if participants[c].sums is not None), None
@@ -1433,13 +1426,18 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
                         state.error = leader.reject_reason
                     else:
                         reasons = {n.reject_reason for n in participants.values()}
-                        # no reason at all: the elected leader went silent before finishing
+                        # no reason at all: the leader went silent before finishing
                         state.error = min(reasons - {None}, default="BudgetExhausted")
                     if state.error == "VerificationFailed":
                         state.verified = False
                     break
             elif phase == "decryption":
-                # a member decodes a sealed result from any peer: count only the leader's
+                # a member takes a result from the leader it follows alone; if
+                # the verified leader's sum reached no member, report the
+                # candidate that took over in decryption, if one's did
+                senders = [participants[i].sum_from for i in state.m_set]
+                if state.leader not in senders:
+                    state.leader = next(filter(None, senders), state.leader)
                 state.delivered_to = [
                     i for i in state.m_set if participants[i].sum_from == state.leader
                 ]

@@ -28,7 +28,7 @@ element 0's sum by any delta without breaking the tag.
 (f) `rebuild_pair_keys`: the leader rebuilds the channel key of a pair of
 other parties, k_ij = A_i(j) + A_j(i), from the second rows its bodies carry.
 A rogue requester, a peer that sends `rogue_rows_request` as verification
-opens, before any tally, would read the same rows from every holder that
+opens, before the first turn, would read the same rows from every holder that
 answered it, and with `rebuild_pad_keys` each member's pad key V_i(0) from
 the first rows.
 """

@@ -57,12 +57,12 @@ def test_f_rebuilds_no_pair_key_from_what_the_leader_opens(variant, share_loss):
     assert true_pair_keys(result, claims) == set()
 
 
-ROGUE = 2  # a peer; at n=5, t=3 and seeds 0-3 only group seed 3 elects it
+ROGUE = 2  # a peer, behind party 1, which leads every round 0 here
 
 
 def run_with_rogue(monkeypatch, variant: str, seed: int):
     """A run in which ROGUE sends `rogue_rows_request` as verification opens,
-    before any tally, and the rows bodies it opened, by sender."""
+    before the first turn, and the rows bodies it opened, by sender."""
     start, on_message = ParticipantNode.on_phase_start, ParticipantNode.on_message
     opened: dict[int, list[dict]] = {}
 

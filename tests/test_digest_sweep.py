@@ -12,9 +12,12 @@ every verdict keeps the pin.
 
 When the pin moves, diff that output against the same command's output on the
 parent commit: the first differing line names the document that moved. It last
-moved when aggregate, result, round_done and abort lost the fields no handler
-read; with those envelopes' payload digests masked, every document's transcript
-and round states were the parent's.
+moved when the commit/reveal election gave way to a candidate order every party
+derives: the election's sends and RNG draws are gone, leader ids changed, and a
+leader's steps are timed from its own request. Every round that ended done still
+ends done with the same M and field sum; in documents 303, 423 and 476 that takes
+the next candidate resuming the order in decryption, after party 1, round 0's
+first candidate, disconnects once it has led.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from secel.simnet import DEFAULT_BUDGETS, FAULT_ACTIONS, PHASES
 from test_golden import digests
 
 DOCUMENTS = 500
-PIN = "de1f625c30b3699e0bdf4efad6dd3a4b128363d2f15cfa833ed02f2bffcac545"
+PIN = "3a79c4da3f18186e72d87c9870dc0d1dcbdf4a98829ed80f8ea4793ceb7c65aa"
 
 
 def sweep_document(index: int) -> dict:

@@ -103,27 +103,37 @@ SCENARIOS = {
 # from abort. Only those envelopes' payload digests moved (with them masked,
 # each transcript is the one before, byte for byte); the two setup quorum
 # failures, which send none of them, kept theirs, and every round state stayed.
+# Fourteen transcripts moved when the commit/reveal election gave way to a
+# candidate order every party derives, the ids rotated by the round number:
+# the commit and reveal sends are gone, so the network RNG draws fewer delays
+# and no node draws a commit value or salt from its RNG, each round's leader
+# is now its first candidate that holds the aggregate intact, and a leader's
+# `lead` and row read are timed from its own request, so its rows_req,
+# reject and recover notes fall at new ticks. The six that never reach an
+# election kept their transcripts. Thirteen round-state
+# digests moved with the leader ids alone; every round kept its status and
+# reason.
 GOLDEN = {
-    'group/flagship': ('dc4154bf58813c0b8a1ac9d9c42a31085098a57ccde0b7174187205d8ddc0793', 'c8b5758e995d75fb495a8c11b63e5a2df443774c20b86206aa6e4d01aa4855af'),
-    'group/flagship_tampered': ('113c93051998d7c83509624991a19725ecf650d0c2eed60f5db9b20b3cd6d107', '4cfdbf25804c0732fd7a67f5ac97ef631deb2618d8b303f90dc79a9dd106f63d'),
-    'group/flip_element': ('786c285f6733fe5a88d8dd6a8f477454289851a6e000d03f38b7c0de52ccba97', '08e54ba728262229ba2c79e108c1124a0ee27259b94a290a667f83784d3648f9'),
-    'group/honest': ('c1bc31d53be5444bc732900a24ca1e10b23dae7537c416e4271e8b0ff22e1741', '121009ffe31d957d5c1263571af5ca520aaeddfee0384fa44c68fc82221f2f7f'),
-    'group/inject_offset': ('45e1cd276b20a2d0d8980a8adaa29b43a6e7626685f7846d8ebf9411be52ff3a', '0abb2d8ea7ba07b75aa2bc032eaa6ac092b213028ffee24dd21847d6fc56f4c7'),
-    'group/multi_round_loss': ('5ad4862953baf905b97b9b21be9d58d0b9f6fbf92cb9320fbbfc5a3ca1961a80', '33abd6a62eb89abef505f2498f3e891cfaafaa7730cdc6fd161014a3402fb877'),
+    'group/flagship': ('f02fb3e1a1eed3a47e44e4b37fb034740e125d08f1b39efce233373f839e65bd', '22395f2c5034b5d5e126219ad69182657857df451f4fb98b085db01646ee55dd'),
+    'group/flagship_tampered': ('f8cbbfd41cea782638d7b3c9adb17ed5549f19335f991c7af3ddac54ade9a6c1', 'f5a5641a59dd338450cf6fa24a023cb8acd621ccb11d4a58124ce526ebef48c2'),
+    'group/flip_element': ('089213a446180ff44faf87a0749959e9c79c36e5003600798c496b88b9903fea', '0abb2d8ea7ba07b75aa2bc032eaa6ac092b213028ffee24dd21847d6fc56f4c7'),
+    'group/honest': ('9ac596bb2590e5a5faec142ccb069c9704b0c751b224dcea9ef3fbc09cdb8187', 'd90026c2b59d98cb665d5eadc6044a615cd518b592f2781a2d1a947362b6bd66'),
+    'group/inject_offset': ('2a799a5f33b31bcb4e887d92a3cf505cfad54b070c4e2c9ef7c3c6021d3ecd09', '0abb2d8ea7ba07b75aa2bc032eaa6ac092b213028ffee24dd21847d6fc56f4c7'),
+    'group/multi_round_loss': ('391327ffab67b4702b0d87fa8c5321475e37c5a23771a257e312ed28bc0647a6', '8535cf121decbc058d861ae1a4a9c61a03c21be65b6e7fc7b0f7d4fdc783333a'),
     'group/reveal_timeout': ('5d96f18f9de95a9da0f213622dd25d82fdcb940c82afda155a86bad9aeb43f11', '760efd9f04add35fc2747cdd76ac47e182445f62cbc6312afdb4dc3a9e57c664'),
     'group/setup_quorum_failure': ('0d9b3ca4f87adab37913026aa4841a98cffeb61baba71965204eee80f493afc4', '89cddcc3d1cb10d47d49820d8a026df2889301e85362b796371f5ed5c0dc06ce'),
     'group/staleness_timeout': ('45fe3f7500c7e642e5cd244e1a4411002cef42b87dfeeac85d56fb6670bc3ff1', '33420a85a4dfa4d3d106f7f2e6c869cb5e89ee9fc0dbb46538444857ae7b12e6'),
-    'group/substitute_all': ('00f52e7cc2c8e4cbb82dcd548b97491521560c0df5acd11200e47b393d53f542', '08e54ba728262229ba2c79e108c1124a0ee27259b94a290a667f83784d3648f9'),
-    'scalar/flagship': ('300e8fb403623c70f4d6737a65f9b8bf4f6794f4274920526ea6b75425fabea4', 'ddd2ce4b582c12dcc1a44d8dda1fad3b809eb09b884c9106f97ef2c7e075e941'),
-    'scalar/flagship_tampered': ('7801ba76901cd6e99e0e93fc4f6f752ee7bb75106b5582a2a254c6e6f246939b', '4cfdbf25804c0732fd7a67f5ac97ef631deb2618d8b303f90dc79a9dd106f63d'),
-    'scalar/flip_element': ('14d2a8289d723328396e3a490b32137a839425bd88fdd80b44212cfae288ff29', '08e54ba728262229ba2c79e108c1124a0ee27259b94a290a667f83784d3648f9'),
-    'scalar/honest': ('2c656224c801e8896303dd78cedbdd7d4bda955daab4985e026081df757a98ed', 'dd912173bde53abfe3a7616a1f7bbae2143bbf3b071d639d669fcfe1a97eeed2'),
-    'scalar/inject_offset': ('bc6866bdd35b393a888f89bea764bdc7fe2cc231f9aeb39004a55c2446001a7f', 'f04c438232077a27853563e147c186876006b0c2c48e27db24897b82f1e1f0c8'),
-    'scalar/multi_round_loss': ('3b21cc86f6312cada17bf265e08a536e4f764c8f43a7bf2614a1cdb7a798bc17', 'c6676a11622388f2c77ef43d0c759164bffce4dcd96409093ff93e5f95d07033'),
+    'group/substitute_all': ('cc31662c3bad2caa9f136dc8593377793d26c9446f6dbea0ea04e2cfc69ea3db', '0abb2d8ea7ba07b75aa2bc032eaa6ac092b213028ffee24dd21847d6fc56f4c7'),
+    'scalar/flagship': ('c0f5b20943b65d6b162a22343b326bb8ef19ff539c6848f021eeeccaa294e9b2', 'd59eaa1836ab3cd26e6f559eaa771ba9dfd869e25da7c9c607230d2b05d120de'),
+    'scalar/flagship_tampered': ('86e18ef89d4d8eef4f4ee24fed982ddbd08505df989e3ee3bee76f04ca2a7036', 'f5a5641a59dd338450cf6fa24a023cb8acd621ccb11d4a58124ce526ebef48c2'),
+    'scalar/flip_element': ('20feaa5b16cbfb02e0f6600c4c9e648ac7ff1560804e3f22ea6c9d3697368dd2', '0abb2d8ea7ba07b75aa2bc032eaa6ac092b213028ffee24dd21847d6fc56f4c7'),
+    'scalar/honest': ('4e6fde74bf47e06ee075acb46526db1e7560e53d00ebebf8542bbb143a5f2058', 'bcdb23519586c2dd459598df6c34737c3b96bffb5d39eeed05cafc3023fa8b9b'),
+    'scalar/inject_offset': ('b444927ee85597bdf4f3d80f409d1a00bc885a2949cd76437e07dd6935ea8d38', '0abb2d8ea7ba07b75aa2bc032eaa6ac092b213028ffee24dd21847d6fc56f4c7'),
+    'scalar/multi_round_loss': ('c41d517153400c439d65e2fbfbfec478876e2961375b613accb746e2bfe9007d', '26ce7663a7a05c170dea8ac0d3832073903b6f913905c7f06869134292ab868e'),
     'scalar/reveal_timeout': ('0b6258b4c9c0703b05c7ea6b992c5cbad8ba0cee035eebabe126fa3db45241f3', '760efd9f04add35fc2747cdd76ac47e182445f62cbc6312afdb4dc3a9e57c664'),
     'scalar/setup_quorum_failure': ('90da83209d0a56007e30fabda50be597a4a370653257bb0bef767f278344b406', '89cddcc3d1cb10d47d49820d8a026df2889301e85362b796371f5ed5c0dc06ce'),
     'scalar/staleness_timeout': ('aecd3690b64e50d33581a5df9e4aa22e2dee3a5cb3962db9eff0c94b60935b82', '33420a85a4dfa4d3d106f7f2e6c869cb5e89ee9fc0dbb46538444857ae7b12e6'),
-    'scalar/substitute_all': ('5408b1158f7d4806669f24c6a487485dc19f49e711f5dccb38a87f1b31036dce', '71e1f93b6d06c4be52cbbe3ad76aa4eb2b524d336fdcb0dc9d7619d0fc63db29'),
+    'scalar/substitute_all': ('b3989fbc07083cc1711c073dc67f2459464ff80aa516f9ec22463607cc7079e2', '0abb2d8ea7ba07b75aa2bc032eaa6ac092b213028ffee24dd21847d6fc56f4c7'),
 }
 
 

@@ -556,10 +556,14 @@ def test_sender_check_lint_sees_direct_aliased_and_membership_checks():
     ]
 
 
-# the verification timeline lives in VERIFICATION_STEPS alone: the phase
-# budget is read once, where the steps are scheduled, and the only other timer
-# is the row read's second look on the same tick
-TIMER_SETTERS = ["ParticipantNode._read_rows", "ParticipantNode._start_verification"]
+# the verification steps are VERIFICATION_STEPS alone: the verification
+# budget is read once, where the first turn is fixed; each turn is scheduled
+# by `_at`, a candidate's `lead` at its own request and its `rows` at `lead`,
+# and the only other timer is the row read's second look on the same tick
+TIMER_SETTERS = [
+    "ParticipantNode._at", "ParticipantNode._lead", "ParticipantNode._read_rows",
+    "ParticipantNode._turn",
+]
 
 
 def verification_budget_reads(tree: ast.AST) -> list[str]:
@@ -585,13 +589,10 @@ def test_the_verification_timeline_is_set_from_one_table():
     tree = ast.parse((SRC / "protocol.py").read_text())
     assert verification_budget_reads(tree) == ["ParticipantNode._start_verification"]
     assert sorted(call_sites(tree, ("schedule_timer",))["schedule_timer"]) == TIMER_SETTERS
-    # each step is a ParticipantNode handler, in tick order, inside the phase's
-    # ten half-slots
-    ticks = [tick for tick, _ in VERIFICATION_STEPS.values()]
-    assert ticks == sorted(set(ticks)) and 0 < ticks[0] and ticks[-1] < 10
+    # each step is a ParticipantNode handler
     assert all(
         getattr(ParticipantNode, handler.__name__) is handler
-        for _, handler in VERIFICATION_STEPS.values()
+        for handler in VERIFICATION_STEPS.values()
     )
 
 
@@ -738,6 +739,38 @@ def test_body_lints_see_stray_checks_fields_and_reads():
     ]
     assert stray_fields("result", {"sum": [], "m": []}) == []  # `recovered` is optional
     assert stray_fields("share_resp_fb", {"self": None}) == ["share_resp_fb lacks need"]
+
+
+# every field kind and sender rule is there for a message kind: one that no
+# MESSAGE_KINDS entry names cannot outlive the kinds that used it
+def unnamed_entries(kinds: dict, field_kinds: dict, senders: dict) -> list[str]:
+    """The entries of `field_kinds` and `senders` that no entry of the
+    resolved message-kind table `kinds` names."""
+    tests = {test for _, _, fields, _ in kinds.values() for _, test, _ in fields}
+    rules = {rule for _, rule, _, _ in kinds.values()}
+    return [f"field kind {kind}" for kind, (test, _) in field_kinds.items() if test not in tests] + [
+        f"sender rule {name}" for name, rule in senders.items() if rule not in rules
+    ]
+
+
+def test_every_field_kind_and_sender_rule_is_named_by_a_message_kind():
+    assert unnamed_entries(MESSAGE_KINDS, FIELD_KINDS, SENDERS) == []
+
+
+def test_unnamed_entry_lint_sees_a_field_kind_and_a_sender_rule_left_behind():
+    field_kinds = {**FIELD_KINDS, "hex": (lambda v, node: True, "a hex string")}
+    senders = {**SENDERS, "elector": lambda src, node: True}
+    assert unnamed_entries(MESSAGE_KINDS, field_kinds, senders) == [
+        "field kind hex", "sender rule elector",
+    ]
+    # kinds gone leave behind the field kinds and sender rules only they named
+    kinds = {
+        kind: entry for kind, entry in MESSAGE_KINDS.items()
+        if kind not in ("submission", "result", "round_done")
+    }
+    assert unnamed_entries(kinds, FIELD_KINDS, SENDERS) == [
+        "field kind int<p>?", "field kind sum", "sender rule participant",
+    ]
 
 
 # what no production caller reaches goes, unless it is kept here for a reason;
