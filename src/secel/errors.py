@@ -66,7 +66,7 @@ class RecoveryQuorumFailure(SecelError):
 
 
 class DecodeFailure(SecelError):
-    """An unmasked group element has no discrete log below the decode bound."""
+    """An unmasked sum element lies outside what the members' encodings can sum to."""
 
 
 class RoundRejected(SecelError):

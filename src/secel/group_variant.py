@@ -14,10 +14,10 @@ per (dealer, recipient) pair: the simulator shares this public work across
 parties, while a real dealer still builds one chain per recipient. The
 holders pay 2N(N - 1) full-width exponentiations, one unwrap and one DH power
 per pair. Reconstruction happens in the exponent (products of powers with
-Lagrange coefficients), verification checks
-c2^s * c1 == G^(sum of PRG(k_i, label)), and the aggregate comes back as
-G^(sum of inputs), decoded by baby-step giant-step while the sum stays below a
-known bound. The point of the exercise: Setup can run once and be reused,
+Lagrange coefficients), verification checks c2^s * c1 == G^(k * g) for
+each label's tag coefficient g, and the aggregate comes back as G^(sum of
+inputs), decoded by baby-step giant-step while the sum stays below a known
+bound. The point of the exercise: Setup can run once and be reused,
 because nothing round-specific ever leaves the exponent, and each round's key
 s is derived from the dealt one.
 
@@ -36,8 +36,8 @@ its baby-step table {G^j: j < m} and giant step G^(-m) per step size m, with
 m = 8 * ceil(sqrt(bound)) capped at 2^16, so decoding a vector builds them
 once and each element takes about sqrt(bound) / 8 giant steps.
 
-group_unmask raises one base, the pad, to a fresh exponent per element, so
-it builds a 4-bit table of that base (64 rows of 16 entries on the 256-bit
+group_unmask raises one base, the pad base, to a fresh exponent per element,
+so it builds a 4-bit table of that base (64 rows of 16 entries on the 256-bit
 group) and drops it on return.
 
 group_verify checks the whole vector at once on safe-prime groups (P = 2q + 1,
@@ -60,7 +60,7 @@ from typing import Sequence
 
 from .algebra import PrimeModulus, is_probable_prime, lagrange_coeffs_at, pocklington
 from .errors import InsufficientShares, LabelMismatch, NotFound
-from .maskmac import label_coeffs, mask_vector
+from .maskmac import mask_vector, pads, tag_coeffs
 
 __all__ = [
     "GroupParams",
@@ -404,20 +404,20 @@ def group_verify(
     round_no: int,
     params: GroupParams,
 ) -> bool:
-    """Check c2^s * c1 == G^(sum of PRG(k_i, label)) for every element.
+    """Check c2^s * c1 == G^(k * g_i) for every element, g_i its tag coefficient.
 
-    The right side is (G^k)^h_i with h_i = H(label_i): the label coefficient
-    is public, so the verifier only needs the recovered lift of the combined
+    The right side is (G^k)^g_i with g_i from tag_coeffs: the coefficient is
+    public, so the verifier only needs the recovered lift of the combined
     key.
 
     On a safe-prime group (P = 2q + 1) every element is checked at once, by
     one small-exponents batch test with the secret weights r_i of
     batch_weights:
 
-        (prod c2_i^r_i)^s * prod c1_i^r_i == (G^k)^(sum r_i * h_i mod q)
+        (prod c2_i^r_i)^s * prod c1_i^r_i == (G^k)^(sum r_i * g_i mod q)
 
     Why that suffices: Z_P^* = {+-1} x QR_P, with QR_P the order-q subgroup.
-    Write e_i = c2_i^s * c1_i / (G^k)^h_i as sign_i * u_i with u_i in QR_P.
+    Write e_i = c2_i^s * c1_i / (G^k)^g_i as sign_i * u_i with u_i in QR_P.
     The test passes iff prod e_i^r_i == 1, which needs prod u_i^r_i == 1. If
     some u_j != 1, that fixes r_j mod q given the other weights, and an
     aggregator who does not know s hits it with probability about 2^-64
@@ -442,11 +442,11 @@ def group_verify(
         weights = batch_weights(s, round_no, len(agg), params)
         c2_prod = multi_pow([c2 for _, c2 in agg], weights, p)
         c1_prod = multi_pow([c1 for c1, _ in agg], weights, p)
-        e = sum(r * h for r, h in zip(weights, label_coeffs(round_no, len(agg), q)))
+        e = sum(r * g for r, g in zip(weights, tag_coeffs(round_no, len(agg), q)))
         return pow(c2_prod, s, p) * c1_prod % p == pow(g_k, e % q, p)
     g_k_rows = window_rows(g_k, p, q.bit_length(), CALL_WINDOW_BITS)
-    for h, (c1, c2) in zip(label_coeffs(round_no, len(agg), q), agg):
-        if (pow(c2, s, p) * c1) % p != window_pow(g_k_rows, h, p):
+    for g, (c1, c2) in zip(tag_coeffs(round_no, len(agg), q), agg):
+        if (pow(c2, s, p) * c1) % p != window_pow(g_k_rows, g, p):
             return False
     return True
 
@@ -457,16 +457,17 @@ def group_unmask(
     round_no: int,
     params: GroupParams,
 ) -> list[int]:
-    """Strip the pad: G^(sum w) = c1 * (G^(sum V_i(0)))^(q - H(label)).
+    """Strip the pad: G^(sum w) = c1 / G^(pad(key)), from the pad base G^key.
 
-    The pad base lies in the order-q subgroup, so its (q - h)-th power is the
-    inverse of its h-th power: one table read per element.
+    The pad is linear in its key, so G^(pad(key)) = (G^key)^u, u the unit
+    key's pad. The base lies in the order-q subgroup, so its (q - u)-th power
+    is the inverse of its u-th power: one table read per element.
     """
     p, q = params.p, params.q
     pad_rows = window_rows(g_pad_base, p, q.bit_length(), CALL_WINDOW_BITS)
     out = []
-    for h, (c1, _) in zip(label_coeffs(round_no, len(agg), q), agg):
-        out.append((c1 * window_pow(pad_rows, q - h, p)) % p)
+    for u, (c1, _) in zip(pads(1, round_no, len(agg), q), agg):
+        out.append((c1 * window_pow(pad_rows, q - u, p)) % p)
     return out
 
 

@@ -425,8 +425,14 @@ class ScalarArith:
     def verify(self, pairs, k: int, s: int, round_no: int) -> bool:
         return verify_vector(pairs, k, s, round_no, self.p)
 
-    def unmask(self, pairs, pad: int, round_no: int, m_count: int) -> list[int]:
-        return unmask_vector(pairs, pad, round_no, self.p)
+    def unmask(self, pairs, pad_keys: list[int], round_no: int) -> list[int]:
+        # no |M| encodings sum past |M| * round(clip * scale) either side of 0
+        bound = len(pad_keys) * round(Fraction(self.codec.clip_bound) * self.codec.scale)
+        sums = unmask_vector(pairs, self.combine(pad_keys), round_no, self.p)
+        for idx, x in enumerate(sums):
+            if bound < x < self.p - bound:
+                raise DecodeFailure(f"element {idx} is outside [-{bound}, {bound}]")
+        return sums
 
 
 class GroupArith:
@@ -519,10 +525,11 @@ class GroupArith:
     def verify(self, pairs, k: int, s: int, round_no: int) -> bool:
         return group_verify(pairs, k, s, round_no, self.group)
 
-    def unmask(self, pairs, pad: int, round_no: int, m_count: int) -> list[int]:
-        bound = self.decode_bound(m_count)
+    def unmask(self, pairs, pad_keys: list[int], round_no: int) -> list[int]:
+        bound = self.decode_bound(len(pad_keys))
         sums = []
-        for idx, h in enumerate(group_unmask(pairs, pad, round_no, self.group)):
+        pad_base = self.combine(pad_keys)
+        for idx, h in enumerate(group_unmask(pairs, pad_base, round_no, self.group)):
             try:
                 sums.append(bsgs(h, bound, self.group))
             except NotFound:
@@ -1161,9 +1168,8 @@ class ParticipantNode(Node):
         if not arith.verify(self.agg, k, self.round_key(), self.round_no):
             raise VerificationFailed("aggregate failed the tag check")
 
-        # each member masked with its own V_i(0), so the pad is their combination
-        pad = arith.combine(v0_map[i] for i in m)
-        self.sums = arith.unmask(self.agg, pad, self.round_no, len(m))
+        # each member masked with its own pad key V_i(0)
+        self.sums = arith.unmask(self.agg, [v0_map[i] for i in m], self.round_no)
 
     def _distribute(self, sim: Simulator) -> None:
         m = sorted(self.m_set)

@@ -10,8 +10,9 @@ failure to a small network rather than to a seed. The delays come from a
 
 The safety oracle is what `run_rounds` promises on any network: it never
 raises, and each round ends either `done` with the exact field sum over the
-round's M, or rejected with a named reason. M is read from each round's
-`RoundState`: a node's copy is reset when the next round begins.
+round's M and every decoded element within ±|M| * clip, or rejected with a
+named reason. M is read from each round's `RoundState`: a node's copy is reset
+when the next round begins.
 """
 
 from __future__ import annotations
@@ -112,6 +113,9 @@ def safety_problems(result: ScenarioResult) -> list[str]:
         if r.phase == "done":
             if not r.verified or r.field_sum != field_sum_oracle(result, r.m_set):
                 problems.append(f"round {r.round} done without the exact sum over {r.m_set}")
+            bound = len(r.m_set) * result.spec.clip_bound
+            if any(abs(x) > bound for x in r.decrypted):
+                problems.append(f"round {r.round} decoded an element outside ±{bound}")
         elif r.phase != "rejected" or r.error not in NAMED_REJECTIONS:
             problems.append(f"round {r.round} ended {r.phase} with error {r.error!r}")
     return problems

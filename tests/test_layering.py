@@ -369,6 +369,49 @@ def test_call_site_check_sees_methods_functions_and_attribute_calls():
     }
 
 
+# The label hash feeds two definitions, a key's pad and the round's tag
+# coefficients; every kernel reads those, so either can change alone.
+LABEL_READERS = ["maskmac.pads", "maskmac.tag_coeffs"]
+
+
+def label_reads(trees: dict[str, ast.AST]) -> list[str]:
+    """`module.scope` (as `scopes` names it) of each read or import of
+    `label_coeffs`, once per read, in the parsed modules."""
+    found = []
+    for module, tree in trees.items():
+        for scope, node in scopes(tree):
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Name) and sub.id == "label_coeffs"
+                    or isinstance(sub, ast.Attribute) and sub.attr == "label_coeffs"
+                    or isinstance(sub, ast.ImportFrom)
+                    and any(alias.name == "label_coeffs" for alias in sub.names)
+                ):
+                    found.append(f"{module}.{scope}")
+    return found
+
+
+def test_only_the_pad_and_the_tag_definitions_read_the_label_hash():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert label_reads(trees) == LABEL_READERS
+
+
+def test_label_read_lint_sees_calls_aliases_and_imports():
+    source = (
+        "from .maskmac import label_coeffs, mask_vector\n"
+        "__all__ = ['label_coeffs']\n"
+        "def pads(key, r, l, p):\n    return [key * h % p for h in label_coeffs(r, l, p)]\n"
+        "class Arith:\n"
+        "    def verify(self, agg):\n        coeffs = maskmac.label_coeffs\n"
+        "        return all(c1 == h for h, (c1, _) in zip(coeffs(0, len(agg), 7), agg))\n"
+        "    def unmask(self, agg):\n        from .maskmac import label_coeffs as h\n"
+        "        return h\n"
+    )
+    assert label_reads({"m": ast.parse(source)}) == [
+        "m.<module>", "m.pads", "m.Arith.verify", "m.Arith.unmask",
+    ]
+
+
 # Other code hooks the simulator at three seams: tests inject bodies at
 # `Simulator.send`, perfbench's PayloadBytes and Tracer wrap `Transcript.envelope`,
 # and a reference event loop overrides `Simulator._push`. A shortcut around any

@@ -11,12 +11,14 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secel import maskmac
+from secel import group_variant, maskmac
 from secel.algebra import DEFAULT_PRIME, MERSENNE_61, PrimeModulus
 from secel.errors import LabelMismatch, ZeroAuthKey
 from secel.group_variant import (
@@ -390,3 +392,84 @@ def test_property_group_kernels_are_the_lifted_scalar_kernels(case):
     shifted = [list(pair) for pair in g_agg]
     shifted[idx][0] = shifted[idx][0] * lift(d) % params.p
     assert not group_verify(shifted, g_k, s, rnd, params)
+
+
+# ---- property: the pad and the tag are separate definitions ----------------------------
+
+
+def _other_coeffs(seed):
+    """A stand-in coefficient per label: nonzero, and fixed per (seed, round, index)."""
+
+    def coeffs(round_no, length, p):
+        rng = random.Random(f"{seed}/{round_no}")
+        return tuple(rng.randrange(1, p) for _ in range(length))
+
+    return coeffs
+
+
+@contextmanager
+def _stubbed(name, fn):
+    """Replace one maskmac definition where the kernels of both variants read it."""
+    with mock.patch.object(maskmac, name, fn), mock.patch.object(group_variant, name, fn):
+        yield
+
+
+def _masking_run(variant, case):
+    """Mask, aggregate, verify and unmask through one variant's kernels: every
+    submission's c1s, the tag check's verdict and the unmasked sums (lifted in
+    the group)."""
+    rnd, s = case["round"], case["s"]
+    k_sum, v_sum = sum(case["keys"]), sum(case["pads"])
+    rows = list(zip(case["values"], case["pads"], case["keys"]))
+    if variant == "scalar":
+        p = DEFAULT_PRIME
+        vectors = [mask_vector(w, v0, k, s, rnd, p) for w, v0, k in rows]
+        agg = aggregate_vectors(vectors, p)
+        verified = verify_vector(agg, k_sum, s, rnd, p)
+        sums = unmask_vector(agg, v_sum, rnd, p)
+    else:
+        params = TOY_GROUP
+        vectors = [group_mask_vector(w, v0, k, s, rnd, params) for w, v0, k in rows]
+        agg = group_aggregate(vectors, params)
+        verified = group_verify(agg, params.lift(k_sum), s, rnd, params)
+        sums = group_unmask(agg, params.lift(v_sum), rnd, params)
+    return [[c1 for c1, _ in v] for v in vectors], verified, sums
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    length=st.integers(2, 6),
+    variant=st.sampled_from(["scalar", "group"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_the_pad_and_the_tag_are_separate_definitions(n, length, variant, seed):
+    # a kernel that folds the pad's coefficient into c2 fails either stub
+    p = DEFAULT_PRIME if variant == "scalar" else TOY_GROUP.q
+    rng = random.Random(seed)
+    case = {
+        "round": rng.randrange(1 << 20),
+        "values": [[rng.randrange(p) for _ in range(length)] for _ in range(n)],
+        "pads": [rng.randrange(1, p) for _ in range(n)],
+        "keys": [rng.randrange(p) for _ in range(n)],
+        "s": rng.randrange(1, p),
+    }
+    exact = [sum(column) % p for column in zip(*case["values"])]
+    if variant == "group":
+        exact = [TOY_GROUP.lift(x) for x in exact]
+    c1s, verified, sums = _masking_run(variant, case)
+    assert verified and sums == exact
+
+    other = _other_coeffs(seed)
+    with _stubbed("tag_coeffs", other):
+        tag_c1s, verified, tag_sums = _masking_run(variant, case)
+    assert tag_c1s == c1s  # the pad reads nothing of the tag
+    assert verified and tag_sums == sums
+
+    def other_pads(key, round_no, length, p):
+        return [key * c % p for c in other(round_no, length, p)]
+
+    with _stubbed("pads", other_pads):
+        pad_c1s, verified, pad_sums = _masking_run(variant, case)
+    assert pad_c1s != c1s  # the stub reached the kernels
+    assert verified and pad_sums == sums

@@ -62,3 +62,14 @@ def test_the_safety_oracle_sees_a_wrong_sum_and_an_unnamed_rejection():
         f"round 0 done without the exact sum over {done.m_set}",
         "round 1 ended rejected with error 'KeyError'",
     ]
+
+
+def test_the_safety_oracle_sees_a_decoded_element_outside_the_clip_range():
+    result = run_safely({"seed": 1, "n": 4, "t": 2, "s_min": 3})
+    [done] = result.rounds
+    bound = len(done.m_set) * result.spec.clip_bound
+    result.rounds = [
+        dataclasses.replace(done, decrypted=[*done.decrypted[:-1], -bound - 2**-16]),
+        dataclasses.replace(done, round=1, decrypted=[bound, -bound, *done.decrypted[2:]]),
+    ]
+    assert safety_problems(result) == [f"round 0 decoded an element outside ±{bound}"]

@@ -698,19 +698,40 @@ def _negate_first_pair(monkeypatch, spec):
 
 def _shift_one_contribution(monkeypatch, spec):
     """Contributor 1 shifts its encoded element 0 by 10^30 before masking."""
-    mask = GroupArith.mask
+    arith_cls = protocol.ARITHS[spec.variant]
+    mask = arith_cls.mask
 
     def shifted(arith, values, dealer, s, round_no):
         if dealer.id == 1:
             values = [(values[0] + 10**30) % arith.q, *values[1:]]
         return mask(arith, values, dealer, s, round_no)
 
-    monkeypatch.setattr(GroupArith, "mask", shifted)
+    monkeypatch.setattr(arith_cls, "mask", shifted)
 
 
-@pytest.mark.parametrize("probe", [_negate_first_pair, _shift_one_contribution])
-def test_undecodable_group_sum_is_a_named_rejection(monkeypatch, probe):
-    spec = RoundSpec(n=4, t=2, length=3, variant="group")
+def _wrong_pad_key(monkeypatch, spec):
+    """Participant 2 vouches its true tag key k_2 beside V_2(0) + 1: the tag
+    check reads only k, so only the unmasked sum can show the fault."""
+    send = Simulator.send
+
+    def rewrite(sim, src, dst, kind, body, **kw):
+        if src == 2 and kind == "share_resp" and body["self"] is not None:
+            k, v0 = body["self"]
+            body = {**body, "self": [k, v0 + 1]}
+        return send(sim, src, dst, kind, body, **kw)
+
+    monkeypatch.setattr(Simulator, "send", rewrite)
+
+
+@pytest.mark.parametrize("variant,probe", [
+    ("group", _negate_first_pair),
+    ("group", _shift_one_contribution),
+    ("scalar", _shift_one_contribution),
+    ("group", _wrong_pad_key),
+    ("scalar", _wrong_pad_key),
+])
+def test_undecodable_sum_is_a_named_rejection(monkeypatch, variant, probe):
+    spec = RoundSpec(n=4, t=2, length=3, variant=variant)
     probe(monkeypatch, spec)
     errors = set()
     for seed in range(6):
