@@ -10,6 +10,7 @@ cross into the field through :class:`FixedPointCodec`.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -101,7 +102,12 @@ def pocklington(n: int, q: int) -> bool | None:
 
 
 class PrimeModulus:
-    """A validated odd prime p defining the field Z_p, and its uniform draws."""
+    """A validated odd prime p defining the field Z_p, and its uniform draws.
+
+    It is the one place a field element is drawn. A draw reads the stream
+    `Random.randrange` reads, getrandbits(bits(n)) until below n, without its
+    argument checks, so every seeded transcript is the same.
+    """
 
     __slots__ = ("p",)
 
@@ -113,10 +119,22 @@ class PrimeModulus:
         self.p = p
 
     def random_element(self, rng: random.Random) -> int:
-        return rng.randrange(self.p)
+        """Uniform in [0, p), as rng.randrange(p) draws it."""
+        p = self.p
+        bits, getrandbits = p.bit_length(), rng.getrandbits
+        x = getrandbits(bits)
+        while x >= p:
+            x = getrandbits(bits)
+        return x
 
     def random_nonzero(self, rng: random.Random) -> int:
-        return 1 + rng.randrange(self.p - 1)
+        """Uniform in [1, p), as 1 + rng.randrange(p - 1) draws it."""
+        top = self.p - 1
+        bits, getrandbits = top.bit_length(), rng.getrandbits
+        x = getrandbits(bits)
+        while x >= top:
+            x = getrandbits(bits)
+        return 1 + x
 
 
 # ---- univariate polynomials --------------------------------------------------
@@ -336,6 +354,17 @@ class FixedPointCodec:
                 f"{n_parties} parties can overflow the field: "
                 f"max is {self.max_parties(modulus)} at clip={self.clip_bound}, "
                 f"scale_bits={self.scale_bits}"
+            )
+
+    def ensure_float_range(self) -> None:
+        """ValueError unless the scale and the largest scaled value, clip * scale
+        (twice that shifted), are finite floats: scaled_values multiplies in
+        floats. Exact, and a scale past float range is never built."""
+        top = Fraction(self.clip_bound) * (1 if self.signed else 2)
+        if self.scale_bits > 1023 or top * self.scale > sys.float_info.max:
+            raise ValueError(
+                f"scale_bits={self.scale_bits} at clip={self.clip_bound} scales a value "
+                "past float range"
             )
 
     def scaled_values(self, values: Iterable[float]) -> list[int]:

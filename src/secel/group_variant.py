@@ -267,7 +267,7 @@ class KeyPair:
 
     @classmethod
     def generate(cls, params: GroupParams, rng: random.Random) -> KeyPair:
-        sk = 1 + rng.randrange(params.q - 1)
+        sk = params.exponent_field().random_nonzero(rng)
         return cls(sk=sk, pk=params.lift(sk), sk_inv=pow(sk, -1, params.q))
 
 

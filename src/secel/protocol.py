@@ -61,6 +61,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any
 
 from .algebra import (
@@ -243,6 +244,7 @@ class RoundSpec:
         arith = self.arith()  # checks the variant's own parameters
         try:
             arith.codec.ensure_capacity(self.n, arith.field)
+            arith.codec.ensure_float_range()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return arith
@@ -579,11 +581,17 @@ def _is_keys(v: Any, node) -> bool:
     )
 
 
+@lru_cache(maxsize=16)
+def _id_keys(n: int) -> frozenset[str]:
+    """Participant ids 1..n as the decimal strings that key a JSON map."""
+    return frozenset(map(str, range(1, n + 1)))
+
+
 def _is_rows(v: Any, node) -> bool:
     """Participant id, as its decimal string -> an int in [0, p)."""
     if type(v) is not dict:
         return False
-    ids, p = {str(i) for i in node.spec.participant_ids}, node.arith.p
+    ids, p = _id_keys(node.spec.n), node.arith.p
     return all(key in ids and type(x) is int and 0 <= x < p for key, x in v.items())
 
 
@@ -1271,11 +1279,8 @@ class AggregatorNode(Node):
             p = arith.p
             agg[0] = [-agg[0][0] % p, -agg[0][1] % p]
         elif policy == "substitute_all":
-            q = arith.q
-            body["c"] = [
-                [arith.lift(self.rng.randrange(q)), arith.lift(self.rng.randrange(q))]
-                for _ in agg
-            ]
+            draw, rng = arith.field.random_element, self.rng
+            body["c"] = [[arith.lift(draw(rng)), arith.lift(draw(rng))] for _ in agg]
         elif policy == "truncate":
             del agg[-1]
         elif policy == "duplicate_member":

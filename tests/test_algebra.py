@@ -53,6 +53,25 @@ def test_composite_modulus_rejected():
         PrimeModulus(33)
 
 
+DRAW_MODULI = [PrimeModulus(p) for p in (3, 607, MERSENNE_61, DEFAULT_PRIME, 2**1279 - 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    modulus=st.sampled_from(DRAW_MODULI),
+    seed=st.integers(0, 2**64),
+    draws=st.integers(1, 12),
+)
+def test_field_draws_read_the_stream_randrange_reads(modulus, seed, draws):
+    # every seeded transcript rests on this: a draw is randrange's, value and state
+    ours, theirs = random.Random(seed), random.Random(seed)
+    p = modulus.p
+    for _ in range(draws):
+        assert modulus.random_element(ours) == theirs.randrange(p)
+        assert modulus.random_nonzero(ours) == 1 + theirs.randrange(p - 1)
+    assert ours.getstate() == theirs.getstate()
+
+
 # ---- polynomial evaluation -----------------------------------------------------
 
 
@@ -274,6 +293,29 @@ def test_codec_capacity_guard():
     codec.ensure_capacity(1000, F130)
     with pytest.raises(ValueError):
         codec.ensure_capacity(10, PrimeModulus(31))
+
+
+@pytest.mark.parametrize(
+    "scale_bits, clip, signed, fits",
+    [
+        (1020, 8.0, True, True),  # 2^1023
+        (1021, 8.0, True, False),
+        (1019, 8.0, False, True),  # shifted: 2 * 8 * 2^1019 = 2^1023
+        (1020, 8.0, False, False),
+        (1023, math.nextafter(2.0, 0.0), True, True),  # just under float max
+        (1023, 2.0, True, False),
+        (1024, 2.0**-10, True, False),  # the value fits; the scale does not
+    ],
+)
+def test_codec_float_range_guard_is_exact(scale_bits, clip, signed, fits):
+    codec = FixedPointCodec(scale_bits, clip, signed)
+    if fits:
+        codec.ensure_float_range()
+        top = Fraction(clip) * (1 if signed else 2) * codec.scale  # exact: all dyadic
+        assert codec.scaled_values([clip]) == [int(top)]
+    else:
+        with pytest.raises(ValueError, match="past float range"):
+            codec.ensure_float_range()
 
 
 @settings(max_examples=200, deadline=None)

@@ -110,8 +110,12 @@ def test_round_malformed_simulator_keys_exit_one(tmp_path, capsys):
 
 
 def test_round_oversized_codec_setting_exits_one(tmp_path, capsys):
-    # each setting's field capacity is past float range
-    for setting in ({"clip_bound": 1e308}, {"scale_bits": 5000}):
+    # each setting's field capacity or largest scaled value is past float range
+    wide = 2**1279 - 1
+    settings = [{"clip_bound": 1e308}, {"scale_bits": 5000}] + [
+        {"prime": wide, "scale_bits": bits} for bits in (1022, 1021, 1100)
+    ]
+    for setting in settings:
         for variant in ("scalar", "group"):
             cfg = write_config(tmp_path, {"n": 3, "variant": variant, **setting})
             assert main(["round", "--config", cfg]) == 1

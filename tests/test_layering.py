@@ -374,18 +374,18 @@ def test_call_site_check_sees_methods_functions_and_attribute_calls():
 LABEL_READERS = ["maskmac.pads", "maskmac.tag_coeffs"]
 
 
-def label_reads(trees: dict[str, ast.AST]) -> list[str]:
-    """`module.scope` (as `scopes` names it) of each read or import of
-    `label_coeffs`, once per read, in the parsed modules."""
+def reads_of(name: str, trees: dict[str, ast.AST]) -> list[str]:
+    """`module.scope` (as `scopes` names it) of each read or import of `name`,
+    plain or as an attribute, once per read, in the parsed modules."""
     found = []
     for module, tree in trees.items():
         for scope, node in scopes(tree):
             for sub in ast.walk(node):
                 if (
-                    isinstance(sub, ast.Name) and sub.id == "label_coeffs"
-                    or isinstance(sub, ast.Attribute) and sub.attr == "label_coeffs"
+                    isinstance(sub, ast.Name) and sub.id == name
+                    or isinstance(sub, ast.Attribute) and sub.attr == name
                     or isinstance(sub, ast.ImportFrom)
-                    and any(alias.name == "label_coeffs" for alias in sub.names)
+                    and any(alias.name == name for alias in sub.names)
                 ):
                     found.append(f"{module}.{scope}")
     return found
@@ -393,7 +393,7 @@ def label_reads(trees: dict[str, ast.AST]) -> list[str]:
 
 def test_only_the_pad_and_the_tag_definitions_read_the_label_hash():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert label_reads(trees) == LABEL_READERS
+    assert reads_of("label_coeffs", trees) == LABEL_READERS
 
 
 def test_label_read_lint_sees_calls_aliases_and_imports():
@@ -407,8 +407,33 @@ def test_label_read_lint_sees_calls_aliases_and_imports():
         "    def unmask(self, agg):\n        from .maskmac import label_coeffs as h\n"
         "        return h\n"
     )
-    assert label_reads({"m": ast.parse(source)}) == [
+    assert reads_of("label_coeffs", {"m": ast.parse(source)}) == [
         "m.<module>", "m.pads", "m.Arith.verify", "m.Arith.unmask",
+    ]
+
+
+# A field element is drawn by PrimeModulus alone, whose draws read randrange's
+# stream; outside `algebra` (Miller-Rabin witnesses) and `fedlearn` (labels),
+# no module reaches for randrange itself.
+DRAWING_MODULES = ("protocol", "group_variant", "sharing", "maskmac", "simnet")
+
+
+def test_field_draws_go_through_the_prime_modulus():
+    trees = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in DRAWING_MODULES}
+    assert reads_of("randrange", trees) == []
+
+
+def test_randrange_lint_sees_calls_aliases_and_imports():
+    source = (
+        "from random import randrange\n"
+        "def deal(rng, q):\n    return 1 + rng.randrange(q - 1)\n"
+        "class Node:\n"
+        "    def tamper(self, q):\n        draw = self.rng.randrange\n        return draw(q)\n"
+        "    def fair(self, field):\n        return field.random_element(self.rng)\n"
+        "X = randrange(5)\n"
+    )
+    assert reads_of("randrange", {"m": ast.parse(source)}) == [
+        "m.<module>", "m.deal", "m.Node.tamper", "m.<module>",
     ]
 
 

@@ -992,11 +992,29 @@ def test_round_spec_validation_rejects(kwargs):
         {"n": 3, "scale_bits": 5000, "variant": "group"},
         {"n": 3, "clip_bound": 10**400},
         {"n": 3, "prime": [7]},  # not an int
+        # a scale whose largest scaled value, clip * 2^scale_bits, is past float
+        # range, in a field wide enough to hold it
+        {"n": 3, "l": 2, "prime": 2**1279 - 1, "scale_bits": 1022},
+        {"n": 3, "l": 2, "prime": 2**1279 - 1, "scale_bits": 1021},
+        {"n": 3, "l": 2, "prime": 2**1279 - 1, "scale_bits": 1021, "gradients": [[8.0] * 2] * 3},
+        {"n": 3, "l": 2, "prime": 2**1279 - 1, "scale_bits": 1100},
+        # the values fit, but the scale itself is past float range
+        {"n": 3, "l": 2, "prime": 2**1279 - 1, "scale_bits": 2000, "clip_bound": 1e-300},
     ],
 )
 def test_bools_and_non_finite_numbers_are_config_errors(doc):
     with pytest.raises(ConfigError):
         run_rounds(doc)
+
+
+def test_the_widest_scale_in_float_range_runs_at_the_clip():
+    # 8 * 2^1020 = 2^1023 is the largest scaled value, and a finite float
+    grads = [[8.0, -8.0], [-8.0, -8.0], [8.0, 8.0]]
+    doc = {"n": 3, "l": 2, "prime": 2**1279 - 1, "scale_bits": 1020, "gradients": grads}
+    result = run_rounds(doc)
+    r = result.rounds[0]
+    assert r.phase == "done" and r.verified
+    assert r.decrypted == [8.0, -8.0]
 
 
 @pytest.mark.parametrize("prime", [91, DEFAULT_PRIME + 2, (2**61 - 1) * (2**31 - 1)])

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import secel.simnet as simnet
 from secel.errors import AuthFailure, ConfigError
+from secel.protocol import MESSAGE_KINDS
 from secel.simnet import (
     AGGREGATOR_ID,
     DEFAULT_BUDGETS,
@@ -24,6 +26,8 @@ from secel.simnet import (
     Node,
     SimConfig,
     Simulator,
+    aead_data,
+    aead_header,
     canonical_json,
     channel_key,
     derive_seed,
@@ -352,6 +356,33 @@ def test_header_fields_are_bound_as_associated_data():
             open_sealed(key, header, blob)
     with pytest.raises(AuthFailure):
         open_sealed(channel_key(43), HEADER, blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(MESSAGE_KINDS)) | st.text(max_size=8),
+    src=st.integers(-(2**70), 2**70),
+    dst=st.integers(0, 2**70),
+    round_no=st.integers(0, 2**40),
+    seq=st.integers(0, 2**70),
+)
+def test_associated_data_is_the_canonical_json_of_the_header(kind, src, dst, round_no, seq):
+    # every sealed digest rests on this; a drawn kind checks the escaping
+    header = aead_header(src, dst, kind, round_no, seq)
+    assert aead_data(header) == canonical_json(header)
+
+
+def test_a_cached_cipher_still_binds_its_key_and_header():
+    key, other = channel_key(42), channel_key(43)
+    blob = seal(key, HEADER, {"x": 1})
+    assert open_sealed(key, HEADER, blob) == {"x": 1}
+    assert simnet._cipher(key) is simnet._cipher(key)  # the cipher is kept, not rebuilt
+    seal(other, HEADER, {"x": 2})  # the other key's cipher is kept too
+    with pytest.raises(AuthFailure):
+        open_sealed(other, HEADER, blob)
+    with pytest.raises(AuthFailure):
+        open_sealed(key, {**HEADER, "seq": 1}, blob)
+    assert open_sealed(key, HEADER, blob) == {"x": 1}
 
 
 def test_secure_send_and_recv_through_the_simulator():
