@@ -58,7 +58,6 @@ import hashlib
 import math
 import random
 import sys
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -448,6 +447,8 @@ class GroupArith:
     reuses_setup = True  # later rounds derive their round key from the dealt one
 
     def __init__(self, spec: RoundSpec):
+        if not isinstance(spec.group, GroupParams):
+            raise ConfigError("group must be a GroupParams")
         self.group = spec.group
         self.p, self.q = self.group.p, self.group.q
         self.field = self.group.exponent_field()
@@ -544,6 +545,11 @@ VARIANTS = tuple(ARITHS)  # ("scalar", "group"): test ids follow this order
 
 
 # ---- helpers shared by the node implementations --------------------------------------
+
+
+def candidate_order(round_no: int, n: int) -> list[int]:
+    """The round's candidates, first to last: the ids rotated by the round number."""
+    return [(round_no + k) % n + 1 for k in range(n)]
 
 
 def _is_pairs(c: Any, node) -> bool:
@@ -780,6 +786,7 @@ class ParticipantNode(Node):
         if deals:
             self._reset_setup()
         self.round_no = round_no
+        self.order = candidate_order(round_no, self.spec.n)
         self.agg: list[list[int]] | None = None
         self.m_set: list[int] = []
         # the candidate this party follows, and whether its request went out
@@ -868,11 +875,6 @@ class ParticipantNode(Node):
             return None
         return channel_key(value, context=b"fallback")
 
-    def _candidate(self, k: int) -> int:
-        """The k-th candidate of the round: the participant ids rotated by the
-        round number, the same order at every party."""
-        return (self.round_no + k) % self.spec.n + 1
-
     def _self_keys(self) -> list[int]:
         """This contributor's k_i = V_i(i) and pad key V_i(0), as arith values."""
         lift = self.arith.lift
@@ -913,7 +915,7 @@ class ParticipantNode(Node):
         # before it lands before any request
         self._set_clock(sim, sim.now + 2 * (sim.config.budgets["verification"] // 5))
         # candidate 0 acts at its turn; everyone else looks a turn later
-        self.leader = self._candidate(0)
+        self.leader = self.order[0]
         self._at(sim, 0 if self.leader == self.id else 1)
 
     def _start_decryption(self, sim: Simulator) -> None:
@@ -924,7 +926,7 @@ class ParticipantNode(Node):
             # the next candidate's turn resumes the order there
             self._set_clock(sim, sim.now)
             self.heard = False
-            self._at(sim, (self.leader - 1 - self.round_no) % self.spec.n + 1)
+            self._at(sim, self.order.index(self.leader) + 1)
         elif self.sums is not None:
             self._distribute(sim)
 
@@ -964,7 +966,7 @@ class ParticipantNode(Node):
                 self.status = "rejected"
                 self.reject_reason = RevealTimeout.__name__
             return
-        self.leader = self._candidate(k)
+        self.leader = self.order[k]
         if self.leader == self.id and self.agg is not None and self.complete:
             self.heard = True
             sim.broadcast(self.id, self.peers, "share_req", {"m": self.m_set})
@@ -1398,6 +1400,7 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
         for node in participants.values():
             node.begin_round(r, deals)
         state = RoundState(round=r)
+        order = candidate_order(r, spec.n)  # as every party derives it
         for phase in PHASES if deals else PHASES[1:]:
             state.phase = phase
             sim.run_phase(phase, r)
@@ -1418,37 +1421,30 @@ def run_rounds(spec: RoundSpec | dict, sim_config: SimConfig | None = None) -> S
                     i for i, n in participants.items() if n.agg is not None
                 )
             elif phase == "verification":
-                # A fault can split the parties' view, so several nodes may
-                # claim leadership: the leader each heard ask. The round stands
-                # iff some claimed leader's tag check passed (it holds sums);
-                # local failures of phantom leaders don't veto it.
-                claims = Counter(n.leader for n in participants.values() if n.heard)
-                candidates = sorted(claims, key=lambda c: (-claims[c], c))
-                winner = next(
-                    (c for c in candidates if participants[c].sums is not None), None
-                )
+                # A fault can let more than one candidate ask. In the order,
+                # the first that asked and holds a verified sum leads and the
+                # round stands; else the first that asked and gave a reason,
+                # else the first that asked. The error is that leader's reason,
+                # else the first any party gave, else BudgetExhausted (silence).
+                ranked = [participants[c] for c in order]
+                asked = [n for n in ranked if n.heard and n.leader == n.id]
+                winner = next((n for n in asked if n.sums is not None), None)
                 if winner is not None:
-                    state.leader = winner
-                    state.verified = True
+                    state.leader, state.verified = winner.id, True
                 else:
-                    state.leader = candidates[0] if candidates else None
-                    leader = participants.get(state.leader)
-                    if leader is not None and leader.reject_reason is not None:
-                        state.error = leader.reject_reason
-                    else:
-                        reasons = {n.reject_reason for n in participants.values()}
-                        # no reason at all: the leader went silent before finishing
-                        state.error = min(reasons - {None}, default="BudgetExhausted")
+                    judged = [n for n in asked if n.reject_reason is not None]
+                    state.leader = next((n.id for n in judged + asked), None)
+                    reasons = [n.reject_reason for n in judged + ranked if n.reject_reason]
+                    state.error = next(iter(reasons), "BudgetExhausted")
                     if state.error == "VerificationFailed":
                         state.verified = False
                     break
             elif phase == "decryption":
-                # a member takes a result from the leader it follows alone; if
-                # the verified leader's sum reached no member, report the
-                # candidate that took over in decryption, if one's did
-                senders = [participants[i].sum_from for i in state.m_set]
-                if state.leader not in senders:
-                    state.leader = next(filter(None, senders), state.leader)
+                # a member takes a result from the leader it follows alone:
+                # the first candidate in the order whose sum reached a member
+                # of M leads, the verified one or one that took over here
+                senders = {participants[i].sum_from for i in state.m_set}
+                state.leader = next((c for c in order if c in senders), state.leader)
                 state.delivered_to = [
                     i for i in state.m_set if participants[i].sum_from == state.leader
                 ]

@@ -149,6 +149,8 @@ class SimConfig:
                     f"budget for {name!r} too small for the configured delays"
                 )
         for f in self.faults:
+            if not isinstance(f, Fault):
+                raise ConfigError(f"fault entry {f!r} is not a Fault")
             if f.phase not in PHASES:
                 raise ConfigError(f"unknown phase {f.phase!r} in fault schedule")
             if f.action not in FAULT_ACTIONS:

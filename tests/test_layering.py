@@ -437,6 +437,35 @@ def test_randrange_lint_sees_calls_aliases_and_imports():
     ]
 
 
+# The candidate order is written once: each party keeps the round's order when
+# the round begins, and the runner names the round's leader from the same order
+# at its barriers, with no tally of whom the parties heard.
+ORDER_READERS = ["protocol.ParticipantNode.begin_round", "protocol.run_rounds"]
+
+
+def test_the_candidate_order_alone_names_the_leader():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert reads_of("candidate_order", trees) == ORDER_READERS
+    assert reads_of("Counter", {"protocol": trees["protocol"]}) == []
+
+
+def test_order_lint_sees_a_reader_on_each_turn_and_a_tally():
+    source = (
+        "from collections import Counter\n"
+        "from .protocol import candidate_order\n"
+        "class ParticipantNode:\n"
+        "    def _turn(self, k):\n        return candidate_order(self.round_no, self.n)[k]\n"
+        "def run_rounds(spec, parties):\n"
+        "    claims = collections.Counter(p.leader for p in parties)\n"
+        "    return protocol.candidate_order(0, spec.n), claims\n"
+    )
+    tree = {"m": ast.parse(source)}
+    assert reads_of("candidate_order", tree) == [
+        "m.<module>", "m.ParticipantNode._turn", "m.run_rounds",
+    ]
+    assert reads_of("Counter", tree) == ["m.<module>", "m.run_rounds"]
+
+
 # Other code hooks the simulator at three seams: tests inject bodies at
 # `Simulator.send`, perfbench's PayloadBytes and Tracer wrap `Transcript.envelope`,
 # and a reference event loop overrides `Simulator._push`. A shortcut around any

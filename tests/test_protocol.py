@@ -966,6 +966,7 @@ def test_run_setup_pure_happy_path():
         {"clip_bound": "x"},
         {"scale_bits": "x"},
         {"scale_bits": 0},
+        {"variant": "group", "group": "toy"},  # from_dict resolves names, not the constructor
     ],
 )
 def test_round_spec_validation_rejects(kwargs):
@@ -2645,3 +2646,32 @@ def test_a_first_candidate_lost_after_its_turn_leaves_the_round_done(index):
     if index == 476:  # round 1's first candidate is party 2
         assert result.rounds[1].phase == "done"
         assert result.rounds[1].field_sum == field_sum_oracle(result, result.rounds[1].m_set)
+
+
+# Every sweep round in which two candidates asked. The earlier of the two in
+# the candidate order heard no answer and stayed silent; the round reports the
+# later one, which gave a verdict: (document, round, the candidates that asked,
+# leader, error, verified).
+TWO_ASKED = [
+    (3, 2, [1, 3], 1, "RecoveryQuorumFailure", None),
+    (23, 1, [2, 4], 4, "RecoveryQuorumFailure", None),
+    (157, 0, [2, 3], 3, "VerificationFailed", False),
+    (216, 1, [2, 5], 5, "RecoveryQuorumFailure", None),
+    (234, 1, [2, 3], 3, "RecoveryQuorumFailure", None),
+    (393, 0, [1, 2], 2, "RecoveryQuorumFailure", None),
+    (457, 1, [3, 4], 4, "RecoveryQuorumFailure", None),
+    (457, 2, [3, 4], 4, "RecoveryQuorumFailure", None),
+]
+
+
+@pytest.mark.parametrize(("index", "r", "asked", "leader", "error", "verified"), TWO_ASKED)
+def test_a_round_two_candidates_asked_in_reports_the_one_with_a_verdict(
+    index, r, asked, leader, error, verified
+):
+    result = run_rounds(sweep_document(index))
+    requests = [rec for rec in result.transcript.records if rec.get("kind") == "share_req"]
+    assert sorted({rec["src"] for rec in requests if rec["round"] == r}) == asked
+    state = result.rounds[r]
+    assert (state.phase, state.leader, state.error, state.verified) == (
+        "rejected", leader, error, verified,
+    )

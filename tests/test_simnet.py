@@ -102,6 +102,7 @@ def test_default_budgets_cover_all_phases():
         {"faults": 5},
         {"faults": [Fault(id="x", phase="setup", action="disconnect")]},
         {"faults": [Fault(id=1, phase="setup", action="disconnect", offset="x")]},
+        {"faults": [{"id": 1, "phase": "setup", "action": "disconnect"}]},  # not a Fault
     ],
 )
 def test_config_validation_rejects(kwargs):
