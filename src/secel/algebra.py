@@ -308,8 +308,8 @@ class FixedPointCodec:
 
     signed=True uses the centered lift (-p/2, p/2) so sums of negative values
     decode correctly. signed=False shifts inputs by clip_bound first, keeping
-    every encoding (and any sum of at most max_parties of them) nonnegative,
-    which the group variant needs for discrete-log decoding.
+    sums nonnegative for the group's discrete-log decode. `reach` bounds a sum
+    of m encodings: the scalar range check and the group decode bound read it.
 
     A value has two integer forms: `scaled_values` gives the clipped, scaled
     int, which a signed codec leaves negative for a negative value, and
@@ -356,12 +356,16 @@ class FixedPointCodec:
                 f"scale_bits={self.scale_bits}"
             )
 
+    def reach(self, m_count: int) -> int:
+        """How far a sum of m_count encodings can reach, exactly: m * round(clip * scale)
+        either side of zero if signed, m * round(2 * clip * scale) above it if shifted."""
+        return m_count * round(Fraction(self.clip_bound) * (1 if self.signed else 2) * self.scale)
+
     def ensure_float_range(self) -> None:
-        """ValueError unless the scale and the largest scaled value, clip * scale
-        (twice that shifted), are finite floats: scaled_values multiplies in
-        floats. Exact, and a scale past float range is never built."""
-        top = Fraction(self.clip_bound) * (1 if self.signed else 2)
-        if self.scale_bits > 1023 or top * self.scale > sys.float_info.max:
+        """ValueError unless the scale and the largest scaled value, reach(1),
+        are finite floats: scaled_values multiplies in floats. Exact, and a
+        scale past float range is never built."""
+        if self.scale_bits > 1023 or self.reach(1) > sys.float_info.max:
             raise ValueError(
                 f"scale_bits={self.scale_bits} at clip={self.clip_bound} scales a value "
                 "past float range"

@@ -34,7 +34,8 @@ on first use and never by scalar runs. lift reads x mod q a byte at a time
 (w = 8: 32 rows of 256 entries, ~0.5 MB, on the 256-bit group). bsgs keeps
 its baby-step table {G^j: j < m} and giant step G^(-m) per step size m, with
 m = 8 * ceil(sqrt(bound)) capped at 2^16, so decoding a vector builds them
-once and each element takes about sqrt(bound) / 8 giant steps.
+once and each element takes about sqrt(bound) / 8 giant steps. The cap is
+the root of DECODE_LIMIT, 2^32, the one limit on any decode bound.
 
 group_unmask raises one base, the pad base, to a fresh exponent per element,
 so it builds a 4-bit table of that base (64 rows of 16 entries on the 256-bit
@@ -83,7 +84,8 @@ LIFT_WINDOW_BITS = 8  # lift reads the exponent a byte at a time
 CALL_WINDOW_BITS = 4  # per-call tables: 15 multiplications per row to build
 BABY_STEP_TABLES = 4  # BSGS tables kept per group, one per giant-step size
 BABY_STEP_WIDTH = 8  # baby steps per sqrt(bound)
-BABY_STEP_CAP = 1 << 16  # sqrt of bsgs's largest bound, so never below sqrt(bound)
+DECODE_LIMIT = 1 << 32  # bsgs decodes below at most this bound
+BABY_STEP_CAP = isqrt(DECODE_LIMIT)  # so never below sqrt(bound)
 KEY_CHAINS = 128  # wrap_share chains kept per group: a whole n=100 dealing hits
 BATCH_WEIGHT_BYTES = 8  # batch weights r_i lie in [1, 2^64]
 _BATCH_DOMAIN = b"secel/batch-verify/v1"
@@ -488,7 +490,7 @@ def bsgs(h: int, bound: int, params: GroupParams) -> int:
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if bound > (1 << 32):
+    if bound > DECODE_LIMIT:
         raise ValueError("bound above 2^32; dense decode would be impractical")
     m = baby_step_count(bound)
     table, factor = params.baby_steps(m)  # factor = G^(-m)

@@ -59,7 +59,6 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
@@ -81,6 +80,7 @@ from .errors import (
     VerificationFailed,
 )
 from .group_variant import (
+    DECODE_LIMIT,
     DEFAULT_GROUP,
     TOY_GROUP,
     GroupParams,
@@ -427,8 +427,7 @@ class ScalarArith:
         return verify_vector(pairs, k, s, round_no, self.p)
 
     def unmask(self, pairs, pad_keys: list[int], round_no: int) -> list[int]:
-        # no |M| encodings sum past |M| * round(clip * scale) either side of 0
-        bound = len(pad_keys) * round(Fraction(self.codec.clip_bound) * self.codec.scale)
+        bound = self.codec.reach(len(pad_keys))
         sums = unmask_vector(pairs, self.combine(pad_keys), round_no, self.p)
         for idx, x in enumerate(sums):
             if bound < x < self.p - bound:
@@ -454,14 +453,11 @@ class GroupArith:
         self.field = self.group.exponent_field()
         # shifted into [0, 2*clip], so sums stay small enough to brute-decode
         bits = 10 if spec.scale_bits is None else spec.scale_bits
-        self.codec = FixedPointCodec(bits, spec.clip_bound, signed=False)
-        # the bit-length test first: a huge scale_bits must not build its scale
-        if self.codec.width_bits() > 32 or self.decode_bound(spec.n) > (1 << 32):
+        self.codec = codec = FixedPointCodec(bits, spec.clip_bound, signed=False)
+        # unmask decodes below reach + 1; the bit-length test first, so a huge
+        # scale_bits must not build its scale
+        if codec.width_bits() >= DECODE_LIMIT.bit_length() or codec.reach(spec.n) >= DECODE_LIMIT:
             raise ConfigError("group decode bound exceeds 2^32; shrink scale_bits/clip/n")
-
-    def decode_bound(self, m_count: int) -> int:
-        """Largest decodable aggregate: m parties, full clip range."""
-        return m_count * round(2 * Fraction(self.codec.clip_bound) * self.codec.scale) + 1
 
     def open_setup(self, node: ParticipantNode, sim: Simulator) -> None:
         node.dealer.a_poly = UniPoly.random(node.spec.t - 1, self.field, node.rng)
@@ -529,7 +525,7 @@ class GroupArith:
         return group_verify(pairs, k, s, round_no, self.group)
 
     def unmask(self, pairs, pad_keys: list[int], round_no: int) -> list[int]:
-        bound = self.decode_bound(len(pad_keys))
+        bound = self.codec.reach(len(pad_keys)) + 1
         sums = []
         pad_base = self.combine(pad_keys)
         for idx, h in enumerate(group_unmask(pairs, pad_base, round_no, self.group)):
@@ -936,20 +932,19 @@ class ParticipantNode(Node):
         VERIFICATION_STEPS[name](self, sim, data)
 
     def _set_clock(self, sim: Simulator, base: int) -> None:
-        """Time this phase's turns: candidate k's comes at base + k gaps of
-        delay_max + 1, so a request reaches every online peer before the next
-        turn or none. A candidate leads a round trip and a tick after its
-        request and reads the rows it fetched a round trip after that; one
-        whose row read would fall past the phase takes no turn."""
+        """Time this phase's steps from delay_max, d, read nowhere else: candidate
+        k's turn comes at base + k gaps of d + 1, so a request reaches every
+        online peer before the next turn or none. A candidate leads 2d + 1 after
+        its request and reads the rows it fetched 2d after that, a round trip
+        each; one whose row read would fall past the phase takes no turn."""
         d = sim.config.delay_max
-        self.clock = (base, d + 1)
-        room = sim.now + sim.config.budgets[sim.phase] - 1 - base - (4 * d + 1)
-        self.turns = min(self.spec.n, max(0, room // (d + 1) + 1))
+        self.first_turn, self.gap, self.lead_wait, self.rows_wait = base, d + 1, 2 * d + 1, 2 * d
+        room = sim.now + sim.config.budgets[sim.phase] - 1 - base - self.lead_wait - self.rows_wait
+        self.turns = min(self.spec.n, max(0, room // self.gap + 1))
 
     def _at(self, sim: Simulator, k: int) -> None:
         """Schedule candidate k's turn."""
-        base, gap = self.clock
-        sim.schedule_timer(self.id, base + k * gap, "turn", k)
+        sim.schedule_timer(self.id, self.first_turn + k * self.gap, "turn", k)
 
     def _turn(self, sim: Simulator, k: int) -> None:
         """Candidate k's turn, so every earlier candidate's request is overdue:
@@ -970,7 +965,7 @@ class ParticipantNode(Node):
         if self.leader == self.id and self.agg is not None and self.complete:
             self.heard = True
             sim.broadcast(self.id, self.peers, "share_req", {"m": self.m_set})
-            sim.schedule_timer(self.id, sim.now + 2 * sim.config.delay_max + 1, "lead")
+            sim.schedule_timer(self.id, sim.now + self.lead_wait, "lead")
         else:
             self._at(sim, k + 1)
 
@@ -985,7 +980,7 @@ class ParticipantNode(Node):
         if (silent or lost) and len(self.resp) + 1 >= self.spec.t:
             # one follow-up to those holders, read a round trip later
             sim.broadcast(self.id, self.resp, "rows_req", {"m": silent, "lost": lost})
-            sim.schedule_timer(self.id, sim.now + 2 * sim.config.delay_max, "rows", True)
+            sim.schedule_timer(self.id, sim.now + self.rows_wait, "rows", True)
         else:
             self._conclude(sim)
 

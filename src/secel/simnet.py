@@ -140,6 +140,9 @@ class SimConfig:
             raise ConfigError("need integers 1 <= delay_min <= delay_max")
         if not isinstance(self.budgets, dict) or not isinstance(self.faults, (list, tuple)):
             raise ConfigError("budgets must be a mapping and faults a list")
+        stray = [k for k in self.budgets if k not in PHASES]
+        if stray:  # a misspelt key would otherwise leave its default in force
+            raise ConfigError(f"unknown budgets keys: {stray}")
         for name in PHASES:
             budget = self.budgets.get(name)
             if type(budget) is not int or budget <= 0:
@@ -171,9 +174,9 @@ class SimConfig:
         delay, own, entries = raw.get("delay", {}), raw.get("budgets", {}), raw.get("faults", [])
         if not (isinstance(delay, dict) and isinstance(own, dict) and isinstance(entries, list)):
             raise ConfigError("delay and budgets must be objects and faults a list")
-        stray = [k for k in own if k not in PHASES] + [k for k in delay if k not in ("min", "max")]
-        if stray:  # a misspelt key would otherwise leave its default in force
-            raise ConfigError(f"unknown budgets or delay keys: {stray}")
+        stray = [k for k in delay if k not in ("min", "max")]
+        if stray:  # a misspelt key would leave its default in force; validate checks budgets
+            raise ConfigError(f"unknown delay keys: {stray}")
         faults = []
         for entry in entries:
             try:  # a missing, unknown or non-keyword key is a TypeError

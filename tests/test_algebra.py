@@ -336,6 +336,20 @@ def test_width_bits_is_the_exact_width_bit_length(scale_bits, clip):
         assert codec.max_parties(modulus) == exact
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    signed=st.booleans(),
+    scale_bits=st.integers(min_value=1, max_value=60),
+    clip=st.floats(min_value=2.0**-20, max_value=1e6, allow_nan=False, allow_infinity=False),
+    m_count=st.integers(min_value=0, max_value=100),
+)
+def test_reach_is_where_m_extreme_encodings_sum(signed, scale_bits, clip, m_count):
+    codec = FixedPointCodec(scale_bits, clip, signed)
+    top, bottom = codec.scaled_values([clip, -clip])
+    assert m_count * top == codec.reach(m_count)
+    assert m_count * bottom == (-codec.reach(m_count) if signed else 0)
+
+
 def test_gradient_vector_helpers():
     codec = FixedPointCodec(scale_bits=16, clip_bound=8.0)
     vec = [0.25, -0.5, 7.999]

@@ -466,6 +466,77 @@ def test_order_lint_sees_a_reader_on_each_turn_and_a_tally():
     assert reads_of("Counter", tree) == ["m.<module>", "m.run_rounds"]
 
 
+# Each round bound is stated by the module that owns it: the codec's reach by
+# `FixedPointCodec.reach`, the group decode limit by `group_variant`'s
+# DECODE_LIMIT, and the verification ticks by `ParticipantNode._set_clock`,
+# the one reader of delay_max. protocol.py rebuilds none of them.
+CLOCK_READERS = ["protocol.ParticipantNode._set_clock"]
+
+
+def literal_shifts(trees: dict[str, ast.AST], left: int, right: int) -> list[str]:
+    """`module.scope` of each literal `left << right` in the parsed modules."""
+    found = []
+    for module, tree in trees.items():
+        for scope, node in scopes(tree):
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.LShift)
+                    and isinstance(sub.left, ast.Constant) and sub.left.value == left
+                    and isinstance(sub.right, ast.Constant) and sub.right.value == right
+                ):
+                    found.append(f"{module}.{scope}")
+    return found
+
+
+def bound_lint(trees: dict[str, ast.AST]) -> dict[str, list[str]]:
+    """Where protocol restates a round bound, and every literal 2^32 shift."""
+    protocol_only = {"protocol": trees["protocol"]}
+    return {
+        "Fraction": reads_of("Fraction", protocol_only),
+        "decode_bound": [
+            name for name, _, _ in definitions(trees["protocol"], "protocol")
+            if name.endswith(".decode_bound")
+        ],
+        "delay_max": reads_of("delay_max", protocol_only),
+        "1 << 32": literal_shifts(trees, 1, 32),
+    }
+
+
+def test_each_round_bound_is_stated_once():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert bound_lint(trees) == {
+        "Fraction": [],
+        "decode_bound": [],
+        "delay_max": CLOCK_READERS,
+        "1 << 32": ["group_variant.<module>"],
+    }
+
+
+def test_bound_lint_sees_each_restated_bound():
+    protocol_source = (
+        "from fractions import Fraction\n"
+        "class GroupArith:\n"
+        "    def __init__(self, spec):\n"
+        "        if self.decode_bound(spec.n) > (1 << 32):\n            raise ValueError\n"
+        "    def decode_bound(self, m):\n"
+        "        return m * round(2 * Fraction(self.codec.clip_bound) * self.codec.scale) + 1\n"
+        "class ParticipantNode:\n"
+        "    def _set_clock(self, sim, base):\n        d = sim.config.delay_max\n"
+        "    def _turn(self, sim, k):\n"
+        "        sim.schedule_timer(self.id, sim.now + 2 * sim.config.delay_max + 1, 'lead')\n"
+    )
+    group_source = "LIMIT = 1 << 32\ndef bsgs(h, bound):\n    return bound > (1 << 32)\n"
+    trees = {"protocol": ast.parse(protocol_source), "group_variant": ast.parse(group_source)}
+    assert bound_lint(trees) == {
+        "Fraction": ["protocol.<module>", "protocol.GroupArith.decode_bound"],
+        "decode_bound": ["protocol.GroupArith.decode_bound"],
+        "delay_max": ["protocol.ParticipantNode._set_clock", "protocol.ParticipantNode._turn"],
+        "1 << 32": [
+            "protocol.GroupArith.__init__", "group_variant.<module>", "group_variant.bsgs",
+        ],
+    }
+
+
 # Other code hooks the simulator at three seams: tests inject bodies at
 # `Simulator.send`, perfbench's PayloadBytes and Tracer wrap `Transcript.envelope`,
 # and a reference event loop overrides `Simulator._push`. A shortcut around any

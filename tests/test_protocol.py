@@ -4,10 +4,12 @@ import copy
 import gc
 import json
 import math
+import random
 import tracemalloc
 import weakref
 from collections import Counter, defaultdict
 from functools import lru_cache
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -2479,6 +2481,61 @@ def test_an_odd_slot_rounds_each_verification_tick_down(variant):
     assert {rec["t"] - start for rec in sends(result, "rows_req")} == {33}
     recovers = [rec for rec in records if rec["type"] == "note" and rec["note"] == "recover"]
     assert recovers and {rec["t"] - start for rec in recovers} == {43}
+
+
+def verification_clock(delay_max: int, budget: int, n: int = 100) -> tuple[int, list[int]]:
+    """As `ParticipantNode._set_clock` times verification when the phase opens
+    at tick 0: the turns it leaves, and the ticks at which candidate 0 asks,
+    leads and reads the rows it fetched."""
+    spec = RoundSpec(n=n, t=2, length=1)
+    node = ParticipantNode(1, spec, spec.validate(), random.Random(0))
+    node.begin_round(0, deals=True)  # participant 1 is round 0's candidate 0
+    timers = []
+    sim = SimpleNamespace(
+        now=0,
+        phase="verification",
+        config=SimConfig(
+            n=n, delay_max=delay_max, budgets={**DEFAULT_BUDGETS, "verification": budget}
+        ),
+        schedule_timer=lambda dst, at, name, data=None: timers.append((name, at)),
+    )
+    node.on_phase_start(sim, "verification")
+    [(name, ask)] = timers
+    assert name == "turn"
+    lead = ask + node.lead_wait
+    return node.turns, [ask, lead, lead + node.rows_wait]
+
+
+@pytest.mark.parametrize("delay_max, turns", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 2), (6, 2)])
+def test_turns_at_the_budget_floor(delay_max, turns):
+    # at the smallest budget SimConfig accepts, 10 * delay_max, the room left
+    # after candidate 0's row read, 2 * delay_max - 2, holds a second turn's
+    # gap, delay_max + 1, only from delay_max 3 on
+    assert verification_clock(delay_max, 10 * delay_max)[0] == turns
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_at_the_budget_floor_of_delay_max_1_a_silent_first_candidate_times_out(variant):
+    # the one turn is party 1's, whose request reaches no one; four intact
+    # holders stay online, but none gets a turn
+    faults = [Fault(id=1, phase="verification", action="drop_outbound")]
+    budgets = {phase: 10 for phase in DEFAULT_BUDGETS}
+    cfg = SimConfig(seed=0, n=5, delay_max=1, budgets=budgets, faults=faults)
+    r = run_rounds(RoundSpec(n=5, t=3, length=2, variant=variant), cfg).rounds[0]
+    assert (r.phase, r.error) == ("rejected", "RevealTimeout")
+
+
+def test_readme_verification_ticks_are_the_clocks():
+    """README's worked ticks, at the default budgets and at a verification
+    budget of 57, as the one clock computes them, and as README states them."""
+    turns, (ask, lead, rows) = verification_clock(5, DEFAULT_BUDGETS["verification"])
+    _, odd = verification_clock(5, 57)
+    assert (turns, [ask, lead, rows], odd) == (47, [200, 211, 221], [22, 33, 43])
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text().split())
+    assert f"asks at +{ask}, leads at +{lead} and, if it fetches rows, reads them at +{rows}" in text
+    assert f"every candidate up to n = {turns} can" in text
+    assert "asks at +{}, sends `rows_req` at +{} and recovers at +{}".format(*odd) in text
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

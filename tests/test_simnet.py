@@ -92,6 +92,7 @@ def test_default_budgets_cover_all_phases():
         {"delay_min": 6, "delay_max": 5},
         {"budgets": {**DEFAULT_BUDGETS, "setup": 3}},  # < 10 * delay_max
         {"budgets": {k: v for k, v in DEFAULT_BUDGETS.items() if k != "setup"}},
+        {"budgets": {**DEFAULT_BUDGETS, "extra": 5}},  # read by no phase
         {"faults": [Fault(id=1, phase="bogus", action="disconnect")]},
         {"faults": [Fault(id=1, phase="setup", action="explode")]},
         {"faults": [Fault(id=0, phase="setup", action="disconnect")]},
